@@ -49,7 +49,6 @@ from .scattering import (
     load_tailed_graph,
     regular_discrete_spectrum,
     scattering_matrix,
-    worker_count,
 )
 from .swronskian import CYCLE_TOL_REL, swronskian, verify_cycle
 from .verify import SUITES, coupled_free_sites, kernel_solutions
@@ -169,17 +168,15 @@ def _scatter_tolerances(depth) -> dict:
 
 def cmd_scatter(args) -> int:
     graph = load_tailed_graph(args.graph_file)
-    depth = args.depth if args.depth else graph.default_depth()
+    depth = args.depth or None
+    echo = depth or graph.default_depth()
     if args.lo is not None or args.hi is not None:
         if args.lo is None or args.hi is None:
             raise DomainError("a scan needs both --lo and --hi")
-        scan = band_scan(
-            graph, args.lo, args.hi, args.samples,
-            depth=depth, workers=worker_count(),
-        )
+        scan = band_scan(graph, args.lo, args.hi, args.samples, depth=depth)
         if args.csv:
             scan.to_csv(args.csv)
-        report = {"metadata": _metadata(**_scatter_tolerances(depth))}
+        report = {"metadata": _metadata(**_scatter_tolerances(echo))}
         report.update(scan.to_json_dict())
         _write_report(report, args.output)
         bad = any(
@@ -194,7 +191,7 @@ def cmd_scatter(args) -> int:
     if args.lam is None:
         raise DomainError("give --lambda for one point or --lo/--hi for a scan")
     res = scattering_matrix(graph, args.lam, depth)
-    report = {"metadata": _metadata(**_scatter_tolerances(depth))}
+    report = {"metadata": _metadata(**_scatter_tolerances(echo))}
     report.update(res.to_json_dict())
     _write_report(report, args.output)
     if res.s_matrix is not None and (
@@ -209,13 +206,15 @@ def cmd_scatter(args) -> int:
 
 def cmd_spectrum(args) -> int:
     graph = load_tailed_graph(args.graph_file)
-    depth = args.depth if args.depth else graph.default_depth()
+    depth = args.depth or None
     states = regular_discrete_spectrum(
         graph, args.lo, args.hi, args.samples,
         depth=depth, detect_tol=args.detect_tol,
     )
     report = {
-        "metadata": _metadata(detect_tol=args.detect_tol, depth=depth),
+        "metadata": _metadata(
+            detect_tol=args.detect_tol, depth=depth or graph.default_depth()
+        ),
         "interval": [args.lo, args.hi],
         "bound_states": [
             {
@@ -473,6 +472,14 @@ def cmd_verify(args) -> int:
 # -- parser ------------------------------------------------------------------------
 
 
+DEPTH_HELP = (
+    "lower bound on the equations assembled per tail.  The reduction is "
+    "exact with the first max(k, junction depth) rows of each tail, the "
+    "default; more rows change S only by round-off.  The value in force "
+    "is echoed in the report metadata"
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="swron",
@@ -503,7 +510,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lo", type=float)
     p.add_argument("--hi", type=float)
     p.add_argument("--samples", type=int, default=101)
-    p.add_argument("--depth", type=int)
+    p.add_argument("--depth", type=int, help=DEPTH_HELP)
     p.add_argument("--residual-tol", type=float, default=1e-7)
     p.add_argument("--csv", help="lambda-table destination for scans")
     p.add_argument("--output")
@@ -514,7 +521,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lo", type=float, required=True)
     p.add_argument("--hi", type=float, required=True)
     p.add_argument("--samples", type=int, default=201)
-    p.add_argument("--depth", type=int)
+    p.add_argument("--depth", type=int, help=DEPTH_HELP)
     p.add_argument("--detect-tol", type=float, default=1e-8)
     p.add_argument("--output")
     p.set_defaults(func=cmd_spectrum)

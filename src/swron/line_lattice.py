@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -111,6 +111,7 @@ class LineOperator:
                         f"site blocks ({n}, {s}) and ({n + s}, {-s}) break symmetry"
                     )
         self._sites = sites
+        self._forms: dict[int, "SymplecticFormMatrix"] = {}
 
     @property
     def constant(self) -> bool:
@@ -232,7 +233,7 @@ def solution_basis(
     )
 
 
-@dataclass
+@dataclass(frozen=True)
 class SymplecticFormMatrix:
     """Pair form of the window basis at m, with its Lagrangian split."""
 
@@ -259,7 +260,15 @@ class SymplecticFormMatrix:
 
 def swronskian_form(op: LineOperator, m: int) -> SymplecticFormMatrix:
     """Assemble SW_m; entries follow the block pattern described in the
-    module docstring."""
+    module docstring.
+
+    The form depends only on the operator and m, so it is built once per
+    (op, m) and cached on the operator; the cached matrix is read-only.
+    """
+    m = int(m)
+    cached = op._forms.get(m)
+    if cached is not None:
+        return cached
     k, l = op.k, op.l
     if k < 1:
         raise DomainError("pair form needs order k >= 1")
@@ -273,7 +282,10 @@ def swronskian_form(op: LineOperator, m: int) -> SymplecticFormMatrix:
     mat = np.block([[np.zeros((n, n)), upper], [-upper.T, np.zeros((n, n))]])
     if np.all(mat.imag == 0):
         mat = mat.real
-    return SymplecticFormMatrix(m=m, k=k, l=l, matrix=mat, columns=cols)
+    mat.setflags(write=False)
+    form = SymplecticFormMatrix(m=m, k=k, l=l, matrix=mat, columns=cols)
+    op._forms[m] = form
+    return form
 
 
 def leading_determinant_product(op: LineOperator, m: int) -> complex:
@@ -287,13 +299,21 @@ def leading_determinant_product(op: LineOperator, m: int) -> complex:
 
 @dataclass
 class TransferMatrix:
-    """One-step window map x_m -> x_{m+1} with the forms it intertwines."""
+    """One-step window map x_m -> x_{m+1}; the forms it intertwines are
+    looked up only when asked for."""
 
     matrix: np.ndarray
     lam: complex
     m: int
-    form_before: SymplecticFormMatrix
-    form_after: SymplecticFormMatrix
+    op: LineOperator = field(repr=False)
+
+    @property
+    def form_before(self) -> SymplecticFormMatrix:
+        return swronskian_form(self.op, self.m)
+
+    @property
+    def form_after(self) -> SymplecticFormMatrix:
+        return swronskian_form(self.op, self.m + 1)
 
     def symplectic_defect(self) -> float:
         t = self.matrix
@@ -335,13 +355,7 @@ def transfer_map(op: LineOperator, lam, m: int) -> TransferMatrix:
                 t[idx[(k, i)], idx[(s + 1, j)]] += coef[i, j]
     if np.all(t.imag == 0):
         t = t.real
-    return TransferMatrix(
-        matrix=t,
-        lam=lam,
-        m=m,
-        form_before=swronskian_form(op, m),
-        form_after=swronskian_form(op, m + 1),
-    )
+    return TransferMatrix(matrix=t, lam=lam, m=m, op=op)
 
 
 def transfer_between(op: LineOperator, lam, n: int, m: int):

@@ -19,18 +19,23 @@ is outgoing when its current tau = Im(conj(x)^T SW x) is positive; its
 conjugate is the matching incoming mode, normalized so that the bilinear
 pair form of (in, out) equals i.
 
-The space of genuine solutions, coordinatized by window values far out
-on each tail, has dimension N*k*l and is Lagrangian for the direct sum
-of the tail pair forms; expressing it over the incoming/outgoing channel
-coefficients after discarding the decaying part yields the scattering
-matrix, which is unitary and symmetric.
+The space of genuine solutions, coordinatized by window values just past
+the junction on each tail, has dimension N*k*l and is Lagrangian for the
+direct sum of the tail pair forms; expressing it over the
+incoming/outgoing channel coefficients after discarding the decaying part
+yields the scattering matrix, which is unitary and symmetric.
+
+The reduction is exact and depth-free: Bloch modes solve the tail
+recurrence identically, so on tail j only the equations at sites
+n < K_j = max(k_j, junction depth) carry information (the ones that see
+the end of the half-line, an attachment or a cross link), and only those
+rows are assembled.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -70,16 +75,7 @@ UNIMODULAR_TOL = 1e-9
 PAIRING_TOL = 1e-8
 CRITICAL_GAP = 1e-6
 KERNEL_REL_TOL = 1e-9
-DEPTH_FACTOR = 50
 A_LAMBDA = 1j  # fixed value of the in/out pair form
-
-
-def worker_count() -> int:
-    """Requested parallelism: SWRON_THREADS, default 1."""
-    try:
-        return max(1, int(os.environ.get("SWRON_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 # -- monodromy classification --------------------------------------------------
@@ -258,6 +254,19 @@ def find_critical_points(
     return out
 
 
+def _tail_critical_points(graph, lo: float, hi: float, samples: int) -> list[CriticalPoint]:
+    """find_critical_points of every tail, concatenated in tail order;
+    tails with identical operators (same k, l and blocks) share one scan."""
+    scans: dict[str, list[CriticalPoint]] = {}
+    out: list[CriticalPoint] = []
+    for tail in graph.tails:
+        key = json.dumps(line_operator_to_json(tail.op), sort_keys=True)
+        if key not in scans:
+            scans[key] = find_critical_points(tail.op, lo, hi, samples)
+        out += scans[key]
+    return out
+
+
 # -- Bloch modes ---------------------------------------------------------------
 
 
@@ -266,7 +275,7 @@ class Mode:
     """One Bloch solution mu^n w of a tail operator at fixed lambda.
 
     ``anchor`` rescales the stored vector so site values stay bounded on
-    [0, depth]: value(n) = w * mu**(n - anchor).  Channel modes carry the
+    [0, anchor]: value(n) = w * mu**(n - anchor).  Channel modes carry the
     tail's phase reference in ``w`` already (factor mu**origin).
     """
 
@@ -301,7 +310,7 @@ def tail_modes(
     lam: float,
     *,
     origin: int = 0,
-    depth: int | None = None,
+    anchor: int = 0,
     gap_tol: float = CRITICAL_GAP,
 ) -> tuple[MonodromyClassification, list[Mode]]:
     """Classify the tail at lambda and build its full mode list.
@@ -309,12 +318,10 @@ def tail_modes(
     Channel (unimodular) modes are normalized so the bilinear pair form
     of (incoming, outgoing) is exactly i; the incoming fiber vector is
     the exact conjugate of the outgoing one.  Growing modes are anchored
-    at ``depth`` so their stored site values never overflow.
+    at site ``anchor``, so their site values stay at most 1 up to there.
     """
     if not op.constant:
         raise DomainError("tail operators must be constant")
-    if depth is None:
-        depth = DEPTH_FACTOR * op.k
     clf = _classify_at(op, lam, gap_tol=gap_tol)
     k, l = op.k, op.l
     m_pair = k - 1
@@ -348,7 +355,7 @@ def tail_modes(
             if abs(mu) < 1.0:
                 modes.append(Mode(mu, w, "decay"))
             else:
-                modes.append(Mode(mu, w, "grow", anchor=depth))
+                modes.append(Mode(mu, w, "grow", anchor=anchor))
     return clf, modes
 
 
@@ -484,11 +491,20 @@ class TailedGraph:
                 depth = max(depth, n2 + 1)
         return depth
 
+    def tail_rows(self, depth: int | None = None) -> list[int]:
+        """Rows assembled per tail: K_j = max(k_j, junction_depth(j)),
+        raised to ``depth`` when given.  Every tail equation at a site
+        n >= K_j involves only free tail sites, where each Bloch mode
+        solves it exactly."""
+        floor = depth or 0
+        return [
+            max(t.op.k, self.junction_depth(j), floor) for j, t in enumerate(self.tails)
+        ]
+
     def default_depth(self) -> int:
-        kmax = max((t.op.k for t in self.tails), default=1)
-        base = DEPTH_FACTOR * kmax
-        extra = max((self.junction_depth(j) for j in range(self.n_tails)), default=0)
-        return base + extra
+        """max_j K_j, the row count of the deepest tail in the exact
+        reduction."""
+        return max(self.tail_rows(), default=0)
 
     def core_matrix(self) -> np.ndarray:
         mat = np.zeros((self.core_size, self.core_size))
@@ -501,102 +517,64 @@ class TailedGraph:
 # -- global solve ----------------------------------------------------------------
 
 
-@dataclass
-class _System:
-    """Assembled truncated eigenproblem over (core values, modal coeffs)."""
-
-    matrix: np.ndarray
-    graph: TailedGraph
-    lam: float
-    depth: int
-    modes: list[list[Mode]]
-    mode_offset: list[int]
-    n_unknowns: int
+def _graph_modes(graph: TailedGraph, lam: float, rows: list[int]):
+    """tail_modes of every tail, growing modes anchored at the top site
+    that its assembled rows reach."""
+    return [
+        tail_modes(t.op, lam, origin=t.origin, anchor=r + t.op.k - 1)
+        for t, r in zip(graph.tails, rows)
+    ]
 
 
-def _assemble(graph: TailedGraph, lam: float, depth: int, modes: list[list[Mode]]):
+def _assemble(graph: TailedGraph, lam: float, rows: list[int], modes: list[list[Mode]]):
+    """Equations over (core values, modal coefficients): every core row,
+    and the first ``rows[j]`` site equations of tail j.  Returns the
+    matrix and the first modal column of each tail."""
     nc = graph.core_size
     mode_offset = []
-    off = nc
-    for mset in modes:
-        mode_offset.append(off)
-        off += len(mset)
-    n_unknowns = off
+    row_offset = []
+    n_cols, n_rows = nc, nc
+    for tail, mset, nrows in zip(graph.tails, modes, rows):
+        mode_offset.append(n_cols)
+        row_offset.append(n_rows)
+        n_cols += len(mset)
+        n_rows += nrows * tail.op.l
+    a = np.zeros((n_rows, n_cols), dtype=complex)
+    a[:nc, :nc] = graph.core_matrix() - lam * np.eye(nc)
 
-    # site-value matrices per tail: V[j][n] has one column per mode
-    top = [depth + t.op.k + 1 for t in graph.tails]
+    # site values: values[j][n] is (l, modes) with one column per mode of tail j
     values = []
-    for j, mset in enumerate(modes):
+    for tail, mset, nrows in zip(graph.tails, modes, rows):
+        top = nrows + tail.op.k - 1
         if mset:
-            values.append(
-                np.stack([m.values(0, top[j]) for m in mset], axis=2)
-            )  # (l, sites, nmodes)
+            values.append(np.stack([m.values(0, top).T for m in mset], axis=2))
         else:
-            values.append(np.zeros((graph.tails[j].op.l, top[j] + 1, 0)))
+            values.append(np.zeros((top + 1, tail.op.l, 0)))
 
-    rows = nc + sum(depth * t.op.l for t in graph.tails)
-    a = np.zeros((rows, n_unknowns), dtype=complex)
-
-    # core equations
-    for (u, v), m in graph.core_blocks.items():
-        r, c = graph.core_offset[u], graph.core_offset[v]
-        a[r : r + graph.core_dims[u], c : c + graph.core_dims[v]] += m
-    for v in graph.core_order:
-        r = graph.core_offset[v]
-        for i in range(graph.core_dims[v]):
-            a[r + i, r + i] -= lam
-    for j, tail in enumerate(graph.tails):
-        for (v, n), m in tail.attach.items():
-            r = graph.core_offset[v]
-            dv = graph.core_dims[v]
-            a[r : r + dv, mode_offset[j] : mode_offset[j] + len(modes[j])] += (
-                m @ values[j][:, n, :]
-            )
-
-    # tail equations
-    row = nc
-    for j, tail in enumerate(graph.tails):
-        op, lj = tail.op, tail.op.l
-        cols = slice(mode_offset[j], mode_offset[j] + len(modes[j]))
-        for n in range(depth):
-            block_rows = slice(row + n * lj, row + (n + 1) * lj)
-            acc = -lam * values[j][:, n, :]
-            for s in range(-op.k, op.k + 1):
-                if n + s < 0:
-                    continue
-                b = op.block(n, s)
-                if np.any(b != 0):
-                    acc = acc + b @ values[j][:, n + s, :]
-            a[block_rows, cols] += acc
-            for (v, nn), m in tail.attach.items():
-                if nn == n:
-                    c = graph.core_offset[v]
-                    a[block_rows, c : c + graph.core_dims[v]] += m.T
-        row += depth * lj
-
-    # cross links between tail sites
     def tail_rows(j: int, n: int) -> slice:
-        base = nc + sum(depth * graph.tails[i].op.l for i in range(j))
         lj = graph.tails[j].op.l
-        return slice(base + n * lj, base + (n + 1) * lj)
+        return slice(row_offset[j] + n * lj, row_offset[j] + (n + 1) * lj)
+
+    def mode_cols(j: int) -> slice:
+        return slice(mode_offset[j], mode_offset[j] + len(modes[j]))
+
+    for j, (tail, nrows) in enumerate(zip(graph.tails, rows)):
+        op, vals = tail.op, values[j]
+        acc = -lam * vals[:nrows]
+        for s in range(-op.k, op.k + 1):
+            lo = max(0, -s)  # the half-line has no sites below 0
+            acc[lo:] += op.block(0, s) @ vals[lo + s : nrows + s]
+        rs = slice(row_offset[j], row_offset[j] + nrows * op.l)
+        a[rs, mode_cols(j)] = acc.reshape(nrows * op.l, len(modes[j]))
+        for (v, n), m in tail.attach.items():
+            c = slice(graph.core_offset[v], graph.core_offset[v] + graph.core_dims[v])
+            a[c, mode_cols(j)] += m @ vals[n]
+            a[tail_rows(j, n), c] += m.T
 
     for (j1, n1), (j2, n2), m in graph.cross_links:
-        c2 = slice(mode_offset[j2], mode_offset[j2] + len(modes[j2]))
-        c1 = slice(mode_offset[j1], mode_offset[j1] + len(modes[j1]))
-        if n1 < depth:
-            a[tail_rows(j1, n1), c2] += m @ values[j2][:, n2, :]
-        if n2 < depth:
-            a[tail_rows(j2, n2), c1] += m.T @ values[j1][:, n1, :]
-
-    return _System(
-        matrix=a,
-        graph=graph,
-        lam=lam,
-        depth=depth,
-        modes=modes,
-        mode_offset=mode_offset,
-        n_unknowns=n_unknowns,
-    )
+        a[tail_rows(j1, n1), mode_cols(j2)] += m @ values[j2][n2]
+        a[tail_rows(j2, n2), mode_cols(j1)] += m.T @ values[j1][n1]
+    return a, mode_offset
 
 
 def _kernel_basis(a: np.ndarray, rel_tol: float = KERNEL_REL_TOL):
@@ -610,7 +588,8 @@ def _kernel_basis(a: np.ndarray, rel_tol: float = KERNEL_REL_TOL):
 
 @dataclass
 class AsymptoticSubspace:
-    """Kernel of the truncated problem in modal coordinates."""
+    """Kernel of the junction problem in modal coordinates; ``depth`` is
+    the largest number of rows assembled on one tail."""
 
     lam: float
     depth: int
@@ -633,22 +612,24 @@ class AsymptoticSubspace:
 def asymptotic_subspace(
     graph: TailedGraph, lam: float, depth: int | None = None
 ) -> AsymptoticSubspace:
-    """Solve the truncated system over modal unknowns and report the
-    solution space with its per-tail window data and Lagrangian defect."""
+    """Solve the junction system over modal unknowns and report the
+    solution space with its per-tail window data and Lagrangian defect.
+
+    Tail j contributes its K_j informative rows (see
+    :meth:`TailedGraph.tail_rows`); an explicit ``depth`` only raises
+    that count, which leaves the kernel unchanged up to round-off.
+    """
     lam = float(lam)
-    if depth is None:
-        depth = graph.default_depth()
-    pairs = [
-        tail_modes(t.op, lam, origin=t.origin, depth=depth) for t in graph.tails
-    ]
+    rows = graph.tail_rows(depth)
+    pairs = _graph_modes(graph, lam, rows)
     clfs = [c for c, _ in pairs]
     modes = [m for _, m in pairs]
     flags = set()
     if any(c.critical for c in clfs):
         flags.add("critical")
 
-    system = _assemble(graph, lam, depth, modes)
-    kernel, sing = _kernel_basis(system.matrix)
+    matrix, mode_offset = _assemble(graph, lam, rows, modes)
+    kernel, sing = _kernel_basis(matrix)
     dim = kernel.shape[1]
     expected = graph.expected_dim()
     if dim != expected:
@@ -660,7 +641,7 @@ def asymptotic_subspace(
     windows = []
     for j, tail in enumerate(graph.tails):
         k = tail.op.k
-        sl = slice(system.mode_offset[j], system.mode_offset[j] + len(modes[j]))
+        sl = slice(mode_offset[j], mode_offset[j] + len(modes[j]))
         coef = kernel[sl, :]
         modal.append(coef)
         m_pair = graph.junction_depth(j) + k - 1
@@ -686,7 +667,7 @@ def asymptotic_subspace(
 
     return AsymptoticSubspace(
         lam=lam,
-        depth=depth,
+        depth=max(rows, default=0),
         dim=dim,
         expected_dim=expected,
         core_values=core_values,
@@ -824,22 +805,22 @@ class BoundState:
     singular: bool = False
 
 
-def _decay_system(graph: TailedGraph, lam: float, depth: int):
-    pairs = [
-        tail_modes(t.op, lam, origin=t.origin, depth=depth) for t in graph.tails
+def _decay_system(graph: TailedGraph, lam: float, rows: list[int]):
+    modes = [
+        [m for m in mset if m.kind == "decay"]
+        for _, mset in _graph_modes(graph, lam, rows)
     ]
-    modes = [[m for m in mset if m.kind == "decay"] for _, mset in pairs]
-    system = _assemble(graph, lam, depth, modes)
-    return system, modes
+    matrix, mode_offset = _assemble(graph, lam, rows, modes)
+    return matrix, mode_offset, modes
 
 
-def _sigma_min(graph: TailedGraph, lam: float, depth: int) -> float:
-    system, _ = _decay_system(graph, lam, depth)
-    if system.matrix.shape[1] == 0:
+def _sigma_min(graph: TailedGraph, lam: float, rows: list[int]) -> float:
+    matrix, _, _ = _decay_system(graph, lam, rows)
+    if matrix.shape[1] == 0:
         return math.inf
-    sing = np.linalg.svd(system.matrix, compute_uv=False)
+    sing = np.linalg.svd(matrix, compute_uv=False)
     scale = sing[0] if sing[0] > 0 else 1.0
-    return float(sing[-1] / scale) if len(sing) >= system.matrix.shape[1] else 0.0
+    return float(sing[-1] / scale) if len(sing) >= matrix.shape[1] else 0.0
 
 
 def _golden_refine(f, a: float, b: float, tol: float = 1e-11) -> float:
@@ -881,16 +862,11 @@ def regular_discrete_spectrum(
     """
     if samples < 3:
         raise DomainError("need at least three grid samples")
-    if depth is None:
-        depth = graph.default_depth()
+    rows = graph.tail_rows(depth)
     grid = np.linspace(lo, hi, samples)
     step = (hi - lo) / (samples - 1)
-    vals = np.array([_sigma_min(graph, x, depth) for x in grid])
-
-    criticals: list[float] = []
-    for tail in graph.tails:
-        for cp in find_critical_points(tail.op, lo, hi, samples):
-            criticals.append(cp.lam)
+    vals = np.array([_sigma_min(graph, x, rows) for x in grid])
+    criticals = [cp.lam for cp in _tail_critical_points(graph, lo, hi, samples)]
 
     out: list[BoundState] = []
     for i in range(1, samples - 1):
@@ -899,31 +875,27 @@ def regular_discrete_spectrum(
         if not np.isfinite(vals[i]) or vals[i] > 1e-2:
             continue
         lam_star = _golden_refine(
-            lambda x: _sigma_min(graph, x, depth), grid[i - 1], grid[i + 1]
+            lambda x: _sigma_min(graph, x, rows), grid[i - 1], grid[i + 1]
         )
-        sig = _sigma_min(graph, lam_star, depth)
+        sig = _sigma_min(graph, lam_star, rows)
         if sig > detect_tol:
             continue
-        system, modes = _decay_system(graph, lam_star, depth)
-        kernel, _ = _kernel_basis(system.matrix, rel_tol=max(1e-9, 2 * sig))
+        matrix, mode_offset, modes = _decay_system(graph, lam_star, rows)
+        kernel, _ = _kernel_basis(matrix, rel_tol=max(1e-9, 2 * sig))
         if kernel.shape[1] == 0:
             # rank tolerance missed the minimum; take the last right vector
-            _, _, vt = np.linalg.svd(system.matrix)
+            _, _, vt = np.linalg.svd(matrix)
             kernel = vt[-1:].conj().T
-        nc = graph.core_size
-        uncertain = any(abs(lam_star - c) < step for c in criticals)
-        offs = []
-        off = nc
-        for mset in modes:
-            offs.append((off, off + len(mset)))
-            off += len(mset)
         out.append(
             BoundState(
                 lam=float(lam_star),
                 sigma_min=float(sig),
-                core_values=kernel[:nc, 0],
-                modal=[kernel[a:b, 0] for a, b in offs],
-                uncertain=uncertain,
+                core_values=kernel[: graph.core_size, 0],
+                modal=[
+                    kernel[off : off + len(mset), 0]
+                    for off, mset in zip(mode_offset, modes)
+                ],
+                uncertain=any(abs(lam_star - c) < step for c in criticals),
             )
         )
 
@@ -1073,44 +1045,31 @@ def band_scan(
     samples: int = 101,
     *,
     depth: int | None = None,
-    workers: int | None = None,
 ) -> BandScan:
     """Classification plus scattering data on a regular grid.
 
-    ``workers`` defaults to the SWRON_THREADS environment variable;
-    results are assembled in grid order regardless of scheduling.
+    The recorded depth is ``depth`` when given, else the default
+    max_j K_j of the exact reduction.
     """
-    if depth is None:
-        depth = graph.default_depth()
-    grid = list(np.linspace(lo, hi, samples))
-    if workers is None:
-        workers = worker_count()
-
-    def one(lam: float) -> ScanRow:
+    rows = []
+    for lam in np.linspace(lo, hi, samples):
         res = scattering_matrix(graph, lam, depth)
-        counts = [c.counts() for c in res.subspace.classifications]
-        critical = any(c.critical for c in res.subspace.classifications)
-        singular = "singular" in res.flags or "kernel-dim-mismatch" in res.flags
-        return ScanRow(
-            lam=float(lam),
-            counts=counts,
-            critical=critical,
-            singular=singular,
-            result=res,
+        clfs = res.subspace.classifications
+        rows.append(
+            ScanRow(
+                lam=float(lam),
+                counts=[c.counts() for c in clfs],
+                critical=any(c.critical for c in clfs),
+                singular="singular" in res.flags or "kernel-dim-mismatch" in res.flags,
+                result=res,
+            )
         )
-
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(one, grid))
-    else:
-        rows = [one(lam) for lam in grid]
-
-    criticals: list[CriticalPoint] = []
-    for tail in graph.tails:
-        criticals += find_critical_points(tail.op, lo, hi, samples)
-    return BandScan(graph=graph, rows=rows, criticals=criticals, depth=depth)
+    return BandScan(
+        graph=graph,
+        rows=rows,
+        criticals=_tail_critical_points(graph, lo, hi, samples),
+        depth=graph.default_depth() if depth is None else depth,
+    )
 
 
 # -- serialization ------------------------------------------------------------------

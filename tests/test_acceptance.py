@@ -254,8 +254,9 @@ def test_criterion_06_asymptotic_subspace():
 def test_criterion_07_scattering_unitary_symmetric():
     t0 = time.perf_counter()
     defined_ok = True
-    worst_u = worst_s = worst_d = 0.0
-    for name, graph, want in tailed_fixtures():
+    worst_u = worst_s = worst_d = worst_o = 0.0
+    fixtures = tailed_fixtures() + [("well", ex.potential_line(1.0), 2)]
+    for name, graph, want in fixtures:
         depth0 = graph.default_depth()
         for lam in np.linspace(-1.9, 1.9, 20):
             res = scattering_matrix(graph, float(lam))
@@ -264,9 +265,17 @@ def test_criterion_07_scattering_unitary_symmetric():
                 worst_u = max(worst_u, res.unitarity_residual)
                 worst_s = max(worst_s, res.symmetry_residual)
         for lam in (-1.3, 0.5, 1.7):
-            a = scattering_matrix(graph, lam, depth0).s_matrix
+            res = scattering_matrix(graph, lam, depth0)
+            a = res.s_matrix
             b = scattering_matrix(graph, lam, 2 * depth0).s_matrix
             worst_d = max(worst_d, float(np.max(np.abs(a - b))))
+            # the depth-free S against the truncated modal system at the
+            # old default depth (50 k + junction rows per tail)
+            s, outs = orc.truncated_modal_s_matrix(graph, lam)
+            channels = [(j, m.mu, m.w) for j, mset in enumerate(res.subspace.modes)
+                        for m in mset if m.kind == "out"]
+            oracle = orc.in_channel_gauge(s, outs, channels)
+            worst_o = max(worst_o, float(np.max(np.abs(a - oracle))))
     swap = np.array([[0.0, 1.0], [1.0, 0.0]])
     worst_swap = 0.0
     for lam in (-1.3, 0.2, 1.5):
@@ -278,15 +287,17 @@ def test_criterion_07_scattering_unitary_symmetric():
                          float(np.max(np.abs(s - oracle))))
     elapsed = time.perf_counter() - t0
     ok = (defined_ok and worst_u <= 1e-7 and worst_s <= 1e-7
-          and worst_swap <= 1e-8 and worst_d <= 1e-6 and elapsed < 60.0)
+          and worst_swap <= 1e-8 and worst_d <= 1e-6 and worst_o <= 1e-10
+          and elapsed < 60.0)
     report(7, ok, f"unitarity {worst_u:.2e}, symmetry {worst_s:.2e}, "
                   f"swap {worst_swap:.2e}, depth-doubling {worst_d:.2e}, "
-                  f"{elapsed:.1f}s")
+                  f"truncation oracle {worst_o:.2e}, {elapsed:.1f}s")
     assert defined_ok
     assert worst_u <= 1e-7
     assert worst_s <= 1e-7
     assert worst_swap <= 1e-8
     assert worst_d <= 1e-6
+    assert worst_o <= 1e-10
     assert elapsed < 60.0
 
 

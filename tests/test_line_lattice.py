@@ -150,6 +150,19 @@ def test_transfer_preserves_form():
         assert t.symplectic_defect() <= 1e-10
 
 
+def test_pair_form_cached_read_only():
+    rng = np.random.default_rng(8)
+    op = ex.random_line_operator(rng, 2, 2, n_site_terms=2)
+    form = swronskian_form(op, 1)
+    assert swronskian_form(op, 1) is form
+    assert swronskian_form(op, 2) is not form
+    with pytest.raises(ValueError):
+        form.matrix[0, 0] = 1.0
+    t = transfer_map(op, 0.4, 1)
+    assert t.form_before is form
+    assert t.form_after is swronskian_form(op, 2)
+
+
 def test_transfer_between_composes():
     rng = np.random.default_rng(9)
     op = ex.random_line_operator(rng, 1, 2, n_site_terms=2)

@@ -211,3 +211,173 @@ def test_tailed_graph_json_roundtrip():
         a = scattering_matrix(graph, lam, depth=25)
         b = scattering_matrix(back, lam, depth=25)
         assert np.max(np.abs(a.s_matrix - b.s_matrix)) <= 1e-12
+
+
+# -- the exact junction reduction against the truncated modal oracle -----------
+
+
+def two_channel_graph(seed: int = 11) -> TailedGraph:
+    """Hub of fiber dimension 2 with three random order-2, two-channel tails."""
+    rng = np.random.default_rng(seed)
+    tails = [
+        Tail(ex.random_line_operator(rng, 2, 2), {(0, 0): rng.standard_normal((2, 2))})
+        for _ in range(3)
+    ]
+    return TailedGraph({0: 2}, {(0, 0): np.diag(rng.standard_normal(2))}, tails)
+
+
+def cross_linked_graph() -> TailedGraph:
+    """An order-2 and an order-1 tail on one hub, with a cross link from
+    site 1 of the first to site 0 of the second (junction rows 2 and 1)."""
+    op2 = ex.random_line_operator(np.random.default_rng(2), 2, 1)
+    return TailedGraph(
+        {0: 1},
+        {(0, 0): [[0.3]]},
+        [
+            Tail(op2, {(0, 0): [[1.0]]}, origin=1),
+            Tail(ex.free_tail(), {(0, 0): [[1.0]]}, origin=1),
+        ],
+        cross_links=[((0, 1), (1, 0), [[0.5]])],
+    )
+
+
+def with_decay(graph: TailedGraph, tail: int, decay: list) -> TailedGraph:
+    """Reload ``graph`` with a near-junction "decay" table on one tail."""
+    data = tailed_graph_to_json(graph)
+    data["tails"][tail]["decay"] = decay
+    return tailed_graph_from_json(data)
+
+
+ORACLE_GRAPHS = {
+    "star4": ex.star_tailed(4),
+    "ring6": ex.two_tail_ring_core(6),
+    "well": ex.potential_line(1.0),
+    "line": ex.pure_line_graph(),
+    "two_channel": two_channel_graph(),
+    "cross_link": cross_linked_graph(),
+    "decay": with_decay(
+        ex.potential_line(1.0),
+        0,
+        [{"site": 0, "blocks": {"0": [[0.4]], "1": [[0.9]]}},
+         {"site": 1, "blocks": {"0": [[-0.3]]}}],
+    ),
+}
+
+
+def out_channels(res) -> list:
+    return [
+        (j, m.mu, m.w)
+        for j, mset in enumerate(res.subspace.modes)
+        for m in mset
+        if m.kind == "out"
+    ]
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_GRAPHS))
+def test_junction_rows_match_truncated_oracle(name):
+    graph = ORACLE_GRAPHS[name]
+    for lam in (-1.3, 0.5, 1.7):
+        res = scattering_matrix(graph, lam)
+        assert res.s_matrix is not None, (lam, res.flags)
+        assert res.subspace.depth == graph.default_depth()
+        s, outs = orc.truncated_modal_s_matrix(graph, lam)
+        want = orc.in_channel_gauge(s, outs, out_channels(res))
+        assert np.max(np.abs(res.s_matrix - want)) <= 1e-10
+
+
+def test_informative_rows_per_tail():
+    graph = cross_linked_graph()
+    assert graph.tail_rows() == [2, 1]
+    assert graph.tail_rows(5) == [5, 5]
+    assert graph.default_depth() == 2
+    assert ex.star_tailed(4).default_depth() == 1
+    assert two_channel_graph().default_depth() == 2
+
+
+def test_explicit_depth_only_adds_rows():
+    graph = ORACLE_GRAPHS["two_channel"]
+    base = scattering_matrix(graph, 0.5)
+    deep = scattering_matrix(graph, 0.5, depth=40)
+    assert deep.subspace.depth == 40
+    assert np.max(np.abs(base.s_matrix - deep.s_matrix)) <= 1e-10
+
+
+def test_band_scan_bisects_each_tail_operator_once(monkeypatch):
+    import swron.scattering as sc
+
+    calls = []
+    real = sc.find_critical_points
+
+    def counting(op, *args, **kw):
+        calls.append(op)
+        return real(op, *args, **kw)
+
+    monkeypatch.setattr(sc, "find_critical_points", counting)
+    scan = band_scan(ex.star_tailed(5), -2.5, 2.5, 11)
+    assert len(calls) == 1
+    per_tail = find_critical_points(ex.free_tail(), -2.5, 2.5, 11)
+    assert [cp.lam for cp in scan.criticals] == [cp.lam for cp in per_tail] * 5
+
+
+# -- loader paths ---------------------------------------------------------------
+
+
+def test_noop_decay_override_reproduces_s():
+    graph = ex.potential_line(1.0)
+    same = with_decay(graph, 1, [{"site": 0, "blocks": {"0": [[0.0]], "1": [[1.0]]}}])
+    assert same.core_size == graph.core_size + 1
+    for lam in (-1.3, 0.5, 1.7):
+        a = scattering_matrix(graph, lam).s_matrix
+        b = scattering_matrix(same, lam).s_matrix
+        assert np.max(np.abs(a - b)) <= 1e-12
+
+
+def test_well_override_equals_explicit_core():
+    hub = ex.star_tailed(2)
+    loaded = with_decay(hub, 0, [{"site": 0, "blocks": {"0": [[-1.0]]}}])
+    explicit = TailedGraph(
+        {0: 1, 1: 1},
+        {(1, 1): [[-1.0]], (0, 1): [[1.0]]},
+        [
+            Tail(ex.free_tail(), {(1, 0): [[1.0]]}, origin=2),
+            Tail(ex.free_tail(), {(0, 0): [[1.0]]}, origin=1),
+        ],
+    )
+    assert loaded.core_dims == explicit.core_dims
+    assert np.array_equal(loaded.core_matrix(), explicit.core_matrix())
+    for t1, t2 in zip(loaded.tails, explicit.tails):
+        assert t1.origin == t2.origin
+        assert set(t1.attach) == set(t2.attach)
+        assert all(np.array_equal(t1.attach[key], t2.attach[key]) for key in t1.attach)
+    for lam in (-1.3, 0.5, 1.7):
+        a = scattering_matrix(loaded, lam).s_matrix
+        b = scattering_matrix(explicit, lam).s_matrix
+        assert np.array_equal(a, b)
+
+
+def test_cross_link_inside_absorbed_region_rejected():
+    data = tailed_graph_to_json(ex.potential_line(1.0))
+    data["tails"][0]["decay"] = [{"site": 1, "blocks": {"0": [[0.2]]}}]
+    data["cross_links"] = [{"from": [0, 1], "to": [1, 0], "matrix": [[0.5]]}]
+    with pytest.raises(DomainError):
+        tailed_graph_from_json(data)
+    data["cross_links"] = [{"from": [0, 2], "to": [1, 0], "matrix": [[0.5]]}]
+    assert tailed_graph_from_json(data).cross_links[0][0] == (0, 0)
+
+
+@pytest.mark.parametrize(
+    "field, value", [("shift", 2), ("shift", 0), ("quotient", "orbits"), ("quotient", 3)]
+)
+def test_bad_covering_provenance_rejected(field, value):
+    data = tailed_graph_to_json(ex.potential_line(1.0))
+    data["tails"][1][field] = value
+    with pytest.raises(DomainError):
+        tailed_graph_from_json(data)
+
+
+def test_covering_provenance_accepted():
+    data = tailed_graph_to_json(ex.potential_line(1.0))
+    data["tails"][0]["shift"] = 1
+    data["tails"][0]["quotient"] = {"orbits": [0], "edges": [[0, 0, 1]]}
+    data["tails"][1]["shift"] = None
+    assert tailed_graph_from_json(data).n_tails == 2

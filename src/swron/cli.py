@@ -424,7 +424,7 @@ def cmd_nonlinear(args) -> int:
     else:
         lin = linearize(system, psi, at=at)
         report["linearization"] = {
-            "symmetric": lin.operator.is_symmetric(0.0),
+            "symmetric": lin.operator.is_symmetric(),
             "order": lin.operator.order,
             "warning": lin.warning,
             "uses_fd": lin.uses_fd,

@@ -49,7 +49,6 @@ class Simplex:
 
     id: int
     vertices: tuple[int, ...]
-    orientation: int = 1
 
     @property
     def dim(self) -> int:
@@ -198,10 +197,6 @@ class SimplicialComplex:
     def euler_characteristic(self) -> int:
         return sum((-1) ** k * f for k, f in enumerate(self.f_vector()))
 
-    def local_finiteness_bound(self) -> int:
-        """Largest number of simplices properly containing any one simplex."""
-        return max((len(c) for c in self._cofaces_all), default=0)
-
     # -- incidence structure ----------------------------------------------
 
     def faces(self, sid: int) -> list[tuple[int, int]]:
@@ -217,13 +212,6 @@ class SimplicialComplex:
     def cofaces(self, sid: int) -> list[int]:
         """Ids of all simplices properly containing ``sid`` (any codim)."""
         return list(self._cofaces_all[sid])
-
-    def proper_faces(self, sid: int) -> list[int]:
-        return list(self._faces_all[sid])
-
-    def incident(self, sid: int) -> list[int]:
-        """All simplices at distance exactly 1/2 from ``sid``."""
-        return list(self._incidence[sid])
 
     def boundary_matrix(self, k: int) -> np.ndarray:
         """Signed incidence matrix C_k -> C_{k-1} (dense integer array)."""
@@ -322,15 +310,6 @@ class PathChain:
         rev = [(eid, -sign) for eid, sign in reversed(self.steps)]
         return PathChain(self.complex, self.end, self.start, rev)
 
-    def vertex_sequence(self) -> list[int]:
-        seq = [self.start]
-        cur = self.start
-        for eid, sign in self.steps:
-            u, v = self.complex.simplex(eid).vertices
-            cur = v if (cur == u) else u
-            seq.append(cur)
-        return seq
-
     def to_chain(self) -> "Chain1":
         c = Chain1(self.complex)
         for eid, sign in self.steps:
@@ -350,25 +329,8 @@ class Chain1:
             raise DomainError(f"simplex {edge_sid} is not an edge")
         self.coeffs[edge_sid] = self.coeffs.get(edge_sid, 0) + value
 
-    def add_chain(self, other: "Chain1", scale=1) -> None:
-        for eid, c in other.coeffs.items():
-            self.add(eid, scale * c)
-
-    def scaled(self, factor) -> "Chain1":
-        return Chain1(self.complex, {e: factor * c for e, c in self.coeffs.items()})
-
-    def __add__(self, other: "Chain1") -> "Chain1":
-        out = Chain1(self.complex, self.coeffs)
-        out.add_chain(other)
-        return out
-
     def max_abs(self) -> float:
         return max((abs(c) for c in self.coeffs.values()), default=0.0)
-
-    def cleaned(self, tol: float) -> "Chain1":
-        return Chain1(
-            self.complex, {e: c for e, c in self.coeffs.items() if abs(c) > tol}
-        )
 
     def boundary(self) -> dict[int, complex]:
         """0-chain of the boundary, keyed by vertex label."""

@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .complex_core import DomainError
+from .operators import _as_block, _close_symmetric, _matrix_from_json, _matrix_to_json
 
 __all__ = [
     "LineOperator",
@@ -45,17 +46,6 @@ __all__ = [
     "line_operator_to_json",
     "line_operator_from_json",
 ]
-
-
-def _as_block(value, l: int) -> np.ndarray:
-    arr = np.asarray(value, dtype=complex)
-    if arr.shape == () and l == 1:
-        arr = arr.reshape(1, 1)
-    if arr.shape != (l, l):
-        raise DomainError(f"block has shape {arr.shape}, expected ({l}, {l})")
-    if np.all(arr.imag == 0):
-        return arr.real.astype(float)
-    return arr
 
 
 class LineOperator:
@@ -81,37 +71,21 @@ class LineOperator:
             raise DomainError("need k >= 0 and l >= 1")
         base: dict[int, np.ndarray] = {}
         for s, m in (shift_blocks or {}).items():
-            s = int(s)
-            if abs(s) > self.k:
-                raise DomainError(f"shift {s} exceeds half-width {self.k}")
-            base[s] = _as_block(m, self.l)
-        for s in list(base):
-            if -s in base:
-                if np.max(np.abs(base[-s] - base[s].T)) > 0:
-                    raise DomainError(f"shift blocks {s} and {-s} break symmetry")
-            else:
-                base[-s] = base[s].T.copy()
-        self._base = base
-
-        sites: dict[int, dict[int, np.ndarray]] = {}
+            base[self._shift(s)] = _as_block(m, self.l)
+        self._base = _close_symmetric(base, lambda s: -s)
+        # (n, s) -> block; the partner of (n, s) is (n + s, -s)
+        sites: dict[tuple[int, int], np.ndarray] = {}
         for n, table in (site_blocks or {}).items():
-            n = int(n)
             for s, m in table.items():
-                s = int(s)
-                if abs(s) > self.k:
-                    raise DomainError(f"shift {s} exceeds half-width {self.k}")
-                sites.setdefault(n, {})[s] = _as_block(m, self.l)
-        for n in list(sites):
-            for s, m in list(sites[n].items()):
-                partner = sites.get(n + s, {}).get(-s)
-                if partner is None:
-                    sites.setdefault(n + s, {})[-s] = m.T.copy()
-                elif np.max(np.abs(partner - m.T)) > 0:
-                    raise DomainError(
-                        f"site blocks ({n}, {s}) and ({n + s}, {-s}) break symmetry"
-                    )
-        self._sites = sites
+                sites[(int(n), self._shift(s))] = _as_block(m, self.l)
+        self._sites = _close_symmetric(sites, lambda ns: (ns[0] + ns[1], -ns[1]))
         self._forms: dict[int, "SymplecticFormMatrix"] = {}
+
+    def _shift(self, s) -> int:
+        s = int(s)
+        if abs(s) > self.k:
+            raise DomainError(f"shift {s} exceeds half-width {self.k}")
+        return s
 
     @property
     def constant(self) -> bool:
@@ -122,15 +96,13 @@ class LineOperator:
         when absent)."""
         if abs(s) > self.k:
             return np.zeros((self.l, self.l))
-        hit = self._sites.get(n, {}).get(s)
+        hit = self._sites.get((n, s))
         if hit is not None:
             return hit
         return self._base.get(s, np.zeros((self.l, self.l)))
 
     def is_real(self) -> bool:
-        blocks = list(self._base.values()) + [
-            m for t in self._sites.values() for m in t.values()
-        ]
+        blocks = list(self._base.values()) + list(self._sites.values())
         return all(not np.iscomplexobj(m) for m in blocks)
 
     def leading_block(self, n: int, direction: int = +1) -> np.ndarray:
@@ -243,19 +215,8 @@ class SymplecticFormMatrix:
     matrix: np.ndarray
     columns: list[tuple[int, int]]
 
-    @property
-    def plus_indices(self) -> list[int]:
-        return [j for j, (p, _) in enumerate(self.columns) if p <= 0]
-
-    @property
-    def minus_indices(self) -> list[int]:
-        return [j for j, (p, _) in enumerate(self.columns) if p >= 1]
-
     def determinant(self) -> complex:
         return np.linalg.det(self.matrix)
-
-    def is_nondegenerate(self, tol: float = 0.0) -> bool:
-        return bool(abs(np.linalg.det(self.matrix)) > tol)
 
 
 def swronskian_form(op: LineOperator, m: int) -> SymplecticFormMatrix:
@@ -428,19 +389,10 @@ class CoveringGraph:
         return offsets
 
 
-def _close_cover_blocks(blocks: dict, l: int) -> dict:
-    closed: dict[tuple[int, int, int], np.ndarray] = {}
-    for (a, b, w), m in blocks.items():
-        closed[(int(a), int(b), int(w))] = _as_block(m, l)
-    for (a, b, w), m in list(closed.items()):
-        partner = closed.get((b, a, -w))
-        if partner is None:
-            closed[(b, a, -w)] = m.T.copy()
-        elif np.max(np.abs(partner - m.T)) > 0:
-            raise DomainError(
-                f"cover blocks ({a},{b},{w}) and ({b},{a},{-w}) break symmetry"
-            )
-    return closed
+def _cover_partner(key: tuple[int, int, int]) -> tuple[int, int, int]:
+    """Block (a, b, w) couples (a, n) to (b, n + w); its partner couples back."""
+    a, b, w = key
+    return (b, a, -w)
 
 
 @dataclass
@@ -492,7 +444,9 @@ def direct_image(
     of the fattened fiber C^(l * n_orbits).
     """
     l = int(vec_dim)
-    closed = _close_cover_blocks(blocks, l)
+    closed = {(int(a), int(b), int(w)): _as_block(m, l)
+              for (a, b, w), m in blocks.items()}
+    _close_symmetric(closed, _cover_partner)
     offsets = cover.level_offsets()
     order = tuple(sorted(cover.orbits))
     nslot = len(order)
@@ -513,7 +467,9 @@ def direct_image(
 
 def cover_apply(cover: CoveringGraph, blocks: dict, vec_dim: int, psi: dict, at):
     """Reference action of the cover operator, for commutation checks."""
-    closed = _close_cover_blocks(blocks, vec_dim)
+    closed = {(int(a), int(b), int(w)): _as_block(m, vec_dim)
+              for (a, b, w), m in blocks.items()}
+    _close_symmetric(closed, _cover_partner)
     out = {}
     for (a, n) in at:
         acc = np.zeros(vec_dim, dtype=complex)
@@ -534,7 +490,9 @@ def periodized_cover_matrix(
     """Dense matrix of the cover operator with n identified mod period."""
     if period < 1:
         raise DomainError("period must be positive")
-    closed = _close_cover_blocks(blocks, vec_dim)
+    closed = {(int(a), int(b), int(w)): _as_block(m, vec_dim)
+              for (a, b, w), m in blocks.items()}
+    _close_symmetric(closed, _cover_partner)
     order = tuple(sorted(cover.orbits))
     index = {
         (a, n): (i * period + n) * vec_dim
@@ -592,27 +550,13 @@ def truncated_line_matrix(op: LineOperator, lo: int, hi: int) -> np.ndarray:
 # -- serialization -------------------------------------------------------------
 
 
-def _matrix_to_json(m: np.ndarray):
-    if np.iscomplexobj(m):
-        return [[[float(x.real), float(x.imag)] for x in row] for row in m]
-    return np.asarray(m, dtype=float).tolist()
-
-
-def _matrix_from_json(data) -> np.ndarray:
-    arr = np.asarray(data, dtype=float)
-    if arr.ndim == 3:
-        arr = arr[..., 0] + 1j * arr[..., 1]
-    return arr
-
-
 def line_operator_to_json(op: LineOperator) -> dict:
     data = {"k": op.k, "l": op.l, "constant": op.constant}
     data["blocks"] = {str(s): _matrix_to_json(m) for s, m in sorted(op._base.items())}
     if op._sites:
-        data["sites"] = {
-            str(n): {str(s): _matrix_to_json(m) for s, m in sorted(t.items())}
-            for n, t in sorted(op._sites.items())
-        }
+        sites = data["sites"] = {}
+        for (n, s), m in sorted(op._sites.items()):
+            sites.setdefault(str(n), {})[str(s)] = _matrix_to_json(m)
     return data
 
 

@@ -44,6 +44,8 @@ KERNEL_THRESHOLD_REL = 1e-9
 
 
 def _as_block(value, l: int) -> np.ndarray:
+    """Fresh (l, l) copy of ``value``: float, or complex when some
+    imaginary part is nonzero.  A scalar is accepted when l == 1."""
     arr = np.asarray(value)
     if arr.shape == () and l == 1:
         arr = arr.reshape(1, 1)
@@ -52,6 +54,38 @@ def _as_block(value, l: int) -> np.ndarray:
     if np.iscomplexobj(arr) and np.all(arr.imag == 0):
         arr = arr.real
     return arr.astype(complex) if np.iscomplexobj(arr) else arr.astype(float)
+
+
+def _close_symmetric(blocks: dict, partner) -> dict:
+    """Symmetry closure of a block table, in place.
+
+    ``partner(key)`` names the block that must equal the transpose of
+    ``blocks[key]``.  A missing partner is filled with the transpose; a
+    partner that differs, including a non-symmetric block that is its own
+    partner, raises DomainError.
+    """
+    for key, m in list(blocks.items()):
+        other = partner(key)
+        have = blocks.get(other)
+        if have is None:
+            blocks[other] = m.T.copy()
+        elif not np.array_equal(have, m.T):
+            raise DomainError(f"blocks {key} and {other} break symmetry")
+    return blocks
+
+
+def _matrix_to_json(m: np.ndarray):
+    """Nested lists; a complex matrix stores each entry as [re, im]."""
+    if np.iscomplexobj(m):
+        return [[[float(x.real), float(x.imag)] for x in row] for row in m]
+    return np.asarray(m, dtype=float).tolist()
+
+
+def _matrix_from_json(data) -> np.ndarray:
+    arr = np.asarray(data, dtype=float)
+    if arr.ndim == 3:  # [[re, im], ...] entries
+        arr = arr[..., 0] + 1j * arr[..., 1]
+    return arr
 
 
 @dataclass
@@ -77,23 +111,32 @@ class DiscreteOperator:
         (target id, source id) -> (l, l) array.  The block multiplies
         psi(source) inside (L psi)(target).
     order : int, optional
-        Declared order; must be even-compatible with block distances.
+        Declared order; every block must respect distance <= order/2.
         Computed from the blocks when omitted.
-    check_distance : bool
-        Verify every block respects distance <= order/2 (BFS per block).
+
+    The stored blocks are read-only, so the structure flags
+    (:meth:`is_real`, :meth:`is_symmetric`, :meth:`is_vertex_operator`)
+    are derived once, on first use.
     """
 
-    def __init__(self, complex, vec_dim, blocks, *, order=None, check_distance=True):
+    def __init__(self, complex, vec_dim, blocks, *, order=None):
         self.complex = complex
         self.vec_dim = int(vec_dim)
         if self.vec_dim < 1:
             raise DomainError("vec_dim must be positive")
         self.blocks: dict[tuple[int, int], np.ndarray] = {}
+        sources: dict[int, list[int]] = {}
         for (a, b), m in blocks.items():
             complex.simplex(a), complex.simplex(b)
             arr = _as_block(m, self.vec_dim)
             if np.any(arr != 0):
-                self.blocks[(int(a), int(b))] = arr
+                a, b = int(a), int(b)
+                arr.setflags(write=False)
+                self.blocks[(a, b)] = arr
+                sources.setdefault(a, []).append(b)
+        # target -> sorted sources, read by stencil and apply
+        self._sources = {a: sorted(bs) for a, bs in sources.items()}
+        self._structure: tuple[bool, bool, bool] | None = None
 
         max_steps = 0
         for a, b in self.blocks:
@@ -109,7 +152,7 @@ class DiscreteOperator:
             self.order = max_steps
         else:
             self.order = int(order)
-            if check_distance and self.order < max_steps:
+            if self.order < max_steps:
                 bad = [
                     (a, b)
                     for a, b in self.blocks
@@ -123,7 +166,7 @@ class DiscreteOperator:
 
     def stencil(self, sid: int) -> list[int]:
         """Source simplices feeding the value at ``sid``."""
-        return sorted(b for (a, b) in self.blocks if a == sid)
+        return list(self._sources.get(sid, ()))
 
     def apply(self, psi: dict, at=None) -> dict:
         """Evaluate L psi on ``at`` (default: every simplex of the complex).
@@ -135,36 +178,42 @@ class DiscreteOperator:
             [s.id for s in self.complex.simplices] if at is None else list(at)
         )
         out: dict[int, np.ndarray] = {}
-        by_target: dict[int, list[tuple[int, np.ndarray]]] = {}
-        for (a, b), m in self.blocks.items():
-            by_target.setdefault(a, []).append((b, m))
         for a in targets:
             acc = np.zeros(self.vec_dim, dtype=complex)
-            for b, m in by_target.get(a, []):
+            for b in self._sources.get(a, ()):
                 if b not in psi:
                     raise DomainError(
                         f"psi undefined on simplex {b} required at {a}"
                     )
+                m = self.blocks[(a, b)]
                 acc = acc + m @ np.asarray(psi[b], dtype=complex).reshape(-1)
             out[a] = acc
         return out
 
     # -- structure ---------------------------------------------------------
 
-    def is_real(self) -> bool:
-        return all(
-            not np.iscomplexobj(m) or np.all(m.imag == 0)
-            for m in self.blocks.values()
-        )
+    def _flags(self) -> tuple[bool, bool, bool]:
+        """(real, symmetric, vertex-only), computed on the first call."""
+        if self._structure is None:
+            real = symmetric = vertex = True
+            simplex = self.complex.simplex
+            for (a, b), m in self.blocks.items():
+                real = real and not np.iscomplexobj(m)
+                if symmetric:
+                    partner = self.blocks.get((b, a))
+                    symmetric = partner is not None and np.array_equal(m, partner.T)
+                vertex = vertex and simplex(a).dim == 0 and simplex(b).dim == 0
+            self._structure = (real, symmetric, vertex)
+        return self._structure
 
-    def is_symmetric(self, atol: float = 0.0) -> bool:
-        for (a, b), m in self.blocks.items():
-            partner = self.blocks.get((b, a))
-            if partner is None:
-                return False
-            if np.max(np.abs(m - partner.T)) > atol:
-                return False
-        return True
+    def is_real(self) -> bool:
+        return self._flags()[0]
+
+    def is_symmetric(self) -> bool:
+        return self._flags()[1]
+
+    def is_vertex_operator(self) -> bool:
+        return self._flags()[2]
 
     def validate(self) -> OperatorReport:
         order = self._computed_order
@@ -185,12 +234,6 @@ class DiscreteOperator:
             order=order,
             homogeneous=homogeneous,
             type_ps=type_ps,
-        )
-
-    def is_vertex_operator(self) -> bool:
-        return all(
-            self.complex.simplex(a).dim == 0 and self.complex.simplex(b).dim == 0
-            for a, b in self.blocks
         )
 
     # -- dense form ----------------------------------------------------------
@@ -259,13 +302,8 @@ def to_vertex_operator(op: DiscreteOperator):
         va = sub.vertex_sid(center_map[a])
         vb = sub.vertex_sid(center_map[b])
         blocks[(va, vb)] = m
-    return (
-        DiscreteOperator(
-            sub, op.vec_dim, blocks, order=2 * op.order, check_distance=False
-        ),
-        sub,
-        center_map,
-    )
+    vertex_op = DiscreteOperator(sub, op.vec_dim, blocks, order=2 * op.order)
+    return vertex_op, sub, center_map
 
 
 def cochain_to_vertex(psi: dict, sub: SimplicialComplex, center_map: dict) -> dict:
@@ -299,7 +337,7 @@ def build_hodge(complex: SimplicialComplex, vec_dim: int = 1) -> HodgeOperators:
             for fid, sign in complex.faces(s.id):
                 blocks[(s.id, fid)] = sign * eye
                 blocks[(fid, s.id)] = sign * eye
-    op = DiscreteOperator(complex, vec_dim, blocks, order=1, check_distance=False)
+    op = DiscreteOperator(complex, vec_dim, blocks, order=1)
 
     laplacians = []
     dims = []
@@ -410,7 +448,7 @@ def factorize_triangle(
             q_blocks[(complex.vertex_sid(p), t)] = np.array(
                 [[float(coefficients[key])]]
             )
-    q_op = DiscreteOperator(complex, 1, q_blocks, order=1, check_distance=False)
+    q_op = DiscreteOperator(complex, 1, q_blocks, order=1)
 
     l_blocks: dict[tuple[int, int], np.ndarray] = {}
     for t in black:
@@ -424,7 +462,7 @@ def factorize_triangle(
         for p, v in potential.items():
             key = (complex.vertex_sid(p), complex.vertex_sid(p))
             l_blocks[key] = l_blocks.get(key, np.zeros((1, 1))) + float(v)
-    op = DiscreteOperator(complex, 1, l_blocks, order=2, check_distance=False)
+    op = DiscreteOperator(complex, 1, l_blocks, order=2)
     return TriangleFactorization(q_op=q_op, operator=op, black=black)
 
 
@@ -436,13 +474,7 @@ def operator_to_json(op: DiscreteOperator) -> dict:
         "order": op.order,
         "vec_dim": op.vec_dim,
         "blocks": [
-            {
-                "from": b,
-                "to": a,
-                "matrix": np.asarray(m).tolist()
-                if op.is_real()
-                else [[[float(x.real), float(x.imag)] for x in row] for row in m],
-            }
+            {"from": b, "to": a, "matrix": _matrix_to_json(m)}
             for (a, b), m in sorted(op.blocks.items())
         ],
     }
@@ -462,36 +494,20 @@ def operator_from_json(
     l = int(data["vec_dim"])
     blocks: dict[tuple[int, int], np.ndarray] = {}
     for item in data["blocks"]:
-        a, b = int(item["to"]), int(item["from"])
-        mat = np.asarray(item["matrix"], dtype=float)
-        if mat.ndim == 3:  # [[re, im], ...] entries
-            mat = mat[..., 0] + 1j * mat[..., 1]
-        key = (a, b)
+        key = (int(item["to"]), int(item["from"]))
         if key in blocks:
             raise DomainError(f"duplicate block for pair {key}")
-        blocks[key] = _as_block(mat, l)
-    for a, b in sorted({(min(p), max(p)) for p in blocks}):
-        m = blocks.get((a, b))
-        partner = blocks.get((b, a))
-        if a == b:
-            if np.max(np.abs(m - m.T)) > 0:
-                if on_asymmetry == "reject":
-                    raise DomainError(f"diagonal block at {a} is not symmetric")
-                blocks[(a, a)] = (m + m.T) / 2
-            continue
-        if m is None or partner is None:
-            if on_asymmetry == "reject":
-                lost = (b, a) if partner is None else (a, b)
-                raise DomainError(f"block {lost} missing for symmetry closure")
-            have = m if m is not None else partner.T
-            blocks[(a, b)] = have
-            blocks[(b, a)] = have.T.copy()
-        elif np.max(np.abs(partner - m.T)) > 0:
-            if on_asymmetry == "reject":
-                raise DomainError(f"blocks ({a}, {b}) and ({b}, {a}) break symmetry")
-            avg = (m + partner.T) / 2
-            blocks[(a, b)] = avg
-            blocks[(b, a)] = avg.T
+        blocks[key] = _as_block(_matrix_from_json(item["matrix"]), l)
+    if on_asymmetry == "reject":
+        lost = [(b, a) for a, b in sorted(blocks) if (b, a) not in blocks]
+        if lost:
+            raise DomainError(f"block {lost[0]} missing for symmetry closure")
+    else:
+        for a, b in sorted(blocks):
+            if a <= b and (b, a) in blocks:
+                avg = (blocks[(a, b)] + blocks[(b, a)].T) / 2
+                blocks[(a, b)], blocks[(b, a)] = avg, avg.T
+    _close_symmetric(blocks, lambda key: key[::-1])
     return DiscreteOperator(
         complex, l, blocks, order=int(data.get("order", 0)) or None
     )

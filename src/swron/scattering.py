@@ -26,10 +26,10 @@ incoming/outgoing channel coefficients after discarding the decaying part
 yields the scattering matrix, which is unitary and symmetric.
 
 The reduction is exact and depth-free: Bloch modes solve the tail
-recurrence identically, so on tail j only the equations at sites
-n < K_j = max(k_j, junction depth) carry information (the ones that see
-the end of the half-line, an attachment or a cross link), and only those
-rows are assembled.
+recurrence identically, and every attachment or cross link sits at a
+site n < k_j, so on tail j only the equations at sites n < K_j = k_j
+carry information (the ones that see the end of the half-line or a
+coupling), and only those rows are assembled.
 """
 
 from __future__ import annotations
@@ -48,6 +48,7 @@ from .line_lattice import (
     swronskian_form,
     transfer_map,
 )
+from .operators import _close_symmetric, _matrix_to_json
 
 __all__ = [
     "Tail",
@@ -375,6 +376,12 @@ def wave_basis(op: LineOperator, lam: float, *, origin: int = 0):
 # -- tailed graphs -------------------------------------------------------------
 
 
+# The modal reduction needs the tail equation at every site n >= k_j to be
+# the free recurrence, which each Bloch mode solves exactly; an attachment
+# or cross link there breaks it.
+_DEEP_COUPLING_HINT = 'declare the site as a core vertex or a "decay" row'
+
+
 @dataclass
 class Tail:
     """Half-line attachment: constant operator, couplings, phase origin."""
@@ -424,12 +431,7 @@ class TailedGraph:
             if arr.shape != (self.core_dims[u], self.core_dims[v]):
                 raise DomainError(f"core block ({u}, {v}) has shape {arr.shape}")
             self.core_blocks[(u, v)] = arr
-        for (u, v), m in list(self.core_blocks.items()):
-            partner = self.core_blocks.get((v, u))
-            if partner is None:
-                self.core_blocks[(v, u)] = m.T.copy()
-            elif np.max(np.abs(partner - m.T)) > 0:
-                raise DomainError(f"core blocks ({u},{v}) and ({v},{u}) break symmetry")
+        _close_symmetric(self.core_blocks, lambda uv: uv[::-1])
 
         self.tails = list(tails)
         for j, tail in enumerate(self.tails):
@@ -447,8 +449,11 @@ class TailedGraph:
                 v, n = int(v), int(n)
                 if v not in self.core_dims:
                     raise DomainError(f"tail {j} attaches to unknown vertex {v}")
-                if n < 0:
-                    raise DomainError(f"tail {j} attach site {n} is negative")
+                if not 0 <= n < tail.op.k:
+                    raise DomainError(
+                        f"tail {j} attach site {n} is outside 0..{tail.op.k - 1}; "
+                        + _DEEP_COUPLING_HINT
+                    )
                 arr = np.asarray(m, dtype=float)
                 if arr.shape == () and self.core_dims[v] == tail.op.l == 1:
                     arr = arr.reshape(1, 1)
@@ -462,11 +467,17 @@ class TailedGraph:
         self.cross_links = []
         for (j1, n1), (j2, n2), m in cross_links:
             j1, n1, j2, n2 = int(j1), int(n1), int(j2), int(n2)
-            for j in (j1, j2):
-                if not 0 <= j < len(self.tails):
-                    raise DomainError(f"cross link uses unknown tail {j}")
             if (j1, n1) == (j2, n2):
                 raise DomainError("cross link joins a site to itself")
+            for j, n in ((j1, n1), (j2, n2)):
+                if not 0 <= j < len(self.tails):
+                    raise DomainError(f"cross link uses unknown tail {j}")
+                k = self.tails[j].op.k
+                if not 0 <= n < k:
+                    raise DomainError(
+                        f"cross link site {n} of tail {j} is outside 0..{k - 1}; "
+                        + _DEEP_COUPLING_HINT
+                    )
             arr = np.asarray(m, dtype=float)
             l1, l2 = self.tails[j1].op.l, self.tails[j2].op.l
             if arr.shape == () and l1 == l2 == 1:
@@ -492,17 +503,14 @@ class TailedGraph:
         return depth
 
     def tail_rows(self, depth: int | None = None) -> list[int]:
-        """Rows assembled per tail: K_j = max(k_j, junction_depth(j)),
-        raised to ``depth`` when given.  Every tail equation at a site
-        n >= K_j involves only free tail sites, where each Bloch mode
-        solves it exactly."""
-        floor = depth or 0
-        return [
-            max(t.op.k, self.junction_depth(j), floor) for j, t in enumerate(self.tails)
-        ]
+        """Rows assembled per tail: K_j = k_j, raised to ``depth`` when
+        given.  Couplings sit at sites n < k_j, so every tail equation at
+        a site n >= k_j involves only free tail sites, where each Bloch
+        mode solves it exactly."""
+        return [max(t.op.k, depth or 0) for t in self.tails]
 
     def default_depth(self) -> int:
-        """max_j K_j, the row count of the deepest tail in the exact
+        """max_j k_j, the row count of the deepest tail in the exact
         reduction."""
         return max(self.tail_rows(), default=0)
 
@@ -1073,10 +1081,6 @@ def band_scan(
 
 
 # -- serialization ------------------------------------------------------------------
-
-
-def _matrix_to_json(m: np.ndarray):
-    return np.asarray(m, dtype=float).tolist()
 
 
 def tailed_graph_to_json(graph: TailedGraph) -> dict:

@@ -198,7 +198,7 @@ def suite_operators(rng, cx: SimplicialComplex | None = None):
     out = []
     cx = cx or ex.random_complex(rng, 40)
     lap = ex.graph_laplacian(cx)
-    out.append(_row("operators", "laplacian symmetric", lap.is_symmetric(0.0)))
+    out.append(_row("operators", "laplacian symmetric", lap.is_symmetric()))
     verts = [cx.vertex_sid(v) for v in cx.vertex_labels]
     dense, _ = lap.dense(verts)
     ev = np.linalg.eigvalsh(dense.real)
@@ -208,7 +208,7 @@ def suite_operators(rng, cx: SimplicialComplex | None = None):
 
     hodge = build_hodge(cx, 1)
     op = hodge.operator
-    out.append(_row("operators", "hodge symmetric order 1", op.is_symmetric(0.0) and op.order == 1))
+    out.append(_row("operators", "hodge symmetric order 1", op.is_symmetric() and op.order == 1))
     sids = [s.id for s in cx.simplices]
     d2, off = op.dense(sids)
     sq = (d2 @ d2).real
@@ -481,7 +481,7 @@ def suite_nonlinear(rng):
         _row(
             "nonlinear",
             "linearization is symmetric",
-            lin.operator.is_symmetric(0.0) and lin.warning is None,
+            lin.operator.is_symmetric() and lin.warning is None,
             "",
         )
     )

@@ -309,7 +309,7 @@ def degree_laplacian_operator(cx, k, lap):
         for j, b in enumerate(sids):
             if lap[i, j] != 0.0:
                 blocks[(a, b)] = np.array([[lap[i, j]]])
-    return DiscreteOperator(cx, 1, blocks, order=2, check_distance=False), sids
+    return DiscreteOperator(cx, 1, blocks, order=2), sids
 
 
 def test_criterion_08_harmonic_dimensions_and_zero_mode_chains():

@@ -1,3 +1,8 @@
+import importlib
+import importlib.util
+import inspect
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -5,7 +10,10 @@ import oracles as orc
 from swron import (
     DiscreteOperator,
     DomainError,
+    LineOperator,
+    TailedGraph,
     build_hodge,
+    direct_image,
     factorize_triangle,
     harmonic_basis,
     operator_from_json,
@@ -53,6 +61,15 @@ def test_symmetry_and_validate():
     _, _, op = random_setup(2)
     assert op.is_symmetric()
     assert op.validate().symmetric
+
+
+def test_blocks_are_read_only_and_indexed_by_target():
+    _, cx, op = random_setup(5)
+    key = next(iter(op.blocks))
+    with pytest.raises(ValueError):
+        op.blocks[key][0, 0] = 1.0
+    for s in cx.simplices:
+        assert op.stencil(s.id) == sorted(b for (a, b) in op.blocks if a == s.id)
 
 
 def test_asymmetry_detected():
@@ -176,3 +193,72 @@ def test_operator_json_asymmetry_hook():
     fixed = operator_from_json(cx, data, on_asymmetry="symmetrize")
     assert fixed.is_symmetric()
     assert fixed.blocks[(a, b)][0, 0] == 1.5
+
+
+# -- symmetry closure of block tables ---------------------------------------------
+
+ASYM = np.array([[1.0, 2.0], [3.0, 4.0]])
+
+
+def line_shift_table(table):
+    op = LineOperator(1, 2, shift_blocks=table)
+    return lambda s: op.block(0, s)
+
+
+def line_site_table(table):
+    sites = {}
+    for (n, s), m in table.items():
+        sites.setdefault(n, {})[s] = m
+    op = LineOperator(1, 2, site_blocks=sites)
+    return lambda ns: op.block(*ns)
+
+
+def cover_table(table):
+    line, _ = direct_image(ex.cover_z(), table, 2)
+    return lambda abw: line.block(0, abw[2])
+
+
+def tailed_core_table(table):
+    graph = TailedGraph({0: 2, 1: 2}, table, [])
+    return lambda uv: graph.core_blocks[uv]
+
+
+# entry point -> (build, a key, its transpose partner, a self-partnered key)
+CLOSURE_ENTRY_POINTS = {
+    "line_shift": (line_shift_table, 1, -1, 0),
+    "line_site": (line_site_table, (0, 1), (1, -1), (2, 0)),
+    "cover": (cover_table, (0, 0, 1), (0, 0, -1), (0, 0, 0)),
+    "tailed_core": (tailed_core_table, (0, 1), (1, 0), (1, 1)),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(CLOSURE_ENTRY_POINTS))
+def test_block_table_symmetry_closure(entry):
+    build, key, partner, own = CLOSURE_ENTRY_POINTS[entry]
+    lookup = build({key: ASYM})
+    assert np.array_equal(lookup(key), ASYM)
+    assert np.array_equal(lookup(partner), ASYM.T)
+    with pytest.raises(DomainError):
+        build({key: ASYM, partner: ASYM})
+    with pytest.raises(DomainError):
+        build({own: ASYM})
+
+
+# -- per-layer tracing --------------------------------------------------------------
+
+
+def test_traced_entry_points_are_plain_functions():
+    # bench/tracer.py times a layer by rebinding the listed attribute; a
+    # property or cached attribute in its place would escape the timing
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("bench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for _, modname, attr_path in tracer.ENTRY_POINTS:
+        owner = importlib.import_module(modname)
+        *outer, attr = attr_path.split(".")
+        for part in outer:
+            owner = getattr(owner, part, None)
+        if owner is not None and hasattr(owner, attr):
+            value = inspect.getattr_static(owner, attr)
+            assert inspect.isfunction(value), (modname, attr_path)

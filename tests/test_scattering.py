@@ -294,6 +294,23 @@ def test_informative_rows_per_tail():
     assert two_channel_graph().default_depth() == 2
 
 
+def test_tail_couplings_at_sites_beyond_order_rejected():
+    free = ex.free_tail
+    with pytest.raises(DomainError, match="decay"):
+        TailedGraph(
+            {0: 1}, {}, [Tail(free(), {(0, 0): [[1.0]]}), Tail(free(), {(0, 1): [[1.0]]})]
+        )
+    with pytest.raises(DomainError, match="decay"):
+        TailedGraph(
+            {0: 1},
+            {},
+            [Tail(free(), {(0, 0): [[1.0]]}), Tail(free(), {(0, 0): [[1.0]]})],
+            cross_links=[((0, 1), (1, 0), [[0.5]])],
+        )
+    # site 1 of an order-2 tail is a tail coupling
+    assert cross_linked_graph().cross_links[0][0] == (0, 1)
+
+
 def test_explicit_depth_only_adds_rows():
     graph = ORACLE_GRAPHS["two_channel"]
     base = scattering_matrix(graph, 0.5)

@@ -226,39 +226,44 @@ class SimplicialComplex:
 
     # -- metric -----------------------------------------------------------
 
-    def steps_within(self, sid: int, max_steps: int) -> dict[int, int]:
-        """Incidence-BFS ball: simplex id -> step count, up to max_steps."""
+    def _search(self, sid: int, max_steps=math.inf, targets=None) -> dict[int, int]:
+        """Incidence BFS from ``sid``: simplex id -> step count.
+
+        Nothing beyond ``max_steps`` steps is labelled.  With ``targets``
+        the search stops as soon as every target is labelled; a target
+        left out of the result lies in another component.
+        """
         seen = {sid: 0}
+        left = None if targets is None else set(targets) - {sid}
         frontier = deque([sid])
-        while frontier:
+        while frontier and (left is None or left):
             cur = frontier.popleft()
-            d = seen[cur]
-            if d == max_steps:
-                continue
+            d = seen[cur] + 1
+            if d > max_steps:
+                break
             for nxt in self._incidence[cur]:
                 if nxt not in seen:
-                    seen[nxt] = d + 1
+                    seen[nxt] = d
                     frontier.append(nxt)
+                    if left is not None:
+                        left.discard(nxt)
         return seen
 
+    def steps_within(self, sid: int, max_steps: int) -> dict[int, int]:
+        """Incidence-BFS ball: simplex id -> step count, up to max_steps."""
+        return self._search(sid, max_steps)
+
     def distance(self, a, b) -> float:
-        """Half the shortest incidence-chain length; inf if disconnected."""
+        """Half the shortest incidence-chain length; inf if disconnected.
+
+        One incidence search from ``a`` that stops as soon as ``b`` is
+        labelled; nothing is kept between calls.
+        """
         sa = a.id if isinstance(a, Simplex) else int(a)
         sb = b.id if isinstance(b, Simplex) else int(b)
         self.simplex(sa), self.simplex(sb)
-        if sa == sb:
-            return 0.0
-        seen = {sa: 0}
-        frontier = deque([sa])
-        while frontier:
-            cur = frontier.popleft()
-            for nxt in self._incidence[cur]:
-                if nxt == sb:
-                    return (seen[cur] + 1) / 2.0
-                if nxt not in seen:
-                    seen[nxt] = seen[cur] + 1
-                    frontier.append(nxt)
-        return math.inf
+        steps = self._search(sa, targets=(sb,)).get(sb)
+        return math.inf if steps is None else steps / 2.0
 
     def girth(self) -> float:
         """Shortest 1-cycle length in edges; inf for a forest 1-skeleton."""
@@ -286,8 +291,7 @@ class SimplicialComplex:
     def connected(self) -> bool:
         if not self.simplices:
             return True
-        seen = self.steps_within(0, len(self.simplices))
-        return len(seen) == len(self.simplices)
+        return len(self._search(0)) == len(self.simplices)
 
 
 @dataclass
@@ -373,9 +377,11 @@ def canonical_path(complex: SimplicialComplex, a: int, b: int) -> PathChain:
         complex._path_cache[key] = path
         return path
 
+    # BFS from b stops once a is labelled: every vertex closer to b than a
+    # is labelled by then, and the descent below reads only those.
     dist = {b: 0}
     frontier = deque([b])
-    while frontier:
+    while frontier and a not in dist:
         u = frontier.popleft()
         for eid, w in complex._skeleton[u]:
             if w not in dist:

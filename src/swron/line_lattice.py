@@ -105,9 +105,6 @@ class LineOperator:
         blocks = list(self._base.values()) + list(self._sites.values())
         return all(not np.iscomplexobj(m) for m in blocks)
 
-    def leading_block(self, n: int, direction: int = +1) -> np.ndarray:
-        return self.block(n, self.k if direction > 0 else -self.k)
-
     def symbol(self, mu: complex) -> np.ndarray:
         """sum_s block(s) mu^s for a constant operator."""
         if not self.constant:
@@ -143,10 +140,6 @@ class SolutionBasis:
     hi: int
     values: dict[int, np.ndarray]
     columns: list[tuple[int, int]]
-
-    def column(self, p: int, i: int) -> dict[int, np.ndarray]:
-        j = self.columns.index((p, i))
-        return {n: v[:, j].copy() for n, v in self.values.items()}
 
 
 def _column_order(k: int, l: int) -> list[tuple[int, int]]:

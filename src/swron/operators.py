@@ -111,12 +111,16 @@ class DiscreteOperator:
         (target id, source id) -> (l, l) array.  The block multiplies
         psi(source) inside (L psi)(target).
     order : int, optional
-        Declared order; every block must respect distance <= order/2.
+        Declared order, at least 0; every block must respect
+        distance <= order/2.
         Computed from the blocks when omitted.
 
     The stored blocks are read-only, so the structure flags
     (:meth:`is_real`, :meth:`is_symmetric`, :meth:`is_vertex_operator`)
-    are derived once, on first use.
+    are derived once, on first use.  The constructor runs one incidence
+    search per target simplex, stopped once its sources are labelled, and
+    keeps only the computed order and the homogeneity flag; :meth:`validate`
+    reads those and searches nothing.
     """
 
     def __init__(self, complex, vec_dim, blocks, *, order=None):
@@ -124,6 +128,9 @@ class DiscreteOperator:
         self.vec_dim = int(vec_dim)
         if self.vec_dim < 1:
             raise DomainError("vec_dim must be positive")
+        declared = None if order is None else int(order)
+        if declared is not None and declared < 0:
+            raise DomainError(f"declared order {declared} is negative")
         self.blocks: dict[tuple[int, int], np.ndarray] = {}
         sources: dict[int, list[int]] = {}
         for (a, b), m in blocks.items():
@@ -138,29 +145,25 @@ class DiscreteOperator:
         self._sources = {a: sorted(bs) for a, bs in sources.items()}
         self._structure: tuple[bool, bool, bool] | None = None
 
-        max_steps = 0
-        for a, b in self.blocks:
-            if a != b:
-                d = complex.distance(a, b)
-                if not np.isfinite(d):
+        levels, over = set(), []
+        for a, bs in self._sources.items():
+            others = [b for b in bs if b != a]
+            reach = complex._search(a, targets=others)
+            for b in others:
+                if b not in reach:
                     raise DomainError(
                         f"block ({a}, {b}) joins different components"
                     )
-                max_steps = max(max_steps, int(round(2 * d)))
-        self._computed_order = max_steps
-        if order is None:
-            self.order = max_steps
-        else:
-            self.order = int(order)
-            if self.order < max_steps:
-                bad = [
-                    (a, b)
-                    for a, b in self.blocks
-                    if a != b and 2 * complex.distance(a, b) > self.order
-                ]
-                raise DomainError(
-                    f"blocks {bad[:3]} exceed declared order {self.order}"
-                )
+                levels.add(reach[b])
+                if declared is not None and reach[b] > declared:
+                    over.append((a, b))
+        if over:
+            raise DomainError(
+                f"blocks {over[:3]} exceed declared order {declared}"
+            )
+        self._computed_order = max(levels, default=0)
+        self._homogeneous = len(levels) == 1
+        self.order = self._computed_order if declared is None else declared
 
     # -- action ------------------------------------------------------------
 
@@ -216,13 +219,7 @@ class DiscreteOperator:
         return self._flags()[2]
 
     def validate(self) -> OperatorReport:
-        order = self._computed_order
-        offdiag = [
-            self.complex.distance(a, b) for a, b in self.blocks if a != b
-        ]
-        homogeneous = bool(offdiag) and all(
-            int(round(2 * d)) == order for d in offdiag
-        )
+        """Structure report; reads what the constructor kept, no search."""
         src_dims = {self.complex.simplex(b).dim for _, b in self.blocks}
         tgt_dims = {self.complex.simplex(a).dim for a, _ in self.blocks}
         type_ps = None
@@ -231,8 +228,8 @@ class DiscreteOperator:
         return OperatorReport(
             symmetric=self.is_symmetric(),
             real=self.is_real(),
-            order=order,
-            homogeneous=homogeneous,
+            order=self._computed_order,
+            homogeneous=self._homogeneous,
             type_ps=type_ps,
         )
 
@@ -508,8 +505,9 @@ def operator_from_json(
                 avg = (blocks[(a, b)] + blocks[(b, a)].T) / 2
                 blocks[(a, b)], blocks[(b, a)] = avg, avg.T
     _close_symmetric(blocks, lambda key: key[::-1])
+    order = data.get("order")
     return DiscreteOperator(
-        complex, l, blocks, order=int(data.get("order", 0)) or None
+        complex, l, blocks, order=None if order is None else int(order)
     )
 
 

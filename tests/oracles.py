@@ -326,3 +326,57 @@ def in_channel_gauge(s_matrix: np.ndarray, outs, channels) -> np.ndarray:
         phase.append(c)
     cbar = np.diag(np.conj(phase))
     return cbar @ s_matrix[np.ix_(perm, perm)] @ cbar
+
+
+def _floyd_warshall(adjacent: np.ndarray) -> np.ndarray:
+    """All-pairs hop counts (inf across components) of a 0/1 adjacency."""
+    d = np.where(adjacent, 1.0, np.inf)
+    np.fill_diagonal(d, 0.0)
+    for k in range(len(d)):
+        d = np.minimum(d, d[:, k : k + 1] + d[k : k + 1, :])
+    return d
+
+
+def incidence_steps(cx) -> np.ndarray:
+    """Incidence step counts between simplices, indexed by simplex id.
+
+    Two simplices are adjacent when one vertex set is a proper subset of
+    the other; distances are read off by Floyd–Warshall, so twice the
+    simplex distance is ``incidence_steps(cx)[a, b]``.
+    """
+    sets = [frozenset(s.vertices) for s in cx.simplices]
+    return _floyd_warshall(
+        np.array([[a < b or b < a for b in sets] for a in sets], dtype=bool)
+    )
+
+
+def lex_least_path(cx, a: int, b: int):
+    """Lexicographically least minimal edge path from vertex a to b.
+
+    Every minimal path is enumerated from the 1-skeleton hop counts and
+    the one with the least edge-id sequence is kept.  Returns the steps
+    as (edge id, +1 when walking low -> high label), or None when a and
+    b lie in different components.
+    """
+    labels = sorted(s.vertices[0] for s in cx.simplices if len(s.vertices) == 1)
+    pos = {v: i for i, v in enumerate(labels)}
+    edges = {s.vertices: s.id for s in cx.simplices if len(s.vertices) == 2}
+    adjacent = np.zeros((len(labels), len(labels)), dtype=bool)
+    for u, v in edges:
+        adjacent[pos[u], pos[v]] = adjacent[pos[v], pos[u]] = True
+    hops = _floyd_warshall(adjacent)[:, pos[b]]
+    if not np.isfinite(hops[pos[a]]):
+        return None
+
+    def walks(cur):
+        if cur == b:
+            yield []
+            return
+        for w in labels:
+            key = (min(cur, w), max(cur, w))
+            if key in edges and hops[pos[w]] == hops[pos[cur]] - 1:
+                step = (edges[key], 1 if cur < w else -1)
+                for rest in walks(w):
+                    yield [step] + rest
+
+    return min(walks(a), key=lambda steps: [eid for eid, _ in steps])

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import oracles as orc
 from swron import (
     Chain1,
     DomainError,
@@ -139,3 +140,43 @@ def test_materialize_tails():
     for a, b in zip(labs, labs[1:]):
         assert big.distance(big.vertex_sid(a), big.vertex_sid(b)) == 1
     assert big.distance(big.vertex_sid(1), big.vertex_sid(labs[0])) == 1
+
+
+def oracle_complexes():
+    """Seeded random complexes (<= 30 simplices), their barycentric
+    subdivisions, and one complex with two components."""
+    out = [SimplicialComplex([(0, 1, 2), (3, 4)])]
+    for seed in range(6):
+        cx = ex.random_complex(np.random.default_rng(40 + seed), 30)
+        out += [cx, barycentric_subdivision(cx)[0]]
+    return out
+
+
+def test_distance_and_balls_match_floyd_warshall_oracle():
+    for cx in oracle_complexes():
+        steps = orc.incidence_steps(cx)
+        n = len(cx)
+        got = np.array([[cx.distance(a, b) for b in range(n)] for a in range(n)])
+        assert np.array_equal(got, steps / 2)
+        for a in range(n):
+            for m in (0, 1, 2, 3):
+                want = {b: int(steps[a, b]) for b in range(n) if steps[a, b] <= m}
+                assert cx.steps_within(a, m) == want
+
+
+def test_canonical_path_matches_lex_least_oracle():
+    cases = []
+    for cx in oracle_complexes():
+        labels = cx.vertex_labels
+        cases += [(cx, a, b) for a in labels for b in labels]
+    cases += [(ex.circle(4), a, b) for a in range(4) for b in range(4)]
+    line = ex.interval(200)
+    cases += [(line, a, b) for a, b in [(0, 1), (1, 0), (100, 101), (101, 100),
+                                        (100, 103), (103, 100), (199, 200)]]
+    for cx, a, b in cases:
+        want = orc.lex_least_path(cx, a, b)
+        if want is None:
+            with pytest.raises(DomainError, match="different components"):
+                canonical_path(cx, a, b)
+        else:
+            assert canonical_path(cx, a, b).steps == want

@@ -11,6 +11,7 @@ from swron import (
     DiscreteOperator,
     DomainError,
     LineOperator,
+    SimplicialComplex,
     TailedGraph,
     build_hodge,
     direct_image,
@@ -82,9 +83,15 @@ def test_asymmetry_detected():
 
 def test_block_beyond_order_rejected():
     cx = ex.interval(3)
-    a, d = cx.vertex_sid(0), cx.vertex_sid(3)
-    with pytest.raises(DomainError):
-        DiscreteOperator(cx, 1, {(a, d): [[1.0]], (d, a): [[1.0]]}, order=1)
+    v = [cx.vertex_sid(i) for i in range(4)]
+    blocks = {(v[0], v[3]): [[1.0]], (v[3], v[0]): [[1.0]],
+              (v[1], v[2]): [[1.0]], (v[2], v[1]): [[1.0]]}
+    with pytest.raises(DomainError, match="exceed declared order 4") as err:
+        DiscreteOperator(cx, 1, blocks, order=4)
+    # the message names the offending blocks, and only those
+    msg = str(err.value)
+    assert str((v[0], v[3])) in msg and str((v[3], v[0])) in msg
+    assert str((v[1], v[2])) not in msg
 
 
 def test_vertex_hosting_matches_original():
@@ -193,6 +200,104 @@ def test_operator_json_asymmetry_hook():
     fixed = operator_from_json(cx, data, on_asymmetry="symmetrize")
     assert fixed.is_symmetric()
     assert fixed.blocks[(a, b)][0, 0] == 1.5
+
+
+def two_vertex_json(order, cross=True):
+    cx = ex.interval(1)
+    a, b = cx.vertex_sid(0), cx.vertex_sid(1)
+    blocks = [{"from": a, "to": a, "matrix": [[1.0]]}]
+    if cross:
+        blocks += [{"from": a, "to": b, "matrix": [[1.0]]},
+                   {"from": b, "to": a, "matrix": [[1.0]]}]
+    data = {"vec_dim": 1, "blocks": blocks}
+    if order is not None:
+        data["order"] = order
+    return cx, data
+
+
+def test_operator_json_declared_order_is_honoured():
+    cx, data = two_vertex_json(0)
+    with pytest.raises(DomainError, match="exceed declared order 0"):
+        operator_from_json(cx, data)
+    cx, data = two_vertex_json(0, cross=False)
+    assert operator_from_json(cx, data).order == 0
+    cx, data = two_vertex_json(3)
+    assert operator_from_json(cx, data).order == 3
+    cx, data = two_vertex_json(None)
+    assert operator_from_json(cx, data).order == 2
+
+
+def test_negative_declared_order_rejected():
+    cx, data = two_vertex_json(-1)
+    with pytest.raises(DomainError, match="declared order -1 is negative"):
+        operator_from_json(cx, data)
+    with pytest.raises(DomainError, match="negative"):
+        DiscreteOperator(cx, 1, {(0, 0): [[1.0]]}, order=-2)
+
+
+# -- order and homogeneity from one search per block row ------------------------
+
+
+def oracle_operators():
+    """random_operator and to_vertex_operator outputs on seeded random
+    complexes (<= 30 simplices), with their incidence step oracles."""
+    out = []
+    for seed in range(6):
+        rng = np.random.default_rng(60 + seed)
+        cx = ex.random_complex(rng, 30)
+        op = ex.random_operator(rng, cx, max_steps=1 + seed % 3,
+                                density=0.3 + 0.1 * seed)
+        vop, sub, _ = to_vertex_operator(op)
+        out += [(op, orc.incidence_steps(cx)), (vop, orc.incidence_steps(sub))]
+    return out
+
+
+def test_order_and_homogeneity_match_distance_oracle():
+    for op, steps in oracle_operators():
+        off = {int(steps[a, b]) for a, b in op.blocks if a != b}
+        report = op.validate()
+        assert report.order == max(off, default=0)
+        assert report.homogeneous == (len(off) == 1)
+        if op.is_vertex_operator():
+            assert op.order >= report.order
+        else:
+            assert op.order == report.order
+
+
+def test_cross_component_block_rejected_with_and_without_order():
+    cx = SimplicialComplex([(0, 1), (2, 3)])
+    a, c = cx.vertex_sid(0), cx.vertex_sid(2)
+    blocks = {(a, c): [[1.0]], (c, a): [[1.0]]}
+    for order in (None, 5):
+        with pytest.raises(DomainError, match="joins different components"):
+            DiscreteOperator(cx, 1, blocks, order=order)
+
+
+def test_construction_searches_once_per_row_and_validate_never(monkeypatch):
+    searched = []
+    search = SimplicialComplex._search
+
+    def spy(self, sid, *args, **kw):
+        searched.append(sid)
+        return search(self, sid, *args, **kw)
+
+    monkeypatch.setattr(SimplicialComplex, "_search", spy)
+    for op, _ in oracle_operators():
+        searched.clear()
+        rebuilt = DiscreteOperator(op.complex, op.vec_dim, op.blocks)
+        rows = {a for a, _ in op.blocks}
+        assert len(searched) == len(set(searched)) and set(searched) <= rows
+        searched.clear()
+        rebuilt.validate()
+        op.validate()
+        assert searched == []
+    cx = ex.interval(4)
+    v = [cx.vertex_sid(i) for i in range(5)]
+    searched.clear()
+    with pytest.raises(DomainError, match="exceed declared order"):
+        DiscreteOperator(cx, 1, {(v[0], v[4]): [[1.0]], (v[4], v[0]): [[1.0]]},
+                         order=2)
+    assert sorted(searched) == sorted([v[0], v[4]])
 
 
 # -- symmetry closure of block tables ---------------------------------------------

@@ -271,16 +271,7 @@ def cmd_classify(args) -> int:
             }
             for clf in rows
         ],
-        "critical_points": [
-            {
-                "lambda": cp.lam,
-                "before": list(cp.before),
-                "after": list(cp.after),
-                "path": cp.path,
-                "spectrum_neutral": cp.spectrum_neutral,
-            }
-            for cp in crit
-        ],
+        "critical_points": [cp.to_json_dict() for cp in crit],
         "identity_holds": identity_ok,
     }
     _write_report(report, args.output)
@@ -474,9 +465,9 @@ def cmd_verify(args) -> int:
 
 DEPTH_HELP = (
     "lower bound on the equations assembled per tail.  The reduction is "
-    "exact with the first max(k, junction depth) rows of each tail, the "
-    "default; more rows change S only by round-off.  The value in force "
-    "is echoed in the report metadata"
+    "exact with the first k rows of each tail (k its order), the default; "
+    "more rows change S only by round-off.  The value in force is echoed "
+    "in the report metadata"
 )
 
 

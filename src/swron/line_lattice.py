@@ -287,7 +287,6 @@ def transfer_map(op: LineOperator, lam, m: int) -> TransferMatrix:
     if k < 1:
         raise DomainError("transfer map needs order k >= 1")
     lam = complex(lam)
-    cols = _column_order(k, l)
     ncol = 2 * k * l
     lead = op.block(m + 1, k)
     try:
@@ -295,18 +294,12 @@ def transfer_map(op: LineOperator, lam, m: int) -> TransferMatrix:
     except np.linalg.LinAlgError:
         raise DomainError(f"leading block at site {m + 1} is singular") from None
     t = np.zeros((ncol, ncol), dtype=complex)
-    idx = {pg: j for j, pg in enumerate(cols)}
-    for p in range(-k + 1, k):  # x_{m+1}[p] = x_m[p+1]
-        for i in range(l):
-            t[idx[(p, i)], idx[(p + 1, i)]] = 1.0
-    for s in range(-k, k):  # equation at m+1 solved for psi(m+1+k)
-        b = op.block(m + 1, s).astype(complex)
-        if s == 0:
-            b = b - lam * np.eye(l)
-        coef = -lead_inv @ b
-        for i in range(l):
-            for j in range(l):
-                t[idx[(k, i)], idx[(s + 1, j)]] += coef[i, j]
+    t[:-l, l:] = np.eye(ncol - l)  # x_{m+1}[p] = x_m[p+1]
+    # equation at m+1 solved for psi(m+1+k); column block s + k holds psi(m+1+s)
+    rest = np.hstack(
+        [op.block(m + 1, s) - (lam * np.eye(l) if s == 0 else 0) for s in range(-k, k)]
+    )
+    t[-l:] = -lead_inv @ rest
     if np.all(t.imag == 0):
         t = t.real
     return TransferMatrix(matrix=t, lam=lam, m=m, op=op)

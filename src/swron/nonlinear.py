@@ -396,8 +396,7 @@ def linearize(
 
     residual = 0.0
     for v in labels:
-        if all(u in psi for u in sys.neighborhood(v)):
-            residual = max(residual, float(np.max(np.abs(el_residual(sys, psi, v)))))
+        residual = max(residual, float(np.max(np.abs(el_residual(sys, psi, v)))))
     warning = None
     if residual > solution_tol:
         warning = (

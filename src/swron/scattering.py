@@ -105,19 +105,14 @@ class MonodromyClassification:
 
 
 def classify_monodromy(
-    matrix_or_transfer,
-    lam=None,
-    *,
-    kl: int | None = None,
-    unimodular_tol: float = UNIMODULAR_TOL,
-    pairing_tol: float = PAIRING_TOL,
-    gap_tol: float = CRITICAL_GAP,
+    matrix_or_transfer, lam=None, *, kl: int | None = None
 ) -> MonodromyClassification:
     """Count channel pairs / quadruples / real pairs of a transfer map.
 
-    A point is critical when eigenvalues collide (gap below ``gap_tol``),
-    when one sits at +-1, or when the pair structure cannot be matched
-    within ``pairing_tol``; the (s, p, q) identity is not trusted there.
+    A point is critical when eigenvalues collide (gap below
+    ``CRITICAL_GAP``), when one sits at +-1, or when the pair structure
+    cannot be matched within ``PAIRING_TOL``; the (s, p, q) identity is
+    not trusted there.
     """
     if hasattr(matrix_or_transfer, "matrix"):
         if lam is None:
@@ -127,19 +122,21 @@ def classify_monodromy(
         matrix = np.asarray(matrix_or_transfer)
     if matrix.shape[0] != matrix.shape[1] or matrix.shape[0] % 2:
         raise DomainError("transfer matrix must be square of even size")
-    half = matrix.shape[0] // 2
-    if kl is None:
-        kl = half
-    mus = np.linalg.eigvals(matrix.astype(complex))
+    kl = matrix.shape[0] // 2 if kl is None else kl
+    return _classify(np.linalg.eigvals(matrix.astype(complex)), lam, kl)
 
+
+def _classify(mus: np.ndarray, lam, kl: int) -> MonodromyClassification:
+    """(s, p, q) counts and critical flag of the eigenvalues ``mus`` of
+    one transfer map."""
     critical_reason = None
     # eigenvalue collision (includes +-1 doublets and band-edge mergers)
     for i in range(len(mus)):
         for j in range(i + 1, len(mus)):
-            if abs(mus[i] - mus[j]) < gap_tol:
+            if abs(mus[i] - mus[j]) < CRITICAL_GAP:
                 critical_reason = "eigenvalue-collision"
     for mu in mus:
-        if abs(mu - 1) < gap_tol or abs(mu + 1) < gap_tol:
+        if abs(mu - 1) < CRITICAL_GAP or abs(mu + 1) < CRITICAL_GAP:
             critical_reason = critical_reason or "unit-eigenvalue"
 
     # symmetry of the multiset under conjugation and inversion
@@ -152,13 +149,13 @@ def classify_monodromy(
         pairing_defect = max(pairing_defect, closest(np.conj(mu)))
         if mu != 0:
             pairing_defect = max(pairing_defect, closest(1.0 / mu))
-    if pairing_defect > pairing_tol:
+    if pairing_defect > PAIRING_TOL:
         critical_reason = critical_reason or "pairing-defect"
 
     s = p = q = 0
     for mu in mus:
-        unimod = abs(abs(mu) - 1.0) <= unimodular_tol
-        realish = abs(mu.imag) <= unimodular_tol * max(1.0, abs(mu))
+        unimod = abs(abs(mu) - 1.0) <= UNIMODULAR_TOL
+        realish = abs(mu.imag) <= UNIMODULAR_TOL * max(1.0, abs(mu))
         if unimod and not realish and mu.imag > 0:
             s += 1
         elif not unimod and realish and abs(mu) > 1:
@@ -182,8 +179,8 @@ def classify_monodromy(
     return clf
 
 
-def _classify_at(op: LineOperator, lam: float, **tols) -> MonodromyClassification:
-    return classify_monodromy(transfer_map(op, lam, 0), lam, kl=op.k * op.l, **tols)
+def _classify_at(op: LineOperator, lam: float) -> MonodromyClassification:
+    return classify_monodromy(transfer_map(op, lam, 0), lam, kl=op.k * op.l)
 
 
 @dataclass
@@ -193,6 +190,15 @@ class CriticalPoint:
     after: tuple[int, int, int]
     path: int | None
     spectrum_neutral: bool
+
+    def to_json_dict(self) -> dict:
+        return {
+            "lambda": self.lam,
+            "before": list(self.before),
+            "after": list(self.after),
+            "path": self.path,
+            "spectrum_neutral": self.spectrum_neutral,
+        }
 
 
 _PATHS = {
@@ -275,9 +281,12 @@ def _tail_critical_points(graph, lo: float, hi: float, samples: int) -> list[Cri
 class Mode:
     """One Bloch solution mu^n w of a tail operator at fixed lambda.
 
-    ``anchor`` rescales the stored vector so site values stay bounded on
-    [0, anchor]: value(n) = w * mu**(n - anchor).  Channel modes carry the
-    tail's phase reference in ``w`` already (factor mu**origin).
+    The fiber vector w has unit norm and its largest entry real and
+    positive; this phase convention fixes the channel phases of a
+    multi-channel S.  ``anchor`` rescales the stored vector so site values
+    stay bounded on [0, anchor]: value(n) = w * mu**(n - anchor).  Channel
+    modes carry the tail's phase reference and current normalization in
+    ``w`` already (factor mu**origin / sqrt(current)).
     """
 
     mu: complex
@@ -295,10 +304,12 @@ class Mode:
         return np.outer(self.w, powers)
 
 
-def _symbol_null_vector(op: LineOperator, lam: complex, mu: complex) -> np.ndarray:
-    sym = op.symbol(mu) - complex(lam) * np.eye(op.l)
-    _, sval, vt = np.linalg.svd(sym)
-    w = np.conj(vt[-1])
+def _fiber_vector(mu: complex, vec: np.ndarray, l: int) -> np.ndarray:
+    """Fiber vector w of a transfer-map eigenvector, whose window blocks
+    are mu^p w for p = -k+1..k: the largest block (p = k when |mu| >= 1,
+    else p = -k+1) at unit norm, its largest entry real and positive."""
+    w = vec[-l:] if abs(mu) >= 1 else vec[:l]
+    w = w * np.conj(w[np.argmax(np.abs(w))])
     return w / np.linalg.norm(w)
 
 
@@ -312,10 +323,11 @@ def tail_modes(
     *,
     origin: int = 0,
     anchor: int = 0,
-    gap_tol: float = CRITICAL_GAP,
 ) -> tuple[MonodromyClassification, list[Mode]]:
     """Classify the tail at lambda and build its full mode list.
 
+    One eigendecomposition of the transfer map gives both: its eigenvalues
+    are classified, and each eigenvector yields its mode's fiber vector.
     Channel (unimodular) modes are normalized so the bilinear pair form
     of (incoming, outgoing) is exactly i; the incoming fiber vector is
     the exact conjugate of the outgoing one.  Growing modes are anchored
@@ -323,22 +335,24 @@ def tail_modes(
     """
     if not op.constant:
         raise DomainError("tail operators must be constant")
-    clf = _classify_at(op, lam, gap_tol=gap_tol)
     k, l = op.k, op.l
+    mus, vecs = np.linalg.eig(transfer_map(op, lam, 0).matrix.astype(complex))
+    clf = _classify(mus, lam, k * l)
     m_pair = k - 1
     sw = swronskian_form(op, 0).matrix
     modes: list[Mode] = []
     channel = 0
-    mus = sorted(
-        (complex(mu) for mu in clf.eigenvalues),
-        key=lambda mu: (round(float(np.angle(mu)), 12), abs(mu)),
+    order = sorted(
+        range(len(mus)),
+        key=lambda i: (round(float(np.angle(mus[i])), 12), abs(mus[i])),
     )
-    for mu in mus:
+    for i in order:
+        mu = complex(mus[i])
         unimod = abs(abs(mu) - 1.0) <= UNIMODULAR_TOL
+        if unimod and mu.imag <= 0 and abs(mu.imag) > UNIMODULAR_TOL:
+            continue  # conjugate partner handled with its mate
+        w = _fiber_vector(mu, vecs[:, i], l)
         if unimod:
-            if mu.imag <= 0 and abs(mu.imag) > UNIMODULAR_TOL:
-                continue  # conjugate partner handled with its mate
-            w = _symbol_null_vector(op, lam, mu)
             x = _window_coords(Mode(mu, w, "out"), m_pair, k)
             tau = float(np.imag(np.conj(x) @ sw @ x))
             if abs(tau) < 1e-12:
@@ -351,12 +365,10 @@ def tail_modes(
             modes.append(Mode(mu, w_out, "out", channel=channel))
             modes.append(Mode(np.conj(mu), np.conj(w_out), "in", channel=channel))
             channel += 1
+        elif abs(mu) < 1.0:
+            modes.append(Mode(mu, w, "decay"))
         else:
-            w = _symbol_null_vector(op, lam, mu)
-            if abs(mu) < 1.0:
-                modes.append(Mode(mu, w, "decay"))
-            else:
-                modes.append(Mode(mu, w, "grow", anchor=anchor))
+            modes.append(Mode(mu, w, "grow", anchor=anchor))
     return clf, modes
 
 
@@ -407,6 +419,14 @@ class TailedGraph:
     """
 
     def __init__(self, core_dims, core_blocks, tails, cross_links=()):
+        def coupling(m, shape: tuple[int, int], what: str) -> np.ndarray:
+            arr = np.asarray(m, dtype=float)
+            if arr.shape == () and shape == (1, 1):
+                arr = arr.reshape(1, 1)
+            if arr.shape != shape:
+                raise DomainError(f"{what} has shape {arr.shape}")
+            return arr
+
         if isinstance(core_dims, dict):
             self.core_dims = {int(v): int(d) for v, d in core_dims.items()}
         else:
@@ -425,12 +445,9 @@ class TailedGraph:
             for x in (u, v):
                 if x not in self.core_dims:
                     raise DomainError(f"core block uses unknown vertex {x}")
-            arr = np.asarray(m, dtype=float)
-            if arr.shape == () and self.core_dims[u] == self.core_dims[v] == 1:
-                arr = arr.reshape(1, 1)
-            if arr.shape != (self.core_dims[u], self.core_dims[v]):
-                raise DomainError(f"core block ({u}, {v}) has shape {arr.shape}")
-            self.core_blocks[(u, v)] = arr
+            self.core_blocks[(u, v)] = coupling(
+                m, (self.core_dims[u], self.core_dims[v]), f"core block ({u}, {v})"
+            )
         _close_symmetric(self.core_blocks, lambda uv: uv[::-1])
 
         self.tails = list(tails)
@@ -454,14 +471,9 @@ class TailedGraph:
                         f"tail {j} attach site {n} is outside 0..{tail.op.k - 1}; "
                         + _DEEP_COUPLING_HINT
                     )
-                arr = np.asarray(m, dtype=float)
-                if arr.shape == () and self.core_dims[v] == tail.op.l == 1:
-                    arr = arr.reshape(1, 1)
-                if arr.shape != (self.core_dims[v], tail.op.l):
-                    raise DomainError(
-                        f"tail {j} attach block at ({v}, {n}) has shape {arr.shape}"
-                    )
-                fixed[(v, n)] = arr
+                fixed[(v, n)] = coupling(
+                    m, (self.core_dims[v], tail.op.l), f"tail {j} attach block at ({v}, {n})"
+                )
             tail.attach = fixed
 
         self.cross_links = []
@@ -478,13 +490,10 @@ class TailedGraph:
                         f"cross link site {n} of tail {j} is outside 0..{k - 1}; "
                         + _DEEP_COUPLING_HINT
                     )
-            arr = np.asarray(m, dtype=float)
-            l1, l2 = self.tails[j1].op.l, self.tails[j2].op.l
-            if arr.shape == () and l1 == l2 == 1:
-                arr = arr.reshape(1, 1)
-            if arr.shape != (l1, l2):
-                raise DomainError(f"cross link block has shape {arr.shape}")
-            self.cross_links.append(((j1, n1), (j2, n2), arr))
+            shape = (self.tails[j1].op.l, self.tails[j2].op.l)
+            self.cross_links.append(
+                ((j1, n1), (j2, n2), coupling(m, shape, "cross link block"))
+            )
 
     @property
     def n_tails(self) -> int:
@@ -703,16 +712,10 @@ class ScatteringResult:
     flags: set
 
     def to_json_dict(self) -> dict:
-        s = None
-        if self.s_matrix is not None:
-            s = [
-                [[float(x.real), float(x.imag)] for x in row]
-                for row in self.s_matrix
-            ]
         return {
             "lambda": self.lam,
             "channels": [list(c) for c in self.channels],
-            "s_matrix": s,
+            "s_matrix": None if self.s_matrix is None else _matrix_to_json(self.s_matrix),
             "unitarity_residual": self.unitarity_residual,
             "symmetry_residual": self.symmetry_residual,
             "pairing_defect": self.pairing_defect,
@@ -1032,16 +1035,7 @@ class BandScan:
         return {
             "depth": self.depth,
             "rows": [r.result.to_json_dict() for r in self.rows],
-            "critical_points": [
-                {
-                    "lambda": cp.lam,
-                    "before": list(cp.before),
-                    "after": list(cp.after),
-                    "path": cp.path,
-                    "spectrum_neutral": cp.spectrum_neutral,
-                }
-                for cp in self.criticals
-            ],
+            "critical_points": [cp.to_json_dict() for cp in self.criticals],
             "open_intervals": [list(iv) for iv in self.open_intervals()],
         }
 

@@ -129,17 +129,19 @@ def test_form_determinant_identity():
         assert abs(det - want) <= 1e-10 * max(1.0, abs(want))
 
 
-def test_transfer_advances_solutions():
+@pytest.mark.parametrize("k, l", [(k, l) for k in (1, 2, 3) for l in (1, 2, 3)])
+def test_transfer_advances_solutions(k, l):
     rng = np.random.default_rng(7)
-    op = ex.random_line_operator(rng, 2, 2, n_site_terms=3)
-    lam = 0.9
-    basis = solution_basis(op, lam, 0, window=(-5, 5))
-    t = transfer_map(op, lam, 0)
-    for col in range(2 * op.k * op.l):
-        psi = {n: basis.values[n][:, col] for n in range(-5, 6)}
-        x0 = window_vector(op, psi, 0)
-        x1 = window_vector(op, psi, 1)
-        assert np.max(np.abs(t.matrix @ x0 - x1)) <= 1e-9
+    op = ex.random_line_operator(rng, k, l, n_site_terms=3)
+    for lam in (0.9, 0.4 + 0.7j):
+        basis = solution_basis(op, lam, 0, window=(-8, 8))
+        for m in (0, -2):
+            t = transfer_map(op, lam, m)
+            for col in range(2 * op.k * op.l):
+                psi = {n: basis.values[n][:, col] for n in range(-8, 9)}
+                x0 = window_vector(op, psi, m)
+                x1 = window_vector(op, psi, m + 1)
+                assert np.max(np.abs(t.matrix @ x0 - x1)) <= 1e-9
 
 
 def test_transfer_preserves_form():

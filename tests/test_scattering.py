@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -73,6 +75,41 @@ def test_tail_mode_normalization():
     assert abs(xi @ sw @ xo - 1j) <= 1e-12
 
 
+@pytest.mark.parametrize("k, l", [(k, l) for k in (1, 2, 3) for l in (1, 2, 3)])
+def test_tail_mode_fiber_vectors(k, l):
+    rng = np.random.default_rng(10 * k + l)
+    op = ex.random_line_operator(rng, k, l)
+    for lam in (-1.7, 0.3, 2.9):
+        clf, modes = tail_modes(op, lam)
+        # eigenvalues: the multiset of the oracle's companion matrix
+        left = list(clf.eigenvalues)
+        for mu, _ in orc.companion_bloch_modes(op, lam):
+            near = min(range(len(left)), key=lambda i: abs(left[i] - mu))
+            assert abs(left.pop(near) - mu) <= 1e-8 * max(1.0, abs(mu))
+        if not clf.critical:
+            assert len(modes) == 2 * k * l
+        for m in modes:
+            sym = sum(op.block(0, s) * m.mu**s for s in range(-k, k + 1))
+            scale = abs(lam) + sum(
+                np.linalg.norm(op.block(0, s), 2) * abs(m.mu) ** s for s in range(-k, k + 1)
+            )
+            u = m.w / np.linalg.norm(m.w)  # channel modes carry 1/sqrt(current)
+            assert np.linalg.norm((sym - lam * np.eye(l)) @ u) <= 1e-10 * scale
+            top = u[np.argmax(np.abs(u))]
+            assert top.real > 0 and abs(top.imag) <= 1e-12
+            if m.kind in ("decay", "grow"):
+                assert abs(np.linalg.norm(m.w) - 1.0) <= 1e-12
+
+
+def test_repeated_channels_get_independent_fiber_vectors():
+    # two identical decoupled channels: a doubly repeated pair of Bloch
+    # eigenvalues whose eigenspace is two-dimensional
+    _, modes = tail_modes(ex.free_line_operator(2), 0.5)
+    outs = np.stack([m.w for m in modes if m.kind == "out"])
+    assert outs.shape == (2, 2)
+    assert np.linalg.matrix_rank(outs, tol=1e-8) == 2
+
+
 def test_wave_basis_rejects_degenerate_points():
     op = ex.free_line_operator(1)
     with pytest.raises(DomainError):
@@ -84,10 +121,24 @@ def test_wave_basis_rejects_degenerate_points():
 def test_tailed_graph_validation():
     with pytest.raises(DomainError):
         TailedGraph({0: 1}, {}, [Tail(ex.free_tail(), {(5, 0): [[1.0]]})])
-    with pytest.raises(DomainError):
+    attach_msg = "tail 0 attach block at (0, 0) has shape (1, 1)"
+    with pytest.raises(DomainError, match=re.escape(attach_msg)):
         TailedGraph({0: 2}, {}, [Tail(ex.free_tail(), {(0, 0): [[1.0]]})])
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=re.escape("core block (0, 0) has shape (1, 2)")):
         TailedGraph({0: 1}, {(0, 0): [[1.0, 2.0]]}, [])
+    with pytest.raises(DomainError, match=re.escape("cross link block has shape (1, 2)")):
+        TailedGraph(
+            {}, {}, [Tail(ex.free_tail(), {}), Tail(ex.free_tail(), {})],
+            cross_links=[((0, 0), (1, 0), [[1.0, 2.0]])],
+        )
+    # a scalar stands for a (1, 1) coupling
+    graph = TailedGraph(
+        {0: 1}, {(0, 0): 0.5}, [Tail(ex.free_tail(), {(0, 0): 1.0}), Tail(ex.free_tail(), {})],
+        cross_links=[((0, 0), (1, 0), 0.25)],
+    )
+    assert graph.core_blocks[(0, 0)].shape == (1, 1)
+    assert graph.tails[0].attach[(0, 0)].shape == (1, 1)
+    assert graph.cross_links[0][2].shape == (1, 1)
     with pytest.raises(DomainError):
         TailedGraph(
             {},

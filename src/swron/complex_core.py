@@ -133,7 +133,6 @@ class SimplicialComplex:
         for v in self._skeleton:
             self._skeleton[v].sort()
 
-        self._path_cache: dict[tuple[int, int], "PathChain"] = {}
         self._girth: int | None = None
 
     # -- basic queries ---------------------------------------------------
@@ -368,14 +367,8 @@ def canonical_path(complex: SimplicialComplex, a: int, b: int) -> PathChain:
     tie-break whenever 2*d(a, b) is smaller than the girth in edges.
     """
     complex.vertex_sid(a), complex.vertex_sid(b)
-    key = (a, b)
-    hit = complex._path_cache.get(key)
-    if hit is not None:
-        return hit
     if a == b:
-        path = PathChain(complex, a, b, [])
-        complex._path_cache[key] = path
-        return path
+        return PathChain(complex, a, b, [])
 
     # BFS from b stops once a is labelled: every vertex closer to b than a
     # is labelled by then, and the descent below reads only those.
@@ -399,9 +392,7 @@ def canonical_path(complex: SimplicialComplex, a: int, b: int) -> PathChain:
                 steps.append((eid, 1 if cur == u else -1))
                 cur = w
                 break
-    path = PathChain(complex, a, b, steps)
-    complex._path_cache[key] = path
-    return path
+    return PathChain(complex, a, b, steps)
 
 
 def barycentric_subdivision(

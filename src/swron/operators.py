@@ -144,6 +144,8 @@ class DiscreteOperator:
         # target -> sorted sources, read by stencil and apply
         self._sources = {a: sorted(bs) for a, bs in sources.items()}
         self._structure: tuple[bool, bool, bool] | None = None
+        # the pair table and last kernel split of swronskian and verify
+        self._pair_table = self._kernel_split = None
 
         levels, over = set(), []
         for a, bs in self._sources.items():

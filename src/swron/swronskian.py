@@ -17,11 +17,16 @@ psi(a) . (L-lambda)phi(a), so the cycle condition is local.
 
 Pairs are enumerated once with the lower simplex id first; the skew
 symmetry c_ba = -c_ab makes the chain orientation independent.
+
+The pair table (pair endpoints, stacked blocks, signed pair -> edge
+incidence of the canonical paths) is built once per operator and kept on
+it; each chain is then two ``einsum``s and three ``bincount``s.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress
 
 import numpy as np
 
@@ -56,9 +61,50 @@ def _check_vertex_operator(op: DiscreteOperator, *, require_real: bool) -> None:
         raise DomainError("chain construction requires a symmetric operator")
 
 
-def _pair_coefficient(block: np.ndarray, pa, pb, fa, fb):
+class _PairTable:
+    """Endpoints ``ia``/``ib`` (into ``verts``) and stacked blocks of the
+    block pairs a < b, and one incidence entry (``edge_pos`` into
+    ``edges``, ``pair``, ``sign``) per step of each canonical path a -> b.
+    """
+
+    def __init__(self, op: DiscreteOperator):
+        pairs = [key for key in op.blocks if key[0] < key[1]]
+        self.verts = sorted({sid for key in pairs for sid in key})
+        row = {sid: i for i, sid in enumerate(self.verts)}
+        self.ia = np.array([row[a] for a, _ in pairs], dtype=np.intp)
+        self.ib = np.array([row[b] for _, b in pairs], dtype=np.intp)
+        l = op.vec_dim
+        self.blocks = np.array([op.blocks[key] for key in pairs]).reshape(-1, l, l)
+        label = lambda sid: _vertex_label(op, sid)
+        steps = [(eid, p, sign) for p, (a, b) in enumerate(pairs) for eid, sign
+                 in canonical_path(op.complex, label(a), label(b)).steps]
+        eids, self.pair, self.sign = np.array(steps, dtype=np.intp).reshape(-1, 3).T
+        self.edges, self.edge_pos = np.unique(eids, return_inverse=True)
+
+
+def _pair_chain(op: DiscreteOperator, psi: dict, phi: dict, support: set) -> Chain1:
+    """Sum of c_ab [canonical path a -> b] over the pairs inside
+    ``support``; a pair with c_ab == 0 touches no edge."""
+    for name, values in (("psi", psi), ("phi", phi)):
+        if missing := support.difference(values):
+            raise DomainError(
+                f"{name} undefined on simplex {min(missing)} in the support"
+            )
+    t = op._pair_table = op._pair_table or _PairTable(op)
+    inside = np.array([sid in support for sid in t.verts], dtype=bool)
+    vals = np.zeros((2, len(t.verts), op.vec_dim), dtype=complex)
+    for k, values in enumerate((psi, phi)):
+        live = [values[sid] for sid in compress(t.verts, inside)]
+        vals[k, inside] = np.array(live, dtype=complex).reshape(-1, op.vec_dim)
+    p, f = vals
     # psi(a) . B phi(b) - phi(a) . B psi(b); B = block between a (rows) and b
-    return pa @ (block @ fb) - fa @ (block @ pb)
+    coeff = np.einsum("pi,pij,pj->p", p[t.ia], t.blocks, f[t.ib])
+    coeff -= np.einsum("pi,pij,pj->p", f[t.ia], t.blocks, p[t.ib])
+    hit = (inside[t.ia] & inside[t.ib] & (coeff != 0))[t.pair]
+    pos, steps, n = t.edge_pos[hit], t.sign[hit] * coeff[t.pair[hit]], len(t.edges)
+    sums = np.bincount(pos, steps.real, n) + 1j * np.bincount(pos, steps.imag, n)
+    touched = np.bincount(pos, minlength=n) > 0
+    return Chain1(op.complex, zip(t.edges[touched].tolist(), sums[touched].tolist()))
 
 
 @dataclass
@@ -89,34 +135,12 @@ class CycleReport:
 def elementary_swronskian(
     op: DiscreteOperator, psi: dict, phi: dict, a: int, b: int
 ) -> Chain1:
-    """Contribution of the single simplex pair (a, b) as a 1-chain.
-
-    The diagonal pair contributes nothing (for a symmetric block the skew
-    bracket cancels identically), so a == b returns the zero chain.
+    """Contribution of the single simplex pair (a, b) as a 1-chain: the
+    pair chain on the support {a, b}, so (b, a) gives the same chain and
+    a == b the zero chain (a symmetric block's skew bracket cancels).
     """
     _check_vertex_operator(op, require_real=False)
-    chain = Chain1(op.complex)
-    if a == b:
-        return chain
-    block_ab = op.blocks.get((a, b))
-    if block_ab is None:
-        return chain
-    la, lb = _vertex_label(op, a), _vertex_label(op, b)
-    pa = np.asarray(psi[a], dtype=complex).reshape(-1)
-    pb = np.asarray(psi[b], dtype=complex).reshape(-1)
-    fa = np.asarray(phi[a], dtype=complex).reshape(-1)
-    fb = np.asarray(phi[b], dtype=complex).reshape(-1)
-    if a < b:
-        coeff = _pair_coefficient(block_ab, pa, pb, fa, fb)
-        path = canonical_path(op.complex, la, lb)
-    else:
-        # canonical form of the unordered pair: coefficient for (b, a) on the
-        # path b -> a; skewness makes this the same chain as for (a, b)
-        coeff = _pair_coefficient(op.blocks[(b, a)], pb, pa, fb, fa)
-        path = canonical_path(op.complex, lb, la)
-    for eid, sign in path.steps:
-        chain.add(eid, sign * coeff)
-    return chain
+    return _pair_chain(op, psi, phi, {a, b})
 
 
 def swronskian(
@@ -134,41 +158,22 @@ def swronskian(
     and phi); pairs with an endpoint outside the support are skipped, so
     finite windows of infinite problems truncate gracefully.  The cycle
     property then holds at interior vertices, see :func:`verify_cycle`.
+    A support vertex missing from psi or phi raises DomainError.
     """
     _check_vertex_operator(op, require_real=require_real)
-    if support is None:
-        support = set(psi.keys()) & set(phi.keys())
-    else:
-        support = set(support)
-    chain = Chain1(op.complex)
-    values_p = {}
-    values_f = {}
-    for sid in support:
-        values_p[sid] = np.asarray(psi[sid], dtype=complex).reshape(-1)
-        values_f[sid] = np.asarray(phi[sid], dtype=complex).reshape(-1)
-    for (a, b), block in op.blocks.items():
-        if a >= b or a not in support or b not in support:
-            continue
-        coeff = _pair_coefficient(block, values_p[a], values_p[b], values_f[a], values_f[b])
-        if coeff == 0:
-            continue
-        la, lb = _vertex_label(op, a), _vertex_label(op, b)
-        for eid, sign in canonical_path(op.complex, la, lb).steps:
-            chain.add(eid, sign * coeff)
+    support = set(psi) & set(phi) if support is None else set(support)
     return SWronskianChain(
-        chain=chain, operator=op, lam=complex(lam), psi=psi, phi=phi,
-        support=support,
+        chain=_pair_chain(op, psi, phi, support), operator=op, lam=complex(lam),
+        psi=psi, phi=phi, support=support,
     )
 
 
 def interior_vertices(op: DiscreteOperator, support) -> list[int]:
     """Vertices of ``support`` whose whole stencil lies inside it."""
     support = set(support)
-    out = []
-    for sid in sorted(support):
-        if all(b in support for b in op.stencil(sid)):
-            out.append(sid)
-    return out
+    return [
+        sid for sid in sorted(support) if all(b in support for b in op.stencil(sid))
+    ]
 
 
 def verify_cycle(

@@ -46,6 +46,7 @@ from .operators import (
     to_vertex_operator,
 )
 from .scattering import (
+    _kernel_basis,
     asymptotic_subspace,
     classify_monodromy,
     find_critical_points,
@@ -87,20 +88,16 @@ def coupled_free_sites(op: DiscreteOperator, sids, count: int) -> list:
         if a != b:
             adj.setdefault(a, set()).add(b)
             adj.setdefault(b, set()).add(a)
-    comps = []
-    seen: set = set()
+    comps, seen = [], set()
     for s in sids:
-        if s in seen or s not in adj:
-            continue
-        stack, comp = [s], set()
-        while stack:
-            u = stack.pop()
-            if u in comp:
-                continue
-            comp.add(u)
-            stack.extend(adj[u] - comp)
-        seen |= comp
-        comps.append(comp)
+        if s in adj and s not in seen:
+            comp, stack = {s}, [s]
+            while stack:
+                new = adj[stack.pop()] - comp
+                comp |= new
+                stack.extend(new)
+            seen |= comp
+            comps.append(comp)
     if comps:
         pos = {s: i for i, s in enumerate(sids)}
         best = max(comps, key=lambda c: (len(c), max(pos.get(s, -1) for s in c)))
@@ -109,6 +106,48 @@ def coupled_free_sites(op: DiscreteOperator, sids, count: int) -> list:
     touched = {s for key in op.blocks for s in key}
     pool = [sid for sid in sids if sid in touched] or list(sids)
     return pool[-count:]
+
+
+class _KernelSplit:
+    """Lambda-independent part of the kernel solve for (sids, free); the
+    eigenpairs of A_II and B = Q^T A_IF need a real symmetric operator."""
+
+    def __init__(self, op: DiscreteOperator, sids, free):
+        self.key = (tuple(sids), frozenset(free))
+        dense, _ = op.dense(sids)
+        is_free = np.array([sid in free for sid in sids], dtype=bool)
+        self.imposed = [sid for sid in sids if sid not in free]
+        coords = np.arange(dense.shape[0]).reshape(len(sids), op.vec_dim)
+        self.rows, self.cols = coords[~is_free].ravel(), coords[is_free].ravel()
+        self.a_rows = dense[self.rows]
+        self.evals = self.q = self.b = None
+        if op.is_real() and op.is_symmetric():
+            self.evals, self.q = np.linalg.eigh(self.a_rows[:, self.rows])
+            self.b = self.q.T @ self.a_rows[:, self.cols]
+
+    def schur(self, lam):
+        """Null basis of the imposed rows of A - lambda, None where the SVD
+        must serve.  After the QR of [-(Lambda - lambda)^-1 B; I], one
+        correction removes the residual the QR amplifies at small gaps."""
+        lam = complex(lam)
+        if self.q is None or lam.imag != 0:
+            return None
+        gap = (self.evals - lam.real)[:, None]
+        if len(gap) and np.min(np.abs(gap)) <= 1e-8 * np.max(np.abs(gap)):
+            return None
+        rows, cols = self.rows, self.cols
+        z = np.linalg.qr(np.vstack([-self.b / gap, np.eye(len(cols))]))[0]
+        basis = np.empty((len(rows) + len(cols), len(cols)))
+        basis[cols], basis[rows] = z[len(rows):], self.q @ z[: len(rows)]
+        resid = self.a_rows @ basis - lam.real * basis[rows]
+        basis[rows] -= self.q @ ((self.q.T @ resid) / gap)
+        return basis
+
+    def svd(self, lam):
+        """Orthonormal null basis of the imposed rows of A - lambda."""
+        rows = self.a_rows.astype(complex)
+        rows[np.arange(len(self.rows)), self.rows] -= complex(lam)
+        return _kernel_basis(rows, 1e-10)[0]
 
 
 def kernel_solutions(
@@ -121,22 +160,24 @@ def kernel_solutions(
     system once enough simplices are left free; random combinations of
     its kernel give exact interior solutions for conservation tests.
     ``sids`` is the domain (default: every simplex); a vertex operator
-    should pass its vertex ids.  Returns (solutions, imposed sids).
+    should pass its vertex ids.  Returns (solutions, imposed sids); with
+    every sid free nothing is imposed and the kernel is everything.
+
+    The dense matrix and one ``eigh`` of the imposed block A_II =
+    Q Lambda Q^T are kept per operator and (sids, free); the kernel is then
+    x_I = -Q (Lambda - lambda)^-1 Q^T A_IF x_F, orthonormalized by one QR.
+    An SVD of the imposed rows serves a complex operator or lambda, and
+    min |Lambda - lambda| <= 1e-8 max |Lambda - lambda|, where the kernel
+    may grow.  Solutions drawn for a given seed differ from earlier
+    versions, which took every basis from the SVD.
     """
     if sids is None:
         sids = [s.id for s in op.complex.simplices]
-    dense, offset = op.dense(sids)
-    n = op.vec_dim
-    dense = dense - complex(lam) * np.eye(dense.shape[0])
-    free = set(free)
-    imposed = [sid for sid in sids if sid not in free]
-    rows = np.concatenate(
-        [dense[offset[sid] : offset[sid] + n] for sid in imposed], axis=0
-    )
-    _, sing, vt = np.linalg.svd(rows, full_matrices=True)
-    cut = 1e-10 * (sing[0] if len(sing) and sing[0] > 0 else 1.0)
-    rank = int(np.sum(sing > cut))
-    null = vt[rank:].conj().T
+    split = op._kernel_split
+    if split is None or split.key != (tuple(sids), frozenset(free)):
+        split = op._kernel_split = _KernelSplit(op, sids, set(free))
+    null = split.schur(lam)
+    null = split.svd(lam) if null is None else null
     if null.shape[1] < count:
         raise DomainError(
             f"only {null.shape[1]} kernel directions; free more simplices"
@@ -151,7 +192,7 @@ def kernel_solutions(
         if np.all(np.isreal(vec)):
             vec = vec.real
         sols.append(cochain_from_vector(vec, sids, op.vec_dim))
-    return sols, imposed
+    return sols, list(split.imposed)
 
 
 def _row(suite, name, passed, detail=""):

@@ -380,3 +380,28 @@ def lex_least_path(cx, a: int, b: int):
                     yield [step] + rest
 
     return min(walks(a), key=lambda steps: [eid for eid, _ in steps])
+
+
+def pair_chain(vop, psi: dict, phi: dict, support=None) -> dict:
+    """Pair chain edge id -> coefficient, summed pair by pair.
+
+    Each block pair a < b inside ``support`` (default: the common domain
+    of psi and phi) adds c_ab = psi(a).B phi(b) - phi(a).B psi(b) along
+    :func:`lex_least_path`; a pair with c_ab == 0 touches no edge.
+    """
+    cx = vop.complex
+    if support is None:
+        support = set(psi) & set(phi)
+    out: dict = {}
+    for (a, b), block in vop.blocks.items():
+        if a >= b or a not in support or b not in support:
+            continue
+        pa, pb = (np.ravel(psi[s]).astype(complex) for s in (a, b))
+        fa, fb = (np.ravel(phi[s]).astype(complex) for s in (a, b))
+        c = pa @ block @ fb - fa @ block @ pb
+        if c == 0:
+            continue
+        steps = lex_least_path(cx, cx.simplex(a).vertices[0], cx.simplex(b).vertices[0])
+        for eid, sign in steps:
+            out[eid] = out.get(eid, 0) + sign * c
+    return out

@@ -1,9 +1,13 @@
+import json
+
 import numpy as np
 import pytest
 
+import oracles as orc
 from swron import (
     DiscreteOperator,
     DomainError,
+    SimplicialComplex,
     elementary_swronskian,
     interior_vertices,
     quantum_current,
@@ -12,7 +16,10 @@ from swron import (
     verify_cycle,
 )
 from swron import examples as ex
-from swron.verify import kernel_solutions
+from swron.cli import main
+from swron.complex_core import save_complex
+from swron.operators import operator_to_json
+from swron.verify import _KernelSplit, coupled_free_sites, kernel_solutions
 
 
 def two_site_operator():
@@ -147,3 +154,143 @@ def test_complex_blocks_need_opt_in():
     with pytest.raises(DomainError):
         swronskian(op, 0.0, vals, vals)
     swronskian(op, 0.0, vals, vals, require_real=False)
+
+
+def random_vertex_operator(rng, vec_dim, max_simplices=24):
+    cx = ex.random_complex(rng, max_simplices)
+    raw = ex.random_operator(rng, cx, vec_dim=vec_dim, max_steps=int(rng.integers(1, 4)))
+    vop, sub, centers = to_vertex_operator(raw)
+    domain = [sub.vertex_sid(v) for v in sub.vertex_labels]
+    order = [sub.vertex_sid(centers[s.id]) for s in cx.simplices]
+    free = coupled_free_sites(vop, order, max(2, (2 + vec_dim - 1) // vec_dim + 1))
+    return vop, domain, free
+
+
+def assert_same_chain(chain, want):
+    assert set(chain.coeffs) == set(want)
+    scale = max((abs(c) for c in want.values()), default=0.0)
+    for eid, c in want.items():
+        assert abs(chain.coeffs[eid] - c) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("seed", [31, 32, 33])
+@pytest.mark.parametrize("vec_dim", [1, 2, 3])
+def test_pair_chain_matches_oracle(seed, vec_dim):
+    rng = np.random.default_rng(seed)
+    vop, domain, _ = random_vertex_operator(rng, vec_dim)
+    psi = {s: rng.standard_normal(vec_dim) for s in domain}
+    phi = {s: rng.standard_normal(vec_dim) + 1j * rng.standard_normal(vec_dim)
+           for s in domain}
+    # every pair at this vertex has c_ab == 0 exactly
+    zero = domain[int(rng.integers(len(domain)))]
+    psi[zero] = phi[zero] = np.zeros(vec_dim)
+    cut = {s for s in domain if rng.random() < 0.7}
+    for support in (None, cut):
+        w = swronskian(vop, 0.0, psi, phi, support=support)
+        assert_same_chain(w.chain, orc.pair_chain(vop, psi, phi, support))
+    # the elementary chains summed over the pairs give the same chain
+    total = {}
+    for a, b in vop.blocks:
+        if a < b and a in cut and b in cut:
+            for eid, c in elementary_swronskian(vop, psi, phi, a, b).coeffs.items():
+                total[eid] = total.get(eid, 0) + c
+    w = swronskian(vop, 0.0, psi, phi, support=cut)
+    assert_same_chain(w.chain, total)
+
+
+def test_zero_pair_touches_no_edge():
+    cx = ex.interval(3)
+    op = ex.adjacency_operator(cx)
+    v = [cx.vertex_sid(j) for j in range(4)]
+    psi = {v[0]: [1.0], v[1]: [2.0], v[2]: [0.5], v[3]: [0.0]}
+    phi = {v[0]: [3.0], v[1]: [-1.0], v[2]: [0.25], v[3]: [0.0]}
+    w = swronskian(op, 0.0, psi, phi)
+    assert set(w.chain.coeffs) == {cx.edge_sid(0, 1), cx.edge_sid(1, 2)}
+    assert_same_chain(w.chain, orc.pair_chain(op, psi, phi))
+
+
+def test_support_vertex_missing_from_a_function():
+    cx = ex.circle(5)
+    op = ex.graph_laplacian(cx)
+    domain = [cx.vertex_sid(v) for v in cx.vertex_labels]
+    psi = {s: np.ones(1) for s in domain}
+    phi = {s: np.ones(1) for s in domain[:-1]}
+    with pytest.raises(DomainError, match=f"phi undefined on simplex {domain[-1]}"):
+        swronskian(op, 0.0, psi, phi, support=domain)
+    with pytest.raises(DomainError, match=f"psi undefined on simplex {domain[-1]}"):
+        swronskian(op, 0.0, phi, psi, support=domain)
+
+
+def test_kernel_solutions_with_every_sid_free():
+    rng = np.random.default_rng(3)
+    cx = ex.circle(4)
+    op = ex.graph_laplacian(cx)
+    domain = [cx.vertex_sid(v) for v in cx.vertex_labels]
+    (psi, phi), imposed = kernel_solutions(op, 0.5, domain, rng, sids=domain)
+    assert imposed == []
+    assert set(psi) == set(phi) == set(domain)
+    assert verify_cycle(swronskian(op, 0.5, psi, phi), interior=imposed).passed
+
+
+def closes(op, lam, sols, imposed):
+    w = swronskian(op, lam, sols[0], sols[1], require_real=False)
+    return verify_cycle(w, interior=imposed).passed
+
+
+@pytest.mark.parametrize("seed", [41, 42, 43, 44])
+def test_schur_and_svd_span_one_kernel(seed):
+    rng = np.random.default_rng(seed)
+    vop, domain, free = random_vertex_operator(rng, int(rng.integers(1, 4)), 30)
+    split = _KernelSplit(vop, domain, set(free))
+    for lam in rng.uniform(-3.0, 3.0, 4):
+        schur, svd = split.schur(lam), split.svd(lam)
+        assert schur.shape == svd.shape
+        q = np.linalg.qr(schur)[0]
+        assert np.max(np.abs(q @ q.T - svd @ svd.conj().T)) <= 1e-10
+    # lambda exactly at an eigenvalue of A_II and complex lambda: SVD
+    for lam in (float(split.evals[len(split.evals) // 2]), 0.4 + 0.3j):
+        assert split.schur(lam) is None
+        sols, imposed = kernel_solutions(vop, lam, free, rng, sids=domain)
+        assert closes(vop, lam, sols, imposed)
+
+
+def test_kernel_grows_at_an_eigenvalue_of_the_imposed_block():
+    # the triangle 0-1-2 is all imposed, so at its eigenvalue 0 the
+    # constant on it joins the two directions of the free sites 3 and 4
+    rng = np.random.default_rng(5)
+    cx = SimplicialComplex([(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+    op = ex.graph_laplacian(cx)
+    domain = [cx.vertex_sid(v) for v in cx.vertex_labels]
+    free = [cx.vertex_sid(3), cx.vertex_sid(4)]
+    split = _KernelSplit(op, domain, set(free))
+    lam = float(split.evals[0])
+    assert split.schur(lam) is None
+    sols, imposed = kernel_solutions(op, lam, free, rng, count=3, sids=domain)
+    assert closes(op, lam, sols, imposed)
+    with pytest.raises(DomainError, match="only 3 kernel directions"):
+        kernel_solutions(op, lam, free, rng, count=4, sids=domain)
+    # away from it the Schur path gives the two free directions
+    assert split.schur(0.5).shape[1] == 2
+
+
+def test_complex_operator_solve_takes_the_svd_path(tmp_path):
+    cx = ex.circle(6)
+    hop = 1.0 + 0.5j
+    blocks = {}
+    for u in range(6):
+        a, b = cx.vertex_sid(u), cx.vertex_sid((u + 1) % 6)
+        blocks[(a, b)] = blocks[(b, a)] = [[hop]]
+        blocks[(a, a)] = [[0.3j * u]]
+    op = DiscreteOperator(cx, 1, blocks)
+    assert _KernelSplit(op, [cx.vertex_sid(v) for v in range(6)], set()).q is None
+    save_complex(cx, str(tmp_path / "cx.json"))
+    (tmp_path / "op.json").write_text(json.dumps(operator_to_json(op)))
+    out = tmp_path / "report.json"
+    rc = main([
+        "swronskian", "--complex-file", str(tmp_path / "cx.json"),
+        "--operator-file", str(tmp_path / "op.json"), "--solve",
+        "--lambda", "0.3", "--output", str(out),
+    ])
+    report = json.loads(out.read_text())
+    assert rc == 0 and report["passed"] is True
+    assert report["chain"]["edges"]

@@ -43,9 +43,10 @@ from .scattering import (
     KERNEL_REL_TOL,
     PAIRING_TOL,
     UNIMODULAR_TOL,
+    _classify_grid,
+    _critical_points,
+    _grid,
     band_scan,
-    classify_monodromy,
-    find_critical_points,
     load_tailed_graph,
     regular_discrete_spectrum,
     scattering_matrix,
@@ -235,15 +236,10 @@ def cmd_classify(args) -> int:
     if not op.constant:
         raise DomainError("classification scans need a constant operator")
     kl = op.k * op.l
-    grid = np.linspace(args.lo, args.hi, args.samples)
-    rows = []
-    identity_ok = True
-    for lam in grid:
-        clf = classify_monodromy(transfer_map(op, float(lam), 0), float(lam), kl=kl)
-        rows.append(clf)
-        if not clf.critical and not clf.identity_holds:
-            identity_ok = False
-    crit = find_critical_points(op, args.lo, args.hi, args.samples)
+    grid = _grid(args.lo, args.hi, args.samples, 2)
+    rows = _classify_grid(op, grid)
+    identity_ok = all(clf.critical or clf.identity_holds for clf in rows)
+    crit = _critical_points(op, grid, rows)
     if args.csv:
         import csv as _csv
 

@@ -80,6 +80,7 @@ class LineOperator:
                 sites[(int(n), self._shift(s))] = _as_block(m, self.l)
         self._sites = _close_symmetric(sites, lambda ns: (ns[0] + ns[1], -ns[1]))
         self._forms: dict[int, "SymplecticFormMatrix"] = {}
+        self._transfer: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     def _shift(self, s) -> int:
         s = int(s)
@@ -280,28 +281,41 @@ class TransferMatrix:
         )
 
 
-def transfer_map(op: LineOperator, lam, m: int) -> TransferMatrix:
-    """Window shift map: rows copy coordinates down one site and the top
-    row solves the equation at m+1 with the leading block."""
+def _transfer_stack(op: LineOperator, lams, m: int = 0) -> np.ndarray:
+    """(S, 2kl, 2kl) one-step window maps at base m for the S values
+    ``lams``, real when the operator and every lambda are.  T(lambda) =
+    T0 + lambda E, E holding the inverse leading block in the last l rows
+    at the column block of psi(m+1); T0 and that block are cached per
+    (op, m), once for a constant operator, so a grid is one broadcast."""
     k, l = op.k, op.l
-    if k < 1:
-        raise DomainError("transfer map needs order k >= 1")
+    m = 0 if op.constant else int(m)
+    if m not in op._transfer:
+        if k < 1:
+            raise DomainError("transfer map needs order k >= 1")
+        try:
+            lead_inv = np.linalg.inv(op.block(m + 1, k).astype(complex))
+        except np.linalg.LinAlgError:
+            raise DomainError(f"leading block at site {m + 1} is singular") from None
+        t0 = np.zeros((2 * k * l, 2 * k * l), dtype=complex)
+        t0[:-l, l:] = np.eye((2 * k - 1) * l)  # x_{m+1}[p] = x_m[p+1]
+        # equation at m+1 solved for psi(m+1+k); column block s + k holds psi(m+1+s)
+        t0[-l:] = -lead_inv @ np.hstack([op.block(m + 1, s) for s in range(-k, k)])
+        if np.all(t0.imag == 0) and np.all(lead_inv.imag == 0):
+            t0, lead_inv = t0.real, lead_inv.real
+        op._transfer[m] = (t0, lead_inv)
+    t0, lead_inv = op._transfer[m]
+    lams = np.asarray(lams)
+    out = np.empty((len(lams),) + t0.shape, dtype=np.result_type(t0, lams))
+    out[:] = t0
+    out[:, -l:, k * l : (k + 1) * l] += lams[:, None, None] * lead_inv
+    return out
+
+
+def transfer_map(op: LineOperator, lam, m: int) -> TransferMatrix:
+    """Window shift map: rows copy coordinates down one site and the last
+    l rows solve the equation at m+1 with the leading block."""
     lam = complex(lam)
-    ncol = 2 * k * l
-    lead = op.block(m + 1, k)
-    try:
-        lead_inv = np.linalg.inv(lead.astype(complex))
-    except np.linalg.LinAlgError:
-        raise DomainError(f"leading block at site {m + 1} is singular") from None
-    t = np.zeros((ncol, ncol), dtype=complex)
-    t[:-l, l:] = np.eye(ncol - l)  # x_{m+1}[p] = x_m[p+1]
-    # equation at m+1 solved for psi(m+1+k); column block s + k holds psi(m+1+s)
-    rest = np.hstack(
-        [op.block(m + 1, s) - (lam * np.eye(l) if s == 0 else 0) for s in range(-k, k)]
-    )
-    t[-l:] = -lead_inv @ rest
-    if np.all(t.imag == 0):
-        t = t.real
+    t = _transfer_stack(op, [lam.real if lam.imag == 0 else lam], m)[0]
     return TransferMatrix(matrix=t, lam=lam, m=m, op=op)
 
 

@@ -37,16 +37,18 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
 from .complex_core import DomainError
 from .line_lattice import (
     LineOperator,
+    _transfer_stack,
     line_operator_from_json,
     line_operator_to_json,
     swronskian_form,
-    transfer_map,
 )
 from .operators import _close_symmetric, _matrix_to_json
 
@@ -84,7 +86,9 @@ A_LAMBDA = 1j  # fixed value of the in/out pair form
 
 @dataclass
 class MonodromyClassification:
-    """Eigenvalue bookkeeping of one transfer map."""
+    """Eigenvalue bookkeeping of one transfer map.  Margins of the critical
+    decision: ``min_gap`` is the smallest distance between two eigenvalues,
+    ``unit_gap`` the smallest |mu -+ 1|; either below ``CRITICAL_GAP`` flags."""
 
     lam: complex
     kl: int
@@ -95,6 +99,8 @@ class MonodromyClassification:
     critical: bool
     critical_reason: str | None
     pairing_defect: float
+    min_gap: float
+    unit_gap: float
 
     @property
     def identity_holds(self) -> bool:
@@ -123,64 +129,65 @@ def classify_monodromy(
     if matrix.shape[0] != matrix.shape[1] or matrix.shape[0] % 2:
         raise DomainError("transfer matrix must be square of even size")
     kl = matrix.shape[0] // 2 if kl is None else kl
-    return _classify(np.linalg.eigvals(matrix.astype(complex)), lam, kl)
+    mus = np.linalg.eigvals(matrix.astype(complex))
+    return _classify(mus[None], [complex("nan") if lam is None else lam], kl)[0]
 
 
-def _classify(mus: np.ndarray, lam, kl: int) -> MonodromyClassification:
-    """(s, p, q) counts and critical flag of the eigenvalues ``mus`` of
-    one transfer map."""
-    critical_reason = None
-    # eigenvalue collision (includes +-1 doublets and band-edge mergers)
-    for i in range(len(mus)):
-        for j in range(i + 1, len(mus)):
-            if abs(mus[i] - mus[j]) < CRITICAL_GAP:
-                critical_reason = "eigenvalue-collision"
-    for mu in mus:
-        if abs(mu - 1) < CRITICAL_GAP or abs(mu + 1) < CRITICAL_GAP:
-            critical_reason = critical_reason or "unit-eigenvalue"
-
-    # symmetry of the multiset under conjugation and inversion
-    def closest(target: complex) -> float:
-        scale = max(1.0, abs(target))
-        return min(abs(m - target) for m in mus) / scale
-
-    pairing_defect = 0.0
-    for mu in mus:
-        pairing_defect = max(pairing_defect, closest(np.conj(mu)))
-        if mu != 0:
-            pairing_defect = max(pairing_defect, closest(1.0 / mu))
-    if pairing_defect > PAIRING_TOL:
-        critical_reason = critical_reason or "pairing-defect"
-
-    s = p = q = 0
-    for mu in mus:
-        unimod = abs(abs(mu) - 1.0) <= UNIMODULAR_TOL
-        realish = abs(mu.imag) <= UNIMODULAR_TOL * max(1.0, abs(mu))
-        if unimod and not realish and mu.imag > 0:
-            s += 1
-        elif not unimod and realish and abs(mu) > 1:
-            q += 1
-        elif not unimod and not realish and abs(mu) > 1 and mu.imag > 0:
-            p += 1
-    clf = MonodromyClassification(
-        lam=complex(lam) if lam is not None else complex("nan"),
-        kl=kl,
-        s=s,
-        p=p,
-        q=q,
-        eigenvalues=mus,
-        critical=critical_reason is not None,
-        critical_reason=critical_reason,
-        pairing_defect=float(pairing_defect),
-    )
-    if critical_reason is None and not clf.identity_holds:
-        clf.critical = True
-        clf.critical_reason = "identity-failure"
-    return clf
+def _classify(mus: np.ndarray, lams, kl: int) -> list[MonodromyClassification]:
+    """(s, p, q) counts, critical flags and margins of the eigenvalue rows
+    ``mus`` (S, 2kl), one row per transfer map of a lambda grid."""
+    n = mus.shape[1]
+    size = np.abs(mus)
+    # each eigenvalue, its conjugate and its inverse (0 for mu = 0, which then
+    # finds itself) against every eigenvalue of its row
+    targets = np.concatenate((mus, mus.conj(), 1.0 / np.where(size > 0, mus, np.inf)), axis=1)
+    dist = np.abs(targets[:, :, None] - mus[:, None, :])
+    diag = np.arange(n)
+    dist[:, diag, diag] = np.inf
+    nearest = dist.min(axis=2)
+    min_gap = nearest[:, :n].min(axis=1).tolist()
+    # symmetry of each row under conjugation and inversion
+    pairing = (nearest[:, n:] / np.maximum(1.0, np.abs(targets[:, n:]))).max(axis=1).tolist()
+    unit_gap = np.minimum(np.abs(mus - 1), np.abs(mus + 1)).min(axis=1).tolist()
+    unimod = np.abs(size - 1.0) <= UNIMODULAR_TOL
+    realish = np.abs(mus.imag) <= UNIMODULAR_TOL * np.maximum(1.0, size)
+    upper, outer = mus.imag > 0, ~unimod & (size > 1)
+    s, p, q = np.array(
+        [unimod & ~realish & upper, outer & ~realish & upper, outer & realish]
+    ).sum(axis=2).tolist()
+    out = []
+    for i, lam in enumerate(lams):
+        reason = None
+        if min_gap[i] < CRITICAL_GAP:  # includes +-1 doublets and band-edge mergers
+            reason = "eigenvalue-collision"
+        elif unit_gap[i] < CRITICAL_GAP:
+            reason = "unit-eigenvalue"
+        elif pairing[i] > PAIRING_TOL:
+            reason = "pairing-defect"
+        elif s[i] + 2 * p[i] + q[i] != kl:
+            reason = "identity-failure"
+        out.append(MonodromyClassification(
+            lam=complex(lam), kl=kl, s=s[i], p=p[i], q=q[i], eigenvalues=mus[i],
+            critical=reason is not None, critical_reason=reason,
+            pairing_defect=pairing[i], min_gap=min_gap[i], unit_gap=unit_gap[i],
+        ))
+    return out
 
 
-def _classify_at(op: LineOperator, lam: float) -> MonodromyClassification:
-    return classify_monodromy(transfer_map(op, lam, 0), lam, kl=op.k * op.l)
+def _classify_grid(op: LineOperator, lams) -> list[MonodromyClassification]:
+    """classify_monodromy of the transfer map at every lambda of ``lams``:
+    one eigvals call on the transfer stack."""
+    mus = np.linalg.eigvals(_transfer_stack(op, lams).astype(complex))
+    return _classify(mus, lams, op.k * op.l)
+
+
+def _grid(lo: float, hi: float, samples: int, least: int) -> np.ndarray:
+    """The regular grid of a lambda scan, after checking its arguments."""
+    if samples < least:
+        raise DomainError(f"need at least {'two' if least == 2 else 'three'} grid samples")
+    if not lo < hi:
+        raise DomainError(f"a lambda grid needs lo < hi, got lo={lo} and hi={hi}")
+    return np.linspace(lo, hi, samples)
 
 
 @dataclass
@@ -228,37 +235,29 @@ def find_critical_points(
     samples are refined by bisection down to ``tol``; the elementary path
     type is read off the counts on both sides.
     """
-    if samples < 2:
-        raise DomainError("need at least two grid samples")
-    grid = np.linspace(lo, hi, samples)
-    cls = [_classify_at(op, x) for x in grid]
-    out: list[CriticalPoint] = []
-    for i in range(len(grid) - 1):
-        a, b = grid[i], grid[i + 1]
-        ca, cb = cls[i], cls[i + 1]
-        left_counts = ca.counts()
-        right_counts = cb.counts()
-        if left_counts == right_counts:
-            continue  # includes isolated flagged samples: no structural change
-        la, lb = float(a), float(b)
-        while lb - la > tol:
-            mid = 0.5 * (la + lb)
-            cm = _classify_at(op, mid)
-            if not cm.critical and cm.counts() == left_counts:
-                la = mid
-            else:
-                lb = mid
-        path, neutral = _path_of(left_counts, right_counts)
-        out.append(
-            CriticalPoint(
-                lam=0.5 * (la + lb),
-                before=left_counts,
-                after=right_counts,
-                path=path,
-                spectrum_neutral=neutral,
-            )
-        )
-    return out
+    grid = _grid(lo, hi, samples, 2)
+    return _critical_points(op, grid, _classify_grid(op, grid), tol)
+
+
+def _critical_points(op: LineOperator, grid, cls, tol: float = 1e-8) -> list[CriticalPoint]:
+    """find_critical_points from the classifications ``cls`` of the grid.
+    Every grid interval whose counts change is bisected on its own; the
+    midpoints of one bisection step share one transfer stack."""
+    spans = [
+        [float(grid[i]), float(grid[i + 1]), cls[i].counts(), cls[i + 1].counts()]
+        for i in range(len(grid) - 1)
+        if cls[i].counts() != cls[i + 1].counts()  # isolated flagged samples pass
+    ]
+    active = [sp for sp in spans if sp[1] - sp[0] > tol]
+    while active:
+        mids = [0.5 * (sp[0] + sp[1]) for sp in active]
+        for sp, mid, cm in zip(active, mids, _classify_grid(op, mids)):
+            sp[0 if not cm.critical and cm.counts() == sp[2] else 1] = mid
+        active = [sp for sp in active if sp[1] - sp[0] > tol]
+    return [
+        CriticalPoint(0.5 * (la + lb), before, after, *_path_of(before, after))
+        for la, lb, before, after in spans
+    ]
 
 
 def _tail_critical_points(graph, lo: float, hi: float, samples: int) -> list[CriticalPoint]:
@@ -266,8 +265,7 @@ def _tail_critical_points(graph, lo: float, hi: float, samples: int) -> list[Cri
     tails with identical operators (same k, l and blocks) share one scan."""
     scans: dict[str, list[CriticalPoint]] = {}
     out: list[CriticalPoint] = []
-    for tail in graph.tails:
-        key = json.dumps(line_operator_to_json(tail.op), sort_keys=True)
+    for tail, key in zip(graph.tails, graph._tail_keys):
         if key not in scans:
             scans[key] = find_critical_points(tail.op, lo, hi, samples)
         out += scans[key]
@@ -304,17 +302,73 @@ class Mode:
         return np.outer(self.w, powers)
 
 
-def _fiber_vector(mu: complex, vec: np.ndarray, l: int) -> np.ndarray:
-    """Fiber vector w of a transfer-map eigenvector, whose window blocks
-    are mu^p w for p = -k+1..k: the largest block (p = k when |mu| >= 1,
-    else p = -k+1) at unit norm, its largest entry real and positive."""
-    w = vec[-l:] if abs(mu) >= 1 else vec[:l]
-    w = w * np.conj(w[np.argmax(np.abs(w))])
-    return w / np.linalg.norm(w)
+def _site_values(modes: list[list[Mode]], lo: int, hi: int, l: int) -> np.ndarray:
+    """(S, hi - lo + 1, l, n) values on sites lo..hi of S lists of n modes."""
+    if not modes[0]:
+        return np.zeros((len(modes), hi - lo + 1, l, 0))
+    mus = np.array([[m.mu for m in mset] for mset in modes])
+    anchors = np.array([[m.anchor for m in mset] for mset in modes])
+    fibers = np.array([[m.w for m in mset] for mset in modes]).transpose(0, 2, 1)
+    powers = mus[:, None, :] ** (np.arange(lo, hi + 1)[:, None] - anchors[:, None, :])
+    return fibers[:, None] * powers[:, :, None, :]
 
 
-def _window_coords(mode: Mode, m: int, k: int) -> np.ndarray:
-    return mode.values(m - k + 1, m + k).T.reshape(-1)
+def _windows(modes: list[Mode], m: int, k: int, l: int) -> np.ndarray:
+    """(2kl, len(modes)) window coordinates at base m, one column per mode."""
+    return _site_values([modes], m - k + 1, m + k, l).reshape(2 * k * l, len(modes))
+
+
+def _tail_grid(op: LineOperator, lams, places, decay_only=False):
+    """tail_modes at every lambda of ``lams`` and every (origin, anchor) of
+    ``places`` from one eig of the transfer stack: the classifications
+    (None when ``decay_only``) and, per place, the mode list of each lambda
+    (its decaying modes only when ``decay_only``).  The eigenvector of mu
+    has window blocks mu^p w, p = -k+1..k; ``w`` is read from the largest
+    (p = k when |mu| >= 1, else p = -k+1)."""
+    if not op.constant:
+        raise DomainError("tail operators must be constant")
+    k, l = op.k, op.l
+    mus, vecs = np.linalg.eig(_transfer_stack(op, lams).astype(complex))
+    clfs = None if decay_only else _classify(mus, lams, k * l)
+    size = np.abs(mus)
+    unimod = np.abs(size - 1.0) <= UNIMODULAR_TOL
+    w = np.where((size >= 1)[:, None, :], vecs[:, -l:, :], vecs[:, :l, :])
+    w = w * np.take_along_axis(w, np.abs(w).argmax(axis=1)[:, None, :], axis=1).conj()
+    w = (w / np.sqrt(np.sum(w.real**2 + w.imag**2, axis=1, keepdims=True))).transpose(0, 2, 1)
+    if not decay_only:
+        # current Im(conj(x) SW x) of each unimodular mode's window x at m_pair = k - 1
+        rise = np.where(unimod, mus, 0.0)[:, :, None] ** np.arange(2 * k)
+        x = (rise[:, :, :, None] * w[:, :, None, :]).reshape(len(mus), 2 * k * l, 2 * k * l)
+        tau = np.sum((x.conj() @ swronskian_form(op, 0).matrix) * x, axis=2).imag.tolist()
+    angles, sizes, rows = np.angle(mus).tolist(), size.tolist(), mus.tolist()
+    orders = [sorted(range(len(r)), key=lambda j: (round(a[j], 12), z[j]))
+              for r, a, z in zip(rows, angles, sizes)]
+    grids = {place: [] for place in places}
+    for (origin, anchor), grid in grids.items():
+        for i, (row, order) in enumerate(zip(rows, orders)):
+            modes: list[Mode] = []
+            for j in order:
+                mu = row[j]
+                if not unimod[i, j]:
+                    if sizes[i][j] < 1.0:
+                        modes.append(Mode(mu, w[i, j], "decay"))
+                    elif not decay_only:
+                        modes.append(Mode(mu, w[i, j], "grow", anchor=anchor))
+                elif decay_only or (mu.imag <= 0 and abs(mu.imag) > UNIMODULAR_TOL):
+                    continue  # conjugate partner handled with its mate
+                elif abs(tau[i][j]) < 1e-12:
+                    clfs[i].critical = True
+                    clfs[i].critical_reason = clfs[i].critical_reason or "zero-current-channel"
+                else:
+                    t, wj = tau[i][j], w[i, j]
+                    if t < 0:
+                        mu, wj, t = np.conj(mu), np.conj(wj), -t
+                    w_out = wj * (mu ** origin) / math.sqrt(t)
+                    channel = sum(m.kind == "out" for m in modes)
+                    modes.append(Mode(mu, w_out, "out", channel=channel))
+                    modes.append(Mode(np.conj(mu), np.conj(w_out), "in", channel=channel))
+            grid.append(modes)
+    return clfs, grids
 
 
 def tail_modes(
@@ -333,43 +387,8 @@ def tail_modes(
     the exact conjugate of the outgoing one.  Growing modes are anchored
     at site ``anchor``, so their site values stay at most 1 up to there.
     """
-    if not op.constant:
-        raise DomainError("tail operators must be constant")
-    k, l = op.k, op.l
-    mus, vecs = np.linalg.eig(transfer_map(op, lam, 0).matrix.astype(complex))
-    clf = _classify(mus, lam, k * l)
-    m_pair = k - 1
-    sw = swronskian_form(op, 0).matrix
-    modes: list[Mode] = []
-    channel = 0
-    order = sorted(
-        range(len(mus)),
-        key=lambda i: (round(float(np.angle(mus[i])), 12), abs(mus[i])),
-    )
-    for i in order:
-        mu = complex(mus[i])
-        unimod = abs(abs(mu) - 1.0) <= UNIMODULAR_TOL
-        if unimod and mu.imag <= 0 and abs(mu.imag) > UNIMODULAR_TOL:
-            continue  # conjugate partner handled with its mate
-        w = _fiber_vector(mu, vecs[:, i], l)
-        if unimod:
-            x = _window_coords(Mode(mu, w, "out"), m_pair, k)
-            tau = float(np.imag(np.conj(x) @ sw @ x))
-            if abs(tau) < 1e-12:
-                clf.critical = True
-                clf.critical_reason = clf.critical_reason or "zero-current-channel"
-                continue
-            if tau < 0:
-                mu, w, tau = np.conj(mu), np.conj(w), -tau
-            w_out = w * (mu ** origin) / math.sqrt(tau)
-            modes.append(Mode(mu, w_out, "out", channel=channel))
-            modes.append(Mode(np.conj(mu), np.conj(w_out), "in", channel=channel))
-            channel += 1
-        elif abs(mu) < 1.0:
-            modes.append(Mode(mu, w, "decay"))
-        else:
-            modes.append(Mode(mu, w, "grow", anchor=anchor))
-    return clf, modes
+    clfs, grids = _tail_grid(op, [lam], [(origin, anchor)])
+    return clfs[0], grids[origin, anchor][0]
 
 
 def wave_basis(op: LineOperator, lam: float, *, origin: int = 0):
@@ -523,6 +542,12 @@ class TailedGraph:
         reduction."""
         return max(self.tail_rows(), default=0)
 
+    @cached_property
+    def _tail_keys(self) -> list[str]:
+        """Content key (k, l and blocks) of each tail operator; tails with
+        one key share their Bloch solves and critical-point scans."""
+        return [json.dumps(line_operator_to_json(t.op), sort_keys=True) for t in self.tails]
+
     def core_matrix(self) -> np.ndarray:
         mat = np.zeros((self.core_size, self.core_size))
         for (u, v), m in self.core_blocks.items():
@@ -534,73 +559,90 @@ class TailedGraph:
 # -- global solve ----------------------------------------------------------------
 
 
-def _graph_modes(graph: TailedGraph, lam: float, rows: list[int]):
-    """tail_modes of every tail, growing modes anchored at the top site
-    that its assembled rows reach."""
-    return [
-        tail_modes(t.op, lam, origin=t.origin, anchor=r + t.op.k - 1)
-        for t, r in zip(graph.tails, rows)
+def _junction_grid(graph: TailedGraph, lams: np.ndarray, rows: list[int], decay_only=False):
+    """Per lambda of ``lams``, the classifications and modes of every tail
+    (channel modes scaled by the tail origin, growing ones anchored at the
+    top assembled site; tails with one operator share one ``_tail_grid``),
+    and the junction matrices as (indices, stack, offsets), one stack per
+    mode-count shape.  Decaying modes depend on neither origin nor anchor."""
+    keys = graph._tail_keys
+    places = [(0, 0) if decay_only else (t.origin, r + t.op.k - 1)
+              for t, r in zip(graph.tails, rows)]
+    ops: dict = {}
+    for key, tail, place in zip(keys, graph.tails, places):
+        ops.setdefault(key, (tail.op, set()))[1].add(place)
+    solved = {key: _tail_grid(op, lams, sorted(ps), decay_only) for key, (op, ps) in ops.items()}
+    at = range(len(lams))
+    clfs = None if decay_only else [[solved[key][0][i] for key in keys] for i in at]
+    modes = [[solved[key][1][place][i] for key, place in zip(keys, places)] for i in at]
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for i in at:
+        groups.setdefault(tuple(len(m) for m in modes[i]), []).append(i)
+    stacks = [
+        (idx, *_assemble(graph, lams[idx], rows, [modes[i] for i in idx]))
+        for idx in groups.values()
     ]
+    return clfs, modes, stacks
 
 
-def _assemble(graph: TailedGraph, lam: float, rows: list[int], modes: list[list[Mode]]):
-    """Equations over (core values, modal coefficients): every core row,
-    and the first ``rows[j]`` site equations of tail j.  Returns the
-    matrix and the first modal column of each tail."""
+def _assemble(graph: TailedGraph, lams: np.ndarray, rows: list[int], modes):
+    """Equations over (core values, modal coefficients) at each of the S
+    values ``lams``: every core row, and the first ``rows[j]`` site
+    equations of tail j.  ``modes[i][j]`` is the mode list of tail j at
+    lams[i]; every lambda has the same number of modes per tail.  Returns
+    the (S, rows, columns) stack and the first modal column of each tail."""
     nc = graph.core_size
-    mode_offset = []
-    row_offset = []
-    n_cols, n_rows = nc, nc
-    for tail, mset, nrows in zip(graph.tails, modes, rows):
-        mode_offset.append(n_cols)
-        row_offset.append(n_rows)
-        n_cols += len(mset)
-        n_rows += nrows * tail.op.l
-    a = np.zeros((n_rows, n_cols), dtype=complex)
-    a[:nc, :nc] = graph.core_matrix() - lam * np.eye(nc)
+    counts = [len(mset) for mset in modes[0]]
+    mode_offset = list(accumulate(counts, initial=nc))
+    row_offset = list(accumulate((r * t.op.l for t, r in zip(graph.tails, rows)), initial=nc))
+    a = np.zeros((len(lams), row_offset.pop(), mode_offset.pop()), dtype=complex)
+    a[:, :nc, :nc] = graph.core_matrix() - lams[:, None, None] * np.eye(nc)
 
-    # site values: values[j][n] is (l, modes) with one column per mode of tail j
-    values = []
-    for tail, mset, nrows in zip(graph.tails, modes, rows):
-        top = nrows + tail.op.k - 1
-        if mset:
-            values.append(np.stack([m.values(0, top).T for m in mset], axis=2))
-        else:
-            values.append(np.zeros((top + 1, tail.op.l, 0)))
+    # site values: values[j][:, n] is (S, l, modes) with one column per mode of tail j
+    values = [
+        _site_values([mset[j] for mset in modes], 0, nrows + tail.op.k - 1, tail.op.l)
+        for j, (tail, nrows) in enumerate(zip(graph.tails, rows))
+    ]
 
     def tail_rows(j: int, n: int) -> slice:
         lj = graph.tails[j].op.l
         return slice(row_offset[j] + n * lj, row_offset[j] + (n + 1) * lj)
 
     def mode_cols(j: int) -> slice:
-        return slice(mode_offset[j], mode_offset[j] + len(modes[j]))
+        return slice(mode_offset[j], mode_offset[j] + counts[j])
 
     for j, (tail, nrows) in enumerate(zip(graph.tails, rows)):
         op, vals = tail.op, values[j]
-        acc = -lam * vals[:nrows]
+        acc = -lams[:, None, None, None] * vals[:, :nrows]
         for s in range(-op.k, op.k + 1):
             lo = max(0, -s)  # the half-line has no sites below 0
-            acc[lo:] += op.block(0, s) @ vals[lo + s : nrows + s]
+            acc[:, lo:] += op.block(0, s) @ vals[:, lo + s : nrows + s]
         rs = slice(row_offset[j], row_offset[j] + nrows * op.l)
-        a[rs, mode_cols(j)] = acc.reshape(nrows * op.l, len(modes[j]))
+        a[:, rs, mode_cols(j)] = acc.reshape(len(lams), nrows * op.l, counts[j])
         for (v, n), m in tail.attach.items():
             c = slice(graph.core_offset[v], graph.core_offset[v] + graph.core_dims[v])
-            a[c, mode_cols(j)] += m @ vals[n]
-            a[tail_rows(j, n), c] += m.T
+            a[:, c, mode_cols(j)] += m @ vals[:, n]
+            a[:, tail_rows(j, n), c] += m.T
 
     for (j1, n1), (j2, n2), m in graph.cross_links:
-        a[tail_rows(j1, n1), mode_cols(j2)] += m @ values[j2][n2]
-        a[tail_rows(j2, n2), mode_cols(j1)] += m.T @ values[j1][n1]
+        a[:, tail_rows(j1, n1), mode_cols(j2)] += m @ values[j2][:, n2]
+        a[:, tail_rows(j2, n2), mode_cols(j1)] += m.T @ values[j1][:, n1]
     return a, mode_offset
 
 
+def _kernel_bases(stack: np.ndarray, rel_tol: float = KERNEL_REL_TOL):
+    """(null-space basis, singular values) of each matrix in the stack,
+    from one stacked SVD; the rank cut is relative to each largest
+    singular value."""
+    if stack.shape[1] == 0 or stack.shape[2] == 0:
+        return [(np.eye(stack.shape[2]), np.zeros(0)) for _ in stack]
+    _, sings, vts = np.linalg.svd(stack, full_matrices=True)
+    ranks = np.sum(sings > rel_tol * np.where(sings[:, :1] > 0, sings[:, :1], 1.0), axis=1)
+    return [(vt[rank:].conj().T, sing) for sing, vt, rank in zip(sings, vts, ranks)]
+
+
 def _kernel_basis(a: np.ndarray, rel_tol: float = KERNEL_REL_TOL):
-    if a.size == 0:
-        return np.eye(a.shape[1]), np.zeros(0)
-    _, sing, vt = np.linalg.svd(a, full_matrices=True)
-    cut = rel_tol * (sing[0] if len(sing) and sing[0] > 0 else 1.0)
-    rank = int(np.sum(sing > cut))
-    return vt[rank:].conj().T, sing
+    return _kernel_bases(a[None], rel_tol)[0]
 
 
 @dataclass
@@ -636,17 +678,28 @@ def asymptotic_subspace(
     :meth:`TailedGraph.tail_rows`); an explicit ``depth`` only raises
     that count, which leaves the kernel unchanged up to round-off.
     """
-    lam = float(lam)
-    rows = graph.tail_rows(depth)
-    pairs = _graph_modes(graph, lam, rows)
-    clfs = [c for c, _ in pairs]
-    modes = [m for _, m in pairs]
+    return _subspaces(graph, np.array([float(lam)]), graph.tail_rows(depth))[0]
+
+
+def _subspaces(graph: TailedGraph, lams, rows: list[int]) -> list[AsymptoticSubspace]:
+    """asymptotic_subspace at every lambda of ``lams``: one Bloch solve per
+    distinct tail, one assembly and one SVD per stack of equal shape."""
+    clfs, modes, stacks = _junction_grid(graph, lams, rows)
+    out = [None] * len(lams)
+    for idx, stack, mode_offset in stacks:
+        for i, basis in zip(idx, _kernel_bases(stack)):
+            out[i] = _subspace(graph, float(lams[i]), rows, clfs[i], modes[i], basis, mode_offset)
+    return out
+
+
+def _subspace(graph, lam, rows, clfs, modes, basis, mode_offset) -> AsymptoticSubspace:
+    """asymptotic_subspace at lam from the tails' classifications and modes
+    and the null-space basis of the junction matrix."""
     flags = set()
     if any(c.critical for c in clfs):
         flags.add("critical")
 
-    matrix, mode_offset = _assemble(graph, lam, rows, modes)
-    kernel, sing = _kernel_basis(matrix)
+    kernel, sing = basis
     dim = kernel.shape[1]
     expected = graph.expected_dim()
     if dim != expected:
@@ -658,17 +711,10 @@ def asymptotic_subspace(
     windows = []
     for j, tail in enumerate(graph.tails):
         k = tail.op.k
-        sl = slice(mode_offset[j], mode_offset[j] + len(modes[j]))
-        coef = kernel[sl, :]
+        coef = kernel[mode_offset[j] : mode_offset[j] + len(modes[j]), :]
         modal.append(coef)
         m_pair = graph.junction_depth(j) + k - 1
-        if modes[j]:
-            vmat = np.stack(
-                [_window_coords(m, m_pair, k) for m in modes[j]], axis=1
-            )
-            windows.append(vmat @ coef)
-        else:
-            windows.append(np.zeros((2 * k * tail.op.l, dim)))
+        windows.append(_windows(modes[j], m_pair, k, tail.op.l) @ coef)
 
     # normalize by asymptotic window norm, then measure the pair form
     norms = np.sqrt(sum(np.sum(np.abs(w) ** 2, axis=0) for w in windows))
@@ -683,18 +729,8 @@ def asymptotic_subspace(
     residual = float(np.max(np.abs(pairing))) if dim else 0.0
 
     return AsymptoticSubspace(
-        lam=lam,
-        depth=max(rows, default=0),
-        dim=dim,
-        expected_dim=expected,
-        core_values=core_values,
-        modal=modal,
-        windows=windows,
-        classifications=clfs,
-        modes=modes,
-        lagrangian_residual=residual,
-        singular_values=sing,
-        flags=flags,
+        lam, max(rows, default=0), dim, expected, core_values, modal, windows, clfs, modes,
+        residual, sing, flags,
     )
 
 
@@ -740,12 +776,14 @@ def scattering_matrix(
     Critical or singular points withhold the matrix and set flags rather
     than returning unreliable numbers.
     """
-    sub = asymptotic_subspace(graph, lam, depth)
-    flags = set(sub.flags)
-    channels: list[tuple[int, int]] = []
-    for j, mset in enumerate(sub.modes):
-        nch = sum(1 for m in mset if m.kind == "out")
-        channels += [(j, i) for i in range(nch)]
+    return _scatter(graph, asymptotic_subspace(graph, lam, depth))
+
+
+def _scatter(graph: TailedGraph, sub: AsymptoticSubspace) -> ScatteringResult:
+    """scattering_matrix from the asymptotic subspace at its lambda."""
+    lam, flags = sub.lam, set(sub.flags)
+    per_tail = [sum(m.kind == "out" for m in mset) for mset in sub.modes]
+    channels = [(j, i) for j, n in enumerate(per_tail) for i in range(n)]
     nch = len(channels)
     if nch == 0:
         flags.add("no-channels")
@@ -754,25 +792,16 @@ def scattering_matrix(
         return ScatteringResult(lam, channels, None, None, None, None, sub, flags)
 
     def rows_of(kind: str) -> np.ndarray:
-        out = []
-        for j, mset in enumerate(sub.modes):
-            for r, mode in enumerate(mset):
-                if mode.kind == kind:
-                    out.append(sub.modal[j][r, :])
+        out = [sub.modal[j][r] for j, mset in enumerate(sub.modes)
+               for r, mode in enumerate(mset) if mode.kind == kind]
         return np.array(out) if out else np.zeros((0, sub.dim))
 
-    grow = rows_of("grow")
-    bounded_kernel, _ = _kernel_basis(grow, rel_tol=1e-10)
-    if bounded_kernel.shape[1] != nch:
+    bounded_kernel, _ = _kernel_basis(rows_of("grow"), rel_tol=1e-10)
+    c_in = rows_of("in") @ bounded_kernel if bounded_kernel.shape[1] == nch else None
+    if c_in is None or np.linalg.cond(c_in) > 1e10:
         flags.add("singular")
         return ScatteringResult(lam, channels, None, None, None, None, sub, flags)
-
-    c_in = rows_of("in") @ bounded_kernel
-    c_out = rows_of("out") @ bounded_kernel
-    if np.linalg.cond(c_in) > 1e10:
-        flags.add("singular")
-        return ScatteringResult(lam, channels, None, None, None, None, sub, flags)
-    s = c_out @ np.linalg.inv(c_in)
+    s = rows_of("out") @ bounded_kernel @ np.linalg.inv(c_in)
 
     unit = float(np.max(np.abs(s @ s.conj().T - np.eye(nch))))
     symm = float(np.max(np.abs(s - s.T)))
@@ -781,26 +810,14 @@ def scattering_matrix(
     defect = 0.0
     for j, tail in enumerate(graph.tails):
         sw = swronskian_form(tail.op, 0).matrix
-        k = tail.op.k
+        k, l = tail.op.k, tail.op.l
         m_pair = graph.junction_depth(j) + k - 1
         outs = [m for m in sub.modes[j] if m.kind == "out"]
         ins = [m for m in sub.modes[j] if m.kind == "in"]
-        for a, mi in enumerate(ins):
-            xi = _window_coords(mi, m_pair, k)
-            for b, mo in enumerate(outs):
-                xo = _window_coords(mo, m_pair, k)
-                want = A_LAMBDA if a == b else 0.0
-                defect = max(defect, abs(xi @ sw @ xo - want))
-    return ScatteringResult(
-        lam=lam,
-        channels=channels,
-        s_matrix=s,
-        unitarity_residual=unit,
-        symmetry_residual=symm,
-        pairing_defect=float(defect),
-        subspace=sub,
-        flags=flags,
-    )
+        if outs:
+            pair = _windows(ins, m_pair, k, l).T @ sw @ _windows(outs, m_pair, k, l)
+            defect = max(defect, float(np.max(np.abs(pair - A_LAMBDA * np.eye(len(outs))))))
+    return ScatteringResult(lam, channels, s, unit, symm, defect, sub, flags)
 
 
 # -- discrete spectrum -----------------------------------------------------------
@@ -816,22 +833,17 @@ class BoundState:
     singular: bool = False
 
 
-def _decay_system(graph: TailedGraph, lam: float, rows: list[int]):
-    modes = [
-        [m for m in mset if m.kind == "decay"]
-        for _, mset in _graph_modes(graph, lam, rows)
-    ]
-    matrix, mode_offset = _assemble(graph, lam, rows, modes)
-    return matrix, mode_offset, modes
-
-
-def _sigma_min(graph: TailedGraph, lam: float, rows: list[int]) -> float:
-    matrix, _, _ = _decay_system(graph, lam, rows)
-    if matrix.shape[1] == 0:
-        return math.inf
-    sing = np.linalg.svd(matrix, compute_uv=False)
-    scale = sing[0] if sing[0] > 0 else 1.0
-    return float(sing[-1] / scale) if len(sing) >= matrix.shape[1] else 0.0
+def _sigma_mins(size: int, stacks) -> np.ndarray:
+    """Relative smallest singular value at each of ``size`` lambdas from
+    their decay-system stacks (inf without modal columns)."""
+    out = np.full(size, math.inf)
+    for idx, stack, _ in stacks:
+        if stack.shape[2] == 0:
+            continue
+        sing = np.linalg.svd(stack, compute_uv=False)
+        full = sing.shape[1] >= stack.shape[2]
+        out[idx] = sing[:, -1] / np.where(sing[:, 0] > 0, sing[:, 0], 1.0) if full else 0.0
+    return out
 
 
 def _golden_refine(f, a: float, b: float, tol: float = 1e-11) -> float:
@@ -871,13 +883,16 @@ def regular_discrete_spectrum(
     vanish on every tail are detected from the core alone and reported
     with ``singular=True``, never merged into the regular list.
     """
-    if samples < 3:
-        raise DomainError("need at least three grid samples")
+    grid = _grid(lo, hi, samples, 3)
     rows = graph.tail_rows(depth)
-    grid = np.linspace(lo, hi, samples)
     step = (hi - lo) / (samples - 1)
-    vals = np.array([_sigma_min(graph, x, rows) for x in grid])
+    vals = _sigma_mins(samples, _junction_grid(graph, grid, rows, decay_only=True)[2])
     criticals = [cp.lam for cp in _tail_critical_points(graph, lo, hi, samples)]
+
+    def decay_at(x: float):
+        _, (modes,), stacks = _junction_grid(graph, np.array([x]), rows, decay_only=True)
+        (_, (matrix,), mode_offset), = stacks
+        return (matrix, mode_offset, modes), _sigma_mins(1, stacks)[0]
 
     out: list[BoundState] = []
     for i in range(1, samples - 1):
@@ -885,29 +900,19 @@ def regular_discrete_spectrum(
             continue
         if not np.isfinite(vals[i]) or vals[i] > 1e-2:
             continue
-        lam_star = _golden_refine(
-            lambda x: _sigma_min(graph, x, rows), grid[i - 1], grid[i + 1]
-        )
-        sig = _sigma_min(graph, lam_star, rows)
+        lam_star = _golden_refine(lambda x: decay_at(x)[1], grid[i - 1], grid[i + 1])
+        (matrix, mode_offset, modes), sig = decay_at(lam_star)
         if sig > detect_tol:
             continue
-        matrix, mode_offset, modes = _decay_system(graph, lam_star, rows)
         kernel, _ = _kernel_basis(matrix, rel_tol=max(1e-9, 2 * sig))
         if kernel.shape[1] == 0:
             # rank tolerance missed the minimum; take the last right vector
             _, _, vt = np.linalg.svd(matrix)
             kernel = vt[-1:].conj().T
+        modal = [kernel[off : off + len(mset), 0] for off, mset in zip(mode_offset, modes)]
+        uncertain = any(abs(lam_star - c) < step for c in criticals)
         out.append(
-            BoundState(
-                lam=float(lam_star),
-                sigma_min=float(sig),
-                core_values=kernel[: graph.core_size, 0],
-                modal=[
-                    kernel[off : off + len(mset), 0]
-                    for off, mset in zip(mode_offset, modes)
-                ],
-                uncertain=any(abs(lam_star - c) < step for c in criticals),
-            )
+            BoundState(float(lam_star), float(sig), kernel[: graph.core_size, 0], modal, uncertain)
         )
 
     # singular eigenfunctions: zero on all tails, supported on the core
@@ -918,27 +923,12 @@ def regular_discrete_spectrum(
         for lam_e, vec in zip(evals, evecs.T):
             if not (lo <= lam_e <= hi):
                 continue
-            defect = 0.0
-            for j, tail in enumerate(graph.tails):
-                for (v, n), m in tail.attach.items():
-                    r = graph.core_offset[v]
-                    dv = graph.core_dims[v]
-                    defect = max(
-                        defect, float(np.max(np.abs(m.T @ vec[r : r + dv])))
-                    )
+            hits = [m.T @ vec[graph.core_offset[v] : graph.core_offset[v] + graph.core_dims[v]]
+                    for tail in graph.tails for (v, _), m in tail.attach.items()]
+            defect = max((float(np.max(np.abs(h))) for h in hits), default=0.0)
             if defect <= 1e-10 * scale:
-                out.append(
-                    BoundState(
-                        lam=float(lam_e),
-                        sigma_min=0.0,
-                        core_values=vec,
-                        modal=[
-                            np.zeros(0, dtype=complex) for _ in graph.tails
-                        ],
-                        uncertain=False,
-                        singular=True,
-                    )
-                )
+                modal = [np.zeros(0, dtype=complex) for _ in graph.tails]
+                out.append(BoundState(float(lam_e), 0.0, vec, modal, False, singular=True))
     out.sort(key=lambda st: st.lam)
     return out
 
@@ -1054,24 +1044,14 @@ def band_scan(
     max_j K_j of the exact reduction.
     """
     rows = []
-    for lam in np.linspace(lo, hi, samples):
-        res = scattering_matrix(graph, lam, depth)
-        clfs = res.subspace.classifications
-        rows.append(
-            ScanRow(
-                lam=float(lam),
-                counts=[c.counts() for c in clfs],
-                critical=any(c.critical for c in clfs),
-                singular="singular" in res.flags or "kernel-dim-mismatch" in res.flags,
-                result=res,
-            )
-        )
-    return BandScan(
-        graph=graph,
-        rows=rows,
-        criticals=_tail_critical_points(graph, lo, hi, samples),
-        depth=graph.default_depth() if depth is None else depth,
-    )
+    for sub in _subspaces(graph, _grid(lo, hi, samples, 2), graph.tail_rows(depth)):
+        res = _scatter(graph, sub)
+        clfs = sub.classifications
+        singular = "singular" in res.flags or "kernel-dim-mismatch" in res.flags
+        counts = [c.counts() for c in clfs]
+        rows.append(ScanRow(sub.lam, counts, any(c.critical for c in clfs), singular, res))
+    criticals = _tail_critical_points(graph, lo, hi, samples)
+    return BandScan(graph, rows, criticals, graph.default_depth() if depth is None else depth)
 
 
 # -- serialization ------------------------------------------------------------------

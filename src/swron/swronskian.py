@@ -93,9 +93,18 @@ def _pair_chain(op: DiscreteOperator, psi: dict, phi: dict, support: set) -> Cha
     t = op._pair_table = op._pair_table or _PairTable(op)
     inside = np.array([sid in support for sid in t.verts], dtype=bool)
     vals = np.zeros((2, len(t.verts), op.vec_dim), dtype=complex)
-    for k, values in enumerate((psi, phi)):
+    for k, (name, values) in enumerate((("psi", psi), ("phi", phi))):
         live = [values[sid] for sid in compress(t.verts, inside)]
-        vals[k, inside] = np.array(live, dtype=complex).reshape(-1, op.vec_dim)
+        try:
+            vals[k, inside] = np.array(live, dtype=complex).reshape(len(live), op.vec_dim)
+        except ValueError:
+            for sid in compress(t.verts, inside):
+                if np.size(values[sid]) != op.vec_dim:
+                    raise DomainError(
+                        f"{name} value at simplex {sid} has {np.size(values[sid])} "
+                        f"entries, operator expects vec_dim {op.vec_dim}"
+                    ) from None
+            raise
     p, f = vals
     # psi(a) . B phi(b) - phi(a) . B psi(b); B = block between a (rows) and b
     coeff = np.einsum("pi,pij,pj->p", p[t.ia], t.blocks, f[t.ib])

@@ -198,6 +198,22 @@ def companion_bloch_modes(op, lam: float) -> list[tuple[complex, np.ndarray]]:
     return out
 
 
+def channel_counts(op, lam: float, tol: float = 1e-7) -> tuple[int, int, int]:
+    """(s, p, q) of a constant lattice operator at lam from the roots mu of
+    det(sum_s B_s mu^s - lam), the eigenvalues of its block companion
+    matrix: unit-circle pairs off the real axis, quadruples off the circle
+    and the axis, real pairs off the circle."""
+    mus = np.array([mu for mu, _ in companion_bloch_modes(op, lam)])
+    unit = np.abs(np.abs(mus) - 1.0) <= tol
+    real = np.abs(mus.imag) <= tol * np.maximum(1.0, np.abs(mus))
+    outer, upper = np.abs(mus) > 1.0, mus.imag > 0
+    return (
+        int(np.sum(unit & ~real & upper)),
+        int(np.sum(~unit & ~real & outer & upper)),
+        int(np.sum(~unit & real & outer)),
+    )
+
+
 def bloch_current(op, mu: complex, w: np.ndarray) -> float:
     """Current of the Bloch wave mu^n w through one bond, from the group
     velocity formula 2 sum_{s>0} s Im(w^H B_s w mu^s)."""

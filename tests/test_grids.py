@@ -1,0 +1,198 @@
+"""Lambda grids: argument checks, classification margins, and agreement of
+the batched grid path with the per-point API and with independent oracles."""
+
+import json
+import math
+import re
+
+import numpy as np
+import pytest
+
+import oracles as orc
+import swron.scattering as sc
+from swron import (
+    DomainError,
+    Tail,
+    TailedGraph,
+    band_scan,
+    classify_monodromy,
+    find_critical_points,
+    regular_discrete_spectrum,
+    scattering_matrix,
+    transfer_map,
+)
+from swron import examples as ex
+from swron.cli import main
+from swron.line_lattice import line_operator_to_json
+
+
+def two_channel_graph(seed: int) -> TailedGraph:
+    """Hub of fiber dimension 2 with three order-2, two-channel random tails."""
+    rng = np.random.default_rng(seed)
+    tails = [
+        Tail(ex.random_line_operator(rng, 2, 2), {(0, 0): rng.standard_normal((2, 2))})
+        for _ in range(3)
+    ]
+    return TailedGraph({0: 2}, {(0, 0): np.diag(rng.standard_normal(2))}, tails)
+
+
+FIXTURES = {
+    "star4": lambda: ex.star_tailed(4),
+    "ring6": lambda: ex.two_tail_ring_core(6),
+    "well": lambda: ex.potential_line(1.0),
+    "line": ex.pure_line_graph,
+    "two_channel": lambda: two_channel_graph(5),
+}
+
+
+# -- grid arguments ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("lo, hi", [(3.0, -3.0), (1.0, 1.0)])
+def test_grid_entry_points_reject_reversed_intervals(lo, hi):
+    want = f"a lambda grid needs lo < hi, got lo={lo} and hi={hi}"
+    with pytest.raises(DomainError, match=re.escape(want)):
+        find_critical_points(ex.free_line_operator(1), lo, hi, 11)
+    with pytest.raises(DomainError, match=re.escape(want)):
+        regular_discrete_spectrum(ex.potential_line(1.0), lo, hi, 61)
+    with pytest.raises(DomainError, match=re.escape(want)):
+        band_scan(ex.potential_line(1.0), lo, hi, 11)
+
+
+def test_classify_command_rejects_reversed_interval(tmp_path, capsys):
+    opath = tmp_path / "free.json"
+    opath.write_text(json.dumps(line_operator_to_json(ex.free_line_operator(1))))
+    rc = main(["classify", "--operator-file", str(opath), "--lo", "3", "--hi", "-3"])
+    assert rc == 2
+    assert "needs lo < hi, got lo=3.0 and hi=-3.0" in capsys.readouterr().err
+
+
+def test_classify_command_classifies_its_grid_once(tmp_path, monkeypatch):
+    import swron.cli as cli
+
+    grids, real = [], sc._classify_grid
+
+    def spy(op, lams):
+        grids.append(len(lams))
+        return real(op, lams)
+
+    monkeypatch.setattr(cli, "_classify_grid", spy)
+    monkeypatch.setattr(sc, "_classify_grid", spy)
+    opath = tmp_path / "free.json"
+    opath.write_text(json.dumps(line_operator_to_json(ex.free_line_operator(1))))
+    out = tmp_path / "report.json"
+    assert main(["classify", "--operator-file", str(opath), "--lo", "-3", "--hi", "3",
+                 "--samples", "25", "--output", str(out)]) == 0
+    assert grids.count(25) == 1 and max(grids[1:]) == 2  # then one stack per bisection step
+    assert len(json.loads(out.read_text())["critical_points"]) == 2
+
+
+def test_grid_sample_minimum_messages():
+    with pytest.raises(DomainError, match="need at least two grid samples"):
+        find_critical_points(ex.free_line_operator(1), -3, 3, 1)
+    with pytest.raises(DomainError, match="need at least three grid samples"):
+        regular_discrete_spectrum(ex.potential_line(1.0), -3.5, -2.1, 2)
+
+
+# -- classification margins -----------------------------------------------------------
+
+
+def test_classification_margins_on_the_free_line():
+    op = ex.free_line_operator(1)
+    # mu = lam/2 +- i sqrt(1 - lam^2/4): the pair splits by sqrt(4 - lam^2)
+    edge = classify_monodromy(transfer_map(op, 2 - 1e-13, 0))
+    assert edge.critical and edge.critical_reason == "eigenvalue-collision"
+    assert edge.min_gap < sc.CRITICAL_GAP and edge.unit_gap < sc.CRITICAL_GAP
+    assert edge.min_gap == pytest.approx(math.sqrt(4e-13), rel=0.1)
+    assert edge.unit_gap == pytest.approx(math.sqrt(4e-13) / 2, rel=0.1)
+    inside = classify_monodromy(transfer_map(op, 1.9, 0))
+    assert not inside.critical
+    assert inside.min_gap == pytest.approx(math.sqrt(4 - 1.9**2), rel=1e-12)
+    assert inside.unit_gap == pytest.approx(math.sqrt(2 - 1.9), rel=1e-12)
+    assert inside.min_gap > 1e5 * sc.CRITICAL_GAP
+
+
+# -- batched grids against independent and per-point references --------------------
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_batched_counts_match_the_companion_oracle(seed):
+    graph = two_channel_graph(seed)
+    scan = band_scan(graph, -4.0, 4.0, 41)
+    checked = 0
+    for row in scan.rows:
+        for tail, clf in zip(graph.tails, row.result.subspace.classifications):
+            if clf.critical:
+                continue
+            assert clf.counts() == orc.channel_counts(tail.op, row.lam)
+            checked += 1
+    assert checked >= 100
+
+
+def serial_critical_points(op, lo, hi, samples, tol=1e-8):
+    """The per-point bisection: one transfer_map and classify_monodromy per
+    grid point and per step, each crossing refined on its own."""
+    grid = np.linspace(lo, hi, samples)
+    counts = [classify_monodromy(transfer_map(op, float(x), 0)).counts() for x in grid]
+    out = []
+    for i in range(samples - 1):
+        if counts[i] == counts[i + 1]:
+            continue
+        la, lb = float(grid[i]), float(grid[i + 1])
+        while lb - la > tol:
+            mid = 0.5 * (la + lb)
+            cm = classify_monodromy(transfer_map(op, mid, 0))
+            if not cm.critical and cm.counts() == counts[i]:
+                la = mid
+            else:
+                lb = mid
+        out.append((0.5 * (la + lb), counts[i], counts[i + 1]))
+    return out
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_band_scan_matches_the_per_point_api(name):
+    graph = FIXTURES[name]()
+    scan = band_scan(graph, -2.6, 2.6, 23)
+    for row in scan.rows:
+        point = scattering_matrix(graph, row.lam)
+        clfs = point.subspace.classifications
+        assert row.counts == [c.counts() for c in clfs]
+        assert [(c.critical, c.critical_reason) for c in row.result.subspace.classifications] == [
+            (c.critical, c.critical_reason) for c in clfs
+        ]
+        assert row.result.flags == point.flags
+        assert row.result.subspace.dim == point.subspace.dim
+        assert row.result.channels == point.channels
+        if point.s_matrix is None:
+            assert row.result.s_matrix is None
+        else:
+            assert np.max(np.abs(row.result.s_matrix - point.s_matrix)) <= 1e-12
+    want = []
+    for tail in graph.tails:
+        want += serial_critical_points(tail.op, -2.6, 2.6, 23)
+    got = [(cp.lam, cp.before, cp.after) for cp in scan.criticals]
+    assert len(got) == len(want)
+    for (a, *ca), (b, *cb) in zip(got, want):
+        assert abs(a - b) <= 1e-12 and ca == cb
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_spectrum_grid_matches_the_per_point_api(name):
+    graph = FIXTURES[name]()
+    rows = graph.tail_rows()
+    for lo, hi in ((-6.0, -2.05), (2.05, 6.0)):
+        grid = np.linspace(lo, hi, 61)
+        decay = sc._junction_grid(graph, grid, rows, decay_only=True)[2]
+        batched = sc._sigma_mins(len(grid), decay)
+        per_point = [
+            sc._sigma_mins(1, sc._junction_grid(graph, np.array([x]), rows, True)[2])[0]
+            for x in grid
+        ]
+        assert np.allclose(batched, per_point, rtol=1e-12, atol=1e-15)
+        states = regular_discrete_spectrum(graph, lo, hi, 61)
+        for st in states:
+            if not st.singular:
+                assert st.sigma_min <= 1e-8
+                i = int(np.argmin(np.abs(grid - st.lam)))
+                assert batched[i] <= 1e-2

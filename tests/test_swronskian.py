@@ -294,3 +294,19 @@ def test_complex_operator_solve_takes_the_svd_path(tmp_path):
     report = json.loads(out.read_text())
     assert rc == 0 and report["passed"] is True
     assert report["chain"]["edges"]
+
+
+@pytest.mark.parametrize("which", ["psi", "phi"])
+def test_value_of_wrong_length_names_its_simplex(which):
+    cx = ex.circle(5)
+    op = ex.adjacency_operator(cx, vec_dim=2)
+    domain = [cx.vertex_sid(v) for v in cx.vertex_labels]
+    good = {s: np.ones(2) for s in domain}
+    bad = {s: np.ones(3) for s in domain}
+    psi, phi = (bad, good) if which == "psi" else (good, bad)
+    with pytest.raises(DomainError, match=f"{which} value at simplex {domain[0]} has 3 entries"):
+        swronskian(op, 0.0, psi, phi)
+    one_short = {**good, domain[2]: np.ones(1)}
+    want = f"simplex {domain[2]} has 1 entries, operator expects vec_dim 2"
+    with pytest.raises(DomainError, match=want):
+        swronskian(op, 0.0, one_short, one_short)

@@ -368,8 +368,14 @@ def _system_from_json(data: dict) -> DiscreteLagrangianSystem:
     return DiscreteLagrangianSystem(graph, inters, chart, allow_ends=allow_ends)
 
 
-def _configuration_from_json(data) -> dict:
-    return {int(v): np.asarray(x, dtype=float).reshape(-1) for v, x in data.items()}
+def _configuration_from_json(data, name: str) -> dict:
+    out = {}
+    for v, x in data.items():
+        arr = np.asarray(x, dtype=float).reshape(-1)
+        if not np.all(np.isfinite(arr)):
+            raise DomainError(f"{name} is not finite at vertex {v}")
+        out[int(v)] = arr
+    return out
 
 
 def cmd_nonlinear(args) -> int:
@@ -377,7 +383,7 @@ def cmd_nonlinear(args) -> int:
     system = _system_from_json(data)
     if "configuration" not in data:
         raise DomainError("system JSON needs a 'configuration' map")
-    psi = _configuration_from_json(data["configuration"])
+    psi = _configuration_from_json(data["configuration"], "configuration")
     at = data.get("interior")
     at = [int(v) for v in at] if at else None
 
@@ -398,8 +404,8 @@ def cmd_nonlinear(args) -> int:
 
     passed = True
     if "variations" in data:
-        d1 = _configuration_from_json(data["variations"][0])
-        d2 = _configuration_from_json(data["variations"][1])
+        d1 = _configuration_from_json(data["variations"][0], "variations[0]")
+        d2 = _configuration_from_json(data["variations"][1], "variations[1]")
         w = variational_swronskian(
             system, psi, d1, d2, at=at, kernel_tol=args.kernel_tol
         )

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .complex_core import DomainError, SimplicialComplex
-from .operators import DiscreteOperator
+from .operators import DiscreteOperator, _close_symmetric
 from .swronskian import SWronskianChain, swronskian
 
 __all__ = [
@@ -80,36 +80,30 @@ class Density:
     def grad(self, xs, slot: int) -> np.ndarray:
         if self._grad is not None:
             return np.asarray(self._grad(slot, *xs), dtype=float).reshape(-1)
-        x = np.asarray(xs[slot], dtype=float).reshape(-1)
-        out = np.zeros_like(x)
-        for i in range(len(x)):
-            h = _FD_STEP * max(1.0, abs(x[i]))
-            up, dn = x.copy(), x.copy()
-            up[i] += h
-            dn[i] -= h
-            out[i] = (
-                self.value(xs[:slot] + [up] + xs[slot + 1 :])
-                - self.value(xs[:slot] + [dn] + xs[slot + 1 :])
-            ) / (2 * h)
-        return out
+        return _central(self.value, xs, slot)
 
     def hess(self, xs, slot_a: int, slot_b: int) -> np.ndarray:
         if self._hess is not None:
             return np.atleast_2d(
                 np.asarray(self._hess(slot_a, slot_b, *xs), dtype=float)
             )
-        xb = np.asarray(xs[slot_b], dtype=float).reshape(-1)
-        na = len(np.asarray(xs[slot_a], dtype=float).reshape(-1))
-        out = np.zeros((na, len(xb)))
-        for j in range(len(xb)):
-            h = _FD_STEP * max(1.0, abs(xb[j]))
-            up, dn = xb.copy(), xb.copy()
-            up[j] += h
-            dn[j] -= h
-            gu = self.grad(xs[:slot_b] + [up] + xs[slot_b + 1 :], slot_a)
-            gd = self.grad(xs[:slot_b] + [dn] + xs[slot_b + 1 :], slot_a)
-            out[:, j] = (gu - gd) / (2 * h)
-        return out
+        return _central(lambda ys: self.grad(ys, slot_a), xs, slot_b)
+
+
+def _central(f, xs, slot: int) -> np.ndarray:
+    """Central differences of ``f(xs)`` in each entry of ``xs[slot]``,
+    stacked along the last axis."""
+    x = np.asarray(xs[slot], dtype=float).reshape(-1)
+    cols = []
+    for i in range(len(x)):
+        h = _FD_STEP * max(1.0, abs(x[i]))
+        up, dn = x.copy(), x.copy()
+        up[i] += h
+        dn[i] -= h
+        fu = np.asarray(f(xs[:slot] + [up] + xs[slot + 1 :]))
+        fd = np.asarray(f(xs[:slot] + [dn] + xs[slot + 1 :]))
+        cols.append((fu - fd) / (2 * h))
+    return np.stack(cols, axis=-1)
 
 
 def quadratic_pair_density(weight: float = 1.0) -> Density:
@@ -262,18 +256,31 @@ def local_action(sys: DiscreteLagrangianSystem, psi: dict, around=None) -> float
     return total
 
 
+def _derivatives(sys: DiscreteLagrangianSystem, psi: dict, idxs, rows, cols):
+    """One pass over the interactions ``idxs``: the summed gradients at
+    the vertices ``rows`` and the summed Hessian blocks at the pairs
+    ``rows`` x ``cols`` (label keys).  None means every vertex.  Each
+    interaction's slot values are built once."""
+    grads = {} if rows is None else {u: np.zeros(sys.chart_dims[u]) for u in rows}
+    hess: dict[tuple[int, int], np.ndarray] = {}
+    for i in idxs:
+        inter = sys.interactions[i]
+        xs = _slot_values(sys, inter, psi)
+        for sa, u in enumerate(inter.vertices):
+            if rows is not None and u not in rows:
+                continue
+            grads[u] = grads.get(u, 0) + inter.density.grad(xs, sa)
+            for sb, w in enumerate(inter.vertices):
+                if cols is None or w in cols:
+                    hess[(u, w)] = hess.get((u, w), 0) + inter.density.hess(xs, sa, sb)
+    return grads, hess
+
+
 def el_residual(sys: DiscreteLagrangianSystem, psi: dict, v: int) -> np.ndarray:
     """Derivative of the action with respect to the value at ``v``."""
     if v not in sys._at_vertex:
         raise DomainError(f"vertex {v} not in the system")
-    out = np.zeros(sys.chart_dims[v])
-    for idx in sys._at_vertex[v]:
-        inter = sys.interactions[idx]
-        xs = _slot_values(sys, inter, psi)
-        for slot, u in enumerate(inter.vertices):
-            if u == v:
-                out = out + inter.density.grad(xs, slot)
-    return out
+    return _derivatives(sys, psi, sys._at_vertex[v], {v}, ())[0][v]
 
 
 def dynamical_step(
@@ -303,23 +310,14 @@ def dynamical_step(
     )
     for _ in range(maxiter):
         work[unknown] = x
-        r = el_residual(sys, work, v)
+        grads, hess = _derivatives(sys, work, sys._at_vertex[v], {v}, {unknown})
+        r = grads[v]
         if np.linalg.norm(r) <= tol:
             return x
-        jac = np.zeros((sys.chart_dims[v], sys.chart_dims[unknown]))
-        for idx in sys._at_vertex[v]:
-            inter = sys.interactions[idx]
-            if unknown not in inter.vertices:
-                continue
-            xs = _slot_values(sys, inter, work)
-            for sa, u in enumerate(inter.vertices):
-                if u != v:
-                    continue
-                for sb, u2 in enumerate(inter.vertices):
-                    if u2 == unknown:
-                        jac = jac + inter.density.hess(xs, sa, sb)
+        # unknown meets v, and r != 0 needs an interaction at v: the
+        # (v, unknown) block exists
         try:
-            delta = np.linalg.solve(jac, r)
+            delta = np.linalg.solve(hess[(v, unknown)], r)
         except np.linalg.LinAlgError:
             raise DegeneracyError(
                 f"cross Hessian between {v} and {unknown} is singular"
@@ -352,51 +350,42 @@ def linearize(
     """Second variation of the action at ``psi`` as a block operator.
 
     Blocks are the summed mixed Hessians over shared interactions; the
-    raw blocks must already be symmetric to within ``asym_tol`` (they
-    are for any twice continuously differentiable density evaluated at
-    one point), and are averaged to exact symmetry.  If psi fails the
-    stationarity equations beyond ``solution_tol`` at the checked
-    vertices, a warning string is attached (and emitted): the operator
-    is still the Hessian, but conservation statements need a solution.
+    raw blocks must already be symmetric to within ``asym_tol`` times
+    max(1, largest entry) (they are for any twice continuously
+    differentiable density evaluated at one point).  Pairs within that
+    bound are averaged to exact symmetry by the closure that
+    ``operator_from_json(on_asymmetry="symmetrize")`` uses; a larger gap
+    raises DomainError.  If psi fails the stationarity equations beyond
+    ``solution_tol`` at the checked vertices, a warning string is
+    attached (and emitted): the operator is still the Hessian, but
+    conservation statements need a solution.
 
     ``at`` restricts both the block assembly and the residual check to
     interactions meeting the listed vertices (useful for truncations:
-    pass the interior).
+    pass the interior).  A vertex of ``at`` outside the system, or a
+    non-finite value of psi on an interaction used, raises DomainError.
     """
     labels = sys.graph.vertex_labels if at is None else list(at)
-    label_set = set(labels)
+    for v in labels:
+        if v not in sys._at_vertex:
+            raise DomainError(f"vertex {v} not in the system")
     if at is None:
         idxs = range(len(sys.interactions))
     else:
         idxs = sorted({i for v in labels for i in sys._at_vertex[v]})
 
-    raw: dict[tuple[int, int], np.ndarray] = {}
-    for i in idxs:
-        inter = sys.interactions[i]
-        xs = _slot_values(sys, inter, psi)
-        for sa, u in enumerate(inter.vertices):
-            for sb, u2 in enumerate(inter.vertices):
-                h = inter.density.hess(xs, sa, sb)
-                key = (u, u2)
-                raw[key] = raw.get(key, 0) + h
-
+    grads, raw = _derivatives(sys, psi, idxs, None, None)
+    for v in grads:
+        if not np.all(np.isfinite(psi[v])):
+            raise DomainError(f"psi is not finite at vertex {v}")
     scale = max((np.max(np.abs(m)) for m in raw.values()), default=1.0)
-    blocks = {}
-    for (u, u2), m in raw.items():
-        partner = raw.get((u2, u))
-        if partner is None:
-            raise DomainError(f"hessian block ({u2}, {u}) missing")
-        gap = np.max(np.abs(m - partner.T))
-        if gap > asym_tol * max(1.0, scale):
-            raise DomainError(
-                f"hessian blocks at ({u}, {u2}) break symmetry by {gap:.3e}"
-            )
-        sym = 0.5 * (m + partner.T)
-        blocks[(sys.graph.vertex_sid(u), sys.graph.vertex_sid(u2))] = sym
+    _close_symmetric(raw, lambda key: key[::-1], asym_tol * max(1.0, scale))
+    sid = sys.graph.vertex_sid
+    blocks = {(sid(u), sid(w)): m for (u, w), m in raw.items()}
 
-    residual = 0.0
-    for v in labels:
-        residual = max(residual, float(np.max(np.abs(el_residual(sys, psi, v)))))
+    residual = max(
+        [0.0] + [float(np.max(np.abs(grads[v]))) for v in labels if v in grads]
+    )
     warning = None
     if residual > solution_tol:
         warning = (

@@ -56,21 +56,29 @@ def _as_block(value, l: int) -> np.ndarray:
     return arr.astype(complex) if np.iscomplexobj(arr) else arr.astype(float)
 
 
-def _close_symmetric(blocks: dict, partner) -> dict:
+def _close_symmetric(blocks: dict, partner, tol: float = 0.0) -> dict:
     """Symmetry closure of a block table, in place.
 
     ``partner(key)`` names the block that must equal the transpose of
     ``blocks[key]``.  A missing partner is filled with the transpose; a
-    partner that differs, including a non-symmetric block that is its own
-    partner, raises DomainError.
+    pair that differs (a non-symmetric block that is its own partner
+    included) by at most ``tol`` in every entry is averaged, and a larger
+    gap raises DomainError.  Exact tables pass 0, ``linearize`` its
+    ``asym_tol`` bound and JSON "symmetrize" the largest float.
     """
-    for key, m in list(blocks.items()):
-        other = partner(key)
+    for key in list(blocks):
+        m, other = blocks[key], partner(key)
         have = blocks.get(other)
         if have is None:
             blocks[other] = m.T.copy()
         elif not np.array_equal(have, m.T):
-            raise DomainError(f"blocks {key} and {other} break symmetry")
+            gap = float(np.max(np.abs(have - m.T)))
+            if not gap <= tol:
+                raise DomainError(
+                    f"blocks {key} and {other} break symmetry by {gap:.3e}"
+                )
+            blocks[key] = 0.5 * (m + have.T)
+            blocks[other] = blocks[key].T
     return blocks
 
 
@@ -486,7 +494,9 @@ def operator_from_json(
 
     "reject": a block whose transpose partner is absent or mismatched is
     an error.  "symmetrize": missing partners are filled with transposes
-    and mismatched pairs averaged.
+    and mismatched pairs averaged, through the same closure (with no
+    finite bound on the gap) that averages the Hessian blocks of
+    ``linearize``.
     """
     if on_asymmetry not in ("reject", "symmetrize"):
         raise DomainError(f"unknown asymmetry policy {on_asymmetry!r}")
@@ -497,16 +507,14 @@ def operator_from_json(
         if key in blocks:
             raise DomainError(f"duplicate block for pair {key}")
         blocks[key] = _as_block(_matrix_from_json(item["matrix"]), l)
+    tol = 0.0
     if on_asymmetry == "reject":
         lost = [(b, a) for a, b in sorted(blocks) if (b, a) not in blocks]
         if lost:
             raise DomainError(f"block {lost[0]} missing for symmetry closure")
-    else:
-        for a, b in sorted(blocks):
-            if a <= b and (b, a) in blocks:
-                avg = (blocks[(a, b)] + blocks[(b, a)].T) / 2
-                blocks[(a, b)], blocks[(b, a)] = avg, avg.T
-    _close_symmetric(blocks, lambda key: key[::-1])
+    else:  # any finite gap is averaged; an infinite one still raises
+        tol = np.finfo(float).max
+    _close_symmetric(blocks, lambda key: key[::-1], tol)
     order = data.get("order")
     return DiscreteOperator(
         complex, l, blocks, order=None if order is None else int(order)

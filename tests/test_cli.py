@@ -2,6 +2,7 @@
 
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -316,6 +317,27 @@ def test_nonlinear_requires_configuration(tmp_path, capsys):
     spath = write_json(tmp_path / "sys.json", data)
     rc = main(["nonlinear", "--system-file", spath])
     assert rc == 2
+
+
+def test_nonlinear_rejects_non_finite_input(tmp_path, capsys):
+    data = kicked_system_json()
+    data["configuration"]["8"] = [float("nan")]
+    rc = main(["nonlinear", "--system-file", write_json(tmp_path / "nan.json", data)])
+    assert rc == 2
+    assert "configuration is not finite at vertex 8" in capsys.readouterr().err
+    data = kicked_system_json()
+    data["variations"][1]["3"] = [float("inf")]
+    rc = main(["nonlinear", "--system-file", write_json(tmp_path / "inf.json", data)])
+    assert rc == 2
+    assert "variations[1] is not finite at vertex 3" in capsys.readouterr().err
+
+
+def test_nonlinear_committed_fixture(capsys):
+    # tests/data/kicked16.json is the system that CI runs through the CLI
+    path = Path(__file__).parent / "data" / "kicked16.json"
+    assert json.loads(path.read_text()) == kicked_system_json()
+    assert main(["nonlinear", "--system-file", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["passed"] is True
 
 
 def test_verify_all_suites_pass(capsys):

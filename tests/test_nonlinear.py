@@ -167,6 +167,66 @@ def test_linearize_warns_off_solution():
     assert lin.warning is not None
 
 
+def test_linearize_rejects_non_finite_configuration():
+    sys, psi, _ = kicked_path(10)
+    bad = dict(psi)
+    bad[5] = np.array([np.nan])
+    with pytest.raises(DomainError, match="not finite at vertex 5"):
+        linearize(sys, bad, at=list(range(1, 10)))
+
+
+def test_unknown_at_vertex_is_a_domain_error():
+    sys, psi, _ = kicked_path(10)
+    with pytest.raises(DomainError, match="vertex 99 not in the system"):
+        linearize(sys, psi, at=[1, 99])
+    with pytest.raises(DomainError, match="vertex 99 not in the system"):
+        variational_swronskian(sys, psi, psi, psi, at=[1, 99])
+
+
+def skewed_edge_system(skew):
+    """One quadratic edge whose analytic cross Hessian (0, 1) is off by skew."""
+    den = Density(
+        2,
+        value=lambda x, y: 0.5 * float((x - y) @ (x - y)),
+        grad=lambda s, x, y: (x - y) if s == 0 else (y - x),
+        hess=lambda a, b, x, y: np.array(
+            [[1.0 if a == b else -1.0 + (skew if (a, b) == (0, 1) else 0.0)]]
+        ),
+    )
+    sys = DiscreteLagrangianSystem(ex.interval(1), [((0, 1), den)], allow_ends=True)
+    return sys, {0: np.array([0.3]), 1: np.array([0.3])}
+
+
+def test_linearize_averages_blocks_within_asym_tol():
+    asym_tol = 1e-8
+    sys, psi = skewed_edge_system(0.5 * asym_tol)
+    op = linearize(sys, psi, asym_tol=asym_tol).operator
+    a, b = op.complex.vertex_sid(0), op.complex.vertex_sid(1)
+    assert np.array_equal(op.blocks[(a, b)], op.blocks[(b, a)].T)
+    assert op.blocks[(a, b)][0, 0] == 0.5 * ((-1.0 + 0.5 * asym_tol) + -1.0)
+    assert op.is_symmetric()
+
+    sys, psi = skewed_edge_system(2 * asym_tol)
+    with pytest.raises(DomainError, match="break symmetry"):
+        linearize(sys, psi, asym_tol=asym_tol)
+
+
+def test_fd_derivatives_of_vector_slots():
+    def value(x, y):
+        return float(np.sin(x[0]) * y[1] ** 2 + x[1] * y[0] ** 3)
+
+    den = Density(2, value)
+    assert den.uses_fd
+    xs = [np.array([0.4, -0.8]), np.array([1.2, 0.5])]
+    (x0, x1), (y0, y1) = xs
+    assert np.allclose(den.grad(xs, 0), [np.cos(x0) * y1**2, y0**3], atol=1e-8)
+    assert np.allclose(den.grad(xs, 1), [3 * x1 * y0**2, 2 * np.sin(x0) * y1], atol=1e-8)
+    cross = den.hess(xs, 0, 1)
+    assert cross.shape == (2, 2)
+    want = [[0.0, 2 * np.cos(x0) * y1], [3 * y0**2, 0.0]]
+    assert np.allclose(cross, want, atol=1e-5)
+
+
 def test_variational_chain_constant_for_kernel_pairs():
     sys, psi, kick = kicked_path(30)
     interior = list(range(1, 30))

@@ -200,6 +200,10 @@ def test_operator_json_asymmetry_hook():
     fixed = operator_from_json(cx, data, on_asymmetry="symmetrize")
     assert fixed.is_symmetric()
     assert fixed.blocks[(a, b)][0, 0] == 1.5
+    # an infinite gap is never averaged away
+    data["blocks"][0]["matrix"] = [[float("inf")]]
+    with pytest.raises(DomainError, match="break symmetry by inf"):
+        operator_from_json(cx, data, on_asymmetry="symmetrize")
 
 
 def two_vertex_json(order, cross=True):

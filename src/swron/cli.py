@@ -20,7 +20,6 @@ from . import __version__
 from .complex_core import DomainError, load_complex
 from .line_lattice import (
     CoveringGraph,
-    cover_apply,
     direct_image,
     line_operator_to_json,
     load_line_operator,
@@ -52,7 +51,7 @@ from .scattering import (
     scattering_matrix,
 )
 from .swronskian import CYCLE_TOL_REL, swronskian, verify_cycle
-from .verify import SUITES, coupled_free_sites, kernel_solutions
+from .verify import SUITES, commutation_gap, coupled_free_sites, kernel_solutions
 from .verify import run as run_verify
 
 EXIT_OK = 0
@@ -297,21 +296,7 @@ def cmd_direct_image(args) -> int:
     cover, blocks, vec_dim = _cover_from_json(_load_json_file(args.cover_file))
     op, image = direct_image(cover, blocks, vec_dim)
 
-    rng = np.random.default_rng(args.seed)
-    lo, hi, pad = -3, 3, op.k + 2
-    psi = {
-        (a, n): rng.integers(-9, 10, size=vec_dim).astype(float)
-        for a in cover.orbits
-        for n in range(lo - pad, hi + pad + 1)
-    }
-    want = cover_apply(
-        cover, blocks, vec_dim,
-        psi, [(a, n) for a in cover.orbits for n in range(lo, hi + 1)],
-    )
-    offs = image.offsets.values()
-    img = op.apply(image.to_line(psi), range(lo + min(offs), hi + max(offs) + 1))
-    back = image.to_cover(img)
-    gap = max(float(np.max(np.abs(back[key] - v))) for key, v in want.items())
+    gap = commutation_gap(cover, blocks, vec_dim, op, image, np.random.default_rng(args.seed), -3, 3)
 
     report = {
         "metadata": _metadata(),

@@ -231,9 +231,9 @@ def find_critical_points(
 ) -> list[CriticalPoint]:
     """Bisect classification changes of a constant operator over [lo, hi].
 
-    Grid points where (s, p, q) differs between consecutive non-critical
-    samples are refined by bisection down to ``tol``; the elementary path
-    type is read off the counts on both sides.
+    The grid is classified in one solve; every interval whose channel
+    counts (s, p, q) change is refined by bisection down to ``tol``, and
+    the elementary path type is read off the counts on both sides.
     """
     grid = _grid(lo, hi, samples, 2)
     return _critical_points(op, grid, _classify_grid(op, grid), tol)
@@ -241,18 +241,22 @@ def find_critical_points(
 
 def _critical_points(op: LineOperator, grid, cls, tol: float = 1e-8) -> list[CriticalPoint]:
     """find_critical_points from the classifications ``cls`` of the grid.
-    Every grid interval whose counts change is bisected on its own; the
-    midpoints of one bisection step share one transfer stack."""
+    A flagged inner sample whose counts match neither neighbour sits on an
+    edge and is skipped.  A midpoint's side is decided by its counts alone,
+    since identical channels flag every in-band point as a collision."""
+    counts = [c.counts() for c in cls]
+    keep = [i for i, c in enumerate(cls) if not (
+        0 < i < len(cls) - 1 and c.critical and counts[i] not in (counts[i - 1], counts[i + 1]))]
     spans = [
-        [float(grid[i]), float(grid[i + 1]), cls[i].counts(), cls[i + 1].counts()]
-        for i in range(len(grid) - 1)
-        if cls[i].counts() != cls[i + 1].counts()  # isolated flagged samples pass
+        [float(grid[a]), float(grid[b]), counts[a], counts[b]]
+        for a, b in zip(keep, keep[1:])
+        if counts[a] != counts[b]
     ]
     active = [sp for sp in spans if sp[1] - sp[0] > tol]
     while active:
         mids = [0.5 * (sp[0] + sp[1]) for sp in active]
         for sp, mid, cm in zip(active, mids, _classify_grid(op, mids)):
-            sp[0 if not cm.critical and cm.counts() == sp[2] else 1] = mid
+            sp[0 if cm.counts() == sp[2] else 1] = mid
         active = [sp for sp in active if sp[1] - sp[0] > tol]
     return [
         CriticalPoint(0.5 * (la + lb), before, after, *_path_of(before, after))
@@ -260,14 +264,16 @@ def _critical_points(op: LineOperator, grid, cls, tol: float = 1e-8) -> list[Cri
     ]
 
 
-def _tail_critical_points(graph, lo: float, hi: float, samples: int) -> list[CriticalPoint]:
-    """find_critical_points of every tail, concatenated in tail order;
+def _tail_critical_points(graph, grid, clfs=None) -> list[CriticalPoint]:
+    """_critical_points of every tail, in tail order, from ``clfs[i][j]`` (tail
+    j at grid[i]) when given, else from one grid classification per tail;
     tails with identical operators (same k, l and blocks) share one scan."""
     scans: dict[str, list[CriticalPoint]] = {}
     out: list[CriticalPoint] = []
-    for tail, key in zip(graph.tails, graph._tail_keys):
+    for j, (tail, key) in enumerate(zip(graph.tails, graph._tail_keys)):
         if key not in scans:
-            scans[key] = find_critical_points(tail.op, lo, hi, samples)
+            cls = _classify_grid(tail.op, grid) if clfs is None else [row[j] for row in clfs]
+            scans[key] = _critical_points(tail.op, grid, cls)
         out += scans[key]
     return out
 
@@ -887,7 +893,7 @@ def regular_discrete_spectrum(
     rows = graph.tail_rows(depth)
     step = (hi - lo) / (samples - 1)
     vals = _sigma_mins(samples, _junction_grid(graph, grid, rows, decay_only=True)[2])
-    criticals = [cp.lam for cp in _tail_critical_points(graph, lo, hi, samples)]
+    criticals = [cp.lam for cp in _tail_critical_points(graph, grid)]
 
     def decay_at(x: float):
         _, (modes,), stacks = _junction_grid(graph, np.array([x]), rows, decay_only=True)
@@ -905,10 +911,6 @@ def regular_discrete_spectrum(
         if sig > detect_tol:
             continue
         kernel, _ = _kernel_basis(matrix, rel_tol=max(1e-9, 2 * sig))
-        if kernel.shape[1] == 0:
-            # rank tolerance missed the minimum; take the last right vector
-            _, _, vt = np.linalg.svd(matrix)
-            kernel = vt[-1:].conj().T
         modal = [kernel[off : off + len(mset), 0] for off, mset in zip(mode_offset, modes)]
         uncertain = any(abs(lam_star - c) < step for c in criticals)
         out.append(
@@ -1043,14 +1045,16 @@ def band_scan(
     The recorded depth is ``depth`` when given, else the default
     max_j K_j of the exact reduction.
     """
+    grid = _grid(lo, hi, samples, 2)
+    subs = _subspaces(graph, grid, graph.tail_rows(depth))
     rows = []
-    for sub in _subspaces(graph, _grid(lo, hi, samples, 2), graph.tail_rows(depth)):
+    for sub in subs:
         res = _scatter(graph, sub)
         clfs = sub.classifications
         singular = "singular" in res.flags or "kernel-dim-mismatch" in res.flags
         counts = [c.counts() for c in clfs]
         rows.append(ScanRow(sub.lam, counts, any(c.critical for c in clfs), singular, res))
-    criticals = _tail_critical_points(graph, lo, hi, samples)
+    criticals = _tail_critical_points(graph, grid, [sub.classifications for sub in subs])
     return BandScan(graph, rows, criticals, graph.default_depth() if depth is None else depth)
 
 

@@ -56,6 +56,7 @@ from .swronskian import quantum_current, swronskian, verify_cycle
 
 __all__ = [
     "CheckResult",
+    "commutation_gap",
     "coupled_free_sites",
     "kernel_solutions",
     "SUITES",
@@ -362,30 +363,29 @@ def suite_symplectic(rng, line_op: LineOperator | None = None):
     return out
 
 
+def commutation_gap(cover, blocks, vec_dim, op, image, rng, lo, hi) -> float:
+    """Largest gap on orbit sites lo..hi between ``cover_apply`` and the
+    repacked ``op.apply`` on one draw of integer cover values in [-9, 9]."""
+    pad = op.k + 2
+    psi = {
+        (a, n): rng.integers(-9, 10, size=vec_dim).astype(float)
+        for a in cover.orbits
+        for n in range(lo - pad, hi + pad + 1)
+    }
+    want = cover_apply(
+        cover, blocks, vec_dim, psi, [(a, n) for a in cover.orbits for n in range(lo, hi + 1)]
+    )
+    offs = image.offsets.values()
+    back = image.to_cover(op.apply(image.to_line(psi), range(lo + min(offs), hi + max(offs) + 1)))
+    return max(float(np.max(np.abs(back[key] - v))) for key, v in want.items())
+
+
 def suite_direct_image(rng):
     out = []
     for name, cov in (("ladder", ex.cover_ladder()), ("spiral", ex.cover_spiral())):
         blocks = ex.cover_laplacian_blocks(cov)
         lop, di = direct_image(cov, blocks, 1)
-        lo, hi = -4, 4
-        pad = lop.k + 2
-        psi = {
-            (a, nn): np.array([float(rng.integers(-9, 10))])
-            for a in cov.orbits
-            for nn in range(lo - pad, hi + pad + 1)
-        }
-        direct = cover_apply(
-            cov, blocks, 1, psi,
-            [(a, nn) for a in cov.orbits for nn in range(lo, hi + 1)],
-        )
-        line_vals = di.to_line(psi)
-        omin = min(di.offsets.values())
-        omax = max(di.offsets.values())
-        line_img = lop.apply(line_vals, range(lo + omin, hi + omax + 1))
-        back = di.to_cover(line_img)
-        gap = max(
-            float(np.max(np.abs(back[key] - want))) for key, want in direct.items()
-        )
+        gap = commutation_gap(cov, blocks, 1, lop, di, rng, -4, 4)
         out.append(_row("direct-image", f"{name} apply commutes", gap == 0.0, f"gap {gap:.2e}"))
         pc, _ = periodized_cover_matrix(cov, blocks, 1, 6)
         pl = periodized_line_matrix(lop, 6)
@@ -419,6 +419,10 @@ def suite_classification(rng, line_op: LineOperator | None = None):
             str(lams),
         )
     )
+    # identical channels flag every in-band sample; the edges stay exact
+    edges = sorted(c.lam for c in find_critical_points(ex.free_line_operator(2), -3.0, 3.0, 24))
+    ok = len(edges) == 2 and all(abs(x - w) <= 1e-8 for x, w in zip(edges, (-2.0, 2.0)))
+    out.append(_row("classification", "degenerate free line band edges", ok, f"{edges}"))
     op = line_op or ex.random_line_operator(rng, int(rng.integers(1, 3)), int(rng.integers(1, 3)))
     if not op.constant:
         op = LineOperator(op.k, op.l, {s: op.block(0, s) for s in range(op.k + 1)})

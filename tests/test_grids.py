@@ -177,6 +177,34 @@ def test_band_scan_matches_the_per_point_api(name):
         assert abs(a - b) <= 1e-12 and ca == cb
 
 
+def assert_free_line_edges(op, criticals):
+    """Exactly the band edges -2 and 2, with the oracle's counts on each side."""
+    assert len(criticals) == 2
+    for cp, edge in zip(criticals, (-2.0, 2.0)):
+        assert abs(cp.lam - edge) <= 1e-8
+        assert cp.before == orc.channel_counts(op, cp.lam - 1e-6)
+        assert cp.after == orc.channel_counts(op, cp.lam + 1e-6)
+
+
+@pytest.mark.parametrize("samples", [24, 25, 61, 101])
+@pytest.mark.parametrize("l", [1, 2, 3])
+def test_identical_channels_get_exact_band_edges(l, samples):
+    # l > 1 flags every in-band sample as a collision; 25 and 61 samples
+    # put lambda = +-2 itself on the grid
+    op = ex.free_line_operator(l)
+    assert_free_line_edges(op, find_critical_points(op, -3, 3, samples))
+
+
+def test_band_scan_of_identical_tails_gets_exact_band_edges():
+    op = ex.free_line_operator(2)
+    graph = TailedGraph({}, {}, [Tail(op, {}), Tail(op, {})], [((0, 0), (1, 0), np.eye(2))])
+    scan = band_scan(graph, -2.6, 2.6, 23)
+    assert all(row.critical for row in scan.rows)
+    assert len(scan.criticals) == 4
+    assert_free_line_edges(op, scan.criticals[:2])
+    assert_free_line_edges(op, scan.criticals[2:])
+
+
 @pytest.mark.parametrize("name", FIXTURES)
 def test_spectrum_grid_matches_the_per_point_api(name):
     graph = FIXTURES[name]()

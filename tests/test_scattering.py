@@ -373,16 +373,23 @@ def test_explicit_depth_only_adds_rows():
 def test_band_scan_bisects_each_tail_operator_once(monkeypatch):
     import swron.scattering as sc
 
-    calls = []
-    real = sc.find_critical_points
+    bisected, classified = [], []
+    real_bisect, real_classify = sc._critical_points, sc._classify_grid
 
-    def counting(op, *args, **kw):
-        calls.append(op)
-        return real(op, *args, **kw)
+    def bisect(op, *args, **kw):
+        bisected.append(op)
+        return real_bisect(op, *args, **kw)
 
-    monkeypatch.setattr(sc, "find_critical_points", counting)
+    def classify(op, lams):
+        classified.append(len(lams))
+        return real_classify(op, lams)
+
+    monkeypatch.setattr(sc, "_critical_points", bisect)
+    monkeypatch.setattr(sc, "_classify_grid", classify)
     scan = band_scan(ex.star_tailed(5), -2.5, 2.5, 11)
-    assert len(calls) == 1
+    assert len(bisected) == 1
+    # the scan grid is classified by its own Bloch solve; only midpoints here
+    assert classified and 11 not in classified
     per_tail = find_critical_points(ex.free_tail(), -2.5, 2.5, 11)
     assert [cp.lam for cp in scan.criticals] == [cp.lam for cp in per_tail] * 5
 

@@ -320,6 +320,11 @@ class PathChain:
         return c
 
 
+def _max_or_nan(values: list) -> float:
+    """max of non-negative floats, but NaN when their sum is (``max`` may skip a NaN)."""
+    return math.nan if math.isnan(sum(values)) else max(values, default=0.0)
+
+
 class Chain1:
     """A 1-chain: complex reference plus edge-id -> complex coefficient."""
 
@@ -333,7 +338,7 @@ class Chain1:
         self.coeffs[edge_sid] = self.coeffs.get(edge_sid, 0) + value
 
     def max_abs(self) -> float:
-        return max((abs(c) for c in self.coeffs.values()), default=0.0)
+        return _max_or_nan([abs(c) for c in self.coeffs.values()])
 
     def boundary(self) -> dict[int, complex]:
         """0-chain of the boundary, keyed by vertex label."""

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -186,6 +186,9 @@ class DiscreteLagrangianSystem:
     chart_dims : int or dict vertex label -> dimension.
     allow_ends : permit vertices lying in fewer than two edges (finite
         truncations of infinite graphs need this).
+
+    A system is immutable after construction (``_at_vertex`` is built here
+    once), so :func:`linearize` keeps its last result on the system.
     """
 
     def __init__(self, graph, interactions, chart_dims=1, *, allow_ends=False):
@@ -222,6 +225,7 @@ class DiscreteLagrangianSystem:
             self.interactions.append(Interaction(vs, dens))
             for v in vs:
                 self._at_vertex[v].append(idx)
+        self._linearized: tuple = (None, None)  # (key, LinearizeResult)
 
     def neighborhood(self, v: int) -> set[int]:
         """Vertices sharing an interaction with v (v included)."""
@@ -241,6 +245,23 @@ def _slot_values(sys: DiscreteLagrangianSystem, inter: Interaction, psi: dict):
             raise DomainError(f"psi undefined at vertex {v}")
         xs.append(np.asarray(psi[v], dtype=float).reshape(-1))
     return xs
+
+
+def _vectors(name: str, values: dict, keys, dim=None) -> dict:
+    """``values`` at ``keys`` as float vectors.  DomainError names the first
+    vertex that is missing, has not ``dim`` entries or (one stacked check
+    when none is) is not finite."""
+    out = {}
+    for v in keys:
+        if v not in values:
+            raise DomainError(f"{name} undefined at vertex {v}")
+        out[v] = x = np.asarray(values[v], dtype=float).reshape(-1)
+        if dim is not None and x.size != dim:
+            raise DomainError(f"{name} value at vertex {v} has {x.size} entries, expected {dim}")
+    if out and not np.isfinite(np.concatenate(list(out.values()))).all():
+        v = next(v for v, x in out.items() if not np.isfinite(x).all())
+        raise DomainError(f"{name} is not finite at vertex {v}")
+    return out
 
 
 def local_action(sys: DiscreteLagrangianSystem, psi: dict, around=None) -> float:
@@ -298,7 +319,9 @@ def dynamical_step(
 
     All other values in the neighborhood of ``v`` must be present in
     ``psi``.  Raises DegeneracyError when the cross Hessian at an
-    iterate is singular and NonConvergenceError after ``maxiter``.
+    iterate is singular, DomainError naming a non-finite neighbor value
+    once the residual is not finite, and NonConvergenceError after
+    ``maxiter``.
     """
     if unknown not in sys.neighborhood(v):
         raise DomainError(f"vertex {unknown} does not interact with {v}")
@@ -312,8 +335,10 @@ def dynamical_step(
         work[unknown] = x
         grads, hess = _derivatives(sys, work, sys._at_vertex[v], {v}, {unknown})
         r = grads[v]
-        if np.linalg.norm(r) <= tol:
+        if (norm := np.linalg.norm(r)) <= tol:
             return x
+        if not math.isfinite(norm):
+            _vectors("psi", work, sorted(sys.neighborhood(v) - {unknown}))
         # unknown meets v, and r != 0 needs an interaction at v: the
         # (v, unknown) block exists
         try:
@@ -364,6 +389,10 @@ def linearize(
     interactions meeting the listed vertices (useful for truncations:
     pass the interior).  A vertex of ``at`` outside the system, or a
     non-finite value of psi on an interaction used, raises DomainError.
+
+    The system keeps its last result: a call with the same ``at``,
+    tolerances and values of psi on the interactions used returns a new
+    LinearizeResult around the same read-only operator, warning included.
     """
     labels = sys.graph.vertex_labels if at is None else list(at)
     for v in labels:
@@ -373,33 +402,28 @@ def linearize(
         idxs = range(len(sys.interactions))
     else:
         idxs = sorted({i for v in labels for i in sys._at_vertex[v]})
-
-    grads, raw = _derivatives(sys, psi, idxs, None, None)
-    for v in grads:
-        if not np.all(np.isfinite(psi[v])):
-            raise DomainError(f"psi is not finite at vertex {v}")
-    scale = max((np.max(np.abs(m)) for m in raw.values()), default=1.0)
-    _close_symmetric(raw, lambda key: key[::-1], asym_tol * max(1.0, scale))
-    sid = sys.graph.vertex_sid
-    blocks = {(sid(u), sid(w)): m for (u, w), m in raw.items()}
-
-    residual = max(
-        [0.0] + [float(np.max(np.abs(grads[v]))) for v in labels if v in grads]
-    )
-    warning = None
-    if residual > solution_tol:
-        warning = (
-            f"configuration misses stationarity by {residual:.3e}; "
-            "linearization is a plain Hessian, not a conserved-form operator"
-        )
-        warnings.warn(warning)
-    op = DiscreteOperator(sys.graph, _uniform_dim(sys), blocks)
-    return LinearizeResult(
-        operator=op,
-        max_el_residual=residual,
-        warning=warning,
-        uses_fd=sys.uses_fd(),
-    )
+    used = dict.fromkeys(v for i in idxs for v in sys.interactions[i].vertices)  # first-use order
+    vals = _vectors("psi", psi, used)
+    key = (None if at is None else tuple(labels), solution_tol, asym_tol,
+           tuple(x.tobytes() for x in vals.values()))
+    if sys._linearized[0] != key:
+        dim = _uniform_dim(sys)
+        grads, raw = _derivatives(sys, vals, idxs, None, None)
+        scale = float(np.abs(np.stack(list(raw.values()))).max()) if raw else 1.0
+        _close_symmetric(raw, lambda key: key[::-1], asym_tol * max(1.0, scale))
+        sid = sys.graph.vertex_sid
+        blocks = {(sid(u), sid(w)): m for (u, w), m in raw.items()}
+        checked = [grads[v] for v in labels if v in grads]
+        residual = float(np.abs(np.concatenate(checked)).max()) if checked else 0.0
+        warning = (f"configuration misses stationarity by {residual:.3e}; "
+                   "linearization is a plain Hessian, not a conserved-form operator"
+                   if residual > solution_tol else None)
+        op = DiscreteOperator(sys.graph, dim, blocks)
+        sys._linearized = (key, LinearizeResult(op, residual, warning, sys.uses_fd()))
+    lin = replace(sys._linearized[1])
+    if lin.warning is not None:
+        warnings.warn(lin.warning)
+    return lin
 
 
 def _uniform_dim(sys: DiscreteLagrangianSystem) -> int:
@@ -423,23 +447,18 @@ def variational_swronskian(
     Both variations must satisfy the linearized equations (at the
     checked vertices) to within ``kernel_tol`` relative to the block
     scale; otherwise the request is rejected, since the conservation law
-    is what the chain is for.
+    is what the chain is for.  A variation value that is not finite or
+    has not ``vec_dim`` entries raises DomainError naming its vertex.
     """
-    lin = linearize(sys, psi, at=at)
-    op = lin.operator
+    op = linearize(sys, psi, at=at).operator
     support = set(op.complex.vertex_sid(v) for v in (at or sys.graph.vertex_labels))
-    scale = max(
-        (np.max(np.abs(m)) for m in op.blocks.values()), default=1.0
-    )
+    scale = float(np.abs(np.stack(list(op.blocks.values()))).max()) if op.blocks else 1.0
     for name, dvec in (("delta1", delta1), ("delta2", delta2)):
-        vals = {op.complex.vertex_sid(v): np.asarray(x, dtype=float).reshape(-1)
-                for v, x in dvec.items()}
-        check = [
-            sid for sid in support
-            if all(b in vals for b in op.stencil(sid))
-        ]
-        img = op.apply(vals, at=check)
-        worst = max((np.max(np.abs(x)) for x in img.values()), default=0.0)
+        vals = {op.complex.vertex_sid(v): x
+                for v, x in _vectors(name, dvec, dvec, op.vec_dim).items()}
+        check = [sid for sid in support if all(b in vals for b in op.stencil(sid))]
+        img = list(op.apply(vals, at=check).values())
+        worst = float(np.abs(np.stack(img)).max()) if img else 0.0
         if worst > kernel_tol * max(1.0, scale):
             raise DomainError(
                 f"{name} is not a kernel variation (residual {worst:.3e})"

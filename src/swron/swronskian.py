@@ -30,7 +30,7 @@ from itertools import compress
 
 import numpy as np
 
-from .complex_core import Chain1, DomainError, canonical_path
+from .complex_core import Chain1, DomainError, _max_or_nan, canonical_path
 from .operators import DiscreteOperator
 
 __all__ = [
@@ -192,7 +192,7 @@ def verify_cycle(
 
     Interior defaults to the support vertices whose full stencil lies in
     the support; fringe vertices of a truncation are reported as
-    excluded, not failed.
+    excluded, not failed.  A non-finite residual or scale fails.
     """
     op = w.operator
     if interior is None:
@@ -201,10 +201,11 @@ def verify_cycle(
     labels = {_vertex_label(op, sid) for sid in interior}
     excluded = sorted(set(w.support) - set(interior))
     bdry = w.chain.boundary()
-    residual = max((abs(bdry.get(lab, 0.0)) for lab in labels), default=0.0)
+    residual = _max_or_nan([abs(bdry.get(lab, 0.0)) for lab in labels])
     scale = w.chain.max_abs()
     tol = tol_rel * scale
-    passed = residual <= tol if scale > 0 else residual == 0.0
+    # a NaN or infinite scale fails the first test, such a residual the second
+    passed = scale < np.inf and (residual <= tol if scale > 0 else residual == 0.0)
     return CycleReport(
         max_boundary_residual=float(residual),
         scale=float(scale),

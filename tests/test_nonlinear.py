@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from swron import (
     local_action,
     quadratic_pair_density,
     standard_map_density,
+    swronskian,
     variational_swronskian,
     verify_cycle,
 )
@@ -34,6 +37,15 @@ def kicked_path(n, kick=0.8, a=0.1, b=0.25):
         nxt = 2 * psi[v][0] - psi[v - 1][0] - kick * np.sin(psi[v][0])
         psi[v + 1] = np.array([nxt])
     return sys, psi, kick
+
+
+def tangent_pair(psi, kick, n):
+    """The two kernel variations of a kicked orbit seeded by (1, 0), (0, 1)."""
+    pair = ({0: np.array([1.0]), 1: np.array([0.0])}, {0: np.array([0.0]), 1: np.array([1.0])})
+    for d in pair:
+        for v in range(1, n):
+            d[v + 1] = (2.0 - kick * np.cos(psi[v][0])) * d[v] - d[v - 1]
+    return pair
 
 
 def test_density_analytic_vs_fd():
@@ -143,6 +155,14 @@ def test_dynamical_step_nonconvergence():
         )
 
 
+def test_dynamical_step_names_a_non_finite_neighbor():
+    sys, psi, _ = kicked_path(10)
+    partial = {v: psi[v] for v in range(7)}
+    partial[5] = np.array([np.inf])
+    with pytest.raises(DomainError, match="psi is not finite at vertex 5"):
+        dynamical_step(sys, partial, 6, 7, x0=np.array([0.0]))
+
+
 def test_linearize_standard_map_blocks():
     sys, psi, kick = kicked_path(8)
     # ends of the truncation are not stationary, so check the interior
@@ -231,16 +251,7 @@ def test_variational_chain_constant_for_kernel_pairs():
     sys, psi, kick = kicked_path(30)
     interior = list(range(1, 30))
     cx = sys.graph
-
-    def grow(d0, d1):
-        vals = {0: np.array([d0]), 1: np.array([d1])}
-        for v in range(1, 30):
-            c = 2.0 - kick * np.cos(psi[v][0])
-            vals[v + 1] = c * vals[v] - vals[v - 1]
-        return vals
-
-    d1 = grow(1.0, 0.0)
-    d2 = grow(0.0, 1.0)
+    d1, d2 = tangent_pair(psi, kick, 30)
     w = variational_swronskian(sys, psi, d1, d2, at=interior)
     rep = verify_cycle(w)
     assert rep.passed
@@ -277,3 +288,93 @@ def test_quadratic_chain_matches_hand_value():
     d2 = {v: np.array([1.0]) for v in range(n)}
     w = variational_swronskian(sys, psi, d1, d2)
     assert w.max_abs() == 0.0
+
+
+def test_verify_cycle_fails_a_chain_with_nan_coefficients():
+    sys, psi, kick = kicked_path(30)
+    interior = list(range(1, 30))
+    op = linearize(sys, psi, at=interior).operator
+    d1, d2 = tangent_pair(psi, kick, 30)
+    d1[7] = np.array([np.nan])
+    sid = op.complex.vertex_sid
+    w = swronskian(op, 0.0, {sid(v): x for v, x in d1.items()},
+                   {sid(v): x for v, x in d2.items()}, support=[sid(v) for v in interior])
+    assert any(np.isnan(c) for c in w.chain.coeffs.values())
+    rep = verify_cycle(w)
+    assert not rep.passed
+    assert np.isnan(rep.scale) and np.isnan(rep.max_boundary_residual)
+
+
+@pytest.mark.parametrize("which", ["delta1", "delta2"])
+def test_variational_swronskian_names_a_bad_variation_value(which):
+    sys, psi, kick = kicked_path(30)
+    interior = list(range(1, 30))
+    for bad, msg in ((np.array([np.nan]), f"{which} is not finite at vertex 7"),
+                     (np.array([1.0, 2.0]), f"{which} value at vertex 7 has 2 entries, expected 1")):
+        pair = dict(zip(("delta1", "delta2"), tangent_pair(psi, kick, 30)))
+        pair[which][7] = bad
+        with pytest.raises(DomainError, match=msg):
+            variational_swronskian(sys, psi, pair["delta1"], pair["delta2"], at=interior)
+
+
+def test_linearize_reuses_its_operator_for_equal_content():
+    sys, psi, _ = kicked_path(20)
+    interior = list(range(1, 20))
+    first = linearize(sys, psi, at=interior)
+    again = linearize(sys, {v: x.copy() for v, x in psi.items()}, at=list(interior))
+    assert again.operator is first.operator
+    assert again is not first
+    assert again.max_el_residual == first.max_el_residual
+    again.warning = "edited"
+    assert linearize(sys, psi, at=interior).warning is None
+
+
+def test_linearize_rebuilds_when_what_it_reads_changes():
+    sys, psi, _ = kicked_path(20)
+    interior = list(range(1, 20))
+
+    def rebuilt(changed_psi=psi, **kw):
+        base = linearize(sys, psi, at=interior).operator
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            op = linearize(sys, changed_psi, **{"at": interior, **kw}).operator
+        return op is not base
+
+    assert rebuilt({**psi, 4: psi[4] + 1e-12})
+    # the same interactions, but the unstationary ends are now checked too
+    assert rebuilt(at=list(range(21)))
+    assert rebuilt(solution_tol=1e-5)
+    assert rebuilt(asym_tol=1e-9)
+    base = linearize(sys, psi, at=interior).operator
+    psi[4] += 1e-12  # in place
+    assert linearize(sys, psi, at=interior).operator is not base
+
+
+def test_linearize_reemits_its_warning_on_reuse():
+    sys, psi, _ = kicked_path(6)
+    bad = dict(psi)
+    bad[3] = bad[3] + 0.2
+    with pytest.warns(UserWarning, match="misses stationarity"):
+        first = linearize(sys, bad)
+    with pytest.warns(UserWarning, match="misses stationarity"):
+        again = linearize(sys, dict(bad))
+    assert again.operator is first.operator
+    assert again.warning == first.warning
+
+
+@pytest.mark.parametrize("n", [30, 200, 500])
+def test_variational_chain_is_unchanged_by_reuse(n):
+    rng = np.random.default_rng(n)
+    kick = float(rng.uniform(0.3, 0.8))
+    sys, psi, _ = kicked_path(n, kick, *rng.uniform(-0.3, 0.3, 2))
+    interior = list(range(1, n))
+    d1, d2 = tangent_pair(psi, kick, n)
+    lin = linearize(sys, psi, at=interior)
+    reused = variational_swronskian(sys, psi, d1, d2, at=interior)
+    assert reused.operator is lin.operator
+    sys._linearized = (None, None)
+    built = variational_swronskian(sys, psi, d1, d2, at=interior)
+    assert reused.operator is not built.operator
+    assert list(reused.chain.coeffs) == list(built.chain.coeffs)
+    assert (np.array(list(reused.chain.coeffs.values())).tobytes()
+            == np.array(list(built.chain.coeffs.values())).tobytes())

@@ -88,6 +88,7 @@ class SimplicialComplex:
             top = _normalize_simplex(vs)
             for r in range(1, len(top) + 1):
                 closure.update(combinations(top, r))
+        # ids ascend with dimension; DiscreteOperator reads dimensions off id ranges
         ordered = sorted(closure, key=lambda t: (len(t), t))
         self.simplices: list[Simplex] = [
             Simplex(i, vs) for i, vs in enumerate(ordered)

@@ -29,7 +29,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .complex_core import DomainError
-from .operators import _as_block, _close_symmetric, _matrix_from_json, _matrix_to_json
+from .operators import (
+    _as_block, _close_symmetric, _exact_dtype, _matrix_from_json, _matrix_to_json,
+)
 
 __all__ = [
     "LineOperator",
@@ -234,9 +236,7 @@ def swronskian_form(op: LineOperator, m: int) -> SymplecticFormMatrix:
         for qi, q in enumerate(range(1, k + 1)):
             b = op.block(m + p, q - p)  # zero beyond shift k by construction
             upper[pi * l : (pi + 1) * l, qi * l : (qi + 1) * l] = b
-    mat = np.block([[np.zeros((n, n)), upper], [-upper.T, np.zeros((n, n))]])
-    if np.all(mat.imag == 0):
-        mat = mat.real
+    mat = _exact_dtype(np.block([[np.zeros((n, n)), upper], [-upper.T, np.zeros((n, n))]]))
     mat.setflags(write=False)
     form = SymplecticFormMatrix(m=m, k=k, l=l, matrix=mat, columns=cols)
     op._forms[m] = form
@@ -327,9 +327,7 @@ def transfer_between(op: LineOperator, lam, n: int, m: int):
     total = np.eye(2 * op.k * op.l, dtype=complex)
     for j in range(n, m):
         total = transfer_map(op, lam, j).matrix @ total
-    if np.all(total.imag == 0):
-        total = total.real
-    return total, swronskian_form(op, n), swronskian_form(op, m)
+    return _exact_dtype(total), swronskian_form(op, n), swronskian_form(op, m)
 
 
 # -- coverings over Z ---------------------------------------------------------
@@ -389,10 +387,12 @@ class CoveringGraph:
         return offsets
 
 
-def _cover_partner(key: tuple[int, int, int]) -> tuple[int, int, int]:
-    """Block (a, b, w) couples (a, n) to (b, n + w); its partner couples back."""
-    a, b, w = key
-    return (b, a, -w)
+def _closed_cover_blocks(blocks: dict, vec_dim: int) -> dict:
+    """Cover blocks as (l, l) arrays, symmetry-closed: block (a, b, w)
+    couples (a, n) to (b, n + w), and its partner (b, a, -w) couples back."""
+    closed = {(int(a), int(b), int(w)): _as_block(m, vec_dim)
+              for (a, b, w), m in blocks.items()}
+    return _close_symmetric(closed, lambda abw: (abw[1], abw[0], -abw[2]))
 
 
 @dataclass
@@ -444,9 +444,7 @@ def direct_image(
     of the fattened fiber C^(l * n_orbits).
     """
     l = int(vec_dim)
-    closed = {(int(a), int(b), int(w)): _as_block(m, l)
-              for (a, b, w), m in blocks.items()}
-    _close_symmetric(closed, _cover_partner)
+    closed = _closed_cover_blocks(blocks, l)
     offsets = cover.level_offsets()
     order = tuple(sorted(cover.orbits))
     nslot = len(order)
@@ -467,9 +465,7 @@ def direct_image(
 
 def cover_apply(cover: CoveringGraph, blocks: dict, vec_dim: int, psi: dict, at):
     """Reference action of the cover operator, for commutation checks."""
-    closed = {(int(a), int(b), int(w)): _as_block(m, vec_dim)
-              for (a, b, w), m in blocks.items()}
-    _close_symmetric(closed, _cover_partner)
+    closed = _closed_cover_blocks(blocks, vec_dim)
     out = {}
     for (a, n) in at:
         acc = np.zeros(vec_dim, dtype=complex)
@@ -490,9 +486,7 @@ def periodized_cover_matrix(
     """Dense matrix of the cover operator with n identified mod period."""
     if period < 1:
         raise DomainError("period must be positive")
-    closed = {(int(a), int(b), int(w)): _as_block(m, vec_dim)
-              for (a, b, w), m in blocks.items()}
-    _close_symmetric(closed, _cover_partner)
+    closed = _closed_cover_blocks(blocks, vec_dim)
     order = tuple(sorted(cover.orbits))
     index = {
         (a, n): (i * period + n) * vec_dim
@@ -506,9 +500,7 @@ def periodized_cover_matrix(
             r = index[(a, n)]
             c = index[(b, (n + w) % period)]
             mat[r : r + vec_dim, c : c + vec_dim] += m
-    if np.all(mat.imag == 0):
-        mat = mat.real
-    return mat, index
+    return _exact_dtype(mat), index
 
 
 def periodized_line_matrix(op: LineOperator, period: int) -> np.ndarray:
@@ -525,9 +517,7 @@ def periodized_line_matrix(op: LineOperator, period: int) -> np.ndarray:
             if np.any(b != 0):
                 c = ((n + s) % period) * l
                 mat[n * l : (n + 1) * l, c : c + l] += b
-    if np.all(mat.imag == 0):
-        mat = mat.real
-    return mat
+    return _exact_dtype(mat)
 
 
 def truncated_line_matrix(op: LineOperator, lo: int, hi: int) -> np.ndarray:
@@ -542,9 +532,7 @@ def truncated_line_matrix(op: LineOperator, lo: int, hi: int) -> np.ndarray:
                 if np.any(b != 0):
                     c = (n + s - lo) * l
                     mat[r * l : (r + 1) * l, c : c + l] += b
-    if np.all(mat.imag == 0):
-        mat = mat.real
-    return mat
+    return _exact_dtype(mat)
 
 
 # -- serialization -------------------------------------------------------------

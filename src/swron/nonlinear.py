@@ -323,9 +323,9 @@ def dynamical_step(
     once the residual is not finite, and NonConvergenceError after
     ``maxiter``.
     """
-    if unknown not in sys.neighborhood(v):
+    if unknown not in (nbrs := sys.neighborhood(v)):
         raise DomainError(f"vertex {unknown} does not interact with {v}")
-    work = dict(psi)
+    work = {u: psi[u] for u in nbrs if u in psi}
     x = (
         np.zeros(sys.chart_dims[unknown])
         if x0 is None
@@ -338,7 +338,7 @@ def dynamical_step(
         if (norm := np.linalg.norm(r)) <= tol:
             return x
         if not math.isfinite(norm):
-            _vectors("psi", work, sorted(sys.neighborhood(v) - {unknown}))
+            _vectors("psi", work, sorted(nbrs - {unknown}))
         # unknown meets v, and r != 0 needs an interaction at v: the
         # (v, unknown) block exists
         try:
@@ -452,7 +452,7 @@ def variational_swronskian(
     """
     op = linearize(sys, psi, at=at).operator
     support = set(op.complex.vertex_sid(v) for v in (at or sys.graph.vertex_labels))
-    scale = float(np.abs(np.stack(list(op.blocks.values()))).max()) if op.blocks else 1.0
+    scale = float(np.abs(op.stack).max()) if len(op.stack) else 1.0
     for name, dvec in (("delta1", delta1), ("delta2", delta2)):
         vals = {op.complex.vertex_sid(v): x
                 for v, x in _vectors(name, dvec, dvec, op.vec_dim).items()}

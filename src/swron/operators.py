@@ -6,6 +6,13 @@ block between simplices a and b may be nonzero only when their simplex
 distance is at most k/2.  Symmetry means blocks[(a, b)] equals the
 transpose of blocks[(b, a)] entry for entry.
 
+Each operator stores its nonzero blocks once, in block-sparse-row form:
+one read-only ``(B, l, l)`` stack with integer ``target``/``source`` id
+arrays and a ``partner`` index (the row holding the transposed block, -1
+when there is none).  The action, the dense matrix, the structure flags
+and the pair table of the Wronskian chains are array operations on that
+stack; ``op.blocks`` is a read-only mapping onto views of its rows.
+
 Simplex functions ("cochains") are plain dicts mapping simplex id to a
 length-l numpy vector; helpers below convert to and from flat vectors in
 id order.
@@ -15,6 +22,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -43,17 +51,48 @@ __all__ = [
 KERNEL_THRESHOLD_REL = 1e-9
 
 
-def _as_block(value, l: int) -> np.ndarray:
-    """Fresh (l, l) copy of ``value``: float, or complex when some
-    imaginary part is nonzero.  A scalar is accepted when l == 1."""
+def _as_block(value, shape, what: str = "block", *, real: bool = False) -> np.ndarray:
+    """Fresh copy of ``value`` with ``shape`` ((rows, cols), or l for
+    (l, l)), typed by :func:`_exact_dtype`; ``real`` rejects a nonzero
+    imaginary part.  A scalar is accepted for a (1, 1) block."""
+    shape = (int(shape),) * 2 if np.ndim(shape) == 0 else tuple(shape)
     arr = np.asarray(value)
-    if arr.shape == () and l == 1:
+    if arr.shape == () and shape == (1, 1):
         arr = arr.reshape(1, 1)
-    if arr.shape != (l, l):
-        raise DomainError(f"block has shape {arr.shape}, expected ({l}, {l})")
+    if arr.shape != shape:
+        raise DomainError(f"{what} has shape {arr.shape}, expected {shape}")
+    arr = _exact_dtype(arr)
+    if real and np.iscomplexobj(arr):
+        raise DomainError(f"{what} has a nonzero imaginary part")
+    return arr
+
+
+def _exact_dtype(arr: np.ndarray) -> np.ndarray:
+    """Float copy of ``arr``, complex when some imaginary part is nonzero."""
     if np.iscomplexobj(arr) and np.all(arr.imag == 0):
         arr = arr.real
     return arr.astype(complex) if np.iscomplexobj(arr) else arr.astype(float)
+
+
+def _as_stack(mats: list, l: int) -> np.ndarray:
+    """(B, l, l) copy of the blocks ``mats`` (scalars when l == 1), typed
+    by :func:`_exact_dtype`.  Only a stack of the wrong shape is read block
+    by block, so that the error names the bad block's shape."""
+    try:
+        arr = np.array(mats)
+    except ValueError:  # ragged
+        arr = np.empty(0)
+    if not (arr.shape == (len(mats), l, l) or l == 1 and arr.shape == (len(mats),)):
+        arr = np.array([_as_block(m, l) for m in mats])
+    return _exact_dtype(arr.reshape(-1, l, l))
+
+
+def _positions(keys, ids: np.ndarray) -> np.ndarray:
+    """Position of each of ``ids`` in the list ``keys`` (the last one for
+    a repeated key), -1 where absent; one lookup per distinct id."""
+    where = dict(zip(keys, range(len(keys))))
+    uniq, inv = np.unique(ids, return_inverse=True)
+    return np.array([where.get(u, -1) for u in uniq.tolist()], dtype=np.intp)[inv]
 
 
 def _close_symmetric(blocks: dict, partner, tol: float = 0.0) -> dict:
@@ -123,12 +162,17 @@ class DiscreteOperator:
         distance <= order/2.
         Computed from the blocks when omitted.
 
-    The stored blocks are read-only, so the structure flags
-    (:meth:`is_real`, :meth:`is_symmetric`, :meth:`is_vertex_operator`)
-    are derived once, on first use.  The constructor runs one incidence
-    search per target simplex, stopped once its sources are labelled, and
-    keeps only the computed order and the homogeneity flag; :meth:`validate`
-    reads those and searches nothing.
+    The nonzero blocks are kept once, in the input order, as the read-only
+    ``stack`` of shape (B, l, l): row r couples ``target[r]`` to
+    ``source[r]``, and ``partner[r]`` is the row of the block (source[r],
+    target[r]), -1 when it is absent.  The stack is float unless some
+    imaginary part is nonzero.  ``blocks`` is a read-only mapping from
+    (target, source) to a view of the row, not a copy.  Nothing can change,
+    so the structure flags (:meth:`is_real`, :meth:`is_symmetric`,
+    :meth:`is_vertex_operator`) are derived once, from the stack.  The
+    constructor runs one incidence search per target simplex, stopped once
+    its sources are labelled, and keeps only the computed order and the
+    homogeneity flag; :meth:`validate` reads those and searches nothing.
     """
 
     def __init__(self, complex, vec_dim, blocks, *, order=None):
@@ -139,19 +183,35 @@ class DiscreteOperator:
         declared = None if order is None else int(order)
         if declared is not None and declared < 0:
             raise DomainError(f"declared order {declared} is negative")
-        self.blocks: dict[tuple[int, int], np.ndarray] = {}
-        sources: dict[int, list[int]] = {}
-        for (a, b), m in blocks.items():
-            complex.simplex(a), complex.simplex(b)
-            arr = _as_block(m, self.vec_dim)
-            if np.any(arr != 0):
-                a, b = int(a), int(b)
-                arr.setflags(write=False)
-                self.blocks[(a, b)] = arr
-                sources.setdefault(a, []).append(b)
-        # target -> sorted sources, read by stencil and apply
-        self._sources = {a: sorted(bs) for a, bs in sources.items()}
-        self._structure: tuple[bool, bool, bool] | None = None
+        ids = np.array(list(blocks), dtype=np.intp).reshape(-1, 2)
+        if len(bad := ids[(ids < 0) | (ids >= len(complex))]):
+            raise DomainError(f"no simplex with id {bad[0]}")
+        stack = _as_stack(list(blocks.values()), self.vec_dim)
+        live = np.any(stack != 0, axis=(1, 2))
+        self.stack, ids = stack[live], ids[live]
+        self.target, self.source = ids.T.copy()
+        # partner row: the row whose key is the reversed key
+        n = len(complex)
+        code, back = self.target * n + self.source, self.source * n + self.target
+        by_code = np.argsort(code)
+        hit = by_code[np.searchsorted(code, back, sorter=by_code).clip(max=len(code) - 1)]
+        self.partner = np.where(code[hit] == back, hit, -1)
+        for arr in (self.stack, self.target, self.source, self.partner):
+            arr.setflags(write=False)
+        keys = zip(self.target.tolist(), self.source.tolist())
+        self.blocks = MappingProxyType(dict(zip(keys, self.stack)))
+        # target -> sorted sources, read by stencil and the order check
+        by_row = np.lexsort((self.source, self.target))
+        tgt, src = self.target[by_row].tolist(), self.source[by_row].tolist()
+        starts = np.flatnonzero(np.diff(self.target[by_row], prepend=-1)).tolist()
+        self._sources = {tgt[i]: src[i:j] for i, j in zip(starts, starts[1:] + [len(src)])}
+        # (real, symmetric, vertex-only): nothing can change, so derived here once
+        self._flags = (
+            not np.iscomplexobj(self.stack),
+            bool(np.all(self.partner >= 0))
+            and np.array_equal(self.stack, self.stack[self.partner].transpose(0, 2, 1)),
+            not len(self.stack) or self._dims(np.r_[self.target, self.source])[1] == 0,
+        )
         # the pair table and last kernel split of swronskian and verify
         self._pair_table = self._kernel_split = None
 
@@ -187,54 +247,45 @@ class DiscreteOperator:
         Raises DomainError naming the first simplex whose value is needed
         but missing from ``psi``.
         """
-        targets = (
-            [s.id for s in self.complex.simplices] if at is None else list(at)
-        )
-        out: dict[int, np.ndarray] = {}
-        for a in targets:
-            acc = np.zeros(self.vec_dim, dtype=complex)
-            for b in self._sources.get(a, ()):
-                if b not in psi:
-                    raise DomainError(
-                        f"psi undefined on simplex {b} required at {a}"
-                    )
-                m = self.blocks[(a, b)]
-                acc = acc + m @ np.asarray(psi[b], dtype=complex).reshape(-1)
-            out[a] = acc
-        return out
+        targets = list(dict.fromkeys(range(len(self.complex)) if at is None else at))
+        slot = _positions(targets, self.target)
+        # rows feeding the targets, in target order, then by source
+        rows = np.lexsort((self.source, slot))
+        rows = rows[slot[rows] >= 0]
+        need, inv = np.unique(self.source[rows], return_inverse=True)
+        if lost := [b for b in need.tolist() if b not in psi]:
+            first = rows[np.isin(self.source[rows], lost)][0]
+            raise DomainError(f"psi undefined on simplex {self.source[first]} "
+                              f"required at {self.target[first]}")
+        vals = np.array([np.ravel(psi[b]) for b in need.tolist()], dtype=complex)
+        vals = vals.reshape(len(need), self.vec_dim)
+        out = np.zeros((len(targets), self.vec_dim), dtype=complex)
+        np.add.at(out, slot[rows], np.einsum("rij,rj->ri", self.stack[rows], vals[inv]))
+        return dict(zip(targets, out))
 
     # -- structure ---------------------------------------------------------
 
-    def _flags(self) -> tuple[bool, bool, bool]:
-        """(real, symmetric, vertex-only), computed on the first call."""
-        if self._structure is None:
-            real = symmetric = vertex = True
-            simplex = self.complex.simplex
-            for (a, b), m in self.blocks.items():
-                real = real and not np.iscomplexobj(m)
-                if symmetric:
-                    partner = self.blocks.get((b, a))
-                    symmetric = partner is not None and np.array_equal(m, partner.T)
-                vertex = vertex and simplex(a).dim == 0 and simplex(b).dim == 0
-            self._structure = (real, symmetric, vertex)
-        return self._structure
+    def _dims(self, ids: np.ndarray) -> tuple[int, int]:
+        """Lowest and highest dimension of ``ids`` (ids ascend with dimension)."""
+        return (self.complex.simplex(int(ids.min())).dim,
+                self.complex.simplex(int(ids.max())).dim)
 
     def is_real(self) -> bool:
-        return self._flags()[0]
+        return self._flags[0]
 
     def is_symmetric(self) -> bool:
-        return self._flags()[1]
+        return self._flags[1]
 
     def is_vertex_operator(self) -> bool:
-        return self._flags()[2]
+        return self._flags[2]
 
     def validate(self) -> OperatorReport:
         """Structure report; reads what the constructor kept, no search."""
-        src_dims = {self.complex.simplex(b).dim for _, b in self.blocks}
-        tgt_dims = {self.complex.simplex(a).dim for a, _ in self.blocks}
         type_ps = None
-        if len(src_dims) == 1 and len(tgt_dims) == 1:
-            type_ps = (next(iter(src_dims)), next(iter(tgt_dims)))
+        if len(self.stack):
+            (s_lo, s_hi), (t_lo, t_hi) = self._dims(self.source), self._dims(self.target)
+            if s_lo == s_hi and t_lo == t_hi:
+                type_ps = (s_lo, t_lo)
         return OperatorReport(
             symmetric=self.is_symmetric(),
             real=self.is_real(),
@@ -250,15 +301,13 @@ class DiscreteOperator:
         id -> block-row-offset index."""
         if sids is None:
             sids = [s.id for s in self.complex.simplices]
-        index = {sid: i * self.vec_dim for i, sid in enumerate(sids)}
-        n = len(sids) * self.vec_dim
-        dtype = float if self.is_real() else complex
-        mat = np.zeros((n, n), dtype=dtype)
-        for (a, b), m in self.blocks.items():
-            if a in index and b in index:
-                mat[index[a] : index[a] + self.vec_dim,
-                    index[b] : index[b] + self.vec_dim] = m
-        return mat, index
+        l = self.vec_dim
+        index = {sid: i * l for i, sid in enumerate(sids)}
+        rows, cols = _positions(sids, np.r_[self.target, self.source]).reshape(2, -1)
+        inside = (rows >= 0) & (cols >= 0)
+        mat = np.zeros((len(sids), l, len(sids), l), dtype=self.stack.dtype)
+        mat[rows[inside], :, cols[inside], :] = self.stack[inside]
+        return mat.reshape(len(sids) * l, len(sids) * l), index
 
 
 # -- cochain helpers --------------------------------------------------------
@@ -304,12 +353,10 @@ def to_vertex_operator(op: DiscreteOperator):
     Values move by pure reindexing: psi'(center(a)) = psi(a).
     """
     sub, center_map = barycentric_subdivision(op.complex)
-    blocks = {}
-    for (a, b), m in op.blocks.items():
-        va = sub.vertex_sid(center_map[a])
-        vb = sub.vertex_sid(center_map[b])
-        blocks[(va, vb)] = m
-    vertex_op = DiscreteOperator(sub, op.vec_dim, blocks, order=2 * op.order)
+    center = np.array([sub.vertex_sid(center_map[s.id]) for s in op.complex.simplices])
+    keys = zip(center[op.target].tolist(), center[op.source].tolist())
+    vertex_op = DiscreteOperator(sub, op.vec_dim, dict(zip(keys, op.stack)),
+                                 order=2 * op.order)
     return vertex_op, sub, center_map
 
 
@@ -481,7 +528,7 @@ def operator_to_json(op: DiscreteOperator) -> dict:
         "order": op.order,
         "vec_dim": op.vec_dim,
         "blocks": [
-            {"from": b, "to": a, "matrix": _matrix_to_json(m)}
+            {"from": b, "to": a, "matrix": _matrix_to_json(_exact_dtype(m))}
             for (a, b), m in sorted(op.blocks.items())
         ],
     }

@@ -50,7 +50,7 @@ from .line_lattice import (
     line_operator_to_json,
     swronskian_form,
 )
-from .operators import _close_symmetric, _matrix_to_json
+from .operators import _as_block, _close_symmetric, _matrix_to_json
 
 __all__ = [
     "Tail",
@@ -441,17 +441,12 @@ class TailedGraph:
     tails : list of Tail.
     cross_links : list of ((j1, n1), (j2, n2), matrix) direct couplings
         between tail sites, matrix shaped (l_j1, l_j2).
+
+    Every coupling is real: a block with a nonzero imaginary part raises
+    DomainError naming it.
     """
 
     def __init__(self, core_dims, core_blocks, tails, cross_links=()):
-        def coupling(m, shape: tuple[int, int], what: str) -> np.ndarray:
-            arr = np.asarray(m, dtype=float)
-            if arr.shape == () and shape == (1, 1):
-                arr = arr.reshape(1, 1)
-            if arr.shape != shape:
-                raise DomainError(f"{what} has shape {arr.shape}")
-            return arr
-
         if isinstance(core_dims, dict):
             self.core_dims = {int(v): int(d) for v, d in core_dims.items()}
         else:
@@ -470,9 +465,8 @@ class TailedGraph:
             for x in (u, v):
                 if x not in self.core_dims:
                     raise DomainError(f"core block uses unknown vertex {x}")
-            self.core_blocks[(u, v)] = coupling(
-                m, (self.core_dims[u], self.core_dims[v]), f"core block ({u}, {v})"
-            )
+            shape = (self.core_dims[u], self.core_dims[v])
+            self.core_blocks[(u, v)] = _as_block(m, shape, f"core block ({u}, {v})", real=True)
         _close_symmetric(self.core_blocks, lambda uv: uv[::-1])
 
         self.tails = list(tails)
@@ -496,9 +490,8 @@ class TailedGraph:
                         f"tail {j} attach site {n} is outside 0..{tail.op.k - 1}; "
                         + _DEEP_COUPLING_HINT
                     )
-                fixed[(v, n)] = coupling(
-                    m, (self.core_dims[v], tail.op.l), f"tail {j} attach block at ({v}, {n})"
-                )
+                shape, what = (self.core_dims[v], tail.op.l), f"tail {j} attach block at ({v}, {n})"
+                fixed[(v, n)] = _as_block(m, shape, what, real=True)
             tail.attach = fixed
 
         self.cross_links = []
@@ -517,7 +510,7 @@ class TailedGraph:
                     )
             shape = (self.tails[j1].op.l, self.tails[j2].op.l)
             self.cross_links.append(
-                ((j1, n1), (j2, n2), coupling(m, shape, "cross link block"))
+                ((j1, n1), (j2, n2), _as_block(m, shape, "cross link block", real=True))
             )
 
     @property

@@ -18,9 +18,10 @@ psi(a) . (L-lambda)phi(a), so the cycle condition is local.
 Pairs are enumerated once with the lower simplex id first; the skew
 symmetry c_ba = -c_ab makes the chain orientation independent.
 
-The pair table (pair endpoints, stacked blocks, signed pair -> edge
-incidence of the canonical paths) is built once per operator and kept on
-it; each chain is then two ``einsum``s and three ``bincount``s.
+The pair table (the operator's stack rows of the pairs, their endpoints
+and the signed pair -> edge incidence of the canonical paths) is built
+once per operator and kept on it; each chain is then two ``einsum``s over
+those rows and three ``bincount``s.
 """
 
 from __future__ import annotations
@@ -62,22 +63,20 @@ def _check_vertex_operator(op: DiscreteOperator, *, require_real: bool) -> None:
 
 
 class _PairTable:
-    """Endpoints ``ia``/``ib`` (into ``verts``) and stacked blocks of the
-    block pairs a < b, and one incidence entry (``edge_pos`` into
-    ``edges``, ``pair``, ``sign``) per step of each canonical path a -> b.
+    """Stack ``rows`` of the block pairs a < b with their endpoints
+    ``ia``/``ib`` (into ``verts``), and one incidence entry (``edge_pos``
+    into ``edges``, ``pair``, ``sign``) per step of each canonical path
+    a -> b.
     """
 
     def __init__(self, op: DiscreteOperator):
-        pairs = [key for key in op.blocks if key[0] < key[1]]
-        self.verts = sorted({sid for key in pairs for sid in key})
-        row = {sid: i for i, sid in enumerate(self.verts)}
-        self.ia = np.array([row[a] for a, _ in pairs], dtype=np.intp)
-        self.ib = np.array([row[b] for _, b in pairs], dtype=np.intp)
-        l = op.vec_dim
-        self.blocks = np.array([op.blocks[key] for key in pairs]).reshape(-1, l, l)
+        self.rows = np.flatnonzero(op.target < op.source)
+        tgt, src = op.target[self.rows], op.source[self.rows]
+        verts, ends = np.unique(np.r_[tgt, src], return_inverse=True)
+        self.verts, self.ia, self.ib = verts.tolist(), ends[: len(tgt)], ends[len(tgt) :]
         label = lambda sid: _vertex_label(op, sid)
-        steps = [(eid, p, sign) for p, (a, b) in enumerate(pairs) for eid, sign
-                 in canonical_path(op.complex, label(a), label(b)).steps]
+        steps = [(eid, p, sign) for p, (a, b) in enumerate(zip(tgt.tolist(), src.tolist()))
+                 for eid, sign in canonical_path(op.complex, label(a), label(b)).steps]
         eids, self.pair, self.sign = np.array(steps, dtype=np.intp).reshape(-1, 3).T
         self.edges, self.edge_pos = np.unique(eids, return_inverse=True)
 
@@ -106,9 +105,10 @@ def _pair_chain(op: DiscreteOperator, psi: dict, phi: dict, support: set) -> Cha
                     ) from None
             raise
     p, f = vals
+    blocks = op.stack[t.rows]
     # psi(a) . B phi(b) - phi(a) . B psi(b); B = block between a (rows) and b
-    coeff = np.einsum("pi,pij,pj->p", p[t.ia], t.blocks, f[t.ib])
-    coeff -= np.einsum("pi,pij,pj->p", f[t.ia], t.blocks, p[t.ib])
+    coeff = np.einsum("pi,pij,pj->p", p[t.ia], blocks, f[t.ib])
+    coeff -= np.einsum("pi,pij,pj->p", f[t.ia], blocks, p[t.ib])
     hit = (inside[t.ia] & inside[t.ib] & (coeff != 0))[t.pair]
     pos, steps, n = t.edge_pos[hit], t.sign[hit] * coeff[t.pair[hit]], len(t.edges)
     sums = np.bincount(pos, steps.real, n) + 1j * np.bincount(pos, steps.imag, n)

@@ -84,10 +84,10 @@ def coupled_free_sites(op: DiscreteOperator, sids, count: int) -> list:
     one; purely diagonal operators fall back to the last touched sids.
     """
     adj: dict = {}
-    for a, b in op.blocks:
-        if a != b:
-            adj.setdefault(a, set()).add(b)
-            adj.setdefault(b, set()).add(a)
+    off = op.target != op.source
+    for a, b in zip(op.target[off].tolist(), op.source[off].tolist()):
+        adj.setdefault(a, set()).add(b)
+        adj.setdefault(b, set()).add(a)
     comps, seen = [], set()
     for s in sids:
         if s in adj and s not in seen:
@@ -103,7 +103,7 @@ def coupled_free_sites(op: DiscreteOperator, sids, count: int) -> list:
         best = max(comps, key=lambda c: (len(c), max(pos.get(s, -1) for s in c)))
         pool = [s for s in sids if s in best]
         return pool[-count:]
-    touched = {s for key in op.blocks for s in key}
+    touched = set(np.r_[op.target, op.source].tolist())
     pool = [sid for sid in sids if sid in touched] or list(sids)
     return pool[-count:]
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from swron import DiscreteOperator, SimplicialComplex, elementary_swronskian
+from swron import DiscreteOperator, DomainError, SimplicialComplex, elementary_swronskian
 
 
 def betti_via_ranks(cx) -> list[int]:
@@ -421,3 +421,43 @@ def pair_chain(vop, psi: dict, phi: dict, support=None) -> dict:
         for eid, sign in steps:
             out[eid] = out.get(eid, 0) + sign * c
     return out
+
+
+def block_apply(op, psi: dict, at=None) -> dict:
+    """(L psi)(a) = sum of blocks[(a, b)] @ psi(b), target by target with
+    the sources ascending, read from the public ``blocks`` mapping.  A
+    missing value raises DomainError naming it and the target needing it."""
+    targets = [s.id for s in op.complex.simplices] if at is None else list(at)
+    out = {}
+    for a in targets:
+        acc = np.zeros(op.vec_dim, dtype=complex)
+        for b in sorted(b for (t, b) in op.blocks if t == a):
+            if b not in psi:
+                raise DomainError(f"psi undefined on simplex {b} required at {a}")
+            acc = acc + np.asarray(op.blocks[(a, b)]) @ np.ravel(psi[b]).astype(complex)
+        out[a] = acc
+    return out
+
+
+def block_dense(op, sids) -> np.ndarray:
+    """Dense matrix over ``sids``, one block written at a time."""
+    l = op.vec_dim
+    row = {sid: i for i, sid in enumerate(sids)}
+    mat = np.zeros((len(sids) * l, len(sids) * l), dtype=complex)
+    for (a, b), block in op.blocks.items():
+        if a in row and b in row:
+            mat[row[a] * l:(row[a] + 1) * l, row[b] * l:(row[b] + 1) * l] = block
+    return mat
+
+
+def block_flags(op) -> tuple[bool, bool, bool]:
+    """(real, symmetric, vertex-only) from the block values: real when no
+    entry has a nonzero imaginary part, symmetric when every block equals
+    the transpose of its partner entry for entry."""
+    real = symmetric = vertex = True
+    for (a, b), block in op.blocks.items():
+        real = real and not np.any(np.imag(block))
+        partner = op.blocks.get((b, a))
+        symmetric = symmetric and partner is not None and np.array_equal(block, partner.T)
+        vertex = vertex and op.complex.simplex(a).dim == 0 and op.complex.simplex(b).dim == 0
+    return real, symmetric, vertex

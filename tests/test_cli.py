@@ -4,11 +4,12 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from swron import examples as ex
 from swron.cli import main
-from swron.complex_core import save_complex
+from swron.complex_core import complex_to_json, save_complex
 from swron.line_lattice import line_operator_to_json
 from swron.operators import operator_to_json
 from swron.scattering import Tail, TailedGraph, save_tailed_graph
@@ -337,6 +338,18 @@ def test_nonlinear_committed_fixture(capsys):
     path = Path(__file__).parent / "data" / "kicked16.json"
     assert json.loads(path.read_text()) == kicked_system_json()
     assert main(["nonlinear", "--system-file", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["passed"] is True
+
+
+def test_swronskian_committed_torus_fixture(capsys):
+    # tests/data/torus7*.json is the operator CI solves through the CLI
+    data = Path(__file__).parent / "data"
+    cx = ex.torus_complex()
+    op = ex.random_operator(np.random.default_rng(3), cx, vec_dim=1, max_steps=1)
+    assert json.loads((data / "torus7.json").read_text()) == complex_to_json(cx)
+    assert json.loads((data / "torus7_operator.json").read_text()) == operator_to_json(op)
+    assert main(["swronskian", "--complex-file", str(data / "torus7.json"),
+                 "--operator-file", str(data / "torus7_operator.json"), "--solve"]) == 0
     assert json.loads(capsys.readouterr().out)["passed"] is True
 
 

@@ -14,11 +14,14 @@ from swron import (
     SimplicialComplex,
     TailedGraph,
     build_hodge,
+    build_translation_invariant,
     direct_image,
     factorize_triangle,
     harmonic_basis,
+    linearize,
     operator_from_json,
     operator_to_json,
+    standard_map_density,
     to_vertex_operator,
 )
 from swron import examples as ex
@@ -351,6 +354,88 @@ def test_block_table_symmetry_closure(entry):
         build({key: ASYM, partner: ASYM})
     with pytest.raises(DomainError):
         build({own: ASYM})
+
+
+# -- the block stack against dict-loop oracles --------------------------------------
+
+
+def kicked_operator(n=20, kick=0.8):
+    """linearize output on a standard-map orbit of an n-edge path."""
+    sys = build_translation_invariant(ex.interval(n), standard_map_density(kick),
+                                      allow_ends=True)
+    psi = {0: np.array([0.1]), 1: np.array([0.25])}
+    for v in range(1, n):
+        psi[v + 1] = np.array([2 * psi[v][0] - psi[v - 1][0] - kick * np.sin(psi[v][0])])
+    return linearize(sys, psi, at=list(range(1, n))).operator
+
+
+def one_ulp_operator():
+    """A pair of blocks one ulp off each other's transpose."""
+    cx = ex.interval(2)
+    a, b, c = (cx.vertex_sid(v) for v in range(3))
+    off = ASYM.T.copy()
+    off[0, 1] = np.nextafter(off[0, 1], np.inf)
+    return DiscreteOperator(cx, 2, {(a, b): ASYM, (b, a): off, (c, c): np.eye(2)})
+
+
+def mixed_operator():
+    """A real symmetric pair next to one complex diagonal block."""
+    cx = ex.interval(2)
+    a, b = cx.vertex_sid(0), cx.vertex_sid(1)
+    return DiscreteOperator(cx, 2, {(a, b): ASYM, (b, a): ASYM.T,
+                                    (a, a): np.diag([1j, 2.0])})
+
+
+ACTION_CASES = {
+    **{f"oracle{i}": lambda i=i: oracle_operators()[i][0] for i in range(12)},
+    **{f"random{seed}": lambda seed=seed: random_setup(seed)[2] for seed in range(6)},
+    "linearize": kicked_operator,
+    "one_ulp": one_ulp_operator,
+    "mixed": mixed_operator,
+}
+
+
+@pytest.mark.parametrize("name", sorted(ACTION_CASES))
+def test_block_stack_matches_dict_loop_oracles(name):
+    op = ACTION_CASES[name]()
+    rng = np.random.default_rng(len(name))
+    sids = [s.id for s in op.complex.simplices]
+    psi = random_cochain(op.complex, op.vec_dim, rng, complex_valued=True)
+    some = sids[::3][::-1]
+    for at in (None, some):
+        got, want = op.apply(psi, at=at), orc.block_apply(op, psi, at=at)
+        assert list(got) == list(want)
+        assert max(np.abs(got[s] - want[s]).max() for s in want) <= 1e-12
+    row = len(op.stack) // 2
+    gone = set(op.source[row::3].tolist())
+    partial = {sid: v for sid, v in psi.items() if sid not in gone}
+    for at in (None, [int(op.target[row])] + some):
+        with pytest.raises(DomainError) as got:
+            op.apply(partial, at=at)
+        with pytest.raises(DomainError) as want:
+            orc.block_apply(op, partial, at=at)
+        assert str(got.value) == str(want.value)
+    dense, _ = op.dense(some)
+    assert np.array_equal(dense, orc.block_dense(op, some))
+    assert np.array_equal(op.dense()[0], orc.block_dense(op, sids))
+    assert (op.is_real(), op.is_symmetric(), op.is_vertex_operator()) == orc.block_flags(op)
+    for block in op.blocks.values():
+        assert np.shares_memory(block, op.stack) and not block.flags.writeable
+    with pytest.raises(ValueError):
+        op.stack[0, 0, 0] = 1.0
+
+
+def test_one_ulp_asymmetry_and_mixed_dtype_flags():
+    assert not one_ulp_operator().is_symmetric()
+    op = mixed_operator()
+    assert op.is_symmetric() and not op.is_real() and op.stack.dtype == complex
+    a, b = op.complex.vertex_sid(0), op.complex.vertex_sid(1)
+    # the real blocks of a complex stack still serialize as plain lists
+    assert operator_to_json(op) == {"order": 2, "vec_dim": 2, "blocks": [
+        {"from": a, "to": a, "matrix": [[[0.0, 1.0], [0.0, 0.0]], [[0.0, 0.0], [2.0, 0.0]]]},
+        {"from": b, "to": a, "matrix": ASYM.tolist()},
+        {"from": a, "to": b, "matrix": ASYM.T.tolist()},
+    ]}
 
 
 # -- per-layer tracing --------------------------------------------------------------

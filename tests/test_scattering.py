@@ -118,6 +118,28 @@ def test_wave_basis_rejects_degenerate_points():
         wave_basis(op, 3.0)
 
 
+COMPLEX_COUPLINGS = {
+    "core": (dict(core_blocks={(0, 0): [[1 + 2j]]}), "core block (0, 0)"),
+    "attach": (dict(attach={(0, 0): [[1.0 + 1e-3j]]}), "tail 0 attach block at (0, 0)"),
+    "cross": (dict(cross_links=[((0, 0), (1, 0), [[0.5j]])]), "cross link block"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(COMPLEX_COUPLINGS))
+def test_tailed_graph_rejects_complex_couplings(kind):
+    # potential_line's tails; a complex coupling is an error, not a truncation
+    kw, name = COMPLEX_COUPLINGS[kind]
+    attach = kw.get("attach", {(0, 0): [[1.0]]})
+    tails = [Tail(ex.free_tail(), attach, origin=1),
+             Tail(ex.free_tail(), {(0, 0): [[1.0]]}, origin=1)]
+    with pytest.raises(DomainError, match=re.escape(f"{name} has a nonzero imaginary part")):
+        TailedGraph({0: 1}, kw.get("core_blocks", {(0, 0): [[-1.0]]}), tails,
+                    kw.get("cross_links", ()))
+    # a zero imaginary part is a real coupling
+    graph = TailedGraph({0: 1}, {(0, 0): [[-1.0 + 0j]]}, tails[1:])
+    assert graph.core_blocks[(0, 0)].dtype == float
+
+
 def test_tailed_graph_validation():
     with pytest.raises(DomainError):
         TailedGraph({0: 1}, {}, [Tail(ex.free_tail(), {(5, 0): [[1.0]]})])

@@ -11,13 +11,12 @@ normalization) so archived outputs stay interpretable.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 import numpy as np
 
 from . import __version__
-from .complex_core import DomainError, load_complex
+from .complex_core import DomainError, _read_json, _write_csv, _write_json, load_complex
 from .line_lattice import (
     CoveringGraph,
     direct_image,
@@ -31,12 +30,11 @@ from .nonlinear import (
     DiscreteLagrangianSystem,
     build_homogeneous_order4,
     build_translation_invariant,
-    el_residual,
     expression_density,
     linearize,
     variational_swronskian,
 )
-from .operators import load_operator, to_vertex_operator
+from .operators import _matrix_from_json, load_operator, to_vertex_operator
 from .scattering import (
     CRITICAL_GAP,
     KERNEL_REL_TOL,
@@ -73,32 +71,10 @@ def _metadata(**tolerances) -> dict:
     }
 
 
-def _write_report(report: dict, path: str | None) -> None:
-    text = json.dumps(report, indent=1, sort_keys=True)
-    if path:
-        with open(path, "w") as fh:
-            fh.write(text)
-            fh.write("\n")
-    else:
-        print(text)
-
-
-def _load_json_file(path: str) -> dict:
-    with open(path) as fh:
-        return json.load(fh)
-
-
-def _vector_from_json(data) -> np.ndarray:
-    arr = np.asarray(data, dtype=float)
-    if arr.ndim == 2:
-        return arr[:, 0] + 1j * arr[:, 1]
-    return arr
-
-
 def _cochain_from_json(data: dict) -> dict:
     if "values" not in data:
         raise DomainError("cochain JSON must contain a 'values' map")
-    return {int(sid): _vector_from_json(v) for sid, v in data["values"].items()}
+    return {int(sid): _matrix_from_json(v, ndim=1) for sid, v in data["values"].items()}
 
 
 # -- swronskian --------------------------------------------------------------------
@@ -122,14 +98,14 @@ def cmd_swronskian(args) -> int:
     else:
         if not (args.psi_file and args.phi_file):
             raise DomainError("need --psi-file and --phi-file, or --solve")
-        raw_psi = _cochain_from_json(_load_json_file(args.psi_file))
-        raw_phi = _cochain_from_json(_load_json_file(args.phi_file))
+        raw_psi = _cochain_from_json(_read_json(args.psi_file))
+        raw_phi = _cochain_from_json(_read_json(args.phi_file))
         for name, vals in (("psi", raw_psi), ("phi", raw_phi)):
             for sid, v in vals.items():
                 if v.shape != (op.vec_dim,):
                     raise DomainError(
-                        f"{name} value at simplex {sid} has vec_dim "
-                        f"{v.shape[0]}, operator expects {op.vec_dim}"
+                        f"{name} value at simplex {sid} has shape "
+                        f"{v.shape}, operator expects ({op.vec_dim},)"
                     )
         psi = {to_sub[sid]: v for sid, v in raw_psi.items()}
         phi = {to_sub[sid]: v for sid, v in raw_phi.items()}
@@ -149,7 +125,7 @@ def cmd_swronskian(args) -> int:
     }
     if args.solve:
         report["seed"] = args.seed
-    _write_report(report, args.output)
+    _write_json(report, args.output)
     return EXIT_OK if report_cycle.passed else EXIT_PROPERTY
 
 
@@ -178,7 +154,7 @@ def cmd_scatter(args) -> int:
             scan.to_csv(args.csv)
         report = {"metadata": _metadata(**_scatter_tolerances(echo))}
         report.update(scan.to_json_dict())
-        _write_report(report, args.output)
+        _write_json(report, args.output)
         bad = any(
             row.result.unitarity_residual is not None
             and (
@@ -193,7 +169,7 @@ def cmd_scatter(args) -> int:
     res = scattering_matrix(graph, args.lam, depth)
     report = {"metadata": _metadata(**_scatter_tolerances(echo))}
     report.update(res.to_json_dict())
-    _write_report(report, args.output)
+    _write_json(report, args.output)
     if res.s_matrix is not None and (
         res.unitarity_residual > args.residual_tol
         or res.symmetry_residual > args.residual_tol
@@ -226,7 +202,7 @@ def cmd_spectrum(args) -> int:
             for st in states
         ],
     }
-    _write_report(report, args.output)
+    _write_json(report, args.output)
     return EXIT_OK
 
 
@@ -240,15 +216,10 @@ def cmd_classify(args) -> int:
     identity_ok = all(clf.critical or clf.identity_holds for clf in rows)
     crit = _critical_points(op, grid, rows)
     if args.csv:
-        import csv as _csv
-
-        with open(args.csv, "w", newline="") as fh:
-            writer = _csv.writer(fh)
-            writer.writerow(["lambda", "s", "p", "q", "critical_flag"])
-            for clf in rows:
-                writer.writerow(
-                    [repr(float(clf.lam.real)), clf.s, clf.p, clf.q, int(clf.critical)]
-                )
+        _write_csv(args.csv, [["lambda", "s", "p", "q", "critical_flag"]] + [
+            [repr(float(clf.lam.real)), clf.s, clf.p, clf.q, int(clf.critical)]
+            for clf in rows
+        ])
     report = {
         "metadata": _metadata(
             unimodular_tol=UNIMODULAR_TOL, pairing_tol=PAIRING_TOL
@@ -269,7 +240,7 @@ def cmd_classify(args) -> int:
         "critical_points": [cp.to_json_dict() for cp in crit],
         "identity_holds": identity_ok,
     }
-    _write_report(report, args.output)
+    _write_json(report, args.output)
     return EXIT_OK if identity_ok else EXIT_PROPERTY
 
 
@@ -286,14 +257,14 @@ def _cover_from_json(data: dict) -> tuple[CoveringGraph, dict, int]:
         blocks = {}
         for item in data["blocks"]:
             key = (int(item["from"]), int(item["to"]), int(item["shift"]))
-            blocks[key] = np.asarray(item["matrix"], dtype=float)
+            blocks[key] = _matrix_from_json(item["matrix"])
     except KeyError as missing:
         raise DomainError(f"cover JSON lacks field {missing}") from None
     return cover, blocks, vec_dim
 
 
 def cmd_direct_image(args) -> int:
-    cover, blocks, vec_dim = _cover_from_json(_load_json_file(args.cover_file))
+    cover, blocks, vec_dim = _cover_from_json(_read_json(args.cover_file))
     op, image = direct_image(cover, blocks, vec_dim)
 
     gap = commutation_gap(cover, blocks, vec_dim, op, image, np.random.default_rng(args.seed), -3, 3)
@@ -306,7 +277,7 @@ def cmd_direct_image(args) -> int:
         "commutation_gap": gap,
         "seed": args.seed,
     }
-    _write_report(report, args.output)
+    _write_json(report, args.output)
     if args.transfer_csv:
         transfer_to_csv(transfer_map(op, args.lam, args.site), args.transfer_csv)
     return EXIT_OK if gap == 0.0 else EXIT_PROPERTY
@@ -364,7 +335,7 @@ def _configuration_from_json(data, name: str) -> dict:
 
 
 def cmd_nonlinear(args) -> int:
-    data = _load_json_file(args.system_file)
+    data = _read_json(args.system_file)
     system = _system_from_json(data)
     if "configuration" not in data:
         raise DomainError("system JSON needs a 'configuration' map")
@@ -372,18 +343,10 @@ def cmd_nonlinear(args) -> int:
     at = data.get("interior")
     at = [int(v) for v in at] if at else None
 
-    check_vertices = at or [
-        v for v in system.graph.vertex_labels
-        if all(u in psi for u in system.neighborhood(v))
-    ]
-    residuals = {
-        v: float(np.max(np.abs(el_residual(system, psi, v))))
-        for v in check_vertices
-    }
-    worst = max(residuals.values(), default=0.0)
+    lin = linearize(system, psi, at=at)
     report = {
         "metadata": _metadata(kernel_tol=args.kernel_tol),
-        "max_el_residual": worst,
+        "max_el_residual": lin.max_el_residual,
         "uses_fd": system.uses_fd(),
     }
 
@@ -391,7 +354,7 @@ def cmd_nonlinear(args) -> int:
     if "variations" in data:
         d1 = _configuration_from_json(data["variations"][0], "variations[0]")
         d2 = _configuration_from_json(data["variations"][1], "variations[1]")
-        w = variational_swronskian(
+        w = variational_swronskian(  # reuses the operator of ``lin``
             system, psi, d1, d2, at=at, kernel_tol=args.kernel_tol
         )
         rep = verify_cycle(w)
@@ -400,14 +363,13 @@ def cmd_nonlinear(args) -> int:
         report["passed"] = rep.passed
         passed = rep.passed
     else:
-        lin = linearize(system, psi, at=at)
         report["linearization"] = {
             "symmetric": lin.operator.is_symmetric(),
             "order": lin.operator.order,
             "warning": lin.warning,
             "uses_fd": lin.uses_fd,
         }
-    _write_report(report, args.output)
+    _write_json(report, args.output)
     return EXIT_OK if passed else EXIT_PROPERTY
 
 
@@ -428,7 +390,7 @@ def cmd_verify(args) -> int:
     failed = sum(not r.passed for r in rows)
     print(f"{len(rows) - failed}/{len(rows)} invariants hold")
     if args.output:
-        _write_report(
+        _write_json(
             {
                 "metadata": _metadata(),
                 "seed": args.seed,
@@ -547,7 +509,7 @@ def main(argv=None) -> int:
     except (DomainError, FileNotFoundError, PermissionError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT
-    except (json.JSONDecodeError, KeyError, ValueError, TypeError) as err:
+    except (KeyError, ValueError, TypeError) as err:  # JSONDecodeError is a ValueError
         print(f"error: invalid input ({err})", file=sys.stderr)
         return EXIT_INPUT
 

@@ -17,6 +17,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 from collections import deque
@@ -462,15 +463,33 @@ def complex_from_json(data: dict) -> SimplicialComplex:
     return SimplicialComplex(gens, tails=data.get("tails"))
 
 
-def load_complex(path: str) -> SimplicialComplex:
+def _read_json(path: str):
     with open(path) as fh:
-        return complex_from_json(json.load(fh))
+        return json.load(fh)
+
+
+def _write_json(data, path: str | None) -> None:
+    """The package's one JSON file format: indent 1, sorted keys, final
+    newline.  Without a path the text goes to stdout."""
+    text = json.dumps(data, indent=1, sort_keys=True)
+    if not path:
+        print(text)
+        return
+    with open(path, "w") as fh:
+        print(text, file=fh)
+
+
+def _write_csv(path: str, rows) -> None:
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+
+
+def load_complex(path: str) -> SimplicialComplex:
+    return complex_from_json(_read_json(path))
 
 
 def save_complex(complex: SimplicialComplex, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(complex_to_json(complex), fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    _write_json(complex_to_json(complex), path)
 
 
 def materialize_tails(

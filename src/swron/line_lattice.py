@@ -22,13 +22,11 @@ exactly invertibility of every leading block in the window.
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .complex_core import DomainError
+from .complex_core import DomainError, _read_json, _write_csv, _write_json
 from .operators import (
     _as_block, _close_symmetric, _exact_dtype, _matrix_from_json, _matrix_to_json,
 )
@@ -566,31 +564,17 @@ def line_operator_from_json(data: dict) -> LineOperator:
 
 
 def load_line_operator(path: str) -> LineOperator:
-    with open(path) as fh:
-        return line_operator_from_json(json.load(fh))
+    return line_operator_from_json(_read_json(path))
 
 
 def save_line_operator(op: LineOperator, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(line_operator_to_json(op), fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    _write_json(line_operator_to_json(op), path)
 
 
 def transfer_to_csv(t: TransferMatrix, path: str) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["lambda_re", "lambda_im", "m", "dim"])
-        writer.writerow(
-            [t.lam.real, t.lam.imag, t.m, t.matrix.shape[0]]
-        )
-        writer.writerow([])
-        header = []
-        for j in range(t.matrix.shape[1]):
-            header += [f"c{j}_re", f"c{j}_im"]
-        writer.writerow(header)
-        for row in np.atleast_2d(t.matrix):
-            flat = []
-            for x in row:
-                x = complex(x)
-                flat += [repr(x.real), repr(x.imag)]
-            writer.writerow(flat)
+    header = [f"c{j}_{part}" for j in range(t.matrix.shape[1]) for part in ("re", "im")]
+    rows = [["lambda_re", "lambda_im", "m", "dim"],
+            [t.lam.real, t.lam.imag, t.m, t.matrix.shape[0]], [], header]
+    for row in np.atleast_2d(t.matrix):
+        rows.append([repr(p) for z in map(complex, row) for p in (z.real, z.imag)])
+    _write_csv(path, rows)

@@ -20,7 +20,6 @@ id order.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from types import MappingProxyType
 
@@ -29,6 +28,8 @@ import numpy as np
 from .complex_core import (
     DomainError,
     SimplicialComplex,
+    _read_json,
+    _write_json,
     barycentric_subdivision,
 )
 
@@ -128,9 +129,11 @@ def _matrix_to_json(m: np.ndarray):
     return np.asarray(m, dtype=float).tolist()
 
 
-def _matrix_from_json(data) -> np.ndarray:
+def _matrix_from_json(data, ndim: int = 2) -> np.ndarray:
+    """The one decoder of JSON arrays with ``ndim`` axes: one extra
+    trailing axis of length 2 holds [re, im] entries."""
     arr = np.asarray(data, dtype=float)
-    if arr.ndim == 3:  # [[re, im], ...] entries
+    if arr.ndim == ndim + 1 and arr.shape[-1] == 2:
         arr = arr[..., 0] + 1j * arr[..., 1]
     return arr
 
@@ -569,11 +572,8 @@ def operator_from_json(
 
 
 def load_operator(path: str, complex: SimplicialComplex, **kw) -> DiscreteOperator:
-    with open(path) as fh:
-        return operator_from_json(complex, json.load(fh), **kw)
+    return operator_from_json(complex, _read_json(path), **kw)
 
 
 def save_operator(op: DiscreteOperator, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(operator_to_json(op), fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    _write_json(operator_to_json(op), path)

@@ -42,7 +42,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .complex_core import DomainError
+from .complex_core import DomainError, _read_json, _write_csv, _write_json
 from .line_lattice import (
     LineOperator,
     _transfer_stack,
@@ -50,7 +50,7 @@ from .line_lattice import (
     line_operator_to_json,
     swronskian_form,
 )
-from .operators import _as_block, _close_symmetric, _matrix_to_json
+from .operators import _as_block, _close_symmetric, _matrix_from_json, _matrix_to_json
 
 __all__ = [
     "Tail",
@@ -965,8 +965,6 @@ class BandScan:
         return spans
 
     def to_csv(self, path: str) -> None:
-        import csv as _csv
-
         labels = []
         for row in self.rows:
             for (j1, i1) in row.result.channels:
@@ -978,43 +976,42 @@ class BandScan:
             for b in labels:
                 header += [f"S_re[{a}->{b}]", f"S_im[{a}->{b}]"]
         header += ["unitarity_residual", "symmetry_residual"]
-        with open(path, "w", newline="") as fh:
-            writer = _csv.writer(fh)
-            writer.writerow(header)
-            for row in self.rows:
-                def fmt_counts(ix):
-                    vals = [c[ix] for c in row.counts]
-                    return vals[0] if len(set(vals)) == 1 else "|".join(map(str, vals))
+        table = [header]
+        for row in self.rows:
+            def fmt_counts(ix):
+                vals = [c[ix] for c in row.counts]
+                return vals[0] if len(set(vals)) == 1 else "|".join(map(str, vals))
 
-                rec = [
-                    repr(row.lam),
-                    fmt_counts(0),
-                    fmt_counts(1),
-                    fmt_counts(2),
-                    int(row.critical),
-                    int(row.singular),
-                ]
-                smap = {}
-                if row.result.s_matrix is not None:
-                    chan = [f"{j}c{i}" for j, i in row.result.channels]
-                    for r, ra in enumerate(chan):
-                        for c, cb in enumerate(chan):
-                            smap[(cb, ra)] = row.result.s_matrix[r, c]
-                for a in labels:
-                    for b in labels:
-                        x = smap.get((a, b))
-                        rec += (
-                            ["", ""]
-                            if x is None
-                            else [repr(float(np.real(x))), repr(float(np.imag(x)))]
-                        )
-                rec += [
-                    "" if row.result.unitarity_residual is None
-                    else repr(row.result.unitarity_residual),
-                    "" if row.result.symmetry_residual is None
-                    else repr(row.result.symmetry_residual),
-                ]
-                writer.writerow(rec)
+            rec = [
+                repr(row.lam),
+                fmt_counts(0),
+                fmt_counts(1),
+                fmt_counts(2),
+                int(row.critical),
+                int(row.singular),
+            ]
+            smap = {}
+            if row.result.s_matrix is not None:
+                chan = [f"{j}c{i}" for j, i in row.result.channels]
+                for r, ra in enumerate(chan):
+                    for c, cb in enumerate(chan):
+                        smap[(cb, ra)] = row.result.s_matrix[r, c]
+            for a in labels:
+                for b in labels:
+                    x = smap.get((a, b))
+                    rec += (
+                        ["", ""]
+                        if x is None
+                        else [repr(float(np.real(x))), repr(float(np.imag(x)))]
+                    )
+            rec += [
+                "" if row.result.unitarity_residual is None
+                else repr(row.result.unitarity_residual),
+                "" if row.result.symmetry_residual is None
+                else repr(row.result.symmetry_residual),
+            ]
+            table.append(rec)
+        _write_csv(path, table)
 
     def to_json_dict(self) -> dict:
         return {
@@ -1101,9 +1098,7 @@ def tailed_graph_from_json(data: dict) -> TailedGraph:
             core_dims[int(v)] = 1
     core_blocks = {}
     for item in core.get("blocks", []):
-        core_blocks[(int(item["to"]), int(item["from"]))] = np.asarray(
-            item["matrix"], dtype=float
-        )
+        core_blocks[(int(item["to"]), int(item["from"]))] = _matrix_from_json(item["matrix"])
 
     next_label = max(core_dims, default=-1) + 1
     tails = []
@@ -1121,14 +1116,14 @@ def tailed_graph_from_json(data: dict) -> TailedGraph:
         if quotient is not None and not isinstance(quotient, (dict, list)):
             raise DomainError(f"tail {jt} quotient metadata must be a table")
         attach = {
-            (int(a["vertex"]), int(a["site"])): np.asarray(a["matrix"], dtype=float)
+            (int(a["vertex"]), int(a["site"])): _matrix_from_json(a["matrix"])
             for a in item.get("attach", [])
         }
         origin = int(item.get("origin", 0))
 
         overrides = {
             int(d["site"]): {
-                int(s): np.asarray(m, dtype=float) for s, m in d["blocks"].items()
+                int(s): _matrix_from_json(m) for s, m in d["blocks"].items()
             }
             for d in item.get("decay", [])
         }
@@ -1184,16 +1179,13 @@ def tailed_graph_from_json(data: dict) -> TailedGraph:
                 "declare it as a core block instead"
             )
         cross.append(((int(j1), int(n1)), (int(j2), int(n2)),
-                      np.asarray(item["matrix"], dtype=float)))
+                      _matrix_from_json(item["matrix"])))
     return TailedGraph(core_dims, core_blocks, tails, cross)
 
 
 def load_tailed_graph(path: str) -> TailedGraph:
-    with open(path) as fh:
-        return tailed_graph_from_json(json.load(fh))
+    return tailed_graph_from_json(_read_json(path))
 
 
 def save_tailed_graph(graph: TailedGraph, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(tailed_graph_to_json(graph), fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    _write_json(tailed_graph_to_json(graph), path)

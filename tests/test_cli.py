@@ -10,9 +10,9 @@ import pytest
 from swron import examples as ex
 from swron.cli import main
 from swron.complex_core import complex_to_json, save_complex
-from swron.line_lattice import line_operator_to_json
+from swron.line_lattice import line_operator_from_json, line_operator_to_json
 from swron.operators import operator_to_json
-from swron.scattering import Tail, TailedGraph, save_tailed_graph
+from swron.scattering import Tail, TailedGraph, save_tailed_graph, tailed_graph_to_json
 
 
 def write_json(path, data):
@@ -101,6 +101,19 @@ def test_swronskian_non_solution_pair_fails(tmp_path, capsys):
     assert rc == 1
     report = json.loads(capsys.readouterr().out)
     assert report["passed"] is False
+
+
+@pytest.mark.parametrize("value", [[1.0, 2.0], [[1.0, 0.5, 2.0]]], ids=["length", "not-a-pair"])
+def test_swronskian_cochain_value_of_wrong_shape_exits_2(tmp_path, capsys, value):
+    # an entry axis of length 3 is not [re, im]; it used to be read as one
+    cpath, opath = circle_fixture(tmp_path)
+    psi = write_json(tmp_path / "psi.json", {"values": {str(s): value for s in range(8)}})
+    phi = write_json(tmp_path / "phi.json", {"values": {str(s): [1.0] for s in range(8)}})
+    rc = main(["swronskian", "--complex-file", cpath, "--operator-file", opath,
+               "--psi-file", psi, "--phi-file", phi])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"psi value at simplex 0 has shape {np.shape(value)}, operator expects (1,)" in err
 
 
 def test_swronskian_missing_file_exits_2(tmp_path, capsys):
@@ -259,6 +272,27 @@ def test_direct_image_ladder(tmp_path):
     assert tcsv.read_text().startswith("lambda_re")
 
 
+def test_direct_image_complex_cover_block(tmp_path):
+    # cover blocks go through the [re, im] decoder, as direct_image allows
+    cover = {
+        "orbits": [0, 1],
+        "edges": [[0, 0, 1], [1, 1, 1], [0, 1, 0]],
+        "blocks": [
+            {"from": 0, "to": 0, "shift": 1, "matrix": [[-1.0]]},
+            {"from": 1, "to": 1, "shift": 1, "matrix": [[-1.0]]},
+            {"from": 0, "to": 1, "shift": 0, "matrix": [[[-1.0, 0.5]]]},
+        ],
+    }
+    out = tmp_path / "di.json"
+    rc = main(["direct-image", "--cover-file", write_json(tmp_path / "c.json", cover),
+               "--output", str(out)])
+    assert rc == 0
+    report = json.loads(out.read_text())
+    assert report["commutation_gap"] == 0.0
+    line = line_operator_from_json(report["line_operator"])
+    assert np.array_equal(line.block(0, 0), [[0, -1 + 0.5j], [-1 + 0.5j, 0]])
+
+
 def test_direct_image_rejects_bad_cover(tmp_path, capsys):
     cpath = write_json(tmp_path / "bad.json", {"orbits": [0], "edges": []})
     rc = main(["direct-image", "--cover-file", cpath])
@@ -351,6 +385,18 @@ def test_swronskian_committed_torus_fixture(capsys):
     assert main(["swronskian", "--complex-file", str(data / "torus7.json"),
                  "--operator-file", str(data / "torus7_operator.json"), "--solve"]) == 0
     assert json.loads(capsys.readouterr().out)["passed"] is True
+
+
+def test_tailed_graph_committed_well_fixture(capsys):
+    # tests/data/well.json is the tailed graph CI scatters through the CLI
+    path = Path(__file__).parent / "data" / "well.json"
+    assert json.loads(path.read_text()) == tailed_graph_to_json(ex.potential_line(1.0))
+    assert main(["scatter", "--graph-file", str(path), "--lambda", "0.5"]) == 0
+    assert json.loads(capsys.readouterr().out)["s_matrix"] is not None
+    assert main(["spectrum", "--graph-file", str(path), "--lo", "-3", "--hi", "-2.05",
+                 "--samples", "61"]) == 0
+    (state,) = json.loads(capsys.readouterr().out)["bound_states"]
+    assert abs(state["lambda"] + math.sqrt(5.0)) <= 1e-6
 
 
 def test_verify_all_suites_pass(capsys):

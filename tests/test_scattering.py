@@ -140,6 +140,41 @@ def test_tailed_graph_rejects_complex_couplings(kind):
     assert graph.core_blocks[(0, 0)].dtype == float
 
 
+def potential_line_json_with(kind: str, entry) -> dict:
+    """potential_line's JSON with one coupling of ``kind`` set to ``entry``."""
+    data = tailed_graph_to_json(ex.potential_line(1.0))
+    if kind == "core":
+        data["core"]["blocks"][0]["matrix"] = entry
+    elif kind == "attach":
+        data["tails"][0]["attach"][0]["matrix"] = entry
+    elif kind == "decay":  # site 0 of tail 0 becomes core vertex 1
+        data["tails"][0]["decay"] = [{"site": 0, "blocks": {"0": entry}}]
+    else:
+        data["cross_links"] = [{"from": [0, 0], "to": [1, 0], "matrix": entry}]
+    return data
+
+
+JSON_COUPLINGS = {
+    "core": "core block (0, 0)",
+    "attach": "tail 0 attach block at (0, 0)",
+    "decay": "core block (1, 1)",
+    "cross": "cross link block",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(JSON_COUPLINGS))
+def test_tailed_graph_json_complex_coupling_is_named(kind):
+    # an [re, im] entry is decoded, so a complex coupling is reported as
+    # complex, not as a matrix with a stray axis
+    data = potential_line_json_with(kind, [[[-1.0, 2.0]]])
+    msg = f"{JSON_COUPLINGS[kind]} has a nonzero imaginary part"
+    with pytest.raises(DomainError, match=re.escape(msg)):
+        tailed_graph_from_json(data)
+    # [re, 0] entries are a real coupling
+    graph = tailed_graph_from_json(potential_line_json_with(kind, [[[-1.0, 0.0]]]))
+    assert all(m.dtype == float for m in graph.core_blocks.values())
+
+
 def test_tailed_graph_validation():
     with pytest.raises(DomainError):
         TailedGraph({0: 1}, {}, [Tail(ex.free_tail(), {(5, 0): [[1.0]]})])

@@ -845,22 +845,7 @@ def _sigma_mins(size: int, stacks) -> np.ndarray:
     return out
 
 
-def _golden_refine(f, a: float, b: float, tol: float = 1e-11) -> float:
-    """Golden-section minimizer of a unimodal scalar function on [a, b]."""
-    ratio = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = b - ratio * (b - a)
-    x2 = a + ratio * (b - a)
-    f1, f2 = f(x1), f(x2)
-    while b - a > tol:
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - ratio * (b - a)
-            f1 = f(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + ratio * (b - a)
-            f2 = f(x2)
-    return 0.5 * (a + b)
+_SECTIONS = 16  # interior samples per bracket in each refinement step
 
 
 def regular_discrete_spectrum(
@@ -875,55 +860,68 @@ def regular_discrete_spectrum(
     """Scan for decaying-solution eigenvalues in [lo, hi].
 
     The restricted system keeps only core values and decaying modal
-    coefficients; eigenvalues appear as near-zero relative smallest
-    singular values at grid minima, refined by golden-section descent.
-    States within one grid step of a tail critical point (band
-    threshold) are flagged uncertain.  Singular eigenfunctions that
-    vanish on every tail are detected from the core alone and reported
-    with ``singular=True``, never merged into the regular list.
+    coefficients; eigenvalues are near-zero relative smallest singular
+    values.  Every grid minimum below 1e-2, an end sample no larger than
+    its one neighbour included, opens a bracket over its neighbours; each
+    step samples all brackets in one stacked decay solve, 16 points each,
+    and keeps the two sub-intervals around each smallest value, down to
+    width 1e-11.  States within one grid step of a tail critical point
+    are flagged uncertain.  Eigenfunctions that vanish on every tail come
+    from the core alone, with ``singular=True``; a refined state without
+    nonzero decaying coefficients is left to them.
     """
     grid = _grid(lo, hi, samples, 3)
     rows = graph.tail_rows(depth)
     step = (hi - lo) / (samples - 1)
     vals = _sigma_mins(samples, _junction_grid(graph, grid, rows, decay_only=True)[2])
     criticals = [cp.lam for cp in _tail_critical_points(graph, grid)]
-
-    def decay_at(x: float):
-        _, (modes,), stacks = _junction_grid(graph, np.array([x]), rows, decay_only=True)
-        (_, (matrix,), mode_offset), = stacks
-        return (matrix, mode_offset, modes), _sigma_mins(1, stacks)[0]
+    padded = np.concatenate(([math.inf], vals, [math.inf]))
+    mins = np.flatnonzero((vals <= padded[:-2]) & (vals <= padded[2:]) & (vals <= 1e-2))
+    a, b = grid[np.maximum(mins - 1, 0)], grid[np.minimum(mins + 1, samples - 1)]
+    while mins.size and np.max(b - a) > 1e-11:
+        h = (b - a) / (_SECTIONS + 1)
+        pts = a[:, None] + h[:, None] * np.arange(1, _SECTIONS + 1)
+        stacks = _junction_grid(graph, pts.ravel(), rows, decay_only=True)[2]
+        best = _sigma_mins(pts.size, stacks).reshape(pts.shape).argmin(axis=1)
+        a, b = a + h * best, a + h * (best + 2)
 
     out: list[BoundState] = []
-    for i in range(1, samples - 1):
-        if not (vals[i] <= vals[i - 1] and vals[i] <= vals[i + 1]):
-            continue
-        if not np.isfinite(vals[i]) or vals[i] > 1e-2:
-            continue
-        lam_star = _golden_refine(lambda x: decay_at(x)[1], grid[i - 1], grid[i + 1])
-        (matrix, mode_offset, modes), sig = decay_at(lam_star)
-        if sig > detect_tol:
-            continue
-        kernel, _ = _kernel_basis(matrix, rel_tol=max(1e-9, 2 * sig))
-        modal = [kernel[off : off + len(mset), 0] for off, mset in zip(mode_offset, modes)]
-        uncertain = any(abs(lam_star - c) < step for c in criticals)
-        out.append(
-            BoundState(float(lam_star), float(sig), kernel[: graph.core_size, 0], modal, uncertain)
-        )
+    mids = 0.5 * (a + b)
+    _, modes, stacks = _junction_grid(graph, mids, rows, True) if mins.size else (0, [], [])
+    for idx, stack, mode_offset in stacks:
+        _, sings, vts = np.linalg.svd(stack)
+        for i, sing, vt in zip(idx, sings, vts):
+            sig = sing[-1] / (sing[0] or 1.0) if len(sing) == stack.shape[2] else 0.0
+            kernel = vt[-1].conj()
+            # a kernel without decaying coefficients is a singular state, reported below
+            if sig > detect_tol or not np.any(np.abs(kernel[graph.core_size :]) > KERNEL_REL_TOL):
+                continue
+            modal = [kernel[off : off + len(mset)] for off, mset in zip(mode_offset, modes[i])]
+            uncertain = any(abs(mids[i] - c) < step for c in criticals)
+            out.append(BoundState(
+                float(mids[i]), float(sig), kernel[: graph.core_size], modal, uncertain))
 
-    # singular eigenfunctions: zero on all tails, supported on the core
+    # singular eigenfunctions: zero on all tails, supported on the core; each
+    # cluster of equal core eigenvalues contributes the null space, over its
+    # eigenvectors, of the attach rows summed per tail site
     if graph.core_size:
         cmat = graph.core_matrix()
         evals, evecs = np.linalg.eigh(cmat)
-        scale = max(1.0, float(np.max(np.abs(cmat))))
-        for lam_e, vec in zip(evals, evecs.T):
+        tol = 1e-10 * max(1.0, float(np.max(np.abs(cmat))))
+        for cluster in np.split(np.arange(len(evals)), np.flatnonzero(np.diff(evals) > tol) + 1):
+            lam_e = float(np.mean(evals[cluster]))
             if not (lo <= lam_e <= hi):
                 continue
-            hits = [m.T @ vec[graph.core_offset[v] : graph.core_offset[v] + graph.core_dims[v]]
-                    for tail in graph.tails for (v, _), m in tail.attach.items()]
-            defect = max((float(np.max(np.abs(h))) for h in hits), default=0.0)
-            if defect <= 1e-10 * scale:
-                modal = [np.zeros(0, dtype=complex) for _ in graph.tails]
-                out.append(BoundState(float(lam_e), 0.0, vec, modal, False, singular=True))
+            vecs = evecs[:, cluster]
+            hits: dict = {}  # (tail, site) -> sum of its attach rows applied to vecs
+            for j, tail in enumerate(graph.tails):
+                for (v, n), m in tail.attach.items():
+                    at = slice(graph.core_offset[v], graph.core_offset[v] + graph.core_dims[v])
+                    hits[j, n] = hits.get((j, n), 0) + m.T @ vecs[at]
+            _, sing, vt = np.linalg.svd(np.vstack([*hits.values(), np.zeros((len(cluster),) * 2)]))
+            modal = [np.zeros(0, dtype=complex) for _ in graph.tails]
+            for null in vt[np.sum(sing > tol) :]:
+                out.append(BoundState(lam_e, 0.0, vecs @ null, modal, False, singular=True))
     out.sort(key=lambda st: st.lam)
     return out
 

@@ -225,6 +225,34 @@ def bloch_current(op, mu: complex, w: np.ndarray) -> float:
     )
 
 
+def truncated_levels(graph, lo: float, hi: float, depth: int = 200) -> list[float]:
+    """Eigenvalues in [lo, hi] of a dense Dirichlet truncation: the core
+    plus ``depth`` sites of every tail, entered one by one from the raw
+    blocks, with a hard wall after the last site.  Scalar nearest-neighbour
+    tails only.  Outside the bands a level's error decays like |mu|^(2 depth).
+    """
+    offset, nc = {}, 0
+    for v in sorted(graph.core_dims):
+        offset[v], nc = nc, nc + graph.core_dims[v]
+    mat = np.zeros((nc + depth * len(graph.tails),) * 2)
+    for (u, v), m in graph.core_blocks.items():
+        mat[offset[u] : offset[u] + m.shape[0], offset[v] : offset[v] + m.shape[1]] = m
+    for j, tail in enumerate(graph.tails):
+        if (tail.op.k, tail.op.l) != (1, 1):
+            raise ValueError("truncated_levels needs scalar nearest-neighbour tails")
+        sites = np.arange(nc + j * depth, nc + (j + 1) * depth)
+        mat[sites, sites] = tail.op.block(0, 0)[0, 0]
+        mat[sites[:-1], sites[1:]] = tail.op.block(0, 1)[0, 0]
+        mat[sites[1:], sites[:-1]] = tail.op.block(0, -1)[0, 0]
+        for (v, n), m in tail.attach.items():
+            mat[offset[v] : offset[v] + m.shape[0], sites[n]] = m[:, 0]
+            mat[sites[n], offset[v] : offset[v] + m.shape[0]] = m[:, 0]
+    for (j1, n1), (j2, n2), m in graph.cross_links:
+        a, b = nc + j1 * depth + n1, nc + j2 * depth + n2
+        mat[a, b] = mat[b, a] = m[0, 0]
+    return [float(x) for x in np.linalg.eigvalsh(mat) if lo <= x <= hi]
+
+
 def truncated_modal_s_matrix(graph, lam: float, depth: int | None = None):
     """Scattering matrix from the depth-truncated modal system.
 

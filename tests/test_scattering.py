@@ -273,10 +273,132 @@ def test_singular_core_state_detected():
         {(1, 1): [[0.7]]},
         [Tail(ex.free_tail(), {(0, 0): [[1.0]]}, origin=1)],
     )
+    assert_one_singular_state(graph)
+
+
+def assert_one_singular_state(graph):
+    """Exactly one state on (0.5, 0.9): the singular one at 0.7, which the
+    regular path must not report a second time."""
     states = regular_discrete_spectrum(graph, 0.5, 0.9, 41)
-    singular = [s for s in states if s.singular]
-    assert len(singular) == 1
-    assert abs(singular[0].lam - 0.7) <= 1e-12
+    assert len(states) == 1 and states[0].singular
+    assert abs(states[0].lam - 0.7) <= 1e-12
+    return states[0]
+
+
+def test_tail_free_combination_of_equal_core_levels_is_singular():
+    # both vertices feed site 0, so only their difference is invisible to the tail
+    graph = TailedGraph(
+        {0: 1, 1: 1},
+        {(0, 0): [[0.7]], (1, 1): [[0.7]]},
+        [Tail(ex.free_tail(), {(0, 0): [[1.0]], (1, 0): [[1.0]]}, origin=1)],
+    )
+    state = assert_one_singular_state(graph)
+    assert abs(abs(state.core_values @ [1.0, -1.0]) - np.sqrt(2.0)) <= 1e-12
+
+
+def test_states_at_window_ends_are_found():
+    graph = ex.potential_line(1.0)
+    for lo, hi in ((-2.2361, -2.05), (-2.6, -2.2360)):
+        states = regular_discrete_spectrum(graph, lo, hi, 61)
+        assert len(states) == 1 and not states[0].singular
+        assert abs(states[0].lam + np.sqrt(5.0)) <= 1e-9
+    # -sqrt(5) = -2.23607 lies just above this window
+    assert regular_discrete_spectrum(graph, -2.5, -2.2361, 61) == []
+
+
+def test_refinement_stacks_every_minimum_together(monkeypatch):
+    import swron.scattering as sc
+
+    calls = []
+    real = sc._junction_grid
+
+    def spy(*args, **kw):
+        calls.append(len(args[1]))
+        return real(*args, **kw)
+
+    monkeypatch.setattr(sc, "_junction_grid", spy)
+    graph = TailedGraph(
+        {0: 1, 1: 1},
+        {(0, 0): [[-1.5]], (1, 1): [[-3.0]], (0, 1): [[0.3]]},
+        [
+            Tail(ex.free_tail(), {(0, 0): [[1.0]]}, origin=1),
+            Tail(ex.free_tail(), {(1, 0): [[1.0]]}, origin=1),
+        ],
+    )
+    states = regular_discrete_spectrum(graph, -5.0, -2.05, 61)
+    want = orc.truncated_levels(graph, -5.0, -2.05)
+    assert [round(st.lam, 4) for st in states] == [-3.3848, -2.1356]
+    assert np.allclose([st.lam for st in states], want, rtol=0.0, atol=1e-9)
+    # the grid, one stack per bracket step for both minima, the final stack
+    assert len(calls) <= 16
+
+
+SPECTRUM_GRAPHS = {
+    "well": lambda: ex.potential_line(1.0),
+    "star3": lambda: ex.star_tailed(3),
+    "ring6": lambda: ex.two_tail_ring_core(6),
+}
+
+
+def site_residuals(graph, st):
+    """Eigen-equation residuals of a bound state on the core and on the
+    first 2k sites of every tail, from the raw blocks, with the tail
+    values summed from the decaying modes of tail_modes; returns
+    (largest residual, largest value)."""
+    lam, off = st.lam, graph.core_offset
+    core = {v: st.core_values[off[v] : off[v] + d] for v, d in graph.core_dims.items()}
+    tails = []
+    for tail, coeffs in zip(graph.tails, st.modal):
+        decay = [m for m in tail_modes(tail.op, lam)[1] if m.kind == "decay"]
+        assert len(decay) == len(coeffs)
+        sites = range(3 * tail.op.k + 1)
+        tails.append([sum(c * m.w * m.mu**n for c, m in zip(coeffs, decay)) for n in sites])
+    res = {("core", v): -lam * x for v, x in core.items()}
+    for (u, v), m in graph.core_blocks.items():
+        res["core", u] = res["core", u] + m @ core[v]
+    for j, (tail, psi) in enumerate(zip(graph.tails, tails)):
+        k = tail.op.k
+        for n in range(2 * k):
+            res[j, n] = -lam * psi[n] + sum(
+                tail.op.block(0, s) @ psi[n + s] for s in range(-k, k + 1) if n + s >= 0)
+        for (v, n), m in tail.attach.items():
+            res["core", v] = res["core", v] + m @ psi[n]
+            res[j, n] = res[j, n] + m.T @ core[v]
+    for (j1, n1), (j2, n2), m in graph.cross_links:
+        res[j1, n1] = res[j1, n1] + m @ tails[j2][n2]
+        res[j2, n2] = res[j2, n2] + m.T @ tails[j1][n1]
+    values = list(core.values()) + [x for psi in tails for x in psi]
+    return max(np.max(np.abs(r)) for r in res.values()), max(np.max(np.abs(x)) for x in values)
+
+
+@pytest.mark.parametrize("name", sorted(SPECTRUM_GRAPHS))
+def test_bound_state_vectors_solve_the_raw_equations(name):
+    graph = SPECTRUM_GRAPHS[name]()
+    states = [st for lo, hi in ((-6.0, -2.05), (2.05, 6.0))
+              for st in regular_discrete_spectrum(graph, lo, hi, 61)]
+    assert states
+    for st in states:
+        worst, size = site_residuals(graph, st)
+        assert worst <= 1e-9 * size * max(1.0, abs(st.lam)), (st.lam, worst, size)
+
+
+TRUNCATION_GRAPHS = {
+    "star3": lambda: ex.star_tailed(3),
+    "star4": lambda: ex.star_tailed(4),
+    "star5": lambda: ex.star_tailed(5),
+    "ring6": lambda: ex.two_tail_ring_core(6),
+    "well2.5": lambda: ex.potential_line(2.5),
+}
+
+
+@pytest.mark.parametrize("window", [(-6.0, -2.05), (2.05, 6.0)])
+@pytest.mark.parametrize("name", sorted(TRUNCATION_GRAPHS))
+def test_regular_states_match_truncated_levels(name, window):
+    graph = TRUNCATION_GRAPHS[name]()
+    found = [st.lam for st in regular_discrete_spectrum(graph, *window, 61) if not st.singular]
+    want = orc.truncated_levels(graph, *window)
+    assert len(found) == len(want)
+    assert np.allclose(found, want, rtol=0.0, atol=1e-9)
 
 
 def test_band_scan_shape_and_intervals(tmp_path):

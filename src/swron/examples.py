@@ -20,7 +20,6 @@ __all__ = [
     "filled_triangle",
     "sphere_complex",
     "torus_complex",
-    "square_patch",
     "triangle_patch",
     "graph_laplacian",
     "adjacency_operator",
@@ -82,21 +81,6 @@ def torus_complex() -> SimplicialComplex:
         tris.append((i, (i + 1) % 7, (i + 3) % 7))
         tris.append((i, (i + 2) % 7, (i + 3) % 7))
     return SimplicialComplex(tris)
-
-
-def square_patch(nx: int = 3, ny: int = 3) -> SimplicialComplex:
-    """Grid graph with (nx+1)(ny+1) vertices, no faces filled."""
-    def vid(i, j):
-        return i * (ny + 1) + j
-
-    edges = []
-    for i in range(nx + 1):
-        for j in range(ny + 1):
-            if i < nx:
-                edges.append((vid(i, j), vid(i + 1, j)))
-            if j < ny:
-                edges.append((vid(i, j), vid(i, j + 1)))
-    return SimplicialComplex(edges)
 
 
 def triangle_patch(n: int = 3):

@@ -49,7 +49,18 @@ __all__ = [
     "operator_from_json",
 ]
 
-KERNEL_THRESHOLD_REL = 1e-9
+KERNEL_REL_TOL = 1e-9
+
+
+def _null_spaces(stack: np.ndarray, rel_tol: float = KERNEL_REL_TOL):
+    """(null-space basis, singular values) of each matrix in the stack,
+    from one stacked SVD; the rank cut is relative to each largest
+    singular value (an all-zero matrix has full null space)."""
+    if stack.shape[1] == 0 or stack.shape[2] == 0:
+        return [(np.eye(stack.shape[2]), np.zeros(0)) for _ in stack]
+    _, sings, vts = np.linalg.svd(stack, full_matrices=True)
+    ranks = np.sum(sings > rel_tol * np.where(sings[:, :1] > 0, sings[:, :1], 1.0), axis=1)
+    return [(vt[rank:].conj().T, sing) for sing, vt, rank in zip(sings, vts, ranks)]
 
 
 def _as_block(value, shape, what: str = "block", *, real: bool = False) -> np.ndarray:
@@ -412,35 +423,14 @@ def build_hodge(complex: SimplicialComplex, vec_dim: int = 1) -> HodgeOperators:
     return HodgeOperators(operator=op, laplacians=laplacians, dims=dims)
 
 
-def harmonic_basis(
-    complex: SimplicialComplex,
-    vec_dim: int = 1,
-    *,
-    threshold_rel: float = KERNEL_THRESHOLD_REL,
-) -> list[np.ndarray]:
+def harmonic_basis(complex: SimplicialComplex, vec_dim: int = 1) -> list[np.ndarray]:
     """Orthonormal kernel bases of the degree Laplacians, one per degree.
 
     Column counts are the Betti numbers (times vec_dim).  The kernel cut
-    uses singular values below threshold_rel times the matrix infinity
-    norm (or an absolute floor for zero matrices).
+    is :func:`_null_spaces`'s: singular values at most ``KERNEL_REL_TOL``
+    times the Laplacian's largest one (a zero Laplacian is all kernel).
     """
-    hodge = build_hodge(complex, vec_dim)
-    bases = []
-    for lap in hodge.laplacians:
-        if lap.size == 0:
-            bases.append(np.zeros((0, 0)))
-            continue
-        scale = np.linalg.norm(lap, np.inf)
-        if scale == 0.0:
-            bases.append(np.eye(lap.shape[0]))
-            continue
-        # rows of vt with tiny singular value span the kernel (symmetric PSD)
-        _, s, vt = np.linalg.svd(lap)
-        cut = threshold_rel * scale
-        n_small = int(np.sum(s <= cut))
-        kernel = vt[len(s) - n_small :].T if n_small else np.zeros((lap.shape[0], 0))
-        bases.append(kernel)
-    return bases
+    return [_null_spaces(lap[None])[0][0] for lap in build_hodge(complex, vec_dim).laplacians]
 
 
 # -- two-colored triangulation factorization ----------------------------------

@@ -50,7 +50,14 @@ from .line_lattice import (
     line_operator_to_json,
     swronskian_form,
 )
-from .operators import _as_block, _close_symmetric, _matrix_from_json, _matrix_to_json
+from .operators import (
+    KERNEL_REL_TOL,
+    _as_block,
+    _close_symmetric,
+    _matrix_from_json,
+    _matrix_to_json,
+    _null_spaces,
+)
 
 __all__ = [
     "Tail",
@@ -77,7 +84,6 @@ __all__ = [
 UNIMODULAR_TOL = 1e-9
 PAIRING_TOL = 1e-8
 CRITICAL_GAP = 1e-6
-KERNEL_REL_TOL = 1e-9
 A_LAMBDA = 1j  # fixed value of the in/out pair form
 
 
@@ -629,21 +635,6 @@ def _assemble(graph: TailedGraph, lams: np.ndarray, rows: list[int], modes):
     return a, mode_offset
 
 
-def _kernel_bases(stack: np.ndarray, rel_tol: float = KERNEL_REL_TOL):
-    """(null-space basis, singular values) of each matrix in the stack,
-    from one stacked SVD; the rank cut is relative to each largest
-    singular value."""
-    if stack.shape[1] == 0 or stack.shape[2] == 0:
-        return [(np.eye(stack.shape[2]), np.zeros(0)) for _ in stack]
-    _, sings, vts = np.linalg.svd(stack, full_matrices=True)
-    ranks = np.sum(sings > rel_tol * np.where(sings[:, :1] > 0, sings[:, :1], 1.0), axis=1)
-    return [(vt[rank:].conj().T, sing) for sing, vt, rank in zip(sings, vts, ranks)]
-
-
-def _kernel_basis(a: np.ndarray, rel_tol: float = KERNEL_REL_TOL):
-    return _kernel_bases(a[None], rel_tol)[0]
-
-
 @dataclass
 class AsymptoticSubspace:
     """Kernel of the junction problem in modal coordinates; ``depth`` is
@@ -686,7 +677,7 @@ def _subspaces(graph: TailedGraph, lams, rows: list[int]) -> list[AsymptoticSubs
     clfs, modes, stacks = _junction_grid(graph, lams, rows)
     out = [None] * len(lams)
     for idx, stack, mode_offset in stacks:
-        for i, basis in zip(idx, _kernel_bases(stack)):
+        for i, basis in zip(idx, _null_spaces(stack)):
             out[i] = _subspace(graph, float(lams[i]), rows, clfs[i], modes[i], basis, mode_offset)
     return out
 
@@ -790,17 +781,16 @@ def _scatter(graph: TailedGraph, sub: AsymptoticSubspace) -> ScatteringResult:
     if "critical" in flags or "kernel-dim-mismatch" in flags:
         return ScatteringResult(lam, channels, None, None, None, None, sub, flags)
 
-    def rows_of(kind: str) -> np.ndarray:
-        out = [sub.modal[j][r] for j, mset in enumerate(sub.modes)
-               for r, mode in enumerate(mset) if mode.kind == kind]
-        return np.array(out) if out else np.zeros((0, sub.dim))
-
-    bounded_kernel, _ = _kernel_basis(rows_of("grow"), rel_tol=1e-10)
-    c_in = rows_of("in") @ bounded_kernel if bounded_kernel.shape[1] == nch else None
-    if c_in is None or np.linalg.cond(c_in) > 1e10:
+    # the growing and incoming rows form a square system M over the kernel
+    # (n_grow + n_ch = sum k_j l_j = dim): S = K_out M^-1 [0; I]
+    kinds = np.array([mode.kind for mset in sub.modes for mode in mset])
+    coef = np.vstack(sub.modal)
+    m = np.vstack([coef[kinds == "grow"], coef[kinds == "in"]])
+    u, sing, vh = np.linalg.svd(m)
+    if m.shape != (sub.dim, sub.dim) or sing[-1] * 1e10 <= sing[0]:  # cond(M) >= 1e10
         flags.add("singular")
         return ScatteringResult(lam, channels, None, None, None, None, sub, flags)
-    s = rows_of("out") @ bounded_kernel @ np.linalg.inv(c_in)
+    s = coef[kinds == "out"] @ (vh.conj().T / sing) @ u[-nch:].conj().T
 
     unit = float(np.max(np.abs(s @ s.conj().T - np.eye(nch))))
     symm = float(np.max(np.abs(s - s.T)))
@@ -1081,7 +1071,9 @@ def tailed_graph_to_json(graph: TailedGraph) -> dict:
 def tailed_graph_from_json(data: dict) -> TailedGraph:
     """Load a tailed graph; per-tail near-junction coefficient overrides
     ("decay" tables) are absorbed into the core so every stored tail is
-    exactly periodic from site 0.
+    exactly periodic from site 0.  A "decay" row overrides shifts
+    |s| <= k at one site, closed by symmetry like ``LineOperator`` site
+    blocks.
 
     Tail entries may carry "quotient"/"shift" covering provenance; it is
     validated for shape but only the asymptotic operator enters the
@@ -1134,14 +1126,7 @@ def tailed_graph_from_json(data: dict) -> TailedGraph:
                 core_dims[next_label] = op.l
                 next_label += 1
 
-            def coeff(n: int, s: int) -> np.ndarray:
-                if n in overrides and s in overrides[n]:
-                    return overrides[n][s]
-                tgt = n + s
-                if tgt in overrides and -s in overrides[tgt]:
-                    return overrides[tgt][-s].T
-                return op.block(n, s)
-
+            coeff = LineOperator(op.k, op.l, op._base, overrides).block
             new_attach = {}
             for n in range(cut):
                 for s in range(-op.k, op.k + 1):

@@ -39,13 +39,13 @@ from .nonlinear import (
 )
 from .operators import (
     DiscreteOperator,
+    _null_spaces,
     build_hodge,
     cochain_from_vector,
     harmonic_basis,
     to_vertex_operator,
 )
 from .scattering import (
-    _kernel_basis,
     asymptotic_subspace,
     classify_monodromy,
     find_critical_points,
@@ -147,7 +147,7 @@ class _KernelSplit:
         """Orthonormal null basis of the imposed rows of A - lambda."""
         rows = self.a_rows.astype(complex)
         rows[np.arange(len(self.rows)), self.rows] -= complex(lam)
-        return _kernel_basis(rows, 1e-10)[0]
+        return _null_spaces(rows[None], 1e-10)[0][0]
 
 
 def kernel_solutions(

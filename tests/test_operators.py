@@ -140,9 +140,11 @@ def test_graph_laplacian_psd():
 
 
 def test_harmonic_dims_match_rank_oracle():
-    for cx in (ex.interval(3), ex.circle(5), ex.sphere_complex()):
-        dims = [b.shape[1] for b in harmonic_basis(cx)]
-        assert dims == orc.betti_via_ranks(cx)
+    drawn = [ex.random_complex(np.random.default_rng(seed), 40) for seed in range(10)]
+    for cx in [ex.interval(3), ex.circle(5), ex.sphere_complex(), *drawn]:
+        for vec_dim in (1, 2):
+            dims = [b.shape[1] for b in harmonic_basis(cx, vec_dim)]
+            assert dims == [vec_dim * b for b in orc.betti_via_ranks(cx)]
 
 
 def test_harmonic_vectors_annihilated():

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import numpy as np
@@ -251,6 +252,40 @@ def test_scattering_flags_critical_and_closed_points():
     res = scattering_matrix(ex.pure_line_graph(), 2.7)
     assert "no-channels" in res.flags
     assert res.s_matrix is None
+
+
+def test_warm_scattering_point_runs_two_svds_and_no_inverse(monkeypatch):
+    calls = []
+
+    def counted(name, real):
+        def spy(*args, **kw):
+            calls.append(name)
+            return real(*args, **kw)
+        return spy
+
+    for graph in (ex.potential_line(1.0), two_channel_graph()):
+        assert scattering_matrix(graph, 0.5).s_matrix is not None  # warm-up
+        with monkeypatch.context() as m:
+            for name in ("svd", "inv", "cond"):
+                m.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+            calls.clear()
+            scattering_matrix(graph, 0.5)
+        # the junction kernel and the square grow/in system
+        assert calls == ["svd", "svd"]
+
+
+def test_zero_incoming_rows_are_singular():
+    from swron.scattering import _scatter
+
+    for graph in (ex.potential_line(1.0), two_channel_graph()):
+        sub = asymptotic_subspace(graph, 0.5)
+        modal = [
+            np.where(np.array([m.kind == "in" for m in mset])[:, None], 0.0, coef)
+            for mset, coef in zip(sub.modes, sub.modal)
+        ]
+        res = _scatter(graph, dataclasses.replace(sub, modal=modal))
+        assert "singular" in res.flags
+        assert res.s_matrix is None
 
 
 def test_well_bound_state_against_dense_oracle():
@@ -617,6 +652,16 @@ def test_cross_link_inside_absorbed_region_rejected():
         tailed_graph_from_json(data)
     data["cross_links"] = [{"from": [0, 2], "to": [1, 0], "matrix": [[0.5]]}]
     assert tailed_graph_from_json(data).cross_links[0][0] == (0, 0)
+
+
+def test_decay_rows_follow_the_line_operator_shift_rule():
+    well = ex.potential_line(1.0)
+    too_far = [{"site": 0, "blocks": {"0": [[0.5]], "2": [[7.0]]}}]
+    with pytest.raises(DomainError, match="shift 2 exceeds half-width 1"):
+        with_decay(well, 0, too_far)
+    asymmetric = [{"site": 0, "blocks": {"1": [[0.5]]}}, {"site": 1, "blocks": {"-1": [[0.7]]}}]
+    with pytest.raises(DomainError, match=re.escape("blocks (0, 1) and (1, -1) break symmetry")):
+        with_decay(well, 0, asymmetric)
 
 
 @pytest.mark.parametrize(

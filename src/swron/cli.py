@@ -494,8 +494,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", action="append", choices=sorted(SUITES),
                    help="repeatable; default all")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--complex-file")
-    p.add_argument("--operator-file")
+    p.add_argument("--complex-file", help="complex JSON for the complex/operators/swronskian suites")
+    p.add_argument("--operator-file", help="line operator JSON (k, l, shift blocks; not the "
+                   "block operator of `swron swronskian`) for the symplectic/classification suites")
     p.add_argument("--output")
     p.set_defaults(func=cmd_verify)
     return parser

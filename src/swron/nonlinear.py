@@ -16,6 +16,7 @@ symplectic Wronskian of two kernel variations is again a conserved
 
 from __future__ import annotations
 
+import ast
 import math
 import warnings
 from dataclasses import dataclass, replace
@@ -150,9 +151,14 @@ def expression_density(nvars: int, expr: str, name: str = "expr") -> Density:
 
     Derivatives come from finite differences (``uses_fd`` stays True).
     The expression is evaluated with numpy and math available and
-    nothing else.
+    nothing else; a name or attribute starting with ``_`` is a DomainError.
     """
-    code = compile(expr, "<density>", "eval")
+    tree = ast.parse(expr, "<density>", "eval")
+    for node in ast.walk(tree):
+        ident = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", "")
+        if ident.startswith("_"):
+            raise DomainError(f"density expression may not use the private name {ident!r}")
+    code = compile(tree, "<density>", "eval")
     space = {"np": np, "math": math, "__builtins__": {}}
 
     def val(*xs):

@@ -325,11 +325,6 @@ def _site_values(modes: list[list[Mode]], lo: int, hi: int, l: int) -> np.ndarra
     return fibers[:, None] * powers[:, :, None, :]
 
 
-def _windows(modes: list[Mode], m: int, k: int, l: int) -> np.ndarray:
-    """(2kl, len(modes)) window coordinates at base m, one column per mode."""
-    return _site_values([modes], m - k + 1, m + k, l).reshape(2 * k * l, len(modes))
-
-
 def _tail_grid(op: LineOperator, lams, places, decay_only=False):
     """tail_modes at every lambda of ``lams`` and every (origin, anchor) of
     ``places`` from one eig of the transfer stack: the classifications
@@ -568,8 +563,8 @@ def _junction_grid(graph: TailedGraph, lams: np.ndarray, rows: list[int], decay_
     """Per lambda of ``lams``, the classifications and modes of every tail
     (channel modes scaled by the tail origin, growing ones anchored at the
     top assembled site; tails with one operator share one ``_tail_grid``),
-    and the junction matrices as (indices, stack, offsets), one stack per
-    mode-count shape.  Decaying modes depend on neither origin nor anchor."""
+    and the ``_assemble`` output as (indices, stack, offsets, windows), one
+    stack per mode-count shape.  Decaying modes need no origin or anchor."""
     keys = graph._tail_keys
     places = [(0, 0) if decay_only else (t.origin, r + t.op.k - 1)
               for t, r in zip(graph.tails, rows)]
@@ -595,7 +590,8 @@ def _assemble(graph: TailedGraph, lams: np.ndarray, rows: list[int], modes):
     values ``lams``: every core row, and the first ``rows[j]`` site
     equations of tail j.  ``modes[i][j]`` is the mode list of tail j at
     lams[i]; every lambda has the same number of modes per tail.  Returns
-    the (S, rows, columns) stack and the first modal column of each tail."""
+    the (S, rows, columns) stack, the first modal column of each tail and
+    its (S, 2kl, modes) mode windows at base ``junction_depth(j) + k - 1``."""
     nc = graph.core_size
     counts = [len(mset) for mset in modes[0]]
     mode_offset = list(accumulate(counts, initial=nc))
@@ -604,10 +600,12 @@ def _assemble(graph: TailedGraph, lams: np.ndarray, rows: list[int], modes):
     a[:, :nc, :nc] = graph.core_matrix() - lams[:, None, None] * np.eye(nc)
 
     # site values: values[j][:, n] is (S, l, modes) with one column per mode of tail j
+    depths = [graph.junction_depth(j) for j in range(len(graph.tails))]
     values = [
-        _site_values([mset[j] for mset in modes], 0, nrows + tail.op.k - 1, tail.op.l)
-        for j, (tail, nrows) in enumerate(zip(graph.tails, rows))
+        _site_values([mset[j] for mset in modes], 0, max(nrows, d + t.op.k) + t.op.k - 1, t.op.l)
+        for j, (t, nrows, d) in enumerate(zip(graph.tails, rows, depths))
     ]
+    windows = []
 
     def tail_rows(j: int, n: int) -> slice:
         lj = graph.tails[j].op.l
@@ -617,7 +615,8 @@ def _assemble(graph: TailedGraph, lams: np.ndarray, rows: list[int], modes):
         return slice(mode_offset[j], mode_offset[j] + counts[j])
 
     for j, (tail, nrows) in enumerate(zip(graph.tails, rows)):
-        op, vals = tail.op, values[j]
+        op, vals, d = tail.op, values[j], depths[j]
+        windows.append(vals[:, d : d + 2 * op.k].reshape(len(lams), 2 * op.k * op.l, counts[j]))
         acc = -lams[:, None, None, None] * vals[:, :nrows]
         for s in range(-op.k, op.k + 1):
             lo = max(0, -s)  # the half-line has no sites below 0
@@ -632,13 +631,15 @@ def _assemble(graph: TailedGraph, lams: np.ndarray, rows: list[int], modes):
     for (j1, n1), (j2, n2), m in graph.cross_links:
         a[:, tail_rows(j1, n1), mode_cols(j2)] += m @ values[j2][:, n2]
         a[:, tail_rows(j2, n2), mode_cols(j1)] += m.T @ values[j1][:, n1]
-    return a, mode_offset
+    return a, mode_offset, windows
 
 
 @dataclass
 class AsymptoticSubspace:
     """Kernel of the junction problem in modal coordinates; ``depth`` is
-    the largest number of rows assembled on one tail."""
+    the largest number of rows assembled on one tail.  ``windows[j]`` holds
+    the (2kl, modes) mode windows of tail j just past its junction, one
+    column per mode of ``modes[j]``."""
 
     lam: float
     depth: int
@@ -676,15 +677,16 @@ def _subspaces(graph: TailedGraph, lams, rows: list[int]) -> list[AsymptoticSubs
     distinct tail, one assembly and one SVD per stack of equal shape."""
     clfs, modes, stacks = _junction_grid(graph, lams, rows)
     out = [None] * len(lams)
-    for idx, stack, mode_offset in stacks:
-        for i, basis in zip(idx, _null_spaces(stack)):
-            out[i] = _subspace(graph, float(lams[i]), rows, clfs[i], modes[i], basis, mode_offset)
+    for idx, stack, mode_offset, windows in stacks:
+        for t, (i, basis) in enumerate(zip(idx, _null_spaces(stack))):
+            out[i] = _subspace(graph, float(lams[i]), rows, clfs[i], modes[i], basis, mode_offset,
+                               [x[t] for x in windows])
     return out
 
 
-def _subspace(graph, lam, rows, clfs, modes, basis, mode_offset) -> AsymptoticSubspace:
-    """asymptotic_subspace at lam from the tails' classifications and modes
-    and the null-space basis of the junction matrix."""
+def _subspace(graph, lam, rows, clfs, modes, basis, mode_offset, windows) -> AsymptoticSubspace:
+    """asymptotic_subspace at lam from the tails' classifications, modes
+    and mode windows and the null-space basis of the junction matrix."""
     flags = set()
     if any(c.critical for c in clfs):
         flags.add("critical")
@@ -697,25 +699,18 @@ def _subspace(graph, lam, rows, clfs, modes, basis, mode_offset) -> AsymptoticSu
 
     nc = graph.core_size
     core_values = kernel[:nc, :]
-    modal = []
-    windows = []
-    for j, tail in enumerate(graph.tails):
-        k = tail.op.k
-        coef = kernel[mode_offset[j] : mode_offset[j] + len(modes[j]), :]
-        modal.append(coef)
-        m_pair = graph.junction_depth(j) + k - 1
-        windows.append(_windows(modes[j], m_pair, k, tail.op.l) @ coef)
+    modal = [kernel[off : off + len(mset), :] for off, mset in zip(mode_offset, modes)]
+    solutions = [x @ coef for x, coef in zip(windows, modal)]
 
     # normalize by asymptotic window norm, then measure the pair form
-    norms = np.sqrt(sum(np.sum(np.abs(w) ** 2, axis=0) for w in windows))
+    norms = np.sqrt(sum(np.sum(np.abs(w) ** 2, axis=0) for w in solutions))
     safe = np.where(norms > 1e-12, norms, 1.0)
     if np.any(norms <= 1e-12):
         flags.add("window-degenerate")
     pairing = np.zeros((dim, dim), dtype=complex)
-    for j, tail in enumerate(graph.tails):
-        sw = swronskian_form(tail.op, 0).matrix
-        wj = windows[j] / safe
-        pairing += wj.T @ sw @ wj
+    for tail, sol in zip(graph.tails, solutions):
+        wj = sol / safe
+        pairing += wj.T @ swronskian_form(tail.op, 0).matrix @ wj
     residual = float(np.max(np.abs(pairing))) if dim else 0.0
 
     return AsymptoticSubspace(
@@ -797,15 +792,11 @@ def _scatter(graph: TailedGraph, sub: AsymptoticSubspace) -> ScatteringResult:
 
     # diagnostic: the in/out pair normalization across channels
     defect = 0.0
-    for j, tail in enumerate(graph.tails):
-        sw = swronskian_form(tail.op, 0).matrix
-        k, l = tail.op.k, tail.op.l
-        m_pair = graph.junction_depth(j) + k - 1
-        outs = [m for m in sub.modes[j] if m.kind == "out"]
-        ins = [m for m in sub.modes[j] if m.kind == "in"]
-        if outs:
-            pair = _windows(ins, m_pair, k, l).T @ sw @ _windows(outs, m_pair, k, l)
-            defect = max(defect, float(np.max(np.abs(pair - A_LAMBDA * np.eye(len(outs))))))
+    for tail, mset, x, n in zip(graph.tails, sub.modes, sub.windows, per_tail):
+        if n:
+            kind = np.array([mode.kind for mode in mset])
+            pair = x[:, kind == "in"].T @ swronskian_form(tail.op, 0).matrix @ x[:, kind == "out"]
+            defect = max(defect, float(np.max(np.abs(pair - A_LAMBDA * np.eye(n)))))
     return ScatteringResult(lam, channels, s, unit, symm, defect, sub, flags)
 
 
@@ -826,7 +817,7 @@ def _sigma_mins(size: int, stacks) -> np.ndarray:
     """Relative smallest singular value at each of ``size`` lambdas from
     their decay-system stacks (inf without modal columns)."""
     out = np.full(size, math.inf)
-    for idx, stack, _ in stacks:
+    for idx, stack, *_ in stacks:
         if stack.shape[2] == 0:
             continue
         sing = np.linalg.svd(stack, compute_uv=False)
@@ -878,7 +869,7 @@ def regular_discrete_spectrum(
     out: list[BoundState] = []
     mids = 0.5 * (a + b)
     _, modes, stacks = _junction_grid(graph, mids, rows, True) if mins.size else (0, [], [])
-    for idx, stack, mode_offset in stacks:
+    for idx, stack, mode_offset, _ in stacks:
         _, sings, vts = np.linalg.svd(stack)
         for i, sing, vt in zip(idx, sings, vts):
             sig = sing[-1] / (sing[0] or 1.0) if len(sing) == stack.shape[2] else 0.0
@@ -1126,7 +1117,10 @@ def tailed_graph_from_json(data: dict) -> TailedGraph:
                 core_dims[next_label] = op.l
                 next_label += 1
 
-            coeff = LineOperator(op.k, op.l, op._base, overrides).block
+            try:
+                coeff = LineOperator(op.k, op.l, op._base, overrides).block
+            except DomainError as err:
+                raise DomainError(f'tail {jt} "decay" table: {err}') from None
             new_attach = {}
             for n in range(cut):
                 for s in range(-op.k, op.k + 1):

@@ -267,13 +267,10 @@ def suite_operators(rng, cx: SimplicialComplex | None = None):
     return out
 
 
-def suite_swronskian(rng, cx=None, op=None):
+def suite_swronskian(rng, cx=None):
     out = []
-    if op is None:
-        cx = cx or ex.random_complex(rng, 40)
-        raw = ex.random_operator(rng, cx, vec_dim=int(rng.integers(1, 3)), max_steps=3)
-    else:
-        raw = op
+    cx = cx or ex.random_complex(rng, 40)
+    raw = ex.random_operator(rng, cx, vec_dim=int(rng.integers(1, 3)), max_steps=3)
     vop, sub, centers = to_vertex_operator(raw)
     lam = float(rng.uniform(-2, 2))
     n_free = max(2, (2 + vop.vec_dim - 1) // vop.vec_dim + 1)

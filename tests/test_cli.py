@@ -367,6 +367,15 @@ def test_nonlinear_rejects_non_finite_input(tmp_path, capsys):
     assert "variations[1] is not finite at vertex 3" in capsys.readouterr().err
 
 
+def test_nonlinear_rejects_dunder_expression(tmp_path, capsys):
+    data = kicked_system_json()
+    expr = "().__class__.__base__.__subclasses__().__len__() + 0*x0"
+    data["density"] = {"name": "expression", "nvars": 2, "expr": expr}
+    rc = main(["nonlinear", "--system-file", write_json(tmp_path / "escape.json", data)])
+    assert rc == 2
+    assert "private name '__len__'" in capsys.readouterr().err
+
+
 def test_nonlinear_committed_fixture(capsys):
     # tests/data/kicked16.json is the system that CI runs through the CLI
     path = Path(__file__).parent / "data" / "kicked16.json"
@@ -415,3 +424,40 @@ def test_verify_single_suite_with_report(tmp_path, capsys):
     assert report["results"]
     assert all(r["passed"] for r in report["results"])
     assert all(r["suite"] == "swronskian" for r in report["results"])
+
+
+def test_verify_reads_the_committed_torus_complex(capsys, monkeypatch):
+    import swron.complex_core as cc
+
+    read, real = [], cc.load_complex
+    monkeypatch.setattr(cc, "load_complex", lambda path: read.append(path) or real(path))
+    path = str(Path(__file__).parent / "data" / "torus7.json")
+    assert main(["verify", "--complex-file", path]) == 0
+    assert read == [path]
+    assert "FAIL" not in capsys.readouterr().out
+
+
+def two_channel_line_operator():
+    """The order-2, two-channel line operator of tests/data/ladder2.json."""
+    blocks = {0: [[0.5, -0.3], [-0.3, -0.2]], 1: [[-1.0, 0.2], [0.4, -0.8]],
+              2: [[0.3, 0.1], [-0.1, 0.25]]}
+    return line_operator_from_json(
+        {"k": 2, "l": 2, "blocks": {str(s): m for s, m in blocks.items()}})
+
+
+def test_verify_runs_line_suites_on_the_committed_line_operator(capsys):
+    path = Path(__file__).parent / "data" / "ladder2.json"
+    assert json.loads(path.read_text()) == line_operator_to_json(two_channel_line_operator())
+    rc = main(["verify", "--suite", "symplectic", "--suite", "classification",
+               "--operator-file", str(path)])
+    out = capsys.readouterr().out
+    assert rc == 0 and "FAIL" not in out
+    assert "[symplectic]" in out and "[classification]" in out
+    # a supplied operator replaces the three random symplectic trials
+    assert "pair form determinant #0" in out and "#1" not in out
+
+
+def test_verify_rejects_a_block_operator_file(capsys):
+    path = Path(__file__).parent / "data" / "torus7_operator.json"
+    assert main(["verify", "--operator-file", str(path)]) == 2
+    assert "line operator JSON lacks field 'k'" in capsys.readouterr().err

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -69,6 +70,21 @@ def test_density_analytic_vs_fd():
                 return den.grad(pt, a)[0]
             want = orc.central_gradient(grad_entry, xs[b])
             assert np.max(np.abs(got - want.reshape(1, 1))) <= 1e-6
+
+
+ESCAPE = "().__class__.__base__.__subclasses__().__len__() + 0*x0"
+
+
+def test_expression_density_rejects_private_names():
+    with pytest.raises(DomainError, match="private name '__len__'"):
+        expression_density(1, ESCAPE)
+    with pytest.raises(DomainError, match="private name '_x'"):
+        expression_density(1, "x0 + _x")
+
+
+def test_expression_density_keeps_numpy_and_math():
+    den = expression_density(2, "np.sin(x0) + math.cos(x1)")
+    assert den.value([np.array([0.3]), np.array([0.4])]) == np.sin(0.3) + math.cos(0.4)
 
 
 def test_expression_density_falls_back_to_fd():

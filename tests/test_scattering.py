@@ -559,6 +559,36 @@ def test_informative_rows_per_tail():
     assert two_channel_graph().default_depth() == 2
 
 
+def test_mode_values_are_evaluated_once_per_tail_and_stack(monkeypatch):
+    import swron.scattering as sc
+
+    graph = two_channel_graph()
+    assert scattering_matrix(graph, 0.5).s_matrix is not None  # warm the form caches
+    calls, real = [], sc._site_values
+
+    def spy(*args):
+        calls.append(args[1:3])
+        return real(*args)
+
+    monkeypatch.setattr(sc, "_site_values", spy)
+    assert scattering_matrix(graph, 0.5).s_matrix is not None
+    assert len(calls) == 3, calls
+    calls.clear()
+    band_scan(graph, -3.0, 3.0, 31)
+    assert len(calls) == 3, calls
+
+
+def test_subspace_windows_hold_mode_values_past_the_junction():
+    graph = cross_linked_graph()
+    sub = asymptotic_subspace(graph, 0.5)
+    for j, (tail, modes, x) in enumerate(zip(graph.tails, sub.modes, sub.windows)):
+        d, k = graph.junction_depth(j), tail.op.k
+        assert x.shape == (2 * k * tail.op.l, len(modes))
+        for col, mode in zip(x.T, modes):
+            want = np.concatenate([mode.value(n) for n in range(d, d + 2 * k)])
+            assert np.allclose(col, want, rtol=1e-13, atol=0.0)
+
+
 def test_tail_couplings_at_sites_beyond_order_rejected():
     free = ex.free_tail
     with pytest.raises(DomainError, match="decay"):
@@ -662,6 +692,30 @@ def test_decay_rows_follow_the_line_operator_shift_rule():
     asymmetric = [{"site": 0, "blocks": {"1": [[0.5]]}}, {"site": 1, "blocks": {"-1": [[0.7]]}}]
     with pytest.raises(DomainError, match=re.escape("blocks (0, 1) and (1, -1) break symmetry")):
         with_decay(well, 0, asymmetric)
+
+
+def test_bad_decay_table_names_its_tail():
+    star = ex.star_tailed(3)
+    with pytest.raises(DomainError, match=re.escape('tail 2 "decay" table: shift 2 exceeds')):
+        with_decay(star, 2, [{"site": 0, "blocks": {"2": [[0.3]]}}])
+
+
+def test_asymmetric_decay_table_names_its_tail():
+    star = ex.star_tailed(3)
+    asymmetric = [{"site": 0, "blocks": {"1": [[0.5]]}}, {"site": 1, "blocks": {"-1": [[0.7]]}}]
+    want = 'tail 2 "decay" table: blocks (0, 1) and (1, -1) break symmetry by 2.000e-01'
+    with pytest.raises(DomainError, match=re.escape(want)):
+        with_decay(star, 2, asymmetric)
+
+
+def test_asymptotic_operator_key_loads_like_operator():
+    data = tailed_graph_to_json(ex.potential_line(1.0))
+    data["tails"][1]["asymptotic_operator"] = data["tails"][1].pop("operator")
+    graph, alias = ex.potential_line(1.0), tailed_graph_from_json(data)
+    assert alias._tail_keys == graph._tail_keys
+    for lam in (-1.3, 0.5, 1.7):
+        assert np.array_equal(scattering_matrix(alias, lam).s_matrix,
+                              scattering_matrix(graph, lam).s_matrix)
 
 
 @pytest.mark.parametrize(

@@ -34,7 +34,6 @@ __all__ = [
     "Chain1",
     "canonical_path",
     "barycentric_subdivision",
-    "boundary",
     "complex_to_json",
     "complex_from_json",
 ]
@@ -134,8 +133,6 @@ class SimplicialComplex:
             self._skeleton[v].append((eid, u))
         for v in self._skeleton:
             self._skeleton[v].sort()
-
-        self._girth: int | None = None
 
     # -- basic queries ---------------------------------------------------
 
@@ -268,8 +265,6 @@ class SimplicialComplex:
 
     def girth(self) -> float:
         """Shortest 1-cycle length in edges; inf for a forest 1-skeleton."""
-        if self._girth is not None:
-            return self._girth
         best = math.inf
         for src in self._vertex_sid:
             dist = {src: 0}
@@ -286,13 +281,7 @@ class SimplicialComplex:
                         dist[w] = dist[u] + 1
                         parent_edge[w] = eid
                         frontier.append(w)
-        self._girth = best
         return best
-
-    def connected(self) -> bool:
-        if not self.simplices:
-            return True
-        return len(self._search(0)) == len(self.simplices)
 
 
 @dataclass
@@ -358,11 +347,6 @@ class Chain1:
                 for e, c in sorted(self.coeffs.items())
             }
         }
-
-
-def boundary(chain: Chain1) -> dict[int, complex]:
-    """Functional form of :meth:`Chain1.boundary`."""
-    return chain.boundary()
 
 
 def canonical_path(complex: SimplicialComplex, a: int, b: int) -> PathChain:

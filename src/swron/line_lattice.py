@@ -401,11 +401,9 @@ class DirectImage:
     slot of orbit a.  Both directions are pure permutations of values.
     """
 
-    cover: CoveringGraph
     offsets: dict
     orbit_order: tuple
     vec_dim: int
-    line_op: "LineOperator"
 
     def slot(self, a: int) -> int:
         return self.orbit_order.index(a)
@@ -456,9 +454,7 @@ def direct_image(
         tgt[ja * l : (ja + 1) * l, jb * l : (jb + 1) * l] += m
     k = max((abs(s) for s in shifts), default=0)
     line = LineOperator(k, nslot * l, shift_blocks=shifts)
-    return line, DirectImage(
-        cover=cover, offsets=offsets, orbit_order=order, vec_dim=l, line_op=line
-    )
+    return line, DirectImage(offsets=offsets, orbit_order=order, vec_dim=l)
 
 
 def cover_apply(cover: CoveringGraph, blocks: dict, vec_dim: int, psi: dict, at):
@@ -501,36 +497,33 @@ def periodized_cover_matrix(
     return _exact_dtype(mat), index
 
 
+def _line_matrix(op: LineOperator, sites, column) -> np.ndarray:
+    """Dense matrix of ``op`` on ``sites``: block (n, s) is added into block
+    column ``column(n + s)``, and dropped where that is None."""
+    l = op.l
+    mat = np.zeros((len(sites) * l, len(sites) * l), dtype=complex)
+    for r, n in enumerate(sites):
+        for s in range(-op.k, op.k + 1):
+            c = column(n + s)
+            if c is not None:
+                b = op.block(n, s)
+                if np.any(b != 0):
+                    mat[r * l : (r + 1) * l, c * l : (c + 1) * l] += b
+    return _exact_dtype(mat)
+
+
 def periodized_line_matrix(op: LineOperator, period: int) -> np.ndarray:
     """Dense matrix of a constant lattice operator on Z mod period."""
     if not op.constant:
         raise DomainError("periodization needs a constant operator")
     if period < 1:
         raise DomainError("period must be positive")
-    l = op.l
-    mat = np.zeros((period * l, period * l), dtype=complex)
-    for n in range(period):
-        for s in range(-op.k, op.k + 1):
-            b = op.block(n, s)
-            if np.any(b != 0):
-                c = ((n + s) % period) * l
-                mat[n * l : (n + 1) * l, c : c + l] += b
-    return _exact_dtype(mat)
+    return _line_matrix(op, range(period), lambda m: m % period)
 
 
 def truncated_line_matrix(op: LineOperator, lo: int, hi: int) -> np.ndarray:
     """Dense Dirichlet truncation on sites lo..hi inclusive."""
-    sites = list(range(lo, hi + 1))
-    l = op.l
-    mat = np.zeros((len(sites) * l, len(sites) * l), dtype=complex)
-    for r, n in enumerate(sites):
-        for s in range(-op.k, op.k + 1):
-            if lo <= n + s <= hi:
-                b = op.block(n, s)
-                if np.any(b != 0):
-                    c = (n + s - lo) * l
-                    mat[r * l : (r + 1) * l, c : c + l] += b
-    return _exact_dtype(mat)
+    return _line_matrix(op, range(lo, hi + 1), lambda m: m - lo if lo <= m <= hi else None)
 
 
 # -- serialization -------------------------------------------------------------

@@ -20,6 +20,7 @@ import ast
 import math
 import warnings
 from dataclasses import dataclass, replace
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -146,20 +147,39 @@ def standard_map_density(kick: float = 1.0) -> Density:
     return Density(2, val, grad=grad, hess=hess, name="standard-map")
 
 
+_ELEMENTWISE = "sin cos tan sinh cosh tanh exp log log1p expm1 sqrt pi e"
+# what an expression may read from ``np`` and ``math``: elementwise functions
+# and constants, never the modules themselves (those reach file I/O)
+_SANDBOX = {
+    "np": SimpleNamespace(**{n: getattr(np, n) for n in (
+        _ELEMENTWISE + " arcsin arccos arctan arcsinh arccosh arctanh abs").split()}),
+    "math": SimpleNamespace(**{n: getattr(math, n) for n in (
+        _ELEMENTWISE + " asin acos atan asinh acosh atanh fabs").split()}),
+}
+
+
 def expression_density(nvars: int, expr: str, name: str = "expr") -> Density:
     """Scalar density from a Python expression in x0..x{nvars-1}.
 
     Derivatives come from finite differences (``uses_fd`` stays True).
-    The expression is evaluated with numpy and math available and
-    nothing else; a name or attribute starting with ``_`` is a DomainError.
+    Besides x0..x{nvars-1} the expression may use only ``np.<f>`` and
+    ``math.<f>`` for the elementwise functions and constants of
+    ``_SANDBOX``; any other name or attribute is a DomainError.
     """
     tree = ast.parse(expr, "<density>", "eval")
+    names = {f"x{i}" for i in range(nvars)} | set(_SANDBOX)
     for node in ast.walk(tree):
         ident = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", "")
         if ident.startswith("_"):
             raise DomainError(f"density expression may not use the private name {ident!r}")
+        if isinstance(node, ast.Attribute) and not (
+            isinstance(node.value, ast.Name) and hasattr(_SANDBOX.get(node.value.id), ident)
+        ):
+            raise DomainError(f"density expression may not use {ast.unparse(node)!r}")
+        if isinstance(node, ast.Name) and ident not in names:
+            raise DomainError(f"density expression may not use the name {ident!r}")
     code = compile(tree, "<density>", "eval")
-    space = {"np": np, "math": math, "__builtins__": {}}
+    space = {**_SANDBOX, "__builtins__": {}}
 
     def val(*xs):
         local = dict(space)

@@ -392,7 +392,6 @@ class HodgeOperators:
 
     operator: DiscreteOperator
     laplacians: list[np.ndarray]
-    dims: list[int]
 
 
 def build_hodge(complex: SimplicialComplex, vec_dim: int = 1) -> HodgeOperators:
@@ -408,10 +407,8 @@ def build_hodge(complex: SimplicialComplex, vec_dim: int = 1) -> HodgeOperators:
     op = DiscreteOperator(complex, vec_dim, blocks, order=1)
 
     laplacians = []
-    dims = []
     for k in range(complex.dim + 1):
         nk = len(complex.simplices_of_dim(k))
-        dims.append(nk)
         lap = np.zeros((nk * vec_dim, nk * vec_dim))
         if k >= 1:
             bk = np.kron(complex.boundary_matrix(k).astype(float), eye)
@@ -420,7 +417,7 @@ def build_hodge(complex: SimplicialComplex, vec_dim: int = 1) -> HodgeOperators:
             bk1 = np.kron(complex.boundary_matrix(k + 1).astype(float), eye)
             lap += bk1 @ bk1.T
         laplacians.append(lap)
-    return HodgeOperators(operator=op, laplacians=laplacians, dims=dims)
+    return HodgeOperators(operator=op, laplacians=laplacians)
 
 
 def harmonic_basis(complex: SimplicialComplex, vec_dim: int = 1) -> list[np.ndarray]:

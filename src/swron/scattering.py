@@ -248,8 +248,10 @@ def find_critical_points(
 def _critical_points(op: LineOperator, grid, cls, tol: float = 1e-8) -> list[CriticalPoint]:
     """find_critical_points from the classifications ``cls`` of the grid.
     A flagged inner sample whose counts match neither neighbour sits on an
-    edge and is skipped.  A midpoint's side is decided by its counts alone,
-    since identical channels flag every in-band point as a collision."""
+    edge and is skipped.  A flagged midpoint's side is decided by its counts
+    alone, since identical channels flag every in-band point as a collision;
+    an unflagged midpoint with a third set of counts splits its span in two,
+    so two changes within one grid step are both found."""
     counts = [c.counts() for c in cls]
     keep = [i for i, c in enumerate(cls) if not (
         0 < i < len(cls) - 1 and c.critical and counts[i] not in (counts[i - 1], counts[i + 1]))]
@@ -262,11 +264,16 @@ def _critical_points(op: LineOperator, grid, cls, tol: float = 1e-8) -> list[Cri
     while active:
         mids = [0.5 * (sp[0] + sp[1]) for sp in active]
         for sp, mid, cm in zip(active, mids, _classify_grid(op, mids)):
-            sp[0 if cm.counts() == sp[2] else 1] = mid
-        active = [sp for sp in active if sp[1] - sp[0] > tol]
+            c = cm.counts()
+            if not cm.critical and c not in sp[2:]:
+                spans.append([mid, sp[1], c, sp[3]])
+                sp[1], sp[3] = mid, c
+            else:
+                sp[0 if c == sp[2] else 1] = mid
+        active = [sp for sp in spans if sp[1] - sp[0] > tol]
     return [
         CriticalPoint(0.5 * (la + lb), before, after, *_path_of(before, after))
-        for la, lb, before, after in spans
+        for la, lb, before, after in sorted(spans, key=lambda sp: sp[0])
     ]
 
 
@@ -303,7 +310,6 @@ class Mode:
     w: np.ndarray
     kind: str  # 'in' | 'out' | 'decay' | 'grow'
     anchor: int = 0
-    channel: int | None = None
 
     def value(self, n: int) -> np.ndarray:
         return self.w * (self.mu ** (n - self.anchor))
@@ -371,9 +377,8 @@ def _tail_grid(op: LineOperator, lams, places, decay_only=False):
                     if t < 0:
                         mu, wj, t = np.conj(mu), np.conj(wj), -t
                     w_out = wj * (mu ** origin) / math.sqrt(t)
-                    channel = sum(m.kind == "out" for m in modes)
-                    modes.append(Mode(mu, w_out, "out", channel=channel))
-                    modes.append(Mode(np.conj(mu), np.conj(w_out), "in", channel=channel))
+                    modes.append(Mode(mu, w_out, "out"))
+                    modes.append(Mode(np.conj(mu), np.conj(w_out), "in"))
             grid.append(modes)
     return clfs, grids
 
@@ -944,51 +949,29 @@ class BandScan:
         return spans
 
     def to_csv(self, path: str) -> None:
-        labels = []
-        for row in self.rows:
-            for (j1, i1) in row.result.channels:
-                lab = f"{j1}c{i1}"
-                if lab not in labels:
-                    labels.append(lab)
+        labels = list(dict.fromkeys(c for row in self.rows for c in row.result.channels))
+        names = [f"{j}c{i}" for j, i in labels]
         header = ["lambda", "s", "p", "q", "critical_flag", "singular_flag"]
-        for a in labels:
-            for b in labels:
-                header += [f"S_re[{a}->{b}]", f"S_im[{a}->{b}]"]
+        header += [f"S_{part}[{a}->{b}]" for a in names for b in names for part in ("re", "im")]
         header += ["unitarity_residual", "symmetry_residual"]
         table = [header]
         for row in self.rows:
-            def fmt_counts(ix):
+            res = row.result
+            rec = [repr(row.lam)]
+            for ix in range(3):
                 vals = [c[ix] for c in row.counts]
-                return vals[0] if len(set(vals)) == 1 else "|".join(map(str, vals))
-
-            rec = [
-                repr(row.lam),
-                fmt_counts(0),
-                fmt_counts(1),
-                fmt_counts(2),
-                int(row.critical),
-                int(row.singular),
-            ]
-            smap = {}
-            if row.result.s_matrix is not None:
-                chan = [f"{j}c{i}" for j, i in row.result.channels]
-                for r, ra in enumerate(chan):
-                    for c, cb in enumerate(chan):
-                        smap[(cb, ra)] = row.result.s_matrix[r, c]
+                rec.append(vals[0] if len(set(vals)) == 1 else "|".join(map(str, vals)))
+            rec += [int(row.critical), int(row.singular)]
+            # S[b, a] sends channel a to channel b; absent channels leave empty cells
+            pos = {} if res.s_matrix is None else {c: i for i, c in enumerate(res.channels)}
             for a in labels:
                 for b in labels:
-                    x = smap.get((a, b))
-                    rec += (
-                        ["", ""]
-                        if x is None
-                        else [repr(float(np.real(x))), repr(float(np.imag(x)))]
-                    )
-            rec += [
-                "" if row.result.unitarity_residual is None
-                else repr(row.result.unitarity_residual),
-                "" if row.result.symmetry_residual is None
-                else repr(row.result.symmetry_residual),
-            ]
+                    if a in pos and b in pos:
+                        x = res.s_matrix[pos[b], pos[a]]
+                        rec += [repr(float(np.real(x))), repr(float(np.imag(x)))]
+                    else:
+                        rec += ["", ""]
+            rec += ["" if r is None else repr(r) for r in (res.unitarity_residual, res.symmetry_residual)]
             table.append(rec)
         _write_csv(path, table)
 

@@ -245,6 +245,7 @@ def test_classify_rejects_varying_operator(tmp_path, capsys):
 
 
 def test_direct_image_ladder(tmp_path):
+    # tests/data/ladder_cover.json is the cover CI repacks through the CLI
     cover = {
         "orbits": [0, 1],
         "edges": [[0, 0, 1], [1, 1, 1], [0, 1, 0]],
@@ -257,7 +258,9 @@ def test_direct_image_ladder(tmp_path):
             {"from": 1, "to": 1, "shift": 0, "matrix": [[3.0]]},
         ],
     }
-    cpath = write_json(tmp_path / "ladder.json", cover)
+    path = Path(__file__).parent / "data" / "ladder_cover.json"
+    assert json.loads(path.read_text()) == cover
+    cpath = str(path)
     out = tmp_path / "di.json"
     tcsv = tmp_path / "t.csv"
     rc = main([
@@ -374,6 +377,18 @@ def test_nonlinear_rejects_dunder_expression(tmp_path, capsys):
     rc = main(["nonlinear", "--system-file", write_json(tmp_path / "escape.json", data)])
     assert rc == 2
     assert "private name '__len__'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("call", ["np.savetxt({path!r}, [x0])", "np.load({path!r})"])
+def test_nonlinear_rejects_file_access_in_expressions(tmp_path, capsys, call):
+    leak = tmp_path / "leak.txt"
+    data = kicked_system_json()
+    data["density"] = {"name": "expression", "nvars": 2,
+                       "expr": f"({call.format(path=str(leak))} or 0) + x0"}
+    rc = main(["nonlinear", "--system-file", write_json(tmp_path / "io.json", data)])
+    assert rc == 2
+    assert "may not use 'np." in capsys.readouterr().err
+    assert not leak.exists()
 
 
 def test_nonlinear_committed_fixture(capsys):

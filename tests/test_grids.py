@@ -4,6 +4,7 @@ the batched grid path with the per-point API and with independent oracles."""
 import json
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from swron import (
 )
 from swron import examples as ex
 from swron.cli import main
-from swron.line_lattice import line_operator_to_json
+from swron.line_lattice import LineOperator, line_operator_to_json
 
 
 def two_channel_graph(seed: int) -> TailedGraph:
@@ -131,22 +132,28 @@ def test_batched_counts_match_the_companion_oracle(seed):
 
 def serial_critical_points(op, lo, hi, samples, tol=1e-8):
     """The per-point bisection: one transfer_map and classify_monodromy per
-    grid point and per step, each crossing refined on its own."""
+    grid point and per step, each crossing refined on its own.  An unflagged
+    midpoint with counts matching neither end holds a second change, and
+    both halves are refined."""
     grid = np.linspace(lo, hi, samples)
     counts = [classify_monodromy(transfer_map(op, float(x), 0)).counts() for x in grid]
-    out = []
-    for i in range(samples - 1):
-        if counts[i] == counts[i + 1]:
-            continue
-        la, lb = float(grid[i]), float(grid[i + 1])
+
+    def refine(la, lb, before, after):
         while lb - la > tol:
             mid = 0.5 * (la + lb)
             cm = classify_monodromy(transfer_map(op, mid, 0))
-            if not cm.critical and cm.counts() == counts[i]:
+            if not cm.critical and cm.counts() not in (before, after):
+                return refine(la, mid, before, cm.counts()) + refine(mid, lb, cm.counts(), after)
+            if not cm.critical and cm.counts() == before:
                 la = mid
             else:
                 lb = mid
-        out.append((0.5 * (la + lb), counts[i], counts[i + 1]))
+        return [(0.5 * (la + lb), before, after)]
+
+    out = []
+    for i in range(samples - 1):
+        if counts[i] != counts[i + 1]:
+            out += refine(float(grid[i]), float(grid[i + 1]), counts[i], counts[i + 1])
     return out
 
 
@@ -203,6 +210,37 @@ def test_band_scan_of_identical_tails_gets_exact_band_edges():
     assert len(scan.criticals) == 4
     assert_free_line_edges(op, scan.criticals[:2])
     assert_free_line_edges(op, scan.criticals[2:])
+
+
+@pytest.mark.parametrize("samples", [24, 61, 101])
+def test_two_changes_a_quarter_apart_are_both_found(samples):
+    # blocks 5 at shift 1 and 1 at shift 2: with z = mu + 1/mu the symbol is
+    # lambda = z^2 + 5 z - 2, so two real pairs merge into a quadruple at
+    # z = -2.5 (lambda = -8.25) and a band opens at z = -2 (lambda = -8);
+    # 24 samples put both in one grid step, 61 put -8 on the grid
+    op = LineOperator(2, 1, {1: [[5.0]], 2: [[1.0]]})
+    cps = find_critical_points(op, -12, 12, samples)
+    assert [(cp.path, cp.spectrum_neutral) for cp in cps] == [(1, True), (3, False)]
+    for cp, edge in zip(cps, (-8.25, -8.0)):
+        assert abs(cp.lam - edge) <= 1e-8
+        assert cp.before == orc.channel_counts(op, cp.lam - 1e-6)
+        assert cp.after == orc.channel_counts(op, cp.lam + 1e-6)
+
+
+def test_classify_reports_both_changes_inside_one_ladder_step(tmp_path):
+    # two changes 2.7e-5 apart near -1.46 and two more near -0.87 and -0.74
+    # each share a grid step of 0.3
+    out = tmp_path / "classify.json"
+    path = str(Path(__file__).parent / "data" / "ladder2.json")
+    rc = main(["classify", "--operator-file", path, "--lo", "-6", "--hi", "6",
+               "--samples", "41", "--output", str(out)])
+    assert rc == 0
+    cps = json.loads(out.read_text())["critical_points"]
+    assert [cp["path"] for cp in cps] == [2, 3, 2, 3, 1, 3, 3]
+    lams = [cp["lambda"] for cp in cps]
+    assert lams == sorted(lams) and 0 < lams[1] - lams[0] < 1e-4
+    for a, b in zip(cps, cps[1:]):
+        assert a["after"] == b["before"]
 
 
 @pytest.mark.parametrize("name", FIXTURES)

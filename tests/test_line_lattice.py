@@ -252,6 +252,16 @@ def test_periodized_spectra_agree():
         assert np.max(np.abs(a - b)) <= 1e-10
 
 
+@pytest.mark.parametrize("period", [1, 2, 3])
+def test_periodized_line_matrix_matches_the_bloch_symbols(period):
+    # period < 2k + 1 = 5, so several shifts wrap into one block column and add
+    op = ex.random_line_operator(np.random.default_rng(period), 2, 2)
+    got = np.linalg.eigvalsh(periodized_line_matrix(op, period))
+    roots = np.exp(2j * np.pi * np.arange(period) / period)
+    want = np.sort(np.concatenate([np.linalg.eigvalsh(op.symbol(mu)) for mu in roots]))
+    assert np.max(np.abs(got - want)) <= 1e-10
+
+
 def test_line_operator_json_roundtrip(tmp_path):
     rng = np.random.default_rng(11)
     op = ex.random_line_operator(rng, 2, 2, n_site_terms=2)

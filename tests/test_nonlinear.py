@@ -82,6 +82,22 @@ def test_expression_density_rejects_private_names():
         expression_density(1, "x0 + _x")
 
 
+@pytest.mark.parametrize("call", ["np.savetxt({path!r}, [x0])", "np.load({path!r})"])
+def test_expression_density_cannot_reach_files(tmp_path, call):
+    path = str(tmp_path / "leak.txt")
+    expr = f"({call.format(path=path)} or 0) + x0"
+    with pytest.raises(DomainError, match=f"may not use 'np.{call[3:7]}"):
+        expression_density(1, expr)
+    assert not (tmp_path / "leak.txt").exists()
+
+
+def test_expression_density_rejects_unknown_names():
+    with pytest.raises(DomainError, match="name 'x2'"):
+        expression_density(2, "x0 + x2")
+    with pytest.raises(DomainError, match="may not use 'x0.hex'"):
+        expression_density(1, "x0 + x0.hex()")
+
+
 def test_expression_density_keeps_numpy_and_math():
     den = expression_density(2, "np.sin(x0) + math.cos(x1)")
     assert den.value([np.array([0.3]), np.array([0.4])]) == np.sin(0.3) + math.cos(0.4)

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import re
 
@@ -489,6 +490,38 @@ def two_channel_graph(seed: int = 11) -> TailedGraph:
         for _ in range(3)
     ]
     return TailedGraph({0: 2}, {(0, 0): np.diag(rng.standard_normal(2))}, tails)
+
+
+def test_band_scan_csv_reads_s_by_channel_position(tmp_path):
+    # outside every band S is withheld; the three tails differ in counts
+    scan = band_scan(two_channel_graph(), -8.0, 8.0, 33)
+    path = tmp_path / "scan.csv"
+    scan.to_csv(str(path))
+    with open(path, newline="") as fh:
+        head, *body = list(csv.reader(fh))
+    labels = list(dict.fromkeys(f"{j}c{i}" for r in scan.rows for j, i in r.result.channels))
+    assert [h for h in head if h.startswith("S_")] == [
+        f"S_{part}[{a}->{b}]" for a in labels for b in labels for part in ("re", "im")]
+    assert len(body) == len(scan.rows)
+    seen = set()
+    for row, rec in zip(scan.rows, body):
+        res, cell = row.result, dict(zip(head, rec))
+        assert float(cell["lambda"]) == row.lam
+        for ix, key in enumerate("spq"):
+            vals = [str(c[ix]) for c in row.counts]
+            assert cell[key] == (vals[0] if len(set(vals)) == 1 else "|".join(vals))
+        names = [f"{j}c{i}" for j, i in res.channels]
+        for a in labels:
+            for b in labels:
+                got = (cell[f"S_re[{a}->{b}]"], cell[f"S_im[{a}->{b}]"])
+                if res.s_matrix is None or a not in names or b not in names:
+                    assert got == ("", "")
+                    seen.add("empty" if res.s_matrix is None else "absent")
+                else:
+                    x = res.s_matrix[names.index(b), names.index(a)]
+                    assert tuple(map(float, got)) == (x.real, x.imag)
+        seen.add("split" if len(set(row.counts)) > 1 else "equal")
+    assert {"empty", "absent", "split"} <= seen
 
 
 def cross_linked_graph() -> TailedGraph:

@@ -28,6 +28,7 @@ from .line_lattice import (
 from .nonlinear import (
     DENSITIES,
     DiscreteLagrangianSystem,
+    _vectors,
     build_homogeneous_order4,
     build_translation_invariant,
     expression_density,
@@ -325,13 +326,8 @@ def _system_from_json(data: dict) -> DiscreteLagrangianSystem:
 
 
 def _configuration_from_json(data, name: str) -> dict:
-    out = {}
-    for v, x in data.items():
-        arr = np.asarray(x, dtype=float).reshape(-1)
-        if not np.all(np.isfinite(arr)):
-            raise DomainError(f"{name} is not finite at vertex {v}")
-        out[int(v)] = arr
-    return out
+    values = {int(v): x for v, x in data.items()}
+    return _vectors(name, values, values)
 
 
 def cmd_nonlinear(args) -> int:

@@ -25,7 +25,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .complex_core import DomainError, SimplicialComplex
-from .operators import DiscreteOperator, _close_symmetric
+from .operators import DiscreteOperator
 from .swronskian import SWronskianChain, swronskian
 
 __all__ = [
@@ -91,6 +91,38 @@ class Density:
             )
         return _central(lambda ys: self.grad(ys, slot_a), xs, slot_b)
 
+    # array form over E rows, ``xs`` one (E, d_s) array per slot: one call per row
+    def _grad_rows(self, xs, slot: int) -> np.ndarray:
+        return np.stack([self.grad(list(row), slot) for row in zip(*xs)])
+
+    def _hess_rows(self, xs, slot_a: int, slot_b: int) -> np.ndarray:
+        return np.stack([self.hess(list(row), slot_a, slot_b) for row in zip(*xs)])
+
+
+class _Stacked(Density):
+    """Density whose ``grad``/``hess`` callables take the array form
+    (xs, slot) and (xs, a, b); the per-slot methods read a one-row stack."""
+
+    def grad(self, xs, slot):
+        xs = [np.asarray(x, dtype=float).reshape(1, -1) for x in xs]
+        return self._grad(xs, slot)[0]
+
+    def hess(self, xs, slot_a, slot_b):
+        xs = [np.asarray(x, dtype=float).reshape(1, -1) for x in xs]
+        return self._hess(xs, slot_a, slot_b)[0]
+
+    def _grad_rows(self, xs, slot):
+        return self._grad(xs, slot)
+
+    def _hess_rows(self, xs, slot_a, slot_b):
+        return self._hess(xs, slot_a, slot_b)
+
+
+def _scalar(xs):  # the two slots of a standard-map row stack
+    if xs[0].shape[1] != 1 or xs[1].shape[1] != 1:
+        raise DomainError("the standard-map density takes scalar slots")
+    return xs
+
 
 def _central(f, xs, slot: int) -> np.ndarray:
     """Central differences of ``f(xs)`` in each entry of ``xs[slot]``,
@@ -111,11 +143,12 @@ def _central(f, xs, slot: int) -> np.ndarray:
 def quadratic_pair_density(weight: float = 1.0) -> Density:
     """0.5 * weight * |x - y|^2 on an edge."""
     w = float(weight)
-    return Density(
+    return _Stacked(
         2,
         lambda x, y: 0.5 * w * float(np.sum((np.asarray(x) - np.asarray(y)) ** 2)),
-        grad=lambda slot, x, y: w * (np.asarray(x) - np.asarray(y)) * (1 if slot == 0 else -1),
-        hess=lambda a, b, x, y: w * np.eye(np.size(x)) * (1 if a == b else -1),
+        grad=lambda xs, slot: w * (xs[0] - xs[1]) * (1 if slot == 0 else -1),
+        hess=lambda xs, a, b: (w * np.eye(xs[0].shape[1]) * (1 if a == b else -1)
+                               * np.ones((len(xs[0]), 1, 1))),
         name="quadratic",
     )
 
@@ -129,22 +162,16 @@ def standard_map_density(kick: float = 1.0) -> Density:
         y = float(np.asarray(y).reshape(()))
         return 0.5 * (x - y) ** 2 + kk * math.cos(x)
 
-    def grad(slot, x, y):
-        x = float(np.asarray(x).reshape(()))
-        y = float(np.asarray(y).reshape(()))
-        if slot == 0:
-            return np.array([x - y - kk * math.sin(x)])
-        return np.array([y - x])
+    def grad(xs, slot):
+        x, y = _scalar(xs)
+        return x - y - kk * np.sin(x) if slot == 0 else y - x
 
-    def hess(a, b, x, y):
-        x = float(np.asarray(x).reshape(()))
-        if a == b == 0:
-            return np.array([[1.0 - kk * math.cos(x)]])
-        if a == b:
-            return np.array([[1.0]])
-        return np.array([[-1.0]])
+    def hess(xs, a, b):
+        x, _ = _scalar(xs)
+        h = 1.0 - kk * np.cos(x) if a == b == 0 else np.full(x.shape, 1.0 if a == b else -1.0)
+        return h[:, :, None]
 
-    return Density(2, val, grad=grad, hess=hess, name="standard-map")
+    return _Stacked(2, val, grad=grad, hess=hess, name="standard-map")
 
 
 _ELEMENTWISE = "sin cos tan sinh cosh tanh exp log log1p expm1 sqrt pi e"
@@ -213,8 +240,10 @@ class DiscreteLagrangianSystem:
     allow_ends : permit vertices lying in fewer than two edges (finite
         truncations of infinite graphs need this).
 
-    A system is immutable after construction (``_at_vertex`` is built here
-    once), so :func:`linearize` keeps its last result on the system.
+    A system is immutable after construction (``_at_vertex`` and
+    ``_groups``, the interactions of each density as (density, ids,
+    (I, nvars) vertex labels), are built here once), so :func:`linearize`
+    keeps its last result on the system.
     """
 
     def __init__(self, graph, interactions, chart_dims=1, *, allow_ends=False):
@@ -235,6 +264,7 @@ class DiscreteLagrangianSystem:
                     )
         self.interactions: list[Interaction] = []
         self._at_vertex: dict[int, list[int]] = {v: [] for v in labels}
+        groups: dict = {}
         for vs, dens in interactions:
             vs = tuple(int(v) for v in vs)
             for v in vs:
@@ -251,83 +281,76 @@ class DiscreteLagrangianSystem:
             self.interactions.append(Interaction(vs, dens))
             for v in vs:
                 self._at_vertex[v].append(idx)
+            groups.setdefault(dens, []).append(idx)
+        self._groups = [
+            (dens, np.array(ids), np.array([self.interactions[i].vertices for i in ids]))
+            for dens, ids in groups.items()
+        ]
         self._linearized: tuple = (None, None)  # (key, LinearizeResult)
 
-    def neighborhood(self, v: int) -> set[int]:
-        """Vertices sharing an interaction with v (v included)."""
-        out = {v}
-        for idx in self._at_vertex[v]:
-            out.update(self.interactions[idx].vertices)
-        return out
-
     def uses_fd(self) -> bool:
-        return any(i.density.uses_fd for i in self.interactions)
+        return any(dens.uses_fd for dens, _, _ in self._groups)
 
 
-def _slot_values(sys: DiscreteLagrangianSystem, inter: Interaction, psi: dict):
-    xs = []
-    for v in inter.vertices:
-        if v not in psi:
-            raise DomainError(f"psi undefined at vertex {v}")
-        xs.append(np.asarray(psi[v], dtype=float).reshape(-1))
-    return xs
-
-
-def _vectors(name: str, values: dict, keys, dim=None) -> dict:
+def _vectors(name: str, values: dict, keys, dims=None, finite=True) -> dict:
     """``values`` at ``keys`` as float vectors.  DomainError names the first
-    vertex that is missing, has not ``dim`` entries or (one stacked check
-    when none is) is not finite."""
+    vertex that is missing, has not ``dims[v]`` entries (where ``dims``
+    has v) or (one stacked check when none is and ``finite``) is not
+    finite."""
     out = {}
     for v in keys:
         if v not in values:
             raise DomainError(f"{name} undefined at vertex {v}")
         out[v] = x = np.asarray(values[v], dtype=float).reshape(-1)
-        if dim is not None and x.size != dim:
+        if dims is not None and (dim := dims.get(v, x.size)) != x.size:
             raise DomainError(f"{name} value at vertex {v} has {x.size} entries, expected {dim}")
-    if out and not np.isfinite(np.concatenate(list(out.values()))).all():
+    if finite and out and not np.isfinite(np.concatenate(list(out.values()))).all():
         v = next(v for v, x in out.items() if not np.isfinite(x).all())
         raise DomainError(f"{name} is not finite at vertex {v}")
     return out
 
 
+def _meeting(sys: DiscreteLagrangianSystem, vertices):
+    """Ascending ids of the interactions meeting ``vertices`` (None: all)."""
+    if vertices is None:
+        return range(len(sys.interactions))
+    for v in vertices:
+        if v not in sys._at_vertex:
+            raise DomainError(f"vertex {v} not in the system")
+    return sorted({i for v in vertices for i in sys._at_vertex[v]})
+
+
+def _values_on(sys: DiscreteLagrangianSystem, psi: dict, idxs, skip=None, finite=True) -> dict:
+    """:func:`_vectors` of psi on the interactions ``idxs`` but ``skip``, in first-use order."""
+    used = dict.fromkeys(v for i in idxs for v in sys.interactions[i].vertices)
+    used.pop(skip, None)
+    return _vectors("psi", psi, used, sys.chart_dims, finite)
+
+
 def local_action(sys: DiscreteLagrangianSystem, psi: dict, around=None) -> float:
     """Sum of densities; restricted to interactions meeting ``around``."""
-    if around is None:
-        idxs = range(len(sys.interactions))
-    else:
-        idxs = sorted({i for v in around for i in sys._at_vertex[v]})
-    total = 0.0
-    for i in idxs:
-        inter = sys.interactions[i]
-        total += inter.density.value(_slot_values(sys, inter, psi))
-    return total
+    vals = _values_on(sys, psi, idxs := _meeting(sys, around))
+    inters = [sys.interactions[i] for i in idxs]
+    return sum((i.density.value([vals[v] for v in i.vertices]) for i in inters), 0.0)
 
 
-def _derivatives(sys: DiscreteLagrangianSystem, psi: dict, idxs, rows, cols):
-    """One pass over the interactions ``idxs``: the summed gradients at
-    the vertices ``rows`` and the summed Hessian blocks at the pairs
-    ``rows`` x ``cols`` (label keys).  None means every vertex.  Each
-    interaction's slot values are built once."""
-    grads = {} if rows is None else {u: np.zeros(sys.chart_dims[u]) for u in rows}
-    hess: dict[tuple[int, int], np.ndarray] = {}
-    for i in idxs:
-        inter = sys.interactions[i]
-        xs = _slot_values(sys, inter, psi)
-        for sa, u in enumerate(inter.vertices):
-            if rows is not None and u not in rows:
-                continue
-            grads[u] = grads.get(u, 0) + inter.density.grad(xs, sa)
-            for sb, w in enumerate(inter.vertices):
-                if cols is None or w in cols:
-                    hess[(u, w)] = hess.get((u, w), 0) + inter.density.hess(xs, sa, sb)
-    return grads, hess
+def _local(sys: DiscreteLagrangianSystem, vals: dict, v: int, w=None):
+    """The interactions at ``v`` as one-row stacks: the gradient at ``v`` summed over
+    those without ``w``, and (density, slot values, slot of v, slot of w) for the rest."""
+    fixed, terms = np.zeros(sys.chart_dims[v]), []
+    for i in sys._at_vertex[v]:
+        dens, vs = sys.interactions[i].density, sys.interactions[i].vertices
+        xs = [None if u == w else vals[u][None] for u in vs]
+        if w in vs:
+            terms.append((dens, xs, vs.index(v), vs.index(w)))
+        else:
+            fixed += dens._grad_rows(xs, vs.index(v))[0]
+    return fixed, terms
 
 
 def el_residual(sys: DiscreteLagrangianSystem, psi: dict, v: int) -> np.ndarray:
     """Derivative of the action with respect to the value at ``v``."""
-    if v not in sys._at_vertex:
-        raise DomainError(f"vertex {v} not in the system")
-    return _derivatives(sys, psi, sys._at_vertex[v], {v}, ())[0][v]
+    return _local(sys, _values_on(sys, psi, _meeting(sys, [v])), v)[0]
 
 
 def dynamical_step(
@@ -344,38 +367,42 @@ def dynamical_step(
     ``unknown`` by Newton iteration.
 
     All other values in the neighborhood of ``v`` must be present in
-    ``psi``.  Raises DegeneracyError when the cross Hessian at an
-    iterate is singular, DomainError naming a non-finite neighbor value
-    once the residual is not finite, and NonConvergenceError after
+    ``psi``.  Raises DomainError naming an unknown vertex or a missing,
+    non-finite or wrong-length value, DegeneracyError when the cross
+    Hessian at an iterate is singular, and NonConvergenceError after
     ``maxiter``.
     """
-    if unknown not in (nbrs := sys.neighborhood(v)):
+    vals = _values_on(sys, psi, _meeting(sys, [v]), skip=unknown, finite=False)
+    fixed, terms = _local(sys, vals, v, unknown)
+    if not terms:
         raise DomainError(f"vertex {unknown} does not interact with {v}")
-    work = {u: psi[u] for u in nbrs if u in psi}
-    x = (
-        np.zeros(sys.chart_dims[unknown])
-        if x0 is None
-        else np.asarray(x0, dtype=float).reshape(-1)
-    )
+    dim = sys.chart_dims[unknown]
+    x = np.zeros(dim) if x0 is None else np.asarray(x0, dtype=float).reshape(-1)
+    if x.size != dim:
+        raise DomainError(f"x0 has {x.size} entries, expected {dim}")
+
+    def residual(x):  # and the cross Hessian (v, unknown)
+        r, cross = fixed, 0.0
+        for dens, xs, a, b in terms:
+            xs[b] = x[None]
+            r = r + dens._grad_rows(xs, a)[0]
+            cross = cross + dens._hess_rows(xs, a, b)[0]
+        return r, cross
+
     for _ in range(maxiter):
-        work[unknown] = x
-        grads, hess = _derivatives(sys, work, sys._at_vertex[v], {v}, {unknown})
-        r = grads[v]
+        r, cross = residual(x)
         if (norm := np.linalg.norm(r)) <= tol:
             return x
         if not math.isfinite(norm):
-            _vectors("psi", work, sorted(nbrs - {unknown}))
-        # unknown meets v, and r != 0 needs an interaction at v: the
-        # (v, unknown) block exists
+            _values_on(sys, psi, sys._at_vertex[v], skip=unknown)
         try:
-            delta = np.linalg.solve(hess[(v, unknown)], r)
+            delta = np.linalg.solve(cross, r)
         except np.linalg.LinAlgError:
             raise DegeneracyError(
                 f"cross Hessian between {v} and {unknown} is singular"
             ) from None
         x = x - delta
-    work[unknown] = x
-    if np.linalg.norm(el_residual(sys, work, v)) <= tol:
+    if np.linalg.norm(residual(x)[0]) <= tol:
         return x
     raise NonConvergenceError(
         f"no convergence at vertex {v} after {maxiter} iterations"
@@ -388,6 +415,13 @@ class LinearizeResult:
     max_el_residual: float
     warning: str | None
     uses_fd: bool
+
+
+def _ordered(parts):
+    """Keys and values of (rank, keys, values) parts, stably sorted by rank."""
+    rank, keys, values = (np.concatenate(p) for p in zip(*parts))
+    order = np.argsort(rank, kind="stable")
+    return keys[order], values[order]
 
 
 def linearize(
@@ -403,44 +437,76 @@ def linearize(
     Blocks are the summed mixed Hessians over shared interactions; the
     raw blocks must already be symmetric to within ``asym_tol`` times
     max(1, largest entry) (they are for any twice continuously
-    differentiable density evaluated at one point).  Pairs within that
-    bound are averaged to exact symmetry by the closure that
-    ``operator_from_json(on_asymmetry="symmetrize")`` uses; a larger gap
-    raises DomainError.  If psi fails the stationarity equations beyond
-    ``solution_tol`` at the checked vertices, a warning string is
-    attached (and emitted): the operator is still the Hessian, but
-    conservation statements need a solution.
+    differentiable density evaluated at one point).  A pair (u, w), (w, u)
+    within that bound but not exact is averaged to exact symmetry; a
+    larger gap raises DomainError naming the first such pair.  If psi
+    fails the stationarity equations beyond ``solution_tol`` at the
+    checked vertices, a warning string is attached (and emitted): the
+    operator is still the Hessian, but conservation statements need a
+    solution.
 
     ``at`` restricts both the block assembly and the residual check to
     interactions meeting the listed vertices (useful for truncations:
     pass the interior).  A vertex of ``at`` outside the system, or a
-    non-finite value of psi on an interaction used, raises DomainError.
+    missing, non-finite or wrong-length value of psi on an interaction
+    used, raises DomainError.
+
+    Each group makes one density call per slot and per slot pair for all
+    its interactions used; the terms are summed in interaction order.
 
     The system keeps its last result: a call with the same ``at``,
     tolerances and values of psi on the interactions used returns a new
     LinearizeResult around the same read-only operator, warning included.
     """
     labels = sys.graph.vertex_labels if at is None else list(at)
-    for v in labels:
-        if v not in sys._at_vertex:
-            raise DomainError(f"vertex {v} not in the system")
-    if at is None:
-        idxs = range(len(sys.interactions))
-    else:
-        idxs = sorted({i for v in labels for i in sys._at_vertex[v]})
-    used = dict.fromkeys(v for i in idxs for v in sys.interactions[i].vertices)  # first-use order
-    vals = _vectors("psi", psi, used)
+    idxs = _meeting(sys, None if at is None else labels)
+    vals = _values_on(sys, psi, idxs)
     key = (None if at is None else tuple(labels), solution_tol, asym_tol,
            tuple(x.tobytes() for x in vals.values()))
     if sys._linearized[0] != key:
-        dim = _uniform_dim(sys)
-        grads, raw = _derivatives(sys, vals, idxs, None, None)
-        scale = float(np.abs(np.stack(list(raw.values()))).max()) if raw else 1.0
-        _close_symmetric(raw, lambda key: key[::-1], asym_tol * max(1.0, scale))
-        sid = sys.graph.vertex_sid
-        blocks = {(sid(u), sid(w)): m for (u, w), m in raw.items()}
-        checked = [grads[v] for v in labels if v in grads]
-        residual = float(np.abs(np.concatenate(checked)).max()) if checked else 0.0
+        if len(dims := set(sys.chart_dims.values())) != 1:
+            raise DomainError("mixed chart dimensions are not supported here")
+        dim, used, n = dims.pop(), np.array(list(vals), dtype=int), len(vals)
+        field = np.array(list(vals.values())).reshape(n, dim)
+        by_label = np.argsort(used)
+        # slot a of interaction i has rank i*width + a and slot pair (a, b) rank
+        # (i*width + a)*width + b: sorted by rank, terms sum in interaction order
+        width = max((dens.nvars for dens, _, _ in sys._groups), default=1)
+        none = np.zeros(0, dtype=int)
+        gparts = [(none, none, np.zeros((0, dim)))]
+        hparts = [(none, none, np.zeros((0, dim, dim)))]
+        for dens, ids, verts in sys._groups:
+            if not (mask := np.isin(ids, idxs)).any():
+                continue
+            ids, rows = ids[mask], by_label[np.searchsorted(used, verts[mask].T, sorter=by_label)]
+            xs = [field[r] for r in rows]  # rows: the field row of each slot value
+            for a, ra in enumerate(rows):
+                gparts.append((ids * width + a, ra, dens._grad_rows(xs, a)))
+                hparts += [((ids * width + a) * width + b, ra * n + rb, dens._hess_rows(xs, a, b))
+                           for b, rb in enumerate(rows)]
+        grads = np.zeros((n, dim))
+        np.add.at(grads, *_ordered(gparts))
+        codes, terms = _ordered(hparts)
+        uniq, first, inv = np.unique(codes, return_index=True, return_inverse=True)
+        seq = np.argsort(first)  # block keys in order of first use
+        codes, into = uniq[seq], np.argsort(seq)[inv]
+        stack = np.zeros((len(codes), dim, dim))
+        np.add.at(stack, into, terms)
+        u, w = np.divmod(codes, max(n, 1))  # every block (u, w) has its (w, u)
+        by_code = np.argsort(codes)
+        partner = by_code[np.searchsorted(codes, w * n + u, sorter=by_code)]
+        gap = np.abs(stack - stack[partner].transpose(0, 2, 1)).max(axis=(1, 2))
+        scale = float(np.abs(stack).max()) if len(stack) else 1.0
+        if len(bad := np.flatnonzero(~(gap <= asym_tol * max(1.0, scale)))):
+            pair = (int(used[u[bad[0]]]), int(used[w[bad[0]]]))
+            raise DomainError(
+                f"blocks {pair} and {pair[::-1]} break symmetry by {gap[bad[0]]:.3e}")
+        fix = gap > 0
+        stack[fix] = 0.5 * (stack[fix] + stack[partner[fix]].transpose(0, 2, 1))
+        sid = np.array([sys.graph.vertex_sid(v) for v in used.tolist()], dtype=np.intp)
+        blocks = dict(zip(zip(sid[u].tolist(), sid[w].tolist()), stack))
+        checked = grads[np.isin(used, labels)]
+        residual = float(np.abs(checked).max()) if checked.size else 0.0
         warning = (f"configuration misses stationarity by {residual:.3e}; "
                    "linearization is a plain Hessian, not a conserved-form operator"
                    if residual > solution_tol else None)
@@ -450,13 +516,6 @@ def linearize(
     if lin.warning is not None:
         warnings.warn(lin.warning)
     return lin
-
-
-def _uniform_dim(sys: DiscreteLagrangianSystem) -> int:
-    dims = set(sys.chart_dims.values())
-    if len(dims) != 1:
-        raise DomainError("mixed chart dimensions are not supported here")
-    return dims.pop()
 
 
 def variational_swronskian(
@@ -481,7 +540,7 @@ def variational_swronskian(
     scale = float(np.abs(op.stack).max()) if len(op.stack) else 1.0
     for name, dvec in (("delta1", delta1), ("delta2", delta2)):
         vals = {op.complex.vertex_sid(v): x
-                for v, x in _vectors(name, dvec, dvec, op.vec_dim).items()}
+                for v, x in _vectors(name, dvec, dvec, sys.chart_dims).items()}
         check = [sid for sid in support if all(b in vals for b in op.stencil(sid))]
         img = list(op.apply(vals, at=check).values())
         worst = float(np.abs(np.stack(img)).max()) if img else 0.0

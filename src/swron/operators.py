@@ -114,8 +114,8 @@ def _close_symmetric(blocks: dict, partner, tol: float = 0.0) -> dict:
     ``blocks[key]``.  A missing partner is filled with the transpose; a
     pair that differs (a non-symmetric block that is its own partner
     included) by at most ``tol`` in every entry is averaged, and a larger
-    gap raises DomainError.  Exact tables pass 0, ``linearize`` its
-    ``asym_tol`` bound and JSON "symmetrize" the largest float.
+    gap raises DomainError.  Exact tables pass 0 and JSON "symmetrize"
+    the largest float.
     """
     for key in list(blocks):
         m, other = blocks[key], partner(key)
@@ -531,9 +531,8 @@ def operator_from_json(
 
     "reject": a block whose transpose partner is absent or mismatched is
     an error.  "symmetrize": missing partners are filled with transposes
-    and mismatched pairs averaged, through the same closure (with no
-    finite bound on the gap) that averages the Hessian blocks of
-    ``linearize``.
+    and mismatched pairs averaged, the rule (with no finite bound on the
+    gap) by which ``linearize`` closes its Hessian blocks.
     """
     if on_asymmetry not in ("reject", "symmetrize"):
         raise DomainError(f"unknown asymmetry policy {on_asymmetry!r}")

@@ -476,3 +476,21 @@ def test_verify_rejects_a_block_operator_file(capsys):
     path = Path(__file__).parent / "data" / "torus7_operator.json"
     assert main(["verify", "--operator-file", str(path)]) == 2
     assert "line operator JSON lacks field 'k'" in capsys.readouterr().err
+
+
+def test_nonlinear_names_a_value_of_the_wrong_length(tmp_path, capsys):
+    data = json.loads((Path(__file__).parent / "data" / "kicked16.json").read_text())
+    data["configuration"]["5"] = [0.1, 0.2]
+    rc = main(["nonlinear", "--system-file", write_json(tmp_path / "long.json", data)])
+    assert rc == 2
+    assert "psi value at vertex 5 has 2 entries, expected 1" in capsys.readouterr().err
+
+
+def test_nonlinear_ring_order4_fixture(capsys):
+    # tests/data/ring_order4.json is CI's CLI run of a three-slot expression
+    # density on circle(8) (finite differences, three interactions per vertex)
+    path = Path(__file__).parent / "data" / "ring_order4.json"
+    assert main(["nonlinear", "--system-file", str(path)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["max_el_residual"] == 0.0
+    assert report["linearization"] == {"order": 4, "symmetric": True, "uses_fd": True, "warning": None}

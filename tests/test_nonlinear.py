@@ -235,6 +235,36 @@ def test_unknown_at_vertex_is_a_domain_error():
         variational_swronskian(sys, psi, psi, psi, at=[1, 99])
 
 
+@pytest.mark.parametrize("call", [
+    lambda sys, psi: dynamical_step(sys, psi, 99, 100),
+    lambda sys, psi: local_action(sys, psi, around=[99]),
+    lambda sys, psi: el_residual(sys, psi, 99),
+], ids=["dynamical_step", "local_action", "el_residual"])
+def test_unknown_vertex_is_a_domain_error_everywhere(call):
+    sys, psi, _ = kicked_path(10)
+    with pytest.raises(DomainError, match="vertex 99 not in the system"):
+        call(sys, psi)
+
+
+@pytest.mark.parametrize("call", [
+    lambda sys, psi: linearize(sys, psi, at=list(range(1, 10))),
+    lambda sys, psi: el_residual(sys, psi, 6),
+    lambda sys, psi: dynamical_step(sys, psi, 6, 7),
+    lambda sys, psi: local_action(sys, psi, around=[4]),
+], ids=["linearize", "el_residual", "dynamical_step", "local_action"])
+def test_a_value_of_the_wrong_length_is_named(call):
+    sys, psi, _ = kicked_path(10)
+    psi[5] = np.array([0.1, 0.2])
+    with pytest.raises(DomainError, match="psi value at vertex 5 has 2 entries, expected 1"):
+        call(sys, psi)
+
+
+def test_dynamical_step_checks_the_length_of_x0():
+    sys, psi, _ = kicked_path(10)
+    with pytest.raises(DomainError, match="x0 has 2 entries, expected 1"):
+        dynamical_step(sys, psi, 6, 7, x0=np.array([0.1, 0.2]))
+
+
 def skewed_edge_system(skew):
     """One quadratic edge whose analytic cross Hessian (0, 1) is off by skew."""
     den = Density(
@@ -259,7 +289,7 @@ def test_linearize_averages_blocks_within_asym_tol():
     assert op.is_symmetric()
 
     sys, psi = skewed_edge_system(2 * asym_tol)
-    with pytest.raises(DomainError, match="break symmetry"):
+    with pytest.raises(DomainError, match=r"blocks \(0, 1\) and \(1, 0\) break symmetry by 2\.000e-08"):
         linearize(sys, psi, asym_tol=asym_tol)
 
 
@@ -410,3 +440,100 @@ def test_variational_chain_is_unchanged_by_reuse(n):
     assert list(reused.chain.coeffs) == list(built.chain.coeffs)
     assert (np.array(list(reused.chain.coeffs.values())).tobytes()
             == np.array(list(built.chain.coeffs.values())).tobytes())
+
+
+# -- stacked evaluation against the per-slot oracle ------------------------------
+
+
+RING_EXPR = "0.5 * (x0 - x1) ** 2 + 0.5 * (x0 - x2) ** 2 + 0.25 * np.cos(x0) * (x1 - x2) ** 2"
+
+
+def user_density():
+    """x^2 y + sin(x - y) with per-slot analytic derivatives."""
+    return Density(
+        2,
+        value=lambda x, y: float(x[0] ** 2 * y[0] + np.sin(x[0] - y[0])),
+        grad=lambda s, x, y: (2 * x * y + np.cos(x - y)) if s == 0 else (x**2 - np.cos(x - y)),
+        hess=lambda a, b, x, y: np.atleast_2d(
+            2 * y - np.sin(x - y) if a == b == 0 else -np.sin(x - y) if a == b
+            else 2 * x + np.sin(x - y)),
+    )
+
+
+def order4_ring():
+    # every vertex meets three interactions; the expression density runs the FD row loop
+    return build_homogeneous_order4(ex.circle(8), expression_density(3, RING_EXPR)), 1
+
+
+def quadratic_dim2():
+    return build_translation_invariant(ex.circle(6), quadratic_pair_density(1.3), chart_dim=2), 2
+
+
+def mixed_densities():
+    graph = ex.circle(9)
+    dens = [quadratic_pair_density(0.7), standard_map_density(0.6), user_density()]
+    edges = [graph.simplex(eid).vertices for eid in graph.edge_sids]
+    inters = [(vs if k % 2 else vs[::-1], dens[k % 3]) for k, vs in enumerate(edges)]
+    return DiscreteLagrangianSystem(graph, inters), 1
+
+
+@pytest.mark.parametrize("build", [order4_ring, quadratic_dim2, mixed_densities])
+def test_linearize_and_el_residual_agree_with_the_per_slot_oracle(build):
+    sys, dim = build()
+    rng = np.random.default_rng(3)
+    psi = {v: rng.uniform(-0.5, 0.5, dim) for v in sys.graph.vertex_labels}
+    grads, raw = orc.lagrangian_derivatives(sys, psi)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # psi is not stationary
+        lin = linearize(sys, psi)
+    sid = sys.graph.vertex_sid
+    want = {(sid(u), sid(w)): 0.5 * (m + raw[(w, u)].T) for (u, w), m in raw.items()}
+    scale = max(float(np.abs(m).max()) for m in want.values())
+    assert list(lin.operator.blocks) == [k for k, m in want.items() if np.any(m)]
+    for k, m in want.items():
+        assert np.abs(lin.operator.blocks.get(k, 0.0) - m).max() <= 1e-14 * scale
+    for v, g in grads.items():
+        assert np.abs(el_residual(sys, psi, v) - g).max() <= 1e-14 * max(1.0, np.abs(g).max())
+    worst = max(float(np.abs(g).max()) for g in grads.values())
+    assert abs(lin.max_el_residual - worst) <= 1e-14 * worst
+
+
+def test_el_residual_and_dynamical_step_on_mixed_chart_dims():
+    den = Density(2, lambda x, y: float(np.sum(x) * np.sum(y) ** 2 + 0.5 * x @ x + 0.5 * y @ y))
+    sys = DiscreteLagrangianSystem(
+        ex.circle(3), [((0, 1), den), ((1, 2), den), ((0, 2), den)],
+        chart_dims={0: 1, 1: 1, 2: 2})
+    psi = {0: np.array([-1.0]), 1: np.array([0.4]), 2: np.array([0.2, 0.3])}
+    for v in (0, 1, 2):
+        want = orc.lagrangian_derivatives(sys, psi, rows={v}, cols=())[0][v]
+        assert np.abs(el_residual(sys, psi, v) - want).max() <= 1e-14 * max(1.0, np.abs(want).max())
+    with pytest.raises(DomainError, match="mixed chart dimensions"):
+        linearize(sys, psi)
+    # Newton for the value at 1 from the stationarity equation at 0, by the oracle
+    x = np.array([1.0])
+    for _ in range(50):
+        g, h = orc.lagrangian_derivatives(sys, {**psi, 1: x}, rows={0}, cols={1})
+        if np.linalg.norm(g[0]) <= 1e-8:
+            break
+        x = x - np.linalg.solve(h[(0, 1)], g[0])
+    got = dynamical_step(sys, {0: psi[0], 2: psi[2]}, 0, 1, x0=np.array([1.0]), tol=1e-8)
+    assert abs(x[0] - np.sqrt(1.75)) <= 1e-6
+    assert np.abs(got - x).max() <= 1e-14 * np.abs(x).max()
+
+
+def test_standard_map_rows_match_the_closed_form():
+    kick = 0.7
+    den = standard_map_density(kick)
+    rng = np.random.default_rng(5)
+    x, y = rng.uniform(-3.0, 3.0, (2, 64, 1))
+    want = {
+        (0,): [xi - yi - kick * math.sin(xi) for xi, yi in zip(x[:, 0], y[:, 0])],
+        (1,): list(y[:, 0] - x[:, 0]),
+        (0, 0): [1.0 - kick * math.cos(xi) for xi in x[:, 0]],
+        (0, 1): [-1.0] * 64, (1, 0): [-1.0] * 64, (1, 1): [1.0] * 64,
+    }
+    for slots, closed in want.items():
+        rows = den._grad_rows([x, y], *slots) if len(slots) == 1 else den._hess_rows([x, y], *slots)
+        closed = np.array(closed)
+        assert rows.shape == (64,) + (1,) * len(slots)
+        assert np.all(np.abs(rows.reshape(64) - closed) <= 1e-15 * np.maximum(1.0, np.abs(closed)))

@@ -133,27 +133,23 @@ def cmd_swronskian(args) -> int:
 # -- scattering --------------------------------------------------------------------
 
 
-def _scatter_tolerances(depth) -> dict:
-    return dict(
-        unimodular_tol=UNIMODULAR_TOL,
-        pairing_tol=PAIRING_TOL,
-        critical_gap=CRITICAL_GAP,
-        kernel_rel_tol=KERNEL_REL_TOL,
-        depth=depth,
-    )
+_SCATTER_TOLERANCES = dict(
+    unimodular_tol=UNIMODULAR_TOL,
+    pairing_tol=PAIRING_TOL,
+    critical_gap=CRITICAL_GAP,
+    kernel_rel_tol=KERNEL_REL_TOL,
+)
 
 
 def cmd_scatter(args) -> int:
     graph = load_tailed_graph(args.graph_file)
-    depth = args.depth or None
-    echo = depth or graph.default_depth()
     if args.lo is not None or args.hi is not None:
         if args.lo is None or args.hi is None:
             raise DomainError("a scan needs both --lo and --hi")
-        scan = band_scan(graph, args.lo, args.hi, args.samples, depth=depth)
+        scan = band_scan(graph, args.lo, args.hi, args.samples)
         if args.csv:
             scan.to_csv(args.csv)
-        report = {"metadata": _metadata(**_scatter_tolerances(echo))}
+        report = {"metadata": _metadata(**_SCATTER_TOLERANCES)}
         report.update(scan.to_json_dict())
         _write_json(report, args.output)
         bad = any(
@@ -167,8 +163,8 @@ def cmd_scatter(args) -> int:
         return EXIT_PROPERTY if bad else EXIT_OK
     if args.lam is None:
         raise DomainError("give --lambda for one point or --lo/--hi for a scan")
-    res = scattering_matrix(graph, args.lam, depth)
-    report = {"metadata": _metadata(**_scatter_tolerances(echo))}
+    res = scattering_matrix(graph, args.lam)
+    report = {"metadata": _metadata(**_SCATTER_TOLERANCES)}
     report.update(res.to_json_dict())
     _write_json(report, args.output)
     if res.s_matrix is not None and (
@@ -183,15 +179,11 @@ def cmd_scatter(args) -> int:
 
 def cmd_spectrum(args) -> int:
     graph = load_tailed_graph(args.graph_file)
-    depth = args.depth or None
     states = regular_discrete_spectrum(
-        graph, args.lo, args.hi, args.samples,
-        depth=depth, detect_tol=args.detect_tol,
+        graph, args.lo, args.hi, args.samples, detect_tol=args.detect_tol
     )
     report = {
-        "metadata": _metadata(
-            detect_tol=args.detect_tol, depth=depth or graph.default_depth()
-        ),
+        "metadata": _metadata(detect_tol=args.detect_tol),
         "interval": [args.lo, args.hi],
         "bound_states": [
             {
@@ -408,14 +400,6 @@ def cmd_verify(args) -> int:
 # -- parser ------------------------------------------------------------------------
 
 
-DEPTH_HELP = (
-    "lower bound on the equations assembled per tail.  The reduction is "
-    "exact with the first k rows of each tail (k its order), the default; "
-    "more rows change S only by round-off.  The value in force is echoed "
-    "in the report metadata"
-)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="swron",
@@ -446,7 +430,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lo", type=float)
     p.add_argument("--hi", type=float)
     p.add_argument("--samples", type=int, default=101)
-    p.add_argument("--depth", type=int, help=DEPTH_HELP)
     p.add_argument("--residual-tol", type=float, default=1e-7)
     p.add_argument("--csv", help="lambda-table destination for scans")
     p.add_argument("--output")
@@ -457,7 +440,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lo", type=float, required=True)
     p.add_argument("--hi", type=float, required=True)
     p.add_argument("--samples", type=int, default=201)
-    p.add_argument("--depth", type=int, help=DEPTH_HELP)
     p.add_argument("--detect-tol", type=float, default=1e-8)
     p.add_argument("--output")
     p.set_defaults(func=cmd_spectrum)
@@ -503,7 +485,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (DomainError, FileNotFoundError, PermissionError) as err:
+    except (DomainError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT
     except (KeyError, ValueError, TypeError) as err:  # JSONDecodeError is a ValueError

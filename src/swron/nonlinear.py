@@ -124,6 +124,13 @@ def _scalar(xs):  # the two slots of a standard-map row stack
     return xs
 
 
+def _scalar_value(x, name: str) -> float:
+    """The one number of the slot value ``x`` of a scalar-slot density."""
+    if np.size(x) != 1:
+        raise DomainError(f"the {name} density takes scalar slots")
+    return float(np.reshape(x, ()))
+
+
 def _central(f, xs, slot: int) -> np.ndarray:
     """Central differences of ``f(xs)`` in each entry of ``xs[slot]``,
     stacked along the last axis."""
@@ -158,8 +165,7 @@ def standard_map_density(kick: float = 1.0) -> Density:
     kk = float(kick)
 
     def val(x, y):
-        x = float(np.asarray(x).reshape(()))
-        y = float(np.asarray(y).reshape(()))
+        x, y = _scalar_value(x, "standard-map"), _scalar_value(y, "standard-map")
         return 0.5 * (x - y) ** 2 + kk * math.cos(x)
 
     def grad(xs, slot):
@@ -211,7 +217,7 @@ def expression_density(nvars: int, expr: str, name: str = "expr") -> Density:
     def val(*xs):
         local = dict(space)
         for i, x in enumerate(xs):
-            local[f"x{i}"] = float(np.asarray(x).reshape(()))
+            local[f"x{i}"] = _scalar_value(x, "expression")
         return float(eval(code, local))
 
     return Density(nvars, val, name=name)

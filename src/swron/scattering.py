@@ -535,18 +535,6 @@ class TailedGraph:
                 depth = max(depth, n2 + 1)
         return depth
 
-    def tail_rows(self, depth: int | None = None) -> list[int]:
-        """Rows assembled per tail: K_j = k_j, raised to ``depth`` when
-        given.  Couplings sit at sites n < k_j, so every tail equation at
-        a site n >= k_j involves only free tail sites, where each Bloch
-        mode solves it exactly."""
-        return [max(t.op.k, depth or 0) for t in self.tails]
-
-    def default_depth(self) -> int:
-        """max_j k_j, the row count of the deepest tail in the exact
-        reduction."""
-        return max(self.tail_rows(), default=0)
-
     @cached_property
     def _tail_keys(self) -> list[str]:
         """Content key (k, l and blocks) of each tail operator; tails with
@@ -564,15 +552,15 @@ class TailedGraph:
 # -- global solve ----------------------------------------------------------------
 
 
-def _junction_grid(graph: TailedGraph, lams: np.ndarray, rows: list[int], decay_only=False):
+def _junction_grid(graph: TailedGraph, lams: np.ndarray, decay_only=False):
     """Per lambda of ``lams``, the classifications and modes of every tail
     (channel modes scaled by the tail origin, growing ones anchored at the
-    top assembled site; tails with one operator share one ``_tail_grid``),
-    and the ``_assemble`` output as (indices, stack, offsets, windows), one
-    stack per mode-count shape.  Decaying modes need no origin or anchor."""
+    top site 2k - 1 its rows reach; tails with one operator share one
+    ``_tail_grid``), and the ``_assemble`` output as (indices, stack,
+    offsets, windows), one stack per mode-count shape.  Decaying modes need
+    no origin or anchor."""
     keys = graph._tail_keys
-    places = [(0, 0) if decay_only else (t.origin, r + t.op.k - 1)
-              for t, r in zip(graph.tails, rows)]
+    places = [(0, 0) if decay_only else (t.origin, 2 * t.op.k - 1) for t in graph.tails]
     ops: dict = {}
     for key, tail, place in zip(keys, graph.tails, places):
         ops.setdefault(key, (tail.op, set()))[1].add(place)
@@ -584,31 +572,33 @@ def _junction_grid(graph: TailedGraph, lams: np.ndarray, rows: list[int], decay_
     for i in at:
         groups.setdefault(tuple(len(m) for m in modes[i]), []).append(i)
     stacks = [
-        (idx, *_assemble(graph, lams[idx], rows, [modes[i] for i in idx]))
+        (idx, *_assemble(graph, lams[idx], [modes[i] for i in idx]))
         for idx in groups.values()
     ]
     return clfs, modes, stacks
 
 
-def _assemble(graph: TailedGraph, lams: np.ndarray, rows: list[int], modes):
+def _assemble(graph: TailedGraph, lams: np.ndarray, modes):
     """Equations over (core values, modal coefficients) at each of the S
-    values ``lams``: every core row, and the first ``rows[j]`` site
-    equations of tail j.  ``modes[i][j]`` is the mode list of tail j at
+    values ``lams``: every core row, and the first k_j site equations of
+    tail j, the only ones that see the end of the half-line or a coupling
+    (see the module docstring).  ``modes[i][j]`` is the mode list of tail j at
     lams[i]; every lambda has the same number of modes per tail.  Returns
     the (S, rows, columns) stack, the first modal column of each tail and
     its (S, 2kl, modes) mode windows at base ``junction_depth(j) + k - 1``."""
     nc = graph.core_size
     counts = [len(mset) for mset in modes[0]]
     mode_offset = list(accumulate(counts, initial=nc))
-    row_offset = list(accumulate((r * t.op.l for t, r in zip(graph.tails, rows)), initial=nc))
+    row_offset = list(accumulate((t.op.k * t.op.l for t in graph.tails), initial=nc))
     a = np.zeros((len(lams), row_offset.pop(), mode_offset.pop()), dtype=complex)
     a[:, :nc, :nc] = graph.core_matrix() - lams[:, None, None] * np.eye(nc)
 
-    # site values: values[j][:, n] is (S, l, modes) with one column per mode of tail j
+    # site values: values[j][:, n] is (S, l, modes) with one column per mode
+    # of tail j, on sites 0..d + 2k - 1 (rows and mode window)
     depths = [graph.junction_depth(j) for j in range(len(graph.tails))]
     values = [
-        _site_values([mset[j] for mset in modes], 0, max(nrows, d + t.op.k) + t.op.k - 1, t.op.l)
-        for j, (t, nrows, d) in enumerate(zip(graph.tails, rows, depths))
+        _site_values([mset[j] for mset in modes], 0, d + 2 * t.op.k - 1, t.op.l)
+        for j, (t, d) in enumerate(zip(graph.tails, depths))
     ]
     windows = []
 
@@ -619,15 +609,15 @@ def _assemble(graph: TailedGraph, lams: np.ndarray, rows: list[int], modes):
     def mode_cols(j: int) -> slice:
         return slice(mode_offset[j], mode_offset[j] + counts[j])
 
-    for j, (tail, nrows) in enumerate(zip(graph.tails, rows)):
+    for j, tail in enumerate(graph.tails):
         op, vals, d = tail.op, values[j], depths[j]
         windows.append(vals[:, d : d + 2 * op.k].reshape(len(lams), 2 * op.k * op.l, counts[j]))
-        acc = -lams[:, None, None, None] * vals[:, :nrows]
+        acc = -lams[:, None, None, None] * vals[:, : op.k]
         for s in range(-op.k, op.k + 1):
             lo = max(0, -s)  # the half-line has no sites below 0
-            acc[:, lo:] += op.block(0, s) @ vals[:, lo + s : nrows + s]
-        rs = slice(row_offset[j], row_offset[j] + nrows * op.l)
-        a[:, rs, mode_cols(j)] = acc.reshape(len(lams), nrows * op.l, counts[j])
+            acc[:, lo:] += op.block(0, s) @ vals[:, lo + s : op.k + s]
+        rs = slice(row_offset[j], row_offset[j] + op.k * op.l)
+        a[:, rs, mode_cols(j)] = acc.reshape(len(lams), op.k * op.l, counts[j])
         for (v, n), m in tail.attach.items():
             c = slice(graph.core_offset[v], graph.core_offset[v] + graph.core_dims[v])
             a[:, c, mode_cols(j)] += m @ vals[:, n]
@@ -641,13 +631,11 @@ def _assemble(graph: TailedGraph, lams: np.ndarray, rows: list[int], modes):
 
 @dataclass
 class AsymptoticSubspace:
-    """Kernel of the junction problem in modal coordinates; ``depth`` is
-    the largest number of rows assembled on one tail.  ``windows[j]`` holds
+    """Kernel of the junction problem in modal coordinates.  ``windows[j]`` holds
     the (2kl, modes) mode windows of tail j just past its junction, one
     column per mode of ``modes[j]``."""
 
     lam: float
-    depth: int
     dim: int
     expected_dim: int
     core_values: np.ndarray
@@ -664,32 +652,27 @@ class AsymptoticSubspace:
         return self.dim == self.expected_dim and not self.flags
 
 
-def asymptotic_subspace(
-    graph: TailedGraph, lam: float, depth: int | None = None
-) -> AsymptoticSubspace:
+def asymptotic_subspace(graph: TailedGraph, lam: float) -> AsymptoticSubspace:
     """Solve the junction system over modal unknowns and report the
     solution space with its per-tail window data and Lagrangian defect.
-
-    Tail j contributes its K_j informative rows (see
-    :meth:`TailedGraph.tail_rows`); an explicit ``depth`` only raises
-    that count, which leaves the kernel unchanged up to round-off.
+    Tail j contributes its k_j informative rows.
     """
-    return _subspaces(graph, np.array([float(lam)]), graph.tail_rows(depth))[0]
+    return _subspaces(graph, np.array([float(lam)]))[0]
 
 
-def _subspaces(graph: TailedGraph, lams, rows: list[int]) -> list[AsymptoticSubspace]:
+def _subspaces(graph: TailedGraph, lams) -> list[AsymptoticSubspace]:
     """asymptotic_subspace at every lambda of ``lams``: one Bloch solve per
     distinct tail, one assembly and one SVD per stack of equal shape."""
-    clfs, modes, stacks = _junction_grid(graph, lams, rows)
+    clfs, modes, stacks = _junction_grid(graph, lams)
     out = [None] * len(lams)
     for idx, stack, mode_offset, windows in stacks:
         for t, (i, basis) in enumerate(zip(idx, _null_spaces(stack))):
-            out[i] = _subspace(graph, float(lams[i]), rows, clfs[i], modes[i], basis, mode_offset,
+            out[i] = _subspace(graph, float(lams[i]), clfs[i], modes[i], basis, mode_offset,
                                [x[t] for x in windows])
     return out
 
 
-def _subspace(graph, lam, rows, clfs, modes, basis, mode_offset, windows) -> AsymptoticSubspace:
+def _subspace(graph, lam, clfs, modes, basis, mode_offset, windows) -> AsymptoticSubspace:
     """asymptotic_subspace at lam from the tails' classifications, modes
     and mode windows and the null-space basis of the junction matrix."""
     flags = set()
@@ -719,8 +702,7 @@ def _subspace(graph, lam, rows, clfs, modes, basis, mode_offset, windows) -> Asy
     residual = float(np.max(np.abs(pairing))) if dim else 0.0
 
     return AsymptoticSubspace(
-        lam, max(rows, default=0), dim, expected, core_values, modal, windows, clfs, modes,
-        residual, sing, flags,
+        lam, dim, expected, core_values, modal, windows, clfs, modes, residual, sing, flags,
     )
 
 
@@ -757,16 +739,14 @@ class ScatteringResult:
         }
 
 
-def scattering_matrix(
-    graph: TailedGraph, lam: float, depth: int | None = None
-) -> ScatteringResult:
+def scattering_matrix(graph: TailedGraph, lam: float) -> ScatteringResult:
     """Channel map from incoming unit amplitudes to outgoing amplitudes
     after quotienting by the decaying directions.
 
     Critical or singular points withhold the matrix and set flags rather
     than returning unreliable numbers.
     """
-    return _scatter(graph, asymptotic_subspace(graph, lam, depth))
+    return _scatter(graph, asymptotic_subspace(graph, lam))
 
 
 def _scatter(graph: TailedGraph, sub: AsymptoticSubspace) -> ScatteringResult:
@@ -840,7 +820,6 @@ def regular_discrete_spectrum(
     hi: float,
     samples: int = 201,
     *,
-    depth: int | None = None,
     detect_tol: float = 1e-8,
 ) -> list[BoundState]:
     """Scan for decaying-solution eigenvalues in [lo, hi].
@@ -857,9 +836,8 @@ def regular_discrete_spectrum(
     nonzero decaying coefficients is left to them.
     """
     grid = _grid(lo, hi, samples, 3)
-    rows = graph.tail_rows(depth)
     step = (hi - lo) / (samples - 1)
-    vals = _sigma_mins(samples, _junction_grid(graph, grid, rows, decay_only=True)[2])
+    vals = _sigma_mins(samples, _junction_grid(graph, grid, decay_only=True)[2])
     criticals = [cp.lam for cp in _tail_critical_points(graph, grid)]
     padded = np.concatenate(([math.inf], vals, [math.inf]))
     mins = np.flatnonzero((vals <= padded[:-2]) & (vals <= padded[2:]) & (vals <= 1e-2))
@@ -867,13 +845,13 @@ def regular_discrete_spectrum(
     while mins.size and np.max(b - a) > 1e-11:
         h = (b - a) / (_SECTIONS + 1)
         pts = a[:, None] + h[:, None] * np.arange(1, _SECTIONS + 1)
-        stacks = _junction_grid(graph, pts.ravel(), rows, decay_only=True)[2]
+        stacks = _junction_grid(graph, pts.ravel(), decay_only=True)[2]
         best = _sigma_mins(pts.size, stacks).reshape(pts.shape).argmin(axis=1)
         a, b = a + h * best, a + h * (best + 2)
 
     out: list[BoundState] = []
     mids = 0.5 * (a + b)
-    _, modes, stacks = _junction_grid(graph, mids, rows, True) if mins.size else (0, [], [])
+    _, modes, stacks = _junction_grid(graph, mids, True) if mins.size else (0, [], [])
     for idx, stack, mode_offset, _ in stacks:
         _, sings, vts = np.linalg.svd(stack)
         for i, sing, vt in zip(idx, sings, vts):
@@ -929,7 +907,6 @@ class BandScan:
     graph: TailedGraph
     rows: list[ScanRow]
     criticals: list[CriticalPoint]
-    depth: int
 
     def open_intervals(self) -> list[tuple[float, float]]:
         """Maximal grid intervals carrying at least one open channel."""
@@ -977,7 +954,6 @@ class BandScan:
 
     def to_json_dict(self) -> dict:
         return {
-            "depth": self.depth,
             "rows": [r.result.to_json_dict() for r in self.rows],
             "critical_points": [cp.to_json_dict() for cp in self.criticals],
             "open_intervals": [list(iv) for iv in self.open_intervals()],
@@ -989,16 +965,10 @@ def band_scan(
     lo: float,
     hi: float,
     samples: int = 101,
-    *,
-    depth: int | None = None,
 ) -> BandScan:
-    """Classification plus scattering data on a regular grid.
-
-    The recorded depth is ``depth`` when given, else the default
-    max_j K_j of the exact reduction.
-    """
+    """Classification plus scattering data on a regular grid."""
     grid = _grid(lo, hi, samples, 2)
-    subs = _subspaces(graph, grid, graph.tail_rows(depth))
+    subs = _subspaces(graph, grid)
     rows = []
     for sub in subs:
         res = _scatter(graph, sub)
@@ -1007,7 +977,7 @@ def band_scan(
         counts = [c.counts() for c in clfs]
         rows.append(ScanRow(sub.lam, counts, any(c.critical for c in clfs), singular, res))
     criticals = _tail_critical_points(graph, grid, [sub.classifications for sub in subs])
-    return BandScan(graph, rows, criticals, graph.default_depth() if depth is None else depth)
+    return BandScan(graph, rows, criticals)
 
 
 # -- serialization ------------------------------------------------------------------
@@ -1085,12 +1055,13 @@ def tailed_graph_from_json(data: dict) -> TailedGraph:
         }
         origin = int(item.get("origin", 0))
 
-        overrides = {
-            int(d["site"]): {
-                int(s): _matrix_from_json(m) for s, m in d["blocks"].items()
-            }
-            for d in item.get("decay", [])
-        }
+        overrides = {}
+        for d in item.get("decay", []):
+            n = int(d["site"])
+            if n < 0 or n in overrides:
+                why = "is negative" if n < 0 else "appears twice"
+                raise DomainError(f'tail {jt} "decay" table: site {n} {why}')
+            overrides[n] = {int(s): _matrix_from_json(m) for s, m in d["blocks"].items()}
         cut = max(overrides, default=-1) + 1
         if cut:
             # absorb sites [0, cut) into the core as fresh vertices
@@ -1131,6 +1102,9 @@ def tailed_graph_from_json(data: dict) -> TailedGraph:
     cross = []
     for item in data.get("cross_links", []):
         (j1, n1), (j2, n2) = item["from"], item["to"]
+        for j in (j1, j2):
+            if not 0 <= j < len(tails):
+                raise DomainError(f"cross link uses unknown tail {j}")
         n1 -= shifts[j1]
         n2 -= shifts[j2]
         if n1 < 0 or n2 < 0:

@@ -444,7 +444,7 @@ def suite_lagrangian(rng):
         ("star(3)", ex.star_tailed(3), 0.6),
         ("ring core", ex.two_tail_ring_core(6), 0.45),
     ):
-        sub = asymptotic_subspace(graph, lam, None)
+        sub = asymptotic_subspace(graph, lam)
         out.append(
             _row(
                 "lagrangian",
@@ -466,11 +466,11 @@ def suite_lagrangian(rng):
 
 def suite_smatrix(rng):
     out = []
-    res = scattering_matrix(ex.pure_line_graph(), 0.7, None)
+    res = scattering_matrix(ex.pure_line_graph(), 0.7)
     s = res.s_matrix
     gap = float(np.max(np.abs(s - np.array([[0, 1], [1, 0]])))) if s is not None else np.inf
     out.append(_row("smatrix", "pure line is exact transmission", gap <= 1e-8, f"gap {gap:.2e}"))
-    res2 = scattering_matrix(ex.potential_line(1.0), 0.9, None)
+    res2 = scattering_matrix(ex.potential_line(1.0), 0.9)
     out.append(
         _row(
             "smatrix",

@@ -253,25 +253,31 @@ def truncated_levels(graph, lo: float, hi: float, depth: int = 200) -> list[floa
     return [float(x) for x in np.linalg.eigvalsh(mat) if lo <= x <= hi]
 
 
+def truncation_depth(graph) -> int:
+    """50 k_max plus the deepest junction site + 1 over all tails, read
+    from the raw attach and cross-link tables."""
+    junction = [max((n + 1 for (_, n) in t.attach), default=0) for t in graph.tails]
+    for (j1, n1), (j2, n2), _ in graph.cross_links:
+        junction[j1] = max(junction[j1], n1 + 1)
+        junction[j2] = max(junction[j2], n2 + 1)
+    return 50 * max(t.op.k for t in graph.tails) + max(junction)
+
+
 def truncated_modal_s_matrix(graph, lam: float, depth: int | None = None):
     """Scattering matrix from the depth-truncated modal system.
 
     Every tail keeps its equations at sites 0..depth-1 over unknowns
     (core values, coefficients of all 2kl Bloch modes); growing modes are
-    anchored at ``depth``.  The default depth is 50 k_max plus the deepest
-    junction, the row count the library assembled before its reduction to
-    junction rows.  Outgoing modes carry unit current and the phase
-    mu^origin; incoming modes are their conjugates.  Returns (S, outs),
-    where outs lists (tail, mu, w) of the outgoing mode of each channel in
-    the order of S.
+    anchored at ``depth``.  The default depth is ``truncation_depth``, the
+    row count the library assembled before its reduction to junction
+    rows.  Outgoing modes carry unit current and the phase mu^origin;
+    incoming modes are their conjugates.  Returns (S, outs), where outs
+    lists (tail, mu, w) of the outgoing mode of each channel in the order
+    of S.
     """
     tails = graph.tails
-    junction = [max((n + 1 for (_, n) in t.attach), default=0) for t in tails]
-    for (j1, n1), (j2, n2), _ in graph.cross_links:
-        junction[j1] = max(junction[j1], n1 + 1)
-        junction[j2] = max(junction[j2], n2 + 1)
     if depth is None:
-        depth = 50 * max(t.op.k for t in tails) + max(junction)
+        depth = truncation_depth(graph)
 
     outs, ins, decay, grow = [], [], [], []
     for j, t in enumerate(tails):

@@ -257,7 +257,6 @@ def test_criterion_07_scattering_unitary_symmetric():
     worst_u = worst_s = worst_d = worst_o = 0.0
     fixtures = tailed_fixtures() + [("well", ex.potential_line(1.0), 2)]
     for name, graph, want in fixtures:
-        depth0 = graph.default_depth()
         for lam in np.linspace(-1.9, 1.9, 20):
             res = scattering_matrix(graph, float(lam))
             defined_ok = defined_ok and res.s_matrix is not None
@@ -265,17 +264,18 @@ def test_criterion_07_scattering_unitary_symmetric():
                 worst_u = max(worst_u, res.unitarity_residual)
                 worst_s = max(worst_s, res.symmetry_residual)
         for lam in (-1.3, 0.5, 1.7):
-            res = scattering_matrix(graph, lam, depth0)
+            res = scattering_matrix(graph, lam)
             a = res.s_matrix
-            b = scattering_matrix(graph, lam, 2 * depth0).s_matrix
-            worst_d = max(worst_d, float(np.max(np.abs(a - b))))
-            # the depth-free S against the truncated modal system at the
-            # old default depth (50 k + junction rows per tail)
-            s, outs = orc.truncated_modal_s_matrix(graph, lam)
             channels = [(j, m.mu, m.w) for j, mset in enumerate(res.subspace.modes)
                         for m in mset if m.kind == "out"]
+            # the junction-row S against the truncated modal system at the
+            # old default depth (50 k + junction rows per tail) and at twice it
+            s, outs = orc.truncated_modal_s_matrix(graph, lam)
             oracle = orc.in_channel_gauge(s, outs, channels)
             worst_o = max(worst_o, float(np.max(np.abs(a - oracle))))
+            s, outs = orc.truncated_modal_s_matrix(graph, lam, 2 * orc.truncation_depth(graph))
+            deep = orc.in_channel_gauge(s, outs, channels)
+            worst_d = max(worst_d, float(np.max(np.abs(a - deep))))
     swap = np.array([[0.0, 1.0], [1.0, 0.0]])
     worst_swap = 0.0
     for lam in (-1.3, 0.2, 1.5):

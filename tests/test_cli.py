@@ -126,6 +126,20 @@ def test_swronskian_missing_file_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_directory_as_graph_file_is_an_input_error(tmp_path, capsys):
+    rc = main(["scatter", "--graph-file", str(tmp_path), "--lambda", "0.5"])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_directory_as_output_is_an_input_error(tmp_path, capsys):
+    gpath = tmp_path / "well.json"
+    save_tailed_graph(well_graph(), str(gpath))
+    rc = main(["scatter", "--graph-file", str(gpath), "--lambda", "0.5", "--output", str(tmp_path)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_swronskian_rejects_malformed_complex(tmp_path, capsys):
     bad = write_json(tmp_path / "bad.json", {"wrong": []})
     _, opath = circle_fixture(tmp_path)
@@ -142,7 +156,7 @@ def test_scatter_single_point(tmp_path):
     out = tmp_path / "s.json"
     rc = main([
         "scatter", "--graph-file", str(gpath), "--lambda", "0.7",
-        "--depth", "40", "--output", str(out),
+        "--output", str(out),
     ])
     assert rc == 0
     report = json.loads(out.read_text())
@@ -150,7 +164,22 @@ def test_scatter_single_point(tmp_path):
     assert report["unitarity_residual"] <= 1e-7
     assert report["symmetry_residual"] <= 1e-7
     assert report["flags"] == []
-    assert report["metadata"]["tolerances"]["depth"] == 40
+
+
+def test_scatter_names_an_unknown_cross_link_tail(tmp_path, capsys):
+    data = json.loads((Path(__file__).parent / "data" / "well.json").read_text())
+    data["cross_links"] = [{"from": [5, 0], "to": [0, 0], "matrix": [[0.5]]}]
+    gpath = write_json(tmp_path / "well.json", data)
+    rc = main(["scatter", "--graph-file", gpath, "--lambda", "0.5"])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: cross link uses unknown tail 5\n"
+
+
+def test_scatter_has_no_depth_flag():
+    gpath = str(Path(__file__).parent / "data" / "well.json")
+    with pytest.raises(SystemExit) as exit_info:
+        main(["scatter", "--graph-file", gpath, "--lambda", "0.5", "--depth", "3"])
+    assert exit_info.value.code == 2
 
 
 def test_scatter_critical_point_is_flagged(tmp_path, capsys):
@@ -170,7 +199,7 @@ def test_scatter_scan_writes_csv(tmp_path):
     out = tmp_path / "scan.json"
     rc = main([
         "scatter", "--graph-file", str(gpath), "--lo", "-1.5", "--hi", "1.5",
-        "--samples", "7", "--depth", "30",
+        "--samples", "7",
         "--csv", str(csv_path), "--output", str(out),
     ])
     assert rc == 0
@@ -197,7 +226,7 @@ def test_spectrum_finds_well_state(tmp_path):
     out = tmp_path / "spec.json"
     rc = main([
         "spectrum", "--graph-file", str(gpath), "--lo", "-3.0", "--hi", "-2.01",
-        "--samples", "60", "--depth", "120", "--output", str(out),
+        "--samples", "60", "--output", str(out),
     ])
     assert rc == 0
     report = json.loads(out.read_text())

@@ -246,13 +246,12 @@ def test_classify_reports_both_changes_inside_one_ladder_step(tmp_path):
 @pytest.mark.parametrize("name", FIXTURES)
 def test_spectrum_grid_matches_the_per_point_api(name):
     graph = FIXTURES[name]()
-    rows = graph.tail_rows()
     for lo, hi in ((-6.0, -2.05), (2.05, 6.0)):
         grid = np.linspace(lo, hi, 61)
-        decay = sc._junction_grid(graph, grid, rows, decay_only=True)[2]
+        decay = sc._junction_grid(graph, grid, decay_only=True)[2]
         batched = sc._sigma_mins(len(grid), decay)
         per_point = [
-            sc._sigma_mins(1, sc._junction_grid(graph, np.array([x]), rows, True)[2])[0]
+            sc._sigma_mins(1, sc._junction_grid(graph, np.array([x]), True)[2])[0]
             for x in grid
         ]
         assert np.allclose(batched, per_point, rtol=1e-12, atol=1e-15)

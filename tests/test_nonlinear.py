@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -537,3 +538,20 @@ def test_standard_map_rows_match_the_closed_form():
         closed = np.array(closed)
         assert rows.shape == (64,) + (1,) * len(slots)
         assert np.all(np.abs(rows.reshape(64) - closed) <= 1e-15 * np.maximum(1.0, np.abs(closed)))
+
+
+SCALAR_DENSITIES = {
+    "standard-map": standard_map_density(0.5),
+    "expression": expression_density(2, "0.5*(x0-x1)**2"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCALAR_DENSITIES))
+def test_scalar_slot_densities_reject_vector_charts_by_name(name):
+    sys = build_translation_invariant(ex.circle(4), SCALAR_DENSITIES[name], chart_dim=2)
+    psi = {v: np.array([0.1 * v, 0.2]) for v in sys.graph.vertex_labels}
+    want = f"the {name} density takes scalar slots"
+    for call in (lambda: local_action(sys, psi), lambda: linearize(sys, psi),
+                 lambda: el_residual(sys, psi, 0)):
+        with pytest.raises(DomainError, match=re.escape(want)):
+            call()

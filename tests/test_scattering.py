@@ -474,8 +474,8 @@ def test_tailed_graph_json_roundtrip():
             assert set(t1.attach) == set(t2.attach)
         assert len(back.cross_links) == len(graph.cross_links)
         lam = 0.43
-        a = scattering_matrix(graph, lam, depth=25)
-        b = scattering_matrix(back, lam, depth=25)
+        a = scattering_matrix(graph, lam)
+        b = scattering_matrix(back, lam)
         assert np.max(np.abs(a.s_matrix - b.s_matrix)) <= 1e-12
 
 
@@ -577,19 +577,22 @@ def test_junction_rows_match_truncated_oracle(name):
     for lam in (-1.3, 0.5, 1.7):
         res = scattering_matrix(graph, lam)
         assert res.s_matrix is not None, (lam, res.flags)
-        assert res.subspace.depth == graph.default_depth()
         s, outs = orc.truncated_modal_s_matrix(graph, lam)
         want = orc.in_channel_gauge(s, outs, out_channels(res))
         assert np.max(np.abs(res.s_matrix - want)) <= 1e-10
 
 
 def test_informative_rows_per_tail():
-    graph = cross_linked_graph()
-    assert graph.tail_rows() == [2, 1]
-    assert graph.tail_rows(5) == [5, 5]
-    assert graph.default_depth() == 2
-    assert ex.star_tailed(4).default_depth() == 1
-    assert two_channel_graph().default_depth() == 2
+    import swron.scattering as sc
+
+    # the junction stack holds every core row and k_j l_j rows of tail j
+    cases = [(cross_linked_graph(), 1 + 2 + 1), (ex.star_tailed(4), 1 + 4),
+             (two_channel_graph(), 2 + 3 * 4)]
+    for graph, rows in cases:
+        assert rows == graph.core_size + sum(t.op.k * t.op.l for t in graph.tails)
+        for decay_only in (False, True):
+            stacks = sc._junction_grid(graph, np.array([-3.5, 0.5]), decay_only)[2]
+            assert [stack.shape[1] for _, stack, *_ in stacks] == [rows] * len(stacks)
 
 
 def test_mode_values_are_evaluated_once_per_tail_and_stack(monkeypatch):
@@ -637,14 +640,6 @@ def test_tail_couplings_at_sites_beyond_order_rejected():
         )
     # site 1 of an order-2 tail is a tail coupling
     assert cross_linked_graph().cross_links[0][0] == (0, 1)
-
-
-def test_explicit_depth_only_adds_rows():
-    graph = ORACLE_GRAPHS["two_channel"]
-    base = scattering_matrix(graph, 0.5)
-    deep = scattering_matrix(graph, 0.5, depth=40)
-    assert deep.subspace.depth == 40
-    assert np.max(np.abs(base.s_matrix - deep.s_matrix)) <= 1e-10
 
 
 def test_band_scan_bisects_each_tail_operator_once(monkeypatch):
@@ -739,6 +734,43 @@ def test_asymmetric_decay_table_names_its_tail():
     want = 'tail 2 "decay" table: blocks (0, 1) and (1, -1) break symmetry by 2.000e-01'
     with pytest.raises(DomainError, match=re.escape(want)):
         with_decay(star, 2, asymmetric)
+
+
+@pytest.mark.parametrize("site", [-1, -3])
+def test_negative_decay_site_is_named(site):
+    data = tailed_graph_to_json(ex.potential_line(1.0))
+    data["tails"][0]["decay"] = [{"site": site, "blocks": {"0": [[0.2]]}}]
+    want = f'tail 0 "decay" table: site {site} is negative'
+    with pytest.raises(DomainError, match=re.escape(want)):
+        tailed_graph_from_json(data)
+
+
+def test_repeated_decay_site_is_named():
+    data = tailed_graph_to_json(ex.potential_line(1.0))
+    data["tails"][1]["decay"] = [{"site": n, "blocks": {"0": [[0.2]]}} for n in (0, 1, 0)]
+    want = 'tail 1 "decay" table: site 0 appears twice'
+    with pytest.raises(DomainError, match=re.escape(want)):
+        tailed_graph_from_json(data)
+
+
+@pytest.mark.parametrize("end", ["from", "to"])
+@pytest.mark.parametrize("tail", [5, 2, -1])
+def test_cross_link_with_unknown_tail_is_named(end, tail):
+    data = tailed_graph_to_json(ex.potential_line(1.0))
+    data["tails"][1]["decay"] = [{"site": 0, "blocks": {"0": [[0.2]]}}]
+    data["cross_links"] = [{"from": [0, 0], "to": [1, 1], "matrix": [[0.5]]}]
+    data["cross_links"][0][end] = [tail, 0]
+    with pytest.raises(DomainError, match=re.escape(f"cross link uses unknown tail {tail}")):
+        tailed_graph_from_json(data)
+
+
+def test_depth_is_not_an_option():
+    graph = ex.potential_line(1.0)
+    with pytest.raises(TypeError):
+        scattering_matrix(graph, 0.5, 3)
+    with pytest.raises(TypeError):
+        band_scan(graph, -1.0, 1.0, 5, depth=3)
+    assert not hasattr(graph, "tail_rows") and not hasattr(graph, "default_depth")
 
 
 def test_asymptotic_operator_key_loads_like_operator():

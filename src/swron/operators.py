@@ -52,14 +52,14 @@ __all__ = [
 KERNEL_REL_TOL = 1e-9
 
 
-def _null_spaces(stack: np.ndarray, rel_tol: float = KERNEL_REL_TOL):
+def _null_spaces(stack: np.ndarray):
     """(null-space basis, singular values) of each matrix in the stack,
     from one stacked SVD; the rank cut is relative to each largest
     singular value (an all-zero matrix has full null space)."""
     if stack.shape[1] == 0 or stack.shape[2] == 0:
         return [(np.eye(stack.shape[2]), np.zeros(0)) for _ in stack]
     _, sings, vts = np.linalg.svd(stack, full_matrices=True)
-    ranks = np.sum(sings > rel_tol * np.where(sings[:, :1] > 0, sings[:, :1], 1.0), axis=1)
+    ranks = np.sum(sings > KERNEL_REL_TOL * np.where(sings[:, :1] > 0, sings[:, :1], 1.0), axis=1)
     return [(vt[rank:].conj().T, sing) for sing, vt, rank in zip(sings, vts, ranks)]
 
 

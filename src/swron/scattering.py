@@ -19,9 +19,9 @@ is outgoing when its current tau = Im(conj(x)^T SW x) is positive; its
 conjugate is the matching incoming mode, normalized so that the bilinear
 pair form of (in, out) equals i.
 
-The space of genuine solutions, coordinatized by window values just past
-the junction on each tail, has dimension N*k*l and is Lagrangian for the
-direct sum of the tail pair forms; expressing it over the
+The space of genuine solutions, coordinatized by the values on window
+sites 0..2k_j-1 of each tail, has dimension N*k*l and is Lagrangian for
+the direct sum of the tail pair forms; expressing it over the
 incoming/outgoing channel coefficients after discarding the decaying part
 yields the scattering matrix, which is unitary and symmetric.
 
@@ -29,7 +29,11 @@ The reduction is exact and depth-free: Bloch modes solve the tail
 recurrence identically, and every attachment or cross link sits at a
 site n < k_j, so on tail j only the equations at sites n < K_j = k_j
 carry information (the ones that see the end of the half-line or a
-coupling), and only those rows are assembled.
+coupling), and only those rows are assembled.  They reach the sites
+0..2k_j-1, the one window each tail is read on: the pair form of two
+solutions of the free recurrence is the same at every base, so the
+Lagrangian residual and the in/out pairing defect read there are those
+of any window further out.
 """
 
 from __future__ import annotations
@@ -187,6 +191,12 @@ def _classify_grid(op: LineOperator, lams) -> list[MonodromyClassification]:
     return _classify(mus, lams, op.k * op.l)
 
 
+def _wider(a, b, tol):
+    """Whether [a, b] is wider than ``tol`` and than a few ulps of its ends,
+    the least width that halving or sectioning still reduces."""
+    return b - a > np.maximum(tol, 4 * np.spacing(np.abs(a) + np.abs(b)))
+
+
 def _grid(lo: float, hi: float, samples: int, least: int) -> np.ndarray:
     """The regular grid of a lambda scan, after checking its arguments."""
     if samples < least:
@@ -238,8 +248,9 @@ def find_critical_points(
     """Bisect classification changes of a constant operator over [lo, hi].
 
     The grid is classified in one solve; every interval whose channel
-    counts (s, p, q) change is refined by bisection down to ``tol``, and
-    the elementary path type is read off the counts on both sides.
+    counts (s, p, q) change is refined by bisection down to ``tol``, or
+    to a few ulps of its endpoints where that is wider, and the elementary
+    path type is read off the counts on both sides.
     """
     grid = _grid(lo, hi, samples, 2)
     return _critical_points(op, grid, _classify_grid(op, grid), tol)
@@ -260,8 +271,7 @@ def _critical_points(op: LineOperator, grid, cls, tol: float = 1e-8) -> list[Cri
         for a, b in zip(keep, keep[1:])
         if counts[a] != counts[b]
     ]
-    active = [sp for sp in spans if sp[1] - sp[0] > tol]
-    while active:
+    while active := [sp for sp in spans if _wider(sp[0], sp[1], tol)]:
         mids = [0.5 * (sp[0] + sp[1]) for sp in active]
         for sp, mid, cm in zip(active, mids, _classify_grid(op, mids)):
             c = cm.counts()
@@ -270,7 +280,6 @@ def _critical_points(op: LineOperator, grid, cls, tol: float = 1e-8) -> list[Cri
                 sp[1], sp[3] = mid, c
             else:
                 sp[0 if c == sp[2] else 1] = mid
-        active = [sp for sp in spans if sp[1] - sp[0] > tol]
     return [
         CriticalPoint(0.5 * (la + lb), before, after, *_path_of(before, after))
         for la, lb, before, after in sorted(spans, key=lambda sp: sp[0])
@@ -301,9 +310,10 @@ class Mode:
     The fiber vector w has unit norm and its largest entry real and
     positive; this phase convention fixes the channel phases of a
     multi-channel S.  ``anchor`` rescales the stored vector so site values
-    stay bounded on [0, anchor]: value(n) = w * mu**(n - anchor).  Channel
-    modes carry the tail's phase reference and current normalization in
-    ``w`` already (factor mu**origin / sqrt(current)).
+    stay bounded on the window 0..2k-1: value(n) = w * mu**(n - anchor),
+    with anchor 0 for decaying and channel modes and 2k - 1 for growing
+    ones.  Channel modes carry the tail's phase reference and current
+    normalization in ``w`` already (factor mu**origin / sqrt(current)).
     """
 
     mu: complex
@@ -314,27 +324,22 @@ class Mode:
     def value(self, n: int) -> np.ndarray:
         return self.w * (self.mu ** (n - self.anchor))
 
-    def values(self, lo: int, hi: int) -> np.ndarray:
-        """(l, hi-lo+1) array of site values."""
-        powers = self.mu ** (np.arange(lo, hi + 1) - self.anchor)
-        return np.outer(self.w, powers)
 
-
-def _site_values(modes: list[list[Mode]], lo: int, hi: int, l: int) -> np.ndarray:
-    """(S, hi - lo + 1, l, n) values on sites lo..hi of S lists of n modes."""
+def _site_values(modes: list[list[Mode]], k: int, l: int) -> np.ndarray:
+    """(S, 2k, l, n) values on the window sites 0..2k-1 of S lists of n modes."""
     if not modes[0]:
-        return np.zeros((len(modes), hi - lo + 1, l, 0))
+        return np.zeros((len(modes), 2 * k, l, 0))
     mus = np.array([[m.mu for m in mset] for mset in modes])
     anchors = np.array([[m.anchor for m in mset] for mset in modes])
     fibers = np.array([[m.w for m in mset] for mset in modes]).transpose(0, 2, 1)
-    powers = mus[:, None, :] ** (np.arange(lo, hi + 1)[:, None] - anchors[:, None, :])
+    powers = mus[:, None, :] ** (np.arange(2 * k)[:, None] - anchors[:, None, :])
     return fibers[:, None] * powers[:, :, None, :]
 
 
-def _tail_grid(op: LineOperator, lams, places, decay_only=False):
-    """tail_modes at every lambda of ``lams`` and every (origin, anchor) of
-    ``places`` from one eig of the transfer stack: the classifications
-    (None when ``decay_only``) and, per place, the mode list of each lambda
+def _tail_grid(op: LineOperator, lams, origins, decay_only=False):
+    """tail_modes at every lambda of ``lams`` and every phase origin of
+    ``origins`` from one eig of the transfer stack: the classifications
+    (None when ``decay_only``) and, per origin, the mode list of each lambda
     (its decaying modes only when ``decay_only``).  The eigenvector of mu
     has window blocks mu^p w, p = -k+1..k; ``w`` is read from the largest
     (p = k when |mu| >= 1, else p = -k+1)."""
@@ -350,14 +355,16 @@ def _tail_grid(op: LineOperator, lams, places, decay_only=False):
     w = (w / np.sqrt(np.sum(w.real**2 + w.imag**2, axis=1, keepdims=True))).transpose(0, 2, 1)
     if not decay_only:
         # current Im(conj(x) SW x) of each unimodular mode's window x at m_pair = k - 1
+        sw = swronskian_form(op, 0).matrix
         rise = np.where(unimod, mus, 0.0)[:, :, None] ** np.arange(2 * k)
         x = (rise[:, :, :, None] * w[:, :, None, :]).reshape(len(mus), 2 * k * l, 2 * k * l)
-        tau = np.sum((x.conj() @ swronskian_form(op, 0).matrix) * x, axis=2).imag.tolist()
+        tau = np.sum((x.conj() @ sw) * x, axis=2).imag.tolist()
+        no_current = 1e-12 * float(np.max(np.abs(sw)))
     angles, sizes, rows = np.angle(mus).tolist(), size.tolist(), mus.tolist()
     orders = [sorted(range(len(r)), key=lambda j: (round(a[j], 12), z[j]))
               for r, a, z in zip(rows, angles, sizes)]
-    grids = {place: [] for place in places}
-    for (origin, anchor), grid in grids.items():
+    grids = {origin: [] for origin in origins}
+    for origin, grid in grids.items():
         for i, (row, order) in enumerate(zip(rows, orders)):
             modes: list[Mode] = []
             for j in order:
@@ -366,10 +373,10 @@ def _tail_grid(op: LineOperator, lams, places, decay_only=False):
                     if sizes[i][j] < 1.0:
                         modes.append(Mode(mu, w[i, j], "decay"))
                     elif not decay_only:
-                        modes.append(Mode(mu, w[i, j], "grow", anchor=anchor))
+                        modes.append(Mode(mu, w[i, j], "grow", anchor=2 * k - 1))
                 elif decay_only or (mu.imag <= 0 and abs(mu.imag) > UNIMODULAR_TOL):
                     continue  # conjugate partner handled with its mate
-                elif abs(tau[i][j]) < 1e-12:
+                elif abs(tau[i][j]) < no_current:
                     clfs[i].critical = True
                     clfs[i].critical_reason = clfs[i].critical_reason or "zero-current-channel"
                 else:
@@ -388,7 +395,6 @@ def tail_modes(
     lam: float,
     *,
     origin: int = 0,
-    anchor: int = 0,
 ) -> tuple[MonodromyClassification, list[Mode]]:
     """Classify the tail at lambda and build its full mode list.
 
@@ -396,11 +402,13 @@ def tail_modes(
     are classified, and each eigenvector yields its mode's fiber vector.
     Channel (unimodular) modes are normalized so the bilinear pair form
     of (incoming, outgoing) is exactly i; the incoming fiber vector is
-    the exact conjugate of the outgoing one.  Growing modes are anchored
-    at site ``anchor``, so their site values stay at most 1 up to there.
+    the exact conjugate of the outgoing one.  Decaying and channel modes
+    are anchored at site 0 and growing ones at 2k - 1, so every site value
+    on the window 0..2k-1 is at most |w|; these are the modes
+    ``asymptotic_subspace`` reads.
     """
-    clfs, grids = _tail_grid(op, [lam], [(origin, anchor)])
-    return clfs[0], grids[origin, anchor][0]
+    clfs, grids = _tail_grid(op, [lam], [origin])
+    return clfs[0], grids[origin][0]
 
 
 def wave_basis(op: LineOperator, lam: float, *, origin: int = 0):
@@ -432,9 +440,6 @@ class Tail:
     op: LineOperator
     attach: dict = field(default_factory=dict)  # (core label, site) -> (dim_v, l)
     origin: int = 0
-
-    def junction_depth(self) -> int:
-        return max((n for (_, n) in self.attach), default=-1) + 1
 
 
 class TailedGraph:
@@ -526,15 +531,6 @@ class TailedGraph:
     def expected_dim(self) -> int:
         return sum(t.op.k * t.op.l for t in self.tails)
 
-    def junction_depth(self, j: int) -> int:
-        depth = self.tails[j].junction_depth()
-        for (a, n1), (b, n2), _ in self.cross_links:
-            if a == j:
-                depth = max(depth, n1 + 1)
-            if b == j:
-                depth = max(depth, n2 + 1)
-        return depth
-
     @cached_property
     def _tail_keys(self) -> list[str]:
         """Content key (k, l and blocks) of each tail operator; tails with
@@ -554,20 +550,19 @@ class TailedGraph:
 
 def _junction_grid(graph: TailedGraph, lams: np.ndarray, decay_only=False):
     """Per lambda of ``lams``, the classifications and modes of every tail
-    (channel modes scaled by the tail origin, growing ones anchored at the
-    top site 2k - 1 its rows reach; tails with one operator share one
-    ``_tail_grid``), and the ``_assemble`` output as (indices, stack,
+    (channel modes scaled by the tail origin; tails with one operator share
+    one ``_tail_grid``), and the ``_assemble`` output as (indices, stack,
     offsets, windows), one stack per mode-count shape.  Decaying modes need
-    no origin or anchor."""
+    no origin."""
     keys = graph._tail_keys
-    places = [(0, 0) if decay_only else (t.origin, 2 * t.op.k - 1) for t in graph.tails]
+    origins = [0 if decay_only else t.origin for t in graph.tails]
     ops: dict = {}
-    for key, tail, place in zip(keys, graph.tails, places):
-        ops.setdefault(key, (tail.op, set()))[1].add(place)
+    for key, tail, origin in zip(keys, graph.tails, origins):
+        ops.setdefault(key, (tail.op, set()))[1].add(origin)
     solved = {key: _tail_grid(op, lams, sorted(ps), decay_only) for key, (op, ps) in ops.items()}
     at = range(len(lams))
     clfs = None if decay_only else [[solved[key][0][i] for key in keys] for i in at]
-    modes = [[solved[key][1][place][i] for key, place in zip(keys, places)] for i in at]
+    modes = [[solved[key][1][origin][i] for key, origin in zip(keys, origins)] for i in at]
     groups: dict[tuple[int, ...], list[int]] = {}
     for i in at:
         groups.setdefault(tuple(len(m) for m in modes[i]), []).append(i)
@@ -583,9 +578,11 @@ def _assemble(graph: TailedGraph, lams: np.ndarray, modes):
     values ``lams``: every core row, and the first k_j site equations of
     tail j, the only ones that see the end of the half-line or a coupling
     (see the module docstring).  ``modes[i][j]`` is the mode list of tail j at
-    lams[i]; every lambda has the same number of modes per tail.  Returns
-    the (S, rows, columns) stack, the first modal column of each tail and
-    its (S, 2kl, modes) mode windows at base ``junction_depth(j) + k - 1``."""
+    lams[i]; every lambda has the same number of modes per tail.  The mode
+    values are evaluated once, on the window sites 0..2k_j - 1 that the k_j
+    rows reach.  Returns the (S, rows, columns) stack, the first modal
+    column of each tail and its (S, 2kl, modes) mode windows, the reshape
+    of those values."""
     nc = graph.core_size
     counts = [len(mset) for mset in modes[0]]
     mode_offset = list(accumulate(counts, initial=nc))
@@ -594,11 +591,10 @@ def _assemble(graph: TailedGraph, lams: np.ndarray, modes):
     a[:, :nc, :nc] = graph.core_matrix() - lams[:, None, None] * np.eye(nc)
 
     # site values: values[j][:, n] is (S, l, modes) with one column per mode
-    # of tail j, on sites 0..d + 2k - 1 (rows and mode window)
-    depths = [graph.junction_depth(j) for j in range(len(graph.tails))]
+    # of tail j, on the window sites 0..2k - 1
     values = [
-        _site_values([mset[j] for mset in modes], 0, d + 2 * t.op.k - 1, t.op.l)
-        for j, (t, d) in enumerate(zip(graph.tails, depths))
+        _site_values([mset[j] for mset in modes], t.op.k, t.op.l)
+        for j, t in enumerate(graph.tails)
     ]
     windows = []
 
@@ -610,8 +606,8 @@ def _assemble(graph: TailedGraph, lams: np.ndarray, modes):
         return slice(mode_offset[j], mode_offset[j] + counts[j])
 
     for j, tail in enumerate(graph.tails):
-        op, vals, d = tail.op, values[j], depths[j]
-        windows.append(vals[:, d : d + 2 * op.k].reshape(len(lams), 2 * op.k * op.l, counts[j]))
+        op, vals = tail.op, values[j]
+        windows.append(vals.reshape(len(lams), 2 * op.k * op.l, counts[j]))
         acc = -lams[:, None, None, None] * vals[:, : op.k]
         for s in range(-op.k, op.k + 1):
             lo = max(0, -s)  # the half-line has no sites below 0
@@ -632,8 +628,8 @@ def _assemble(graph: TailedGraph, lams: np.ndarray, modes):
 @dataclass
 class AsymptoticSubspace:
     """Kernel of the junction problem in modal coordinates.  ``windows[j]`` holds
-    the (2kl, modes) mode windows of tail j just past its junction, one
-    column per mode of ``modes[j]``."""
+    the (2kl, modes) values of tail j's modes on its window sites 0..2k-1,
+    one column per mode of ``modes[j]``."""
 
     lam: float
     dim: int
@@ -830,10 +826,11 @@ def regular_discrete_spectrum(
     its one neighbour included, opens a bracket over its neighbours; each
     step samples all brackets in one stacked decay solve, 16 points each,
     and keeps the two sub-intervals around each smallest value, down to
-    width 1e-11.  States within one grid step of a tail critical point
-    are flagged uncertain.  Eigenfunctions that vanish on every tail come
-    from the core alone, with ``singular=True``; a refined state without
-    nonzero decaying coefficients is left to them.
+    width 1e-11 or a few ulps of lambda, whichever is wider.  States
+    within one grid step of a tail critical point are flagged uncertain.
+    Eigenfunctions that vanish on every tail come from the core alone,
+    with ``singular=True``; a refined state without nonzero decaying
+    coefficients is left to them.
     """
     grid = _grid(lo, hi, samples, 3)
     step = (hi - lo) / (samples - 1)
@@ -842,7 +839,7 @@ def regular_discrete_spectrum(
     padded = np.concatenate(([math.inf], vals, [math.inf]))
     mins = np.flatnonzero((vals <= padded[:-2]) & (vals <= padded[2:]) & (vals <= 1e-2))
     a, b = grid[np.maximum(mins - 1, 0)], grid[np.minimum(mins + 1, samples - 1)]
-    while mins.size and np.max(b - a) > 1e-11:
+    while mins.size and np.any(_wider(a, b, 1e-11)):
         h = (b - a) / (_SECTIONS + 1)
         pts = a[:, None] + h[:, None] * np.arange(1, _SECTIONS + 1)
         stacks = _junction_grid(graph, pts.ravel(), decay_only=True)[2]
@@ -871,7 +868,8 @@ def regular_discrete_spectrum(
     if graph.core_size:
         cmat = graph.core_matrix()
         evals, evecs = np.linalg.eigh(cmat)
-        tol = 1e-10 * max(1.0, float(np.max(np.abs(cmat))))
+        attach = [m for tail in graph.tails for m in tail.attach.values()]
+        tol = 1e-10 * max(float(np.max(np.abs(m))) for m in [cmat, *attach])
         for cluster in np.split(np.arange(len(evals)), np.flatnonzero(np.diff(evals) > tol) + 1):
             lam_e = float(np.mean(evals[cluster]))
             if not (lo <= lam_e <= hi):

@@ -147,7 +147,7 @@ class _KernelSplit:
         """Orthonormal null basis of the imposed rows of A - lambda."""
         rows = self.a_rows.astype(complex)
         rows[np.arange(len(self.rows)), self.rows] -= complex(lam)
-        return _null_spaces(rows[None], 1e-10)[0][0]
+        return _null_spaces(rows[None])[0][0]
 
 
 def kernel_solutions(

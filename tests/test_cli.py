@@ -452,6 +452,19 @@ def test_tailed_graph_committed_well_fixture(capsys):
     assert abs(state["lambda"] + math.sqrt(5.0)) <= 1e-6
 
 
+def test_large_well_fixture_refines_to_an_end(capsys):
+    # tests/data/well_1e8.json, the well with every block times 1e8, is the graph CI
+    # refines at large lambda through the CLI
+    data = Path(__file__).parent / "data"
+    big = (data / "well_1e8.json").read_text()
+    assert json.loads(big) == json.loads((data / "well.json").read_text(),
+                                         parse_float=lambda x: 1e8 * float(x))
+    assert main(["spectrum", "--graph-file", str(data / "well_1e8.json"), "--lo=-4e8",
+                 "--hi=-2.05e8", "--samples", "61"]) == 0
+    (state,) = json.loads(capsys.readouterr().out)["bound_states"]
+    assert abs(state["lambda"] / 1e8 + math.sqrt(5.0)) <= 1e-9
+
+
 def test_verify_all_suites_pass(capsys):
     rc = main(["verify", "--seed", "1"])
     out = capsys.readouterr().out

@@ -72,8 +72,8 @@ def test_tail_mode_normalization():
         assert abs(inc.value(n)[0] - np.conj(want)) <= 1e-12
     # bilinear pair form of (in, out) window coordinates is exactly i
     sw = swronskian_form(op, 0).matrix
-    xo = out.values(0, 1).T.reshape(-1)
-    xi = inc.values(0, 1).T.reshape(-1)
+    xo = np.concatenate([out.value(n) for n in (0, 1)])
+    xi = np.concatenate([inc.value(n) for n in (0, 1)])
     assert abs(xi @ sw @ xo - 1j) <= 1e-12
 
 
@@ -617,12 +617,94 @@ def test_mode_values_are_evaluated_once_per_tail_and_stack(monkeypatch):
 def test_subspace_windows_hold_mode_values_past_the_junction():
     graph = cross_linked_graph()
     sub = asymptotic_subspace(graph, 0.5)
-    for j, (tail, modes, x) in enumerate(zip(graph.tails, sub.modes, sub.windows)):
-        d, k = graph.junction_depth(j), tail.op.k
+    for tail, modes, x in zip(graph.tails, sub.modes, sub.windows):
+        k = tail.op.k
         assert x.shape == (2 * k * tail.op.l, len(modes))
         for col, mode in zip(x.T, modes):
-            want = np.concatenate([mode.value(n) for n in range(d, d + 2 * k)])
+            want = np.concatenate([mode.value(n) for n in range(2 * k)])
             assert np.allclose(col, want, rtol=1e-13, atol=0.0)
+
+
+def test_tail_modes_are_the_modes_the_subspace_reads():
+    # tail 1 of the pure line has phase origin 0 and a growing mode below the band
+    graph = ex.pure_line_graph()
+    _, modes = tail_modes(graph.tails[1].op, -3.0)
+    read = asymptotic_subspace(graph, -3.0).modes[1]
+    assert "grow" in [m.kind for m in modes]
+    assert [(m.mu, m.w.tobytes(), m.kind, m.anchor) for m in modes] == [
+        (m.mu, m.w.tobytes(), m.kind, m.anchor) for m in read]
+
+
+@pytest.mark.parametrize("lam", [-3.5, 0.5, 1.3])
+def test_mode_pair_form_is_the_same_on_every_window(lam):
+    # each tail's deepest coupling is at site k - 1: the window 0..2k-1 and the
+    # window k..3k-1 past every coupling give one mode-pair form
+    graph = cross_linked_graph()
+    sub = asymptotic_subspace(graph, lam)
+    for tail, modes, x in zip(graph.tails, sub.modes, sub.windows):
+        k, sw = tail.op.k, swronskian_form(tail.op, 0).matrix
+        deep = np.stack([np.concatenate([m.value(n) for n in range(k, 3 * k)]) for m in modes], 1)
+        want = deep.T @ sw @ deep
+        assert np.max(np.abs(x.T @ sw @ x - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_one_mode_frame():
+    import swron.scattering as sc
+
+    with pytest.raises(TypeError):
+        tail_modes(ex.free_tail(), -3.0, anchor=3)
+    graph = ex.potential_line(1.0)
+    assert not hasattr(graph, "junction_depth") and not hasattr(graph.tails[0], "junction_depth")
+    assert not hasattr(sc.Mode, "values")
+
+
+def scaled(graph: TailedGraph, c: float) -> TailedGraph:
+    """``graph`` with every block (core, attach, cross link, tail shift) times c."""
+    data = tailed_graph_to_json(graph)
+    mats = data["core"]["blocks"] + data["cross_links"]
+    mats += [item for tail in data["tails"] for item in tail["attach"]]
+    for item in mats:
+        item["matrix"] = (c * np.array(item["matrix"])).tolist()
+    for tail in data["tails"]:
+        blocks = tail["operator"]["blocks"]
+        blocks.update({s: (c * np.array(m)).tolist() for s, m in blocks.items()})
+    return tailed_graph_from_json(data)
+
+
+@pytest.mark.parametrize("c", [1e5, 1e8, 1e13])
+def test_refinements_stop_at_large_lambda(monkeypatch, c):
+    import swron.scattering as sc
+
+    def capped(name):
+        real, calls = getattr(sc, name), []
+
+        def spy(*args, **kw):
+            calls.append(args)
+            if len(calls) > 200:
+                raise AssertionError(f"{name} called more than 200 times")
+            return real(*args, **kw)
+
+        monkeypatch.setattr(sc, name, spy)
+
+    capped("_junction_grid")
+    capped("_classify_grid")
+    states = regular_discrete_spectrum(scaled(ex.potential_line(1.0), c), -4 * c, -2.05 * c, 61)
+    assert len(states) == 1
+    assert abs(states[0].lam / c + np.sqrt(5)) <= 1e-9
+    pts = find_critical_points(scaled(ex.pure_line_graph(), c).tails[0].op, -3 * c, 3 * c, 121)
+    assert [round(p.lam / c, 8) for p in pts] == [-2.0, 2.0]
+
+
+@pytest.mark.parametrize("c", [1e-13, 1e4])
+def test_decisions_do_not_depend_on_the_scale(c):
+    # every block and lambda times c: S is unchanged and lambda results scale by c
+    for graph in (ex.pure_line_graph(), ex.two_tail_ring_core(6)):
+        want = scattering_matrix(graph, 0.5).s_matrix
+        res = scattering_matrix(scaled(graph, c), 0.5 * c)
+        assert not res.flags
+        assert np.max(np.abs(res.s_matrix - want)) <= 1e-8
+    states = regular_discrete_spectrum(scaled(ex.two_tail_ring_core(6), c), -1.5 * c, 1.5 * c, 31)
+    assert [(round(st.lam / c, 9), st.singular) for st in states] == [(-1.0, True), (1.0, True)]
 
 
 def test_tail_couplings_at_sites_beyond_order_rejected():

@@ -179,11 +179,9 @@ def cmd_scatter(args) -> int:
 
 def cmd_spectrum(args) -> int:
     graph = load_tailed_graph(args.graph_file)
-    states = regular_discrete_spectrum(
-        graph, args.lo, args.hi, args.samples, detect_tol=args.detect_tol
-    )
+    states = regular_discrete_spectrum(graph, args.lo, args.hi, args.samples)
     report = {
-        "metadata": _metadata(detect_tol=args.detect_tol),
+        "metadata": _metadata(),
         "interval": [args.lo, args.hi],
         "bound_states": [
             {
@@ -435,12 +433,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output")
     p.set_defaults(func=cmd_scatter)
 
-    p = subs.add_parser("spectrum", help="bound states outside the bands")
+    p = subs.add_parser("spectrum", help="bound states in the tails' gaps, by inertia")
     p.add_argument("--graph-file", required=True)
     p.add_argument("--lo", type=float, required=True)
     p.add_argument("--hi", type=float, required=True)
     p.add_argument("--samples", type=int, default=201)
-    p.add_argument("--detect-tol", type=float, default=1e-8)
     p.add_argument("--output")
     p.set_defaults(func=cmd_spectrum)
 

@@ -34,6 +34,15 @@ coupling), and only those rows are assembled.  They reach the sites
 solutions of the free recurrence is the same at every base, so the
 Lagrangian residual and the in/out pairing defect read there are those
 of any window further out.
+
+Bound states are counted by inertia.  Where every tail is gapped, the
+decaying-mode columns of tail j in the junction rows, multiplied on the
+right by Y_lo^-1 (Y_lo: those modes' values on sites 0..k_j-1), give the
+exact reduction of L - lambda onto the core and those sites, A = H_J -
+lambda + sum_j C_j Y_hi Y_lo^-1, real symmetric with dA/dlambda <= -I.  By Sylvester's law of inertia and the
+Haynsworth additivity of the Schur complement, the number nu of negative
+eigenvalues of A rises by one at each bound state, with multiplicity, and
+falls by one at each pole of Y_hi Y_lo^-1, a gap state of a half-tail alone.
 """
 
 from __future__ import annotations
@@ -75,7 +84,6 @@ __all__ = [
     "BandScan",
     "classify_monodromy",
     "find_critical_points",
-    "wave_basis",
     "tail_modes",
     "asymptotic_subspace",
     "scattering_matrix",
@@ -409,19 +417,6 @@ def tail_modes(
     """
     clfs, grids = _tail_grid(op, [lam], [origin])
     return clfs[0], grids[origin][0]
-
-
-def wave_basis(op: LineOperator, lam: float, *, origin: int = 0):
-    """In/out channel modes only; error when the point carries none."""
-    clf, modes = tail_modes(op, lam, origin=origin)
-    channels = [m for m in modes if m.kind in ("in", "out")]
-    if clf.critical:
-        raise DomainError(
-            f"lambda={lam} is critical ({clf.critical_reason}); no wave basis"
-        )
-    if not channels:
-        raise DomainError(f"no open channels at lambda={lam}")
-    return clf, channels
 
 
 # -- tailed graphs -------------------------------------------------------------
@@ -794,20 +789,27 @@ class BoundState:
     singular: bool = False
 
 
-def _sigma_mins(size: int, stacks) -> np.ndarray:
-    """Relative smallest singular value at each of ``size`` lambdas from
-    their decay-system stacks (inf without modal columns)."""
-    out = np.full(size, math.inf)
-    for idx, stack, *_ in stacks:
-        if stack.shape[2] == 0:
-            continue
-        sing = np.linalg.svd(stack, compute_uv=False)
-        full = sing.shape[1] >= stack.shape[2]
-        out[idx] = sing[:, -1] / np.where(sing[:, 0] > 0, sing[:, 0], 1.0) if full else 0.0
-    return out
-
-
-_SECTIONS = 16  # interior samples per bracket in each refinement step
+def _junction_eigs(graph: TailedGraph, lams):
+    """Eigenvalues, ascending, and eigenvectors of the junction Schur
+    complement A(lambda) (see the module docstring) at every lambda of
+    ``lams``, NaN where some tail has an open channel, and the eigenvectors
+    over (core values, decaying-mode coefficients)."""
+    kls = [t.op.k * t.op.l for t in graph.tails]
+    size = graph.core_size + sum(kls)
+    vals, vecs = np.full((len(lams), size), np.nan), np.full((len(lams), size, size), np.nan)
+    coefs = np.full((len(lams), size, size), np.nan, dtype=complex)
+    for idx, stack, offsets, windows in _junction_grid(graph, lams, decay_only=True)[2]:
+        if any(x.shape[2] != kl for x, kl in zip(windows, kls)):
+            continue  # an open channel
+        ylo = [x[:, :kl] for x, kl in zip(windows, kls)]  # values on sites 0..k-1
+        for off, y in zip(offsets, ylo):
+            cols = stack[:, :, off : off + y.shape[2]]
+            cols[:] = np.linalg.solve(y.swapaxes(1, 2), cols.swapaxes(1, 2)).swapaxes(1, 2)
+        vals[idx], vecs[idx] = np.linalg.eigh(0.5 * (stack.real + stack.real.swapaxes(1, 2)))
+        coefs[idx] = vecs[idx]
+        for off, y in zip(offsets, ylo):
+            coefs[idx, off : off + y.shape[2]] = np.linalg.solve(y, vecs[idx, off : off + y.shape[2]])
+    return vals, vecs, coefs
 
 
 def regular_discrete_spectrum(
@@ -815,52 +817,53 @@ def regular_discrete_spectrum(
     lo: float,
     hi: float,
     samples: int = 201,
-    *,
-    detect_tol: float = 1e-8,
 ) -> list[BoundState]:
-    """Scan for decaying-solution eigenvalues in [lo, hi].
-
-    The restricted system keeps only core values and decaying modal
-    coefficients; eigenvalues are near-zero relative smallest singular
-    values.  Every grid minimum below 1e-2, an end sample no larger than
-    its one neighbour included, opens a bracket over its neighbours; each
-    step samples all brackets in one stacked decay solve, 16 points each,
-    and keeps the two sub-intervals around each smallest value, down to
-    width 1e-11 or a few ulps of lambda, whichever is wider.  States
-    within one grid step of a tail critical point are flagged uncertain.
-    Eigenfunctions that vanish on every tail come from the core alone,
-    with ``singular=True``; a refined state without nonzero decaying
-    coefficients is left to them.
-    """
+    """Bound states in [lo, hi] by the inertia of A (module docstring).  nu is
+    read on the grid and just inside every tail critical point; a rise of r
+    between adjacent gapped samples, no critical point between them, is r
+    states, the zeros of eigenvalues nu .. nu + r - 1, refined together by
+    Illinois steps.  States within one grid step of a critical point are
+    uncertain; states that vanish on every tail are ``singular``."""
     grid = _grid(lo, hi, samples, 3)
     step = (hi - lo) / (samples - 1)
-    vals = _sigma_mins(samples, _junction_grid(graph, grid, decay_only=True)[2])
-    criticals = [cp.lam for cp in _tail_critical_points(graph, grid)]
-    padded = np.concatenate(([math.inf], vals, [math.inf]))
-    mins = np.flatnonzero((vals <= padded[:-2]) & (vals <= padded[2:]) & (vals <= 1e-2))
-    a, b = grid[np.maximum(mins - 1, 0)], grid[np.minimum(mins + 1, samples - 1)]
-    while mins.size and np.any(_wider(a, b, 1e-11)):
-        h = (b - a) / (_SECTIONS + 1)
-        pts = a[:, None] + h[:, None] * np.arange(1, _SECTIONS + 1)
-        stacks = _junction_grid(graph, pts.ravel(), decay_only=True)[2]
-        best = _sigma_mins(pts.size, stacks).reshape(pts.shape).argmin(axis=1)
-        a, b = a + h * best, a + h * (best + 2)
+    criticals = np.array(sorted(cp.lam for cp in _tail_critical_points(graph, grid)))
+    inside = 16 * np.maximum(1e-8, 4 * np.spacing(np.abs(criticals)))  # past the bisection width
+    pts = np.unique(np.clip(np.concatenate((grid, criticals - inside, criticals + inside)), lo, hi))
+    vals = _junction_eigs(graph, pts)[0]
+    nu = np.sum(vals < 0, axis=1)
+    gapped = ~np.isnan(vals).any(axis=1)
+    same = np.searchsorted(criticals, pts[:-1]) == np.searchsorted(criticals, pts[1:])
+    rise = np.where(gapped[:-1] & gapped[1:] & same, np.diff(nu), 0)
+    at = np.repeat(np.arange(len(rise)), np.maximum(rise, 0))
+    index = nu[at] + np.arange(len(at)) - np.searchsorted(at, at)  # state m of a rise from nu
+    a, b, fa, fb = pts[at], pts[at + 1], vals[at, index], vals[at + 1, index]
+    ga, gb, moved = fa.copy(), fb.copy(), np.zeros(len(at))  # Illinois weights, last end moved
+    while True:
+        # every eigenvalue falls at rate >= 1, so f at x bounds its zero within |f| of x
+        left, right = np.maximum(a, b + fb), np.minimum(b, a + fa)
+        if not np.any(live := _wider(left, right, 1e-11)):
+            break
+        x = np.clip((a * gb - b * ga) / (gb - ga), left, right)
+        fx = np.full(len(x), np.nan)
+        fx[live] = _junction_eigs(graph, x[live])[0][np.arange(live.sum()), index[live]]
+        up, down = live & (fx >= 0), live & (fx < 0)
+        ga, gb = np.where(down & (moved < 0), 0.5 * ga, ga), np.where(up & (moved > 0), 0.5 * gb, gb)
+        a, fa, ga = np.where(up, x, a), np.where(up, fx, fa), np.where(up, fx, ga)
+        b, fb, gb = np.where(down, x, b), np.where(down, fx, fb), np.where(down, fx, gb)
+        fa[live & np.isnan(fx)] = np.nan  # a step into a band the grid missed: dropped
+        moved = np.where(up, 1, np.where(down, -1, moved))
 
     out: list[BoundState] = []
-    mids = 0.5 * (a + b)
-    _, modes, stacks = _junction_grid(graph, mids, True) if mins.size else (0, [], [])
-    for idx, stack, mode_offset, _ in stacks:
-        _, sings, vts = np.linalg.svd(stack)
-        for i, sing, vt in zip(idx, sings, vts):
-            sig = sing[-1] / (sing[0] or 1.0) if len(sing) == stack.shape[2] else 0.0
-            kernel = vt[-1].conj()
-            # a kernel without decaying coefficients is a singular state, reported below
-            if sig > detect_tol or not np.any(np.abs(kernel[graph.core_size :]) > KERNEL_REL_TOL):
-                continue
-            modal = [kernel[off : off + len(mset)] for off, mset in zip(mode_offset, modes[i])]
-            uncertain = any(abs(mids[i] - c) < step for c in criticals)
-            out.append(BoundState(
-                float(mids[i]), float(sig), kernel[: graph.core_size], modal, uncertain))
+    zeros = 0.5 * (left + right)
+    index, zeros, nc = index[~np.isnan(zeros)], zeros[~np.isnan(zeros)], graph.core_size
+    cuts = np.cumsum([t.op.k * t.op.l for t in graph.tails])[:-1]  # one modal block per tail
+    for lam, i, ev, vec, coef in zip(zeros, index, *_junction_eigs(graph, zeros)):
+        if not np.any(np.abs(vec[nc:, i]) > KERNEL_REL_TOL):
+            continue  # no tail values: a singular state, reported below
+        modal = np.split(coef[nc:, i], cuts)
+        uncertain = any(abs(lam - c) < step for c in criticals)
+        sig = abs(ev[i]) / (np.max(np.abs(ev)) or 1.0)
+        out.append(BoundState(float(lam), float(sig), vec[:nc, i], modal, uncertain))
 
     # singular eigenfunctions: zero on all tails, supported on the core; each
     # cluster of equal core eigenvalues contributes the null space, over its

@@ -253,6 +253,57 @@ def truncated_levels(graph, lo: float, hi: float, depth: int = 200) -> list[floa
     return [float(x) for x in np.linalg.eigvalsh(mat) if lo <= x <= hi]
 
 
+def gap_levels(graph, lo: float, hi: float, depth: int = 300) -> list[float]:
+    """Levels in [lo, hi] of a tailed graph with tails of any order k and
+    fiber l, from dense Dirichlet truncations: the core plus ``depth`` sites
+    of every tail, entered block by block from the raw core, attach,
+    cross-link and tail shift blocks, with a hard wall after the last site.
+    A level is kept when the truncation at depth + 7 has a level within 1e-8
+    of it and at least 90% of its weight lies on the core and the first
+    depth / 2 sites of every tail; this drops band levels and the edge
+    states of the far wall, which do not move with the depth."""
+
+    def truncation(n: int):
+        offset, size = {}, 0
+        for v in sorted(graph.core_dims):
+            offset[v], size = size, size + graph.core_dims[v]
+        near = list(range(size))
+        first = []
+        for tail in graph.tails:
+            first.append(size)
+            near += range(size, size + (n // 2) * tail.op.l)
+            size += n * tail.op.l
+        mat = np.zeros((size, size))
+        for (u, v), m in graph.core_blocks.items():
+            mat[offset[u] : offset[u] + m.shape[0], offset[v] : offset[v] + m.shape[1]] = m
+        for tail, base in zip(graph.tails, first):
+            k, l = tail.op.k, tail.op.l
+            for site in range(n):
+                for s in range(-k, k + 1):
+                    if 0 <= site + s < n:
+                        r, c = base + site * l, base + (site + s) * l
+                        mat[r : r + l, c : c + l] = tail.op.block(0, s)
+            for (v, site), m in tail.attach.items():
+                r, c = offset[v], base + site * l
+                mat[r : r + m.shape[0], c : c + l] = m
+                mat[c : c + l, r : r + m.shape[0]] = m.T
+        for (j1, n1), (j2, n2), m in graph.cross_links:
+            r = first[j1] + n1 * graph.tails[j1].op.l
+            c = first[j2] + n2 * graph.tails[j2].op.l
+            mat[r : r + m.shape[0], c : c + m.shape[1]] = m
+            mat[c : c + m.shape[1], r : r + m.shape[0]] = m.T
+        return mat, near
+
+    mat, near = truncation(depth)
+    vals, vecs = np.linalg.eigh(mat)
+    deeper = np.linalg.eigvalsh(truncation(depth + 7)[0])
+    weight = np.sum(vecs[near] ** 2, axis=0)
+    return [
+        float(x) for x, w in zip(vals, weight)
+        if lo <= x <= hi and np.min(np.abs(deeper - x)) <= 1e-8 and w >= 0.9
+    ]
+
+
 def truncation_depth(graph) -> int:
     """50 k_max plus the deepest junction site + 1 over all tails, read
     from the raw attach and cross-link tables."""

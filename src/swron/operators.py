@@ -42,9 +42,7 @@ __all__ = [
     "harmonic_basis",
     "to_vertex_operator",
     "factorize_triangle",
-    "cochain_as_vector",
     "cochain_from_vector",
-    "random_cochain",
     "operator_to_json",
     "operator_from_json",
 ]
@@ -327,32 +325,12 @@ class DiscreteOperator:
 # -- cochain helpers --------------------------------------------------------
 
 
-def cochain_as_vector(psi: dict, sids, vec_dim: int) -> np.ndarray:
-    out = np.zeros(len(sids) * vec_dim, dtype=complex)
-    for i, sid in enumerate(sids):
-        if sid in psi:
-            out[i * vec_dim : (i + 1) * vec_dim] = np.asarray(psi[sid]).reshape(-1)
-    return out
-
-
 def cochain_from_vector(vec: np.ndarray, sids, vec_dim: int) -> dict:
     vec = np.asarray(vec).reshape(-1)
     return {
         sid: vec[i * vec_dim : (i + 1) * vec_dim].copy()
         for i, sid in enumerate(sids)
     }
-
-
-def random_cochain(complex, vec_dim: int, rng, sids=None, complex_valued=False):
-    if sids is None:
-        sids = [s.id for s in complex.simplices]
-    out = {}
-    for sid in sids:
-        v = rng.standard_normal(vec_dim)
-        if complex_valued:
-            v = v + 1j * rng.standard_normal(vec_dim)
-        out[sid] = v
-    return out
 
 
 # -- subdivision transport ---------------------------------------------------
@@ -372,15 +350,6 @@ def to_vertex_operator(op: DiscreteOperator):
     vertex_op = DiscreteOperator(sub, op.vec_dim, dict(zip(keys, op.stack)),
                                  order=2 * op.order)
     return vertex_op, sub, center_map
-
-
-def cochain_to_vertex(psi: dict, sub: SimplicialComplex, center_map: dict) -> dict:
-    return {sub.vertex_sid(center_map[sid]): v for sid, v in psi.items()}
-
-
-def cochain_from_vertex(psi: dict, sub: SimplicialComplex, center_map: dict) -> dict:
-    back = {sub.vertex_sid(c): sid for sid, c in center_map.items()}
-    return {back[vid]: v for vid, v in psi.items()}
 
 
 # -- Hodge operators ----------------------------------------------------------

@@ -51,7 +51,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, groupby
 
 import numpy as np
 
@@ -195,14 +195,8 @@ def _classify(mus: np.ndarray, lams, kl: int) -> list[MonodromyClassification]:
 def _classify_grid(op: LineOperator, lams) -> list[MonodromyClassification]:
     """classify_monodromy of the transfer map at every lambda of ``lams``:
     one eigvals call on the transfer stack."""
-    mus = np.linalg.eigvals(_transfer_stack(op, lams).astype(complex))
+    mus = np.linalg.eigvals(_transfer_stack(op, lams)).astype(complex)
     return _classify(mus, lams, op.k * op.l)
-
-
-def _wider(a, b, tol):
-    """Whether [a, b] is wider than ``tol`` and than a few ulps of its ends,
-    the least width that halving or sectioning still reduces."""
-    return b - a > np.maximum(tol, 4 * np.spacing(np.abs(a) + np.abs(b)))
 
 
 def _grid(lo: float, hi: float, samples: int, least: int) -> np.ndarray:
@@ -242,70 +236,133 @@ _PATHS = {
 
 def _path_of(before, after):
     delta = tuple(a - b for a, b in zip(after, before))
-    if delta in _PATHS:
-        return _PATHS[delta]
-    neg = tuple(-d for d in delta)
-    if neg in _PATHS:
-        return _PATHS[neg]
-    return None, False
+    return _PATHS.get(delta) or _PATHS.get(tuple(-d for d in delta), (None, False))
 
 
 def find_critical_points(
-    op: LineOperator, lo: float, hi: float, samples: int = 101, *, tol: float = 1e-8
+    op: LineOperator, lo: float, hi: float, samples: int = 101
 ) -> list[CriticalPoint]:
-    """Bisect classification changes of a constant operator over [lo, hi].
-
-    The grid is classified in one solve; every interval whose channel
-    counts (s, p, q) change is refined by bisection down to ``tol``, or
-    to a few ulps of its endpoints where that is wider, and the elementary
-    path type is read off the counts on both sides.
-    """
-    grid = _grid(lo, hi, samples, 2)
-    return _critical_points(op, grid, _classify_grid(op, grid), tol)
+    """Where the channel counts (s, p, q) of a constant real operator change
+    inside (lo, hi), with the counts on each side and the path type.  The
+    points come from the symbol, once per operator (``_symbol_criticals``),
+    so they do not depend on ``samples``, which is checked as a grid size."""
+    _grid(lo, hi, samples, 2)
+    return [cp for cp in _symbol_criticals(op) if lo < cp.lam < hi]
 
 
-def _critical_points(op: LineOperator, grid, cls, tol: float = 1e-8) -> list[CriticalPoint]:
-    """find_critical_points from the classifications ``cls`` of the grid.
-    A flagged inner sample whose counts match neither neighbour sits on an
-    edge and is skipped.  A flagged midpoint's side is decided by its counts
-    alone, since identical channels flag every in-band point as a collision;
-    an unflagged midpoint with a third set of counts splits its span in two,
-    so two changes within one grid step are both found."""
-    counts = [c.counts() for c in cls]
-    keep = [i for i, c in enumerate(cls) if not (
-        0 < i < len(cls) - 1 and c.critical and counts[i] not in (counts[i - 1], counts[i + 1]))]
-    spans = [
-        [float(grid[a]), float(grid[b]), counts[a], counts[b]]
-        for a, b in zip(keep, keep[1:])
-        if counts[a] != counts[b]
-    ]
-    while active := [sp for sp in spans if _wider(sp[0], sp[1], tol)]:
-        mids = [0.5 * (sp[0] + sp[1]) for sp in active]
-        for sp, mid, cm in zip(active, mids, _classify_grid(op, mids)):
-            c = cm.counts()
-            if not cm.critical and c not in sp[2:]:
-                spans.append([mid, sp[1], c, sp[3]])
-                sp[1], sp[3] = mid, c
-            else:
-                sp[0 if c == sp[2] else 1] = mid
-    return [
-        CriticalPoint(0.5 * (la + lb), before, after, *_path_of(before, after))
-        for la, lb, before, after in sorted(spans, key=lambda sp: sp[0])
-    ]
+def _tail_critical_points(graph, lo: float, hi: float) -> list[CriticalPoint]:
+    """find_critical_points of every tail in order, one set per tail key."""
+    first = {key: tail.op for key, tail in reversed(list(zip(graph._tail_keys, graph.tails)))}
+    return [cp for key in graph._tail_keys for cp in _symbol_criticals(first[key])
+            if lo < cp.lam < hi]
 
 
-def _tail_critical_points(graph, grid, clfs=None) -> list[CriticalPoint]:
-    """_critical_points of every tail, in tail order, from ``clfs[i][j]`` (tail
-    j at grid[i]) when given, else from one grid classification per tail;
-    tails with identical operators (same k, l and blocks) share one scan."""
-    scans: dict[str, list[CriticalPoint]] = {}
-    out: list[CriticalPoint] = []
-    for j, (tail, key) in enumerate(zip(graph.tails, graph._tail_keys)):
-        if key not in scans:
-            cls = _classify_grid(tail.op, grid) if clfs is None else [row[j] for row in clfs]
-            scans[key] = _critical_points(tail.op, grid, cls)
-        out += scans[key]
-    return out
+def _symbol_criticals(op: LineOperator) -> list[CriticalPoint]:
+    """Every critical point of a constant real operator.  Counts change where
+    two Bloch multipliers meet on the unit circle or the real axis: at a
+    turn of an eigenvalue branch of the symbol S(mu) = sum_s B_s mu^s along
+    * mu = e^(i theta), theta in [0, pi], where S is Hermitian with slopes
+      v^H dS/dtheta v (Hellmann-Feynman), both ends included;
+    * real mu = +-e^u, u in [log floor, 0] (S(1/mu) = S(mu)^T): the real
+      eigenvalues nu / mu^k of mu^k S(mu), with slopes y^T mu dS/dmu x over
+      left and right eigenvectors; below ``floor`` B_-k dominates.
+    A branch keeps its rank among the real eigenvalues between folds, where
+    a pair leaves the real axis; folds are bisected so both sides are
+    sampled.  Slope sign changes are refined by ``_branch_turns``, and a
+    candidate is kept where the counts at lambda -+ delta differ.  delta
+    and the merge width are 1e-10 (max|B_s| + |lambda|).  The set is cached
+    on the operator."""
+    if op._criticals is not None:
+        return op._criticals
+    if not op.constant:
+        raise DomainError("critical points need a constant operator")
+    if not op.is_real():
+        raise DomainError("critical points need real blocks: the symbol of a complex "
+                          "operator is not Hermitian")
+    _transfer_stack(op, [])  # checks the order and the leading block
+    k, shifts = op.k, np.arange(-op.k, op.k + 1)
+    blocks = np.array([op.block(0, s) for s in shifts], dtype=float)
+
+    def circle(theta, _):
+        phase = np.exp(1j * theta[:, None] * shifts)
+        lam, vec = np.linalg.eigh(np.einsum("ts,sij->tij", phase, blocks))
+        ds = np.einsum("ts,sij->tij", 1j * shifts * phase, blocks)
+        return lam, np.einsum("tji,tjk,tki->ti", vec.conj(), ds, vec).real
+
+    def axis(u, sign):
+        mu = (sign * np.exp(u))[:, None]
+        nu, vec = np.linalg.eig(np.einsum("ts,sij->tij", mu ** (shifts + k), blocks))
+        ds = np.einsum("ts,sij->tij", shifts * mu ** (shifts + k), blocks)
+        slope = np.einsum("tij,tjk,tki->ti", np.linalg.inv(vec), ds, vec).real / mu**k
+        lam = np.where(nu.imag == 0, nu.real / mu**k, np.nan)
+        order = np.argsort(lam, axis=1)  # real eigenvalues ascending, then NaN
+        return np.take_along_axis(lam, order, 1), np.take_along_axis(slope, order, 1)
+
+    # a turn needs |mu| above about sigma_min(B_-k) / sum_j (1 + j/k) |B_(j-k)|
+    weight = np.sqrt(np.sum(blocks[1:] ** 2, axis=(1, 2))) * (1 + np.arange(1, 2 * k + 1) / k)
+    floor = np.linalg.svd(blocks[0], compute_uv=False)[-1] / (4 * np.sum(weight))
+    ends = 0.5 - 0.5 * np.cos(np.linspace(0, np.pi, 64))  # samples on [0, 1], dense at the ends
+    found, sides = [], np.repeat([1.0, -1.0], len(ends))
+    for curve, x, sign in ((circle, np.pi * ends, sides[: len(ends)]),
+                           (axis, np.log(floor) * np.r_[ends, ends], sides)):
+        lam, slope = curve(x, sign)
+        real = np.sum(~np.isnan(lam), axis=1)
+        p = np.flatnonzero(sign[:-1] == sign[1:])
+        q, f = p + 1, p[real[p] != real[p + 1]]
+        a, b = x[f], x[f + 1]
+        while np.any(np.abs(b - a) > 3e-5):
+            mid = 0.5 * (a + b)
+            left = np.sum(~np.isnan(curve(mid, sign[f])[0]), axis=1) == real[f]
+            a, b = np.where(left, mid, a), np.where(left, b, mid)
+        if len(f):  # each fold step splits in two, at the sides of its fold
+            more, new = curve(np.r_[a, b], sign[np.r_[f, f]]), len(x) + np.arange(len(f))
+            p, q = np.r_[p, f, new + len(f)], np.r_[q, new, f + 1]
+            x, sign = np.r_[x, a, b], np.r_[sign, sign[f], sign[f]]
+            lam, slope = np.vstack((lam, more[0])), np.vstack((slope, more[1]))
+            real = np.sum(~np.isnan(lam), axis=1)
+        found.append(lam[(x == 0) | (x == np.pi)].ravel() if curve is circle else [])
+        slope[(x == 0) | (x == np.pi)] = 0.0  # theta = 0, pi and mu = +-1: found above
+        j, i = np.nonzero((real[p] == real[q])[:, None] & (slope[p] * slope[q] < 0))
+        found.append(_branch_turns(curve, x[p[j]], x[q[j]], slope[p[j], i], slope[q[j], i],
+                                   lam[p[j], i], sign[p[j]], i, real[p[j]]))
+    cands = np.sort(np.concatenate(found))
+    delta = 1e-10 * (np.max(np.abs(blocks)) + np.abs(cands))
+    keep = np.r_[True, np.diff(cands) > delta[1:]] & ~np.isnan(cands)  # one per point
+    cands, delta = cands[keep].tolist(), delta[keep]
+    cls = _classify_grid(op, np.r_[cands - delta, cands + delta])
+    counts = [(lam, c.counts(), d.counts()) for lam, c, d in zip(cands, cls, cls[len(cands):])]
+    op._criticals = [CriticalPoint(lam, b, a, *_path_of(b, a)) for lam, b, a in counts if b != a]
+    return op._criticals
+
+
+def _branch_turns(curve, a, b, fa, fb, lam, sign, rank, real, width=1e-6):
+    """The value at the turn inside [a, b] of each branch of ``curve``: the
+    real eigenvalue of rank ``rank`` among ``real``, whose slope changes sign
+    from fa to fb.  Batched Illinois steps on the slope stop where a step
+    lands within ``width`` of the zero of the secant through it and the step
+    before, taking the value there plus the area under the secant (exact to
+    O(width^3)), or where a step finds another number of real eigenvalues."""
+    ga, gb, moved = fa.copy(), fb.copy(), np.zeros(len(a))
+    px, pf, live = np.full(len(a), np.nan), np.full(len(a), np.nan), np.ones(len(a), dtype=bool)
+    for _ in range(60):
+        if not (at := np.flatnonzero(live)).size:
+            break
+        x = (a[at] * gb[at] - b[at] * ga[at]) / (gb[at] - ga[at])
+        lams, slopes = curve(x, sign[at])
+        lx, fx = lams[np.arange(len(at)), rank[at]], slopes[np.arange(len(at)), rank[at]]
+        ok = np.sum(~np.isnan(lams), axis=1) == real[at]
+        lam[at[ok]], live[at[~ok]] = lx[ok], False
+        at, x, lx, fx = at[ok], x[ok], lx[ok], fx[ok]
+        turn = np.where(fx == 0, x, x - fx * (x - px[at]) / (fx - pf[at]))
+        done = np.abs(turn - x) <= width
+        lam[at[done]], live[at[done]] = (lx + 0.5 * fx * (turn - x))[done], False
+        px[at], pf[at], up = x, fx, np.sign(fx) == np.sign(fa[at])  # x replaces a, else b
+        ia, ib = at[up], at[~up]
+        gb[ia[moved[ia] > 0]] *= 0.5  # the same end moved twice: Illinois halving
+        ga[ib[moved[ib] < 0]] *= 0.5
+        a[ia], fa[ia], ga[ia], moved[ia] = x[up], fx[up], fx[up], 1
+        b[ib], fb[ib], gb[ib], moved[ib] = x[~up], fx[~up], fx[~up], -1
+    return lam
 
 
 # -- Bloch modes ---------------------------------------------------------------
@@ -529,7 +586,7 @@ class TailedGraph:
     @cached_property
     def _tail_keys(self) -> list[str]:
         """Content key (k, l and blocks) of each tail operator; tails with
-        one key share their Bloch solves and critical-point scans."""
+        one key share their Bloch solves and critical-point sets."""
         return [json.dumps(line_operator_to_json(t.op), sort_keys=True) for t in self.tails]
 
     def core_matrix(self) -> np.ndarray:
@@ -826,8 +883,8 @@ def regular_discrete_spectrum(
     uncertain; states that vanish on every tail are ``singular``."""
     grid = _grid(lo, hi, samples, 3)
     step = (hi - lo) / (samples - 1)
-    criticals = np.array(sorted(cp.lam for cp in _tail_critical_points(graph, grid)))
-    inside = 16 * np.maximum(1e-8, 4 * np.spacing(np.abs(criticals)))  # past the bisection width
+    criticals = np.array(sorted(cp.lam for cp in _tail_critical_points(graph, lo, hi)))
+    inside = 16 * np.maximum(1e-8, 4 * np.spacing(np.abs(criticals)))  # just inside each side
     pts = np.unique(np.clip(np.concatenate((grid, criticals - inside, criticals + inside)), lo, hi))
     vals = _junction_eigs(graph, pts)[0]
     nu = np.sum(vals < 0, axis=1)
@@ -841,7 +898,8 @@ def regular_discrete_spectrum(
     while True:
         # every eigenvalue falls at rate >= 1, so f at x bounds its zero within |f| of x
         left, right = np.maximum(a, b + fb), np.minimum(b, a + fa)
-        if not np.any(live := _wider(left, right, 1e-11)):
+        stop = np.maximum(1e-11, 4 * np.spacing(np.abs(left) + np.abs(right)))  # >= 4 ulps
+        if not np.any(live := right - left > stop):
             break
         x = np.clip((a * gb - b * ga) / (gb - ga), left, right)
         fx = np.full(len(x), np.nan)
@@ -911,20 +969,8 @@ class BandScan:
 
     def open_intervals(self) -> list[tuple[float, float]]:
         """Maximal grid intervals carrying at least one open channel."""
-        spans = []
-        start = None
-        prev = None
-        for row in self.rows:
-            has = any(c[0] > 0 for c in row.counts) and not row.critical
-            if has and start is None:
-                start = row.lam
-            if not has and start is not None:
-                spans.append((start, prev))
-                start = None
-            prev = row.lam
-        if start is not None:
-            spans.append((start, prev))
-        return spans
+        runs = groupby(self.rows, lambda row: any(c[0] for c in row.counts) and not row.critical)
+        return [(run[0].lam, run[-1].lam) for run in (list(g) for is_open, g in runs if is_open)]
 
     def to_csv(self, path: str) -> None:
         labels = list(dict.fromkeys(c for row in self.rows for c in row.result.channels))
@@ -977,8 +1023,7 @@ def band_scan(
         singular = "singular" in res.flags or "kernel-dim-mismatch" in res.flags
         counts = [c.counts() for c in clfs]
         rows.append(ScanRow(sub.lam, counts, any(c.critical for c in clfs), singular, res))
-    criticals = _tail_critical_points(graph, grid, [sub.classifications for sub in subs])
-    return BandScan(graph, rows, criticals)
+    return BandScan(graph, rows, _tail_critical_points(graph, lo, hi))
 
 
 # -- serialization ------------------------------------------------------------------

@@ -8,7 +8,49 @@ from __future__ import annotations
 
 import numpy as np
 
-from swron import DiscreteOperator, DomainError, SimplicialComplex, elementary_swronskian
+from swron import (
+    DiscreteOperator,
+    DomainError,
+    SimplicialComplex,
+    classify_monodromy,
+    elementary_swronskian,
+    transfer_map,
+)
+
+
+def random_cochain(cx, vec_dim: int, rng, complex_valued: bool = False) -> dict:
+    """Standard normal values of dimension ``vec_dim`` on every simplex, in
+    simplex order; a complex draw takes its imaginary part right after
+    its real part."""
+    out = {}
+    for s in cx.simplices:
+        v = rng.standard_normal(vec_dim)
+        if complex_valued:
+            v = v + 1j * rng.standard_normal(vec_dim)
+        out[s.id] = v
+    return out
+
+
+def cochain_as_vector(psi: dict, sids, vec_dim: int) -> np.ndarray:
+    """Stack the values of ``psi`` in the order ``sids``, zero where absent."""
+    out = np.zeros(len(sids) * vec_dim, dtype=complex)
+    for i, sid in enumerate(sids):
+        if sid in psi:
+            out[i * vec_dim : (i + 1) * vec_dim] = np.asarray(psi[sid]).reshape(-1)
+    return out
+
+
+def truncated_line_matrix(op, lo: int, hi: int) -> np.ndarray:
+    """Dense Dirichlet truncation of a line operator on sites lo..hi, one
+    block op.block(n, s) at a time, couplings past either end dropped."""
+    l, size = op.l, hi - lo + 1
+    mat = np.zeros((size * l, size * l), dtype=complex)
+    for n in range(lo, hi + 1):
+        for s in range(-op.k, op.k + 1):
+            if lo <= n + s <= hi:
+                r, c = (n - lo) * l, (n + s - lo) * l
+                mat[r : r + l, c : c + l] += op.block(n, s)
+    return mat
 
 
 def betti_via_ranks(cx) -> list[int]:
@@ -212,6 +254,40 @@ def channel_counts(op, lam: float, tol: float = 1e-7) -> tuple[int, int, int]:
         int(np.sum(~unit & ~real & outer & upper)),
         int(np.sum(~unit & real & outer)),
     )
+
+
+def serial_critical_points(op, lo, hi, samples, tol=1e-8):
+    """Critical points of a constant line operator by per-point bisection:
+    one transfer_map and classify_monodromy per grid point and per step,
+    each count change between grid neighbours refined on its own down to
+    ``tol``.  A midpoint's side is decided by its counts alone, since the
+    roots still split by far more than the count tolerances where the
+    collision flag is already up; an unflagged midpoint with counts
+    matching neither end holds a second change, and both halves are
+    refined.  Returns (lambda, before, after) triples, each lambda within
+    tol / 2 of a change, or within the transfer map's own resolution of
+    about 1e-10 near a double collision; changes that cancel inside one
+    grid step are not seen."""
+    grid = np.linspace(lo, hi, samples)
+    counts = [classify_monodromy(transfer_map(op, float(x), 0)).counts() for x in grid]
+
+    def refine(la, lb, before, after):
+        while lb - la > tol:
+            mid = 0.5 * (la + lb)
+            cm = classify_monodromy(transfer_map(op, mid, 0))
+            if not cm.critical and cm.counts() not in (before, after):
+                return refine(la, mid, before, cm.counts()) + refine(mid, lb, cm.counts(), after)
+            if cm.counts() == before:
+                la = mid
+            else:
+                lb = mid
+        return [(0.5 * (la + lb), before, after)]
+
+    out = []
+    for i in range(samples - 1):
+        if counts[i] != counts[i + 1]:
+            out += refine(float(grid[i]), float(grid[i + 1]), counts[i], counts[i + 1])
+    return out
 
 
 def bloch_current(op, mu: complex, w: np.ndarray) -> float:

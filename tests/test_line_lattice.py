@@ -15,7 +15,6 @@ from swron import (
     swronskian_form,
     transfer_between,
     transfer_map,
-    truncated_line_matrix,
 )
 from swron import examples as ex
 
@@ -38,7 +37,7 @@ def test_apply_matches_truncated_matrix():
     rng = np.random.default_rng(1)
     op = ex.random_line_operator(rng, 2, 3, n_site_terms=3)
     lo, hi = -4, 4
-    mat = truncated_line_matrix(op, lo, hi)
+    mat = orc.truncated_line_matrix(op, lo, hi)
     psi = {n: rng.standard_normal(op.l) for n in range(lo, hi + 1)}
     vec = np.concatenate([psi[n] for n in range(lo, hi + 1)])
     out = mat @ vec
@@ -52,7 +51,7 @@ def test_apply_matches_truncated_matrix():
 def test_free_line_truncation_spectrum_closed_form():
     op = ex.free_line_operator(1)
     n = 12
-    mat = truncated_line_matrix(op, 1, n)
+    mat = orc.truncated_line_matrix(op, 1, n)
     vals = np.sort(np.linalg.eigvalsh(mat))
     want = np.sort(2 * np.cos(np.pi * np.arange(1, n + 1) / (n + 1)))
     assert np.max(np.abs(vals - want)) <= 1e-12

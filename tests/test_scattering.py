@@ -9,6 +9,7 @@ import oracles as orc
 from swron import (
     transfer_map,
     DomainError,
+    LineOperator,
     Tail,
     TailedGraph,
     asymptotic_subspace,
@@ -862,26 +863,30 @@ def test_tail_couplings_at_sites_beyond_order_rejected():
     assert cross_linked_graph().cross_links[0][0] == (0, 1)
 
 
-def test_band_scan_bisects_each_tail_operator_once(monkeypatch):
+def test_band_scan_builds_each_tail_set_once(monkeypatch):
     import swron.scattering as sc
 
-    bisected, classified = [], []
-    real_bisect, real_classify = sc._critical_points, sc._classify_grid
+    built, real_build = [], sc._symbol_criticals
 
-    def bisect(op, *args, **kw):
-        bisected.append(op)
-        return real_bisect(op, *args, **kw)
+    def build(op):
+        if op._criticals is None:
+            built.append(op)
+        return real_build(op)
 
-    def classify(op, lams):
-        classified.append(len(lams))
-        return real_classify(op, lams)
-
-    monkeypatch.setattr(sc, "_critical_points", bisect)
-    monkeypatch.setattr(sc, "_classify_grid", classify)
-    scan = band_scan(ex.star_tailed(5), -2.5, 2.5, 11)
-    assert len(bisected) == 1
-    # the scan grid is classified by its own Bloch solve; only midpoints here
-    assert classified and 11 not in classified
+    monkeypatch.setattr(sc, "_symbol_criticals", build)
+    graph = ex.star_tailed(5)
+    scan = band_scan(graph, -2.5, 2.5, 11)
+    assert built == [graph.tails[0].op]  # five tails, one key
+    band_scan(graph, -2.4, 2.4, 7)
+    regular_discrete_spectrum(graph, -3.0, -2.05, 11)
+    assert len(built) == 1  # the set is cached on the operator
+    shifted = LineOperator(1, 1, {0: [[0.5]], 1: [[1.0]]})
+    mixed = TailedGraph({0: 1}, {}, [Tail(ex.free_tail(), {(0, 0): [[1.0]]}),
+                                     Tail(shifted, {(0, 0): [[1.0]]}),
+                                     Tail(ex.free_tail(), {(0, 0): [[1.0]]})])
+    assert [cp.lam for cp in band_scan(mixed, -3.0, 3.0, 11).criticals] == [
+        -2.0, 2.0, -1.5, 2.5, -2.0, 2.0]
+    assert len(built) == 3
     per_tail = find_critical_points(ex.free_tail(), -2.5, 2.5, 11)
     assert [cp.lam for cp in scan.criticals] == [cp.lam for cp in per_tail] * 5
 

@@ -439,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output")
     p.set_defaults(func=cmd_spectrum)
 
-    p = subs.add_parser("classify", help="monodromy counts over a grid, critical points in (lo, hi)")
+    p = subs.add_parser("classify", help="monodromy counts over a grid, critical points in [lo, hi]")
     p.add_argument("--operator-file", required=True)
     p.add_argument("--lo", type=float, required=True)
     p.add_argument("--hi", type=float, required=True)

@@ -243,18 +243,18 @@ def find_critical_points(
     op: LineOperator, lo: float, hi: float, samples: int = 101
 ) -> list[CriticalPoint]:
     """Where the channel counts (s, p, q) of a constant real operator change
-    inside (lo, hi), with the counts on each side and the path type.  The
+    in [lo, hi], with the counts on each side and the path type.  The
     points come from the symbol, once per operator (``_symbol_criticals``),
     so they do not depend on ``samples``, which is checked as a grid size."""
     _grid(lo, hi, samples, 2)
-    return [cp for cp in _symbol_criticals(op) if lo < cp.lam < hi]
+    return [cp for cp in _symbol_criticals(op) if lo <= cp.lam <= hi]
 
 
 def _tail_critical_points(graph, lo: float, hi: float) -> list[CriticalPoint]:
     """find_critical_points of every tail in order, one set per tail key."""
     first = {key: tail.op for key, tail in reversed(list(zip(graph._tail_keys, graph.tails)))}
     return [cp for key in graph._tail_keys for cp in _symbol_criticals(first[key])
-            if lo < cp.lam < hi]
+            if lo <= cp.lam <= hi]
 
 
 def _symbol_criticals(op: LineOperator) -> list[CriticalPoint]:

@@ -190,11 +190,12 @@ def test_two_changes_a_quarter_apart_are_both_found(samples):
     # blocks 5 at shift 1 and 1 at shift 2: with z = mu + 1/mu the symbol is
     # lambda = z^2 + 5 z - 2, so two real pairs merge into a quadruple at
     # z = -2.5 (lambda = -8.25) and a band opens at z = -2 (lambda = -8);
-    # 24 samples put both in one grid step, 61 put -8 on the grid
+    # 24 samples put both in one grid step, 61 put -8 on the grid.  The band
+    # closes at z = 2, lambda = 12, the end of the window, which counts
     op = LineOperator(2, 1, {1: [[5.0]], 2: [[1.0]]})
     cps = find_critical_points(op, -12, 12, samples)
-    assert [(cp.path, cp.spectrum_neutral) for cp in cps] == [(1, True), (3, False)]
-    for cp, edge in zip(cps, (-8.25, -8.0)):
+    assert [(cp.path, cp.spectrum_neutral) for cp in cps] == [(1, True), (3, False), (3, False)]
+    for cp, edge in zip(cps, (-8.25, -8.0, 12.0)):
         assert abs(cp.lam - edge) <= 1e-8
         assert cp.before == orc.channel_counts(op, cp.lam - 1e-6)
         assert cp.after == orc.channel_counts(op, cp.lam + 1e-6)
@@ -278,6 +279,21 @@ def test_the_symbol_set_holds_every_bisected_point_of_random_operators():
                 assert below != orc.channel_counts(op, cp.lam + 1e-6), (seed, cp.lam)
         checked += len(want)
     assert checked > 1000
+
+
+@pytest.mark.parametrize("c", [1e-13, 2.0**-40, 1e8])
+def test_critical_points_scale_with_the_operator(c):
+    # every tolerance is relative to max|B_s| and |lambda|: blocks times c
+    # give the same counts at lambda times c
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        op = ex.random_line_operator(rng, int(rng.integers(1, 3)), int(rng.integers(1, 4)))
+        scaled = LineOperator(op.k, op.l, {s: c * op.block(0, s) for s in range(op.k + 1)})
+        want = find_critical_points(op, -1e3, 1e3, 2)
+        got = find_critical_points(scaled, -1e3 * c, 1e3 * c, 2)
+        assert [(cp.before, cp.after) for cp in got] == [(cp.before, cp.after) for cp in want]
+        for g, w in zip(got, want):
+            assert abs(g.lam / c - w.lam) <= 1e-12 * max(1.0, abs(w.lam))
 
 
 def test_complex_blocks_have_no_critical_points():

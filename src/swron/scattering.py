@@ -353,7 +353,7 @@ def _branch_turns(curve, a, b, fa, fb, lam, sign, rank, real, width=1e-6):
         ok = np.sum(~np.isnan(lams), axis=1) == real[at]
         lam[at[ok]], live[at[~ok]] = lx[ok], False
         at, x, lx, fx = at[ok], x[ok], lx[ok], fx[ok]
-        turn = np.where(fx == 0, x, x - fx * (x - px[at]) / (fx - pf[at]))
+        turn = x - fx * (x - px[at]) / np.where(fx == pf[at], np.inf, fx - pf[at])  # flat: x
         done = np.abs(turn - x) <= width
         lam[at[done]], live[at[done]] = (lx + 0.5 * fx * (turn - x))[done], False
         px[at], pf[at], up = x, fx, np.sign(fx) == np.sign(fa[at])  # x replaces a, else b

@@ -4,6 +4,7 @@ the batched grid path with the per-point API and with independent oracles."""
 import json
 import math
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -294,6 +295,19 @@ def test_critical_points_scale_with_the_operator(c):
         assert [(cp.before, cp.after) for cp in got] == [(cp.before, cp.after) for cp in want]
         for g, w in zip(got, want):
             assert abs(g.lam / c - w.lam) <= 1e-12 * max(1.0, abs(w.lam))
+
+
+def test_a_turn_inside_the_band_is_refined_without_warnings():
+    # lambda = 2 cos(2 theta) also turns at theta = pi / 2, where the
+    # refinement meets the same zero slope twice; that must not divide 0 by 0
+    op = LineOperator(2, 1, {2: [[1.0]]})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cps = find_critical_points(op, -3, 3, 11)
+    assert [cp.lam for cp in cps] == [-2.0, 2.0]
+    for cp in cps:
+        assert cp.before == orc.channel_counts(op, cp.lam - 1e-6)
+        assert cp.after == orc.channel_counts(op, cp.lam + 1e-6)
 
 
 def test_complex_blocks_have_no_critical_points():

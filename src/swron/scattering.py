@@ -48,10 +48,10 @@ falls by one at each pole of Y_hi Y_lo^-1, a gap state of a half-tail alone.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate, groupby
+from typing import NamedTuple
 
 import numpy as np
 
@@ -289,9 +289,13 @@ def _symbol_criticals(op: LineOperator) -> list[CriticalPoint]:
         ds = np.einsum("ts,sij->tij", 1j * shifts * phase, blocks)
         return lam, np.einsum("tji,tjk,tki->ti", vec.conj(), ds, vec).real
 
-    def axis(u, sign):
+    def symbol(u, sign):  # mu and mu^k S(mu) at mu = sign e^u
         mu = (sign * np.exp(u))[:, None]
-        nu, vec = np.linalg.eig(np.einsum("ts,sij->tij", mu ** (shifts + k), blocks))
+        return mu, np.einsum("ts,sij->tij", mu ** (shifts + k), blocks)
+
+    def axis(u, sign):
+        mu, mat = symbol(u, sign)
+        nu, vec = np.linalg.eig(mat)
         ds = np.einsum("ts,sij->tij", shifts * mu ** (shifts + k), blocks)
         slope = np.einsum("tij,tjk,tki->ti", np.linalg.inv(vec), ds, vec).real / mu**k
         lam = np.where(nu.imag == 0, nu.real / mu**k, np.nan)
@@ -310,9 +314,9 @@ def _symbol_criticals(op: LineOperator) -> list[CriticalPoint]:
         p = np.flatnonzero(sign[:-1] == sign[1:])
         q, f = p + 1, p[real[p] != real[p + 1]]
         a, b = x[f], x[f + 1]
-        while np.any(np.abs(b - a) > 3e-5):
+        while np.any(np.abs(b - a) > 3e-5):  # folds are on the axis: S is Hermitian on the circle
             mid = 0.5 * (a + b)
-            left = np.sum(~np.isnan(curve(mid, sign[f])[0]), axis=1) == real[f]
+            left = np.sum(np.linalg.eigvals(symbol(mid, sign[f])[1]).imag == 0, axis=1) == real[f]
             a, b = np.where(left, mid, a), np.where(left, b, mid)
         if len(f):  # each fold step splits in two, at the sides of its fold
             more, new = curve(np.r_[a, b], sign[np.r_[f, f]]), len(x) + np.arange(len(f))
@@ -390,24 +394,45 @@ class Mode:
         return self.w * (self.mu ** (n - self.anchor))
 
 
-def _site_values(modes: list[list[Mode]], k: int, l: int) -> np.ndarray:
-    """(S, 2k, l, n) values on the window sites 0..2k-1 of S lists of n modes."""
-    if not modes[0]:
-        return np.zeros((len(modes), 2 * k, l, 0))
-    mus = np.array([[m.mu for m in mset] for mset in modes])
-    anchors = np.array([[m.anchor for m in mset] for mset in modes])
-    fibers = np.array([[m.w for m in mset] for mset in modes]).transpose(0, 2, 1)
-    powers = mus[:, None, :] ** (np.arange(2 * k)[:, None] - anchors[:, None, :])
-    return fibers[:, None] * powers[:, :, None, :]
+# mode kind codes, in the row order of the square grow/in system of S
+GROW, IN, OUT, DECAY = range(4)
+_KIND_NAMES = ("grow", "in", "out", "decay")
+
+
+class _Modes(NamedTuple):
+    """Bloch modes of a tail of order ``k`` as arrays, with any leading axes:
+    multipliers ``mu`` (S, n), fiber vectors ``w`` (S, n, l), kind codes."""
+
+    mu: np.ndarray
+    w: np.ndarray
+    kind: np.ndarray
+    k: int
+
+    def take(self, at) -> "_Modes":
+        return _Modes(self.mu[at], self.w[at], self.kind[at], self.k)
+
+    def as_list(self) -> list[Mode]:  # the Mode objects of one lambda's table
+        return [Mode(mu, w, _KIND_NAMES[c], 2 * self.k - 1 if c == GROW else 0)
+                for mu, w, c in zip(self.mu.tolist(), self.w, self.kind.tolist())]
+
+
+def _site_values(modes: _Modes) -> np.ndarray:
+    """(S, 2k, l, n) values on the window sites 0..2k-1 of a (S, n) table."""
+    anchors = np.where(modes.kind == GROW, 2 * modes.k - 1, 0)
+    powers = modes.mu[:, None, :] ** (np.arange(2 * modes.k)[:, None] - anchors[:, None, :])
+    return modes.w.transpose(0, 2, 1)[:, None] * powers[:, :, None, :]
 
 
 def _tail_grid(op: LineOperator, lams, origins, decay_only=False):
-    """tail_modes at every lambda of ``lams`` and every phase origin of
-    ``origins`` from one eig of the transfer stack: the classifications
-    (None when ``decay_only``) and, per origin, the mode list of each lambda
-    (its decaying modes only when ``decay_only``).  The eigenvector of mu
-    has window blocks mu^p w, p = -k+1..k; ``w`` is read from the largest
-    (p = k when |mu| >= 1, else p = -k+1)."""
+    """tail_modes at every lambda of ``lams`` and phase origin of ``origins``
+    from one eig of the transfer stack: the classifications (None when
+    ``decay_only``), per origin one flat ``_Modes`` table of the modes of
+    each lambda in turn (the decaying ones when ``decay_only``), and where
+    each lambda's modes start.  A Python loop per lambda over listed values
+    orders the modes and emits their kind codes and indices among the
+    eigenvalues and their conjugates; one gather per origin builds the
+    table.  The eigenvector of mu has window blocks mu^p w, p = -k+1..k;
+    ``w`` is read from the largest (p = k when |mu| >= 1, else p = -k+1)."""
     if not op.constant:
         raise DomainError("tail operators must be constant")
     k, l = op.k, op.l
@@ -423,36 +448,36 @@ def _tail_grid(op: LineOperator, lams, origins, decay_only=False):
         sw = swronskian_form(op, 0).matrix
         rise = np.where(unimod, mus, 0.0)[:, :, None] ** np.arange(2 * k)
         x = (rise[:, :, :, None] * w[:, :, None, :]).reshape(len(mus), 2 * k * l, 2 * k * l)
-        tau = np.sum((x.conj() @ sw) * x, axis=2).imag.tolist()
-        no_current = 1e-12 * float(np.max(np.abs(sw)))
-    angles, sizes, rows = np.angle(mus).tolist(), size.tolist(), mus.tolist()
-    orders = [sorted(range(len(r)), key=lambda j: (round(a[j], 12), z[j]))
-              for r, a, z in zip(rows, angles, sizes)]
-    grids = {origin: [] for origin in origins}
-    for origin, grid in grids.items():
-        for i, (row, order) in enumerate(zip(rows, orders)):
-            modes: list[Mode] = []
-            for j in order:
-                mu = row[j]
-                if not unimod[i, j]:
-                    if sizes[i][j] < 1.0:
-                        modes.append(Mode(mu, w[i, j], "decay"))
-                    elif not decay_only:
-                        modes.append(Mode(mu, w[i, j], "grow", anchor=2 * k - 1))
-                elif decay_only or (mu.imag <= 0 and abs(mu.imag) > UNIMODULAR_TOL):
-                    continue  # conjugate partner handled with its mate
-                elif abs(tau[i][j]) < no_current:
-                    clfs[i].critical = True
-                    clfs[i].critical_reason = clfs[i].critical_reason or "zero-current-channel"
-                else:
-                    t, wj = tau[i][j], w[i, j]
-                    if t < 0:
-                        mu, wj, t = np.conj(mu), np.conj(wj), -t
-                    w_out = wj * (mu ** origin) / math.sqrt(t)
-                    modes.append(Mode(mu, w_out, "out"))
-                    modes.append(Mode(np.conj(mu), np.conj(w_out), "in"))
-            grid.append(modes)
-    return clfs, grids
+        tau = np.sum((x.conj() @ sw) * x, axis=2).imag
+        taus, no_current = tau.tolist(), 1e-12 * float(np.max(np.abs(sw)))
+    n, src, kinds, starts = 2 * k * l, [], [], [0]
+    conj = len(mus) * n  # where the conjugates start in the gather below
+    for i, (row, angles, sizes, unit) in enumerate(
+            zip(mus.tolist(), np.angle(mus).tolist(), size.tolist(), unimod.tolist())):
+        for j in sorted(range(n), key=lambda j: (round(angles[j], 12), sizes[j])):
+            if not unit[j]:
+                if sizes[j] < 1.0 or not decay_only:
+                    src.append(i * n + j)
+                    kinds.append(DECAY if sizes[j] < 1.0 else GROW)
+            elif decay_only or (row[j].imag <= 0 and abs(row[j].imag) > UNIMODULAR_TOL):
+                continue  # conjugate partner handled with its mate
+            elif abs(taus[i][j]) < no_current:
+                clfs[i].critical = True
+                clfs[i].critical_reason = clfs[i].critical_reason or "zero-current-channel"
+            else:  # the outgoing mode has positive current; its conjugate comes in
+                src += [i * n + j, i * n + j + conj][:: 1 if taus[i][j] > 0 else -1]
+                kinds += [OUT, IN]
+        starts.append(len(src))
+    src, kind = np.array(src, dtype=np.intp), np.array(kinds, dtype=np.int8)
+    mu = np.concatenate((mus, mus.conj())).reshape(-1)[src]
+    if not decay_only:  # channel modes: the origin's phase and 1/sqrt(current)
+        live = unimod & (np.abs(tau) >= no_current)
+        base, current = np.where(live, mus, 1.0), np.sqrt(np.where(live, np.abs(tau), 1.0))[:, :, None]
+    tables = {}
+    for origin in origins:
+        f = w if decay_only else w * (base**origin)[:, :, None] / current
+        tables[origin] = _Modes(mu, np.concatenate((f, f.conj())).reshape(-1, l)[src], kind, k)
+    return clfs, tables, np.array(starts)
 
 
 def tail_modes(
@@ -472,8 +497,8 @@ def tail_modes(
     on the window 0..2k-1 is at most |w|; these are the modes
     ``asymptotic_subspace`` reads.
     """
-    clfs, grids = _tail_grid(op, [lam], [origin])
-    return clfs[0], grids[origin][0]
+    clfs, tables, _ = _tail_grid(op, [lam], [origin])
+    return clfs[0], tables[origin].as_list()
 
 
 # -- tailed graphs -------------------------------------------------------------
@@ -515,12 +540,8 @@ class TailedGraph:
         else:
             self.core_dims = {int(v): 1 for v in core_dims}
         self.core_order = sorted(self.core_dims)
-        self.core_offset = {}
-        off = 0
-        for v in self.core_order:
-            self.core_offset[v] = off
-            off += self.core_dims[v]
-        self.core_size = off
+        offsets = list(accumulate((self.core_dims[v] for v in self.core_order), initial=0))
+        self.core_offset, self.core_size = dict(zip(self.core_order, offsets)), offsets[-1]
 
         self.core_blocks = {}
         for (u, v), m in core_blocks.items():
@@ -589,6 +610,40 @@ class TailedGraph:
         one key share their Bloch solves and critical-point sets."""
         return [json.dumps(line_operator_to_json(t.op), sort_keys=True) for t in self.tails]
 
+    @cached_property
+    def _plan(self):
+        """The junction rows (see the module docstring) apart from lambda,
+        over (core values, modal coefficients): A(lambda) = [core - lambda E,
+        (modal - lambda select) W], W the mode values on the stacked windows
+        of every tail, which start at rows ``wins``; ``form`` is the direct
+        sum of the tail pair forms on W.  Returns (core, modal, select, form,
+        wins)."""
+        nc, kls = self.core_size, [t.op.k * t.op.l for t in self.tails]
+        rows, wins = list(accumulate(kls, initial=nc)), list(accumulate((2 * kl for kl in kls), initial=0))
+        core, modal = np.zeros((rows[-1], nc)), np.zeros((rows[-1], wins[-1]))
+        core[:nc] = self.core_matrix()
+        select, form = np.zeros_like(modal), np.zeros((wins[-1], wins[-1]), dtype=complex)
+
+        def site(j: int, n: int, base) -> slice:
+            l = self.tails[j].op.l
+            return slice(base[j] + n * l, base[j] + (n + 1) * l)
+
+        for j, (tail, kl) in enumerate(zip(self.tails, kls)):
+            op = tail.op
+            form[wins[j] : wins[j + 1], wins[j] : wins[j + 1]] = swronskian_form(op, 0).matrix
+            select[rows[j] : rows[j + 1], wins[j] : wins[j] + kl] = np.eye(kl)
+            for n in range(op.k):
+                for s in range(max(-op.k, -n), op.k + 1):  # the half-line has no sites below 0
+                    modal[site(j, n, rows), site(j, n + s, wins)] = op.block(0, s)
+            for (v, n), m in tail.attach.items():
+                c = slice(self.core_offset[v], self.core_offset[v] + self.core_dims[v])
+                modal[c, site(j, n, wins)] += m
+                core[site(j, n, rows), c] += m.T
+        for (j1, n1), (j2, n2), m in self.cross_links:
+            modal[site(j1, n1, rows), site(j2, n2, wins)] += m
+            modal[site(j2, n2, rows), site(j1, n1, wins)] += m.T
+        return core, modal, select, form, wins
+
     def core_matrix(self) -> np.ndarray:
         mat = np.zeros((self.core_size, self.core_size))
         for (u, v), m in self.core_blocks.items():
@@ -601,87 +656,53 @@ class TailedGraph:
 
 
 def _junction_grid(graph: TailedGraph, lams: np.ndarray, decay_only=False):
-    """Per lambda of ``lams``, the classifications and modes of every tail
-    (channel modes scaled by the tail origin; tails with one operator share
-    one ``_tail_grid``), and the ``_assemble`` output as (indices, stack,
-    offsets, windows), one stack per mode-count shape.  Decaying modes need
-    no origin."""
+    """Per lambda of ``lams``, the classifications of every tail (None when
+    ``decay_only``), and per mode-count shape a stack: its rows of ``lams``,
+    the ``_assemble`` output there and each tail's (S, n_j) ``_Modes`` table.
+    Tails with one operator share a ``_tail_grid``; decaying modes need no origin."""
     keys = graph._tail_keys
     origins = [0 if decay_only else t.origin for t in graph.tails]
     ops: dict = {}
     for key, tail, origin in zip(keys, graph.tails, origins):
         ops.setdefault(key, (tail.op, set()))[1].add(origin)
     solved = {key: _tail_grid(op, lams, sorted(ps), decay_only) for key, (op, ps) in ops.items()}
-    at = range(len(lams))
-    clfs = None if decay_only else [[solved[key][0][i] for key in keys] for i in at]
-    modes = [[solved[key][1][origin][i] for key, origin in zip(keys, origins)] for i in at]
+    clfs = None if decay_only else [[solved[key][0][i] for key in keys] for i in range(len(lams))]
+    tables = [solved[key][1][origin] for key, origin in zip(keys, origins)]
+    starts = np.array([solved[key][2] for key in keys]).reshape(len(keys), len(lams) + 1)
     groups: dict[tuple[int, ...], list[int]] = {}
-    for i in at:
-        groups.setdefault(tuple(len(m) for m in modes[i]), []).append(i)
-    stacks = [
-        (idx, *_assemble(graph, lams[idx], [modes[i] for i in idx]))
-        for idx in groups.values()
-    ]
-    return clfs, modes, stacks
+    for i, shape in enumerate(np.diff(starts, axis=1).T.tolist()):
+        groups.setdefault(tuple(shape), []).append(i)
+    stacks = []
+    for shape, idx in groups.items():
+        idx = np.array(idx)
+        modes = [table.take(first[idx, None] + np.arange(n))
+                 for table, first, n in zip(tables, starts, shape)]
+        stacks.append((idx, *_assemble(graph, lams[idx], modes), modes))
+    return clfs, stacks
 
 
-def _assemble(graph: TailedGraph, lams: np.ndarray, modes):
-    """Equations over (core values, modal coefficients) at each of the S
-    values ``lams``: every core row, and the first k_j site equations of
-    tail j, the only ones that see the end of the half-line or a coupling
-    (see the module docstring).  ``modes[i][j]`` is the mode list of tail j at
-    lams[i]; every lambda has the same number of modes per tail.  The mode
-    values are evaluated once, on the window sites 0..2k_j - 1 that the k_j
-    rows reach.  Returns the (S, rows, columns) stack, the first modal
-    column of each tail and its (S, 2kl, modes) mode windows, the reshape
-    of those values."""
-    nc = graph.core_size
-    counts = [len(mset) for mset in modes[0]]
-    mode_offset = list(accumulate(counts, initial=nc))
-    row_offset = list(accumulate((t.op.k * t.op.l for t in graph.tails), initial=nc))
-    a = np.zeros((len(lams), row_offset.pop(), mode_offset.pop()), dtype=complex)
-    a[:, :nc, :nc] = graph.core_matrix() - lams[:, None, None] * np.eye(nc)
-
-    # site values: values[j][:, n] is (S, l, modes) with one column per mode
-    # of tail j, on the window sites 0..2k - 1
-    values = [
-        _site_values([mset[j] for mset in modes], t.op.k, t.op.l)
-        for j, t in enumerate(graph.tails)
-    ]
-    windows = []
-
-    def tail_rows(j: int, n: int) -> slice:
-        lj = graph.tails[j].op.l
-        return slice(row_offset[j] + n * lj, row_offset[j] + (n + 1) * lj)
-
-    def mode_cols(j: int) -> slice:
-        return slice(mode_offset[j], mode_offset[j] + counts[j])
-
-    for j, tail in enumerate(graph.tails):
-        op, vals = tail.op, values[j]
-        windows.append(vals.reshape(len(lams), 2 * op.k * op.l, counts[j]))
-        acc = -lams[:, None, None, None] * vals[:, : op.k]
-        for s in range(-op.k, op.k + 1):
-            lo = max(0, -s)  # the half-line has no sites below 0
-            acc[:, lo:] += op.block(0, s) @ vals[:, lo + s : op.k + s]
-        rs = slice(row_offset[j], row_offset[j] + op.k * op.l)
-        a[:, rs, mode_cols(j)] = acc.reshape(len(lams), op.k * op.l, counts[j])
-        for (v, n), m in tail.attach.items():
-            c = slice(graph.core_offset[v], graph.core_offset[v] + graph.core_dims[v])
-            a[:, c, mode_cols(j)] += m @ vals[:, n]
-            a[:, tail_rows(j, n), c] += m.T
-
-    for (j1, n1), (j2, n2), m in graph.cross_links:
-        a[:, tail_rows(j1, n1), mode_cols(j2)] += m @ values[j2][:, n2]
-        a[:, tail_rows(j2, n2), mode_cols(j1)] += m.T @ values[j1][:, n1]
-    return a, mode_offset, windows
+def _assemble(graph: TailedGraph, lams: np.ndarray, modes: list[_Modes]):
+    """The (S, rows, columns) junction matrices over (core values, modal
+    coefficients) at the S values ``lams``, from the graph's junction plan,
+    and the mode values they read: the block-diagonal (S, sum 2kl, modes)
+    values of the modes of every tail j on its window sites 0..2k_j - 1,
+    evaluated once from its (S, n_j) table ``modes[j]``."""
+    core, modal, select, _, wins = graph._plan
+    cols = list(accumulate((m.kind.shape[1] for m in modes), initial=0))
+    window = np.zeros((len(lams), modal.shape[1], cols[-1]), dtype=complex)
+    for w0, w1, c0, c1, m in zip(wins, wins[1:], cols, cols[1:], modes):
+        window[:, w0:w1, c0:c1] = _site_values(m).reshape(len(lams), w1 - w0, c1 - c0)
+    lams = lams[:, None, None]
+    a = np.concatenate((core - lams * np.eye(*core.shape), (modal - lams * select) @ window), axis=2)
+    return a, window
 
 
 @dataclass
 class AsymptoticSubspace:
     """Kernel of the junction problem in modal coordinates.  ``windows[j]`` holds
     the (2kl, modes) values of tail j's modes on its window sites 0..2k-1,
-    one column per mode of ``modes[j]``."""
+    one column per mode of ``modes[j]``: ``Mode`` objects built on read from
+    the arrays of the lambda stack the modes were solved in."""
 
     lam: float
     dim: int
@@ -690,68 +711,22 @@ class AsymptoticSubspace:
     modal: list[np.ndarray]
     windows: list[np.ndarray]
     classifications: list[MonodromyClassification]
-    modes: list[list[Mode]]
     lagrangian_residual: float
     singular_values: np.ndarray
     flags: set
+    _tables: list[_Modes] = field(repr=False)
 
-    @property
-    def ok(self) -> bool:
-        return self.dim == self.expected_dim and not self.flags
+    @cached_property
+    def modes(self) -> list[list[Mode]]:
+        return [m.as_list() for m in self._tables]
 
 
 def asymptotic_subspace(graph: TailedGraph, lam: float) -> AsymptoticSubspace:
     """Solve the junction system over modal unknowns and report the
     solution space with its per-tail window data and Lagrangian defect.
-    Tail j contributes its k_j informative rows.
-    """
-    return _subspaces(graph, np.array([float(lam)]))[0]
-
-
-def _subspaces(graph: TailedGraph, lams) -> list[AsymptoticSubspace]:
-    """asymptotic_subspace at every lambda of ``lams``: one Bloch solve per
-    distinct tail, one assembly and one SVD per stack of equal shape."""
-    clfs, modes, stacks = _junction_grid(graph, lams)
-    out = [None] * len(lams)
-    for idx, stack, mode_offset, windows in stacks:
-        for t, (i, basis) in enumerate(zip(idx, _null_spaces(stack))):
-            out[i] = _subspace(graph, float(lams[i]), clfs[i], modes[i], basis, mode_offset,
-                               [x[t] for x in windows])
-    return out
-
-
-def _subspace(graph, lam, clfs, modes, basis, mode_offset, windows) -> AsymptoticSubspace:
-    """asymptotic_subspace at lam from the tails' classifications, modes
-    and mode windows and the null-space basis of the junction matrix."""
-    flags = set()
-    if any(c.critical for c in clfs):
-        flags.add("critical")
-
-    kernel, sing = basis
-    dim = kernel.shape[1]
-    expected = graph.expected_dim()
-    if dim != expected:
-        flags.add("kernel-dim-mismatch")
-
-    nc = graph.core_size
-    core_values = kernel[:nc, :]
-    modal = [kernel[off : off + len(mset), :] for off, mset in zip(mode_offset, modes)]
-    solutions = [x @ coef for x, coef in zip(windows, modal)]
-
-    # normalize by asymptotic window norm, then measure the pair form
-    norms = np.sqrt(sum(np.sum(np.abs(w) ** 2, axis=0) for w in solutions))
-    safe = np.where(norms > 1e-12, norms, 1.0)
-    if np.any(norms <= 1e-12):
-        flags.add("window-degenerate")
-    pairing = np.zeros((dim, dim), dtype=complex)
-    for tail, sol in zip(graph.tails, solutions):
-        wj = sol / safe
-        pairing += wj.T @ swronskian_form(tail.op, 0).matrix @ wj
-    residual = float(np.max(np.abs(pairing))) if dim else 0.0
-
-    return AsymptoticSubspace(
-        lam, dim, expected, core_values, modal, windows, clfs, modes, residual, sing, flags,
-    )
+    Tail j contributes its k_j informative rows.  It is read off
+    ``scattering_matrix`` at lam, a stack of one lambda."""
+    return scattering_matrix(graph, lam).subspace
 
 
 @dataclass
@@ -794,43 +769,82 @@ def scattering_matrix(graph: TailedGraph, lam: float) -> ScatteringResult:
     Critical or singular points withhold the matrix and set flags rather
     than returning unreliable numbers.
     """
-    return _scatter(graph, asymptotic_subspace(graph, lam))
+    return _scatter(graph, np.array([float(lam)]))[0]
 
 
-def _scatter(graph: TailedGraph, sub: AsymptoticSubspace) -> ScatteringResult:
-    """scattering_matrix from the asymptotic subspace at its lambda."""
-    lam, flags = sub.lam, set(sub.flags)
-    per_tail = [sum(m.kind == "out" for m in mset) for mset in sub.modes]
-    channels = [(j, i) for j, n in enumerate(per_tail) for i in range(n)]
-    nch = len(channels)
-    if nch == 0:
-        flags.add("no-channels")
-        return ScatteringResult(lam, [], None, None, None, None, sub, flags)
-    if "critical" in flags or "kernel-dim-mismatch" in flags:
-        return ScatteringResult(lam, channels, None, None, None, None, sub, flags)
+def _scatter(graph: TailedGraph, lams) -> list[ScatteringResult]:
+    """scattering_matrix at every lambda of ``lams``: one Bloch solve per
+    distinct tail, one assembly and one junction SVD per stack of equal
+    shape, then, per kernel dimension within a stack, the residuals of the
+    stacked kernels as batched reductions and S from one stacked SVD."""
+    clfs, stacks = _junction_grid(graph, lams)
+    expected, nc, (*_, form, wins) = graph.expected_dim(), graph.core_size, graph._plan
+    out: list = [None] * len(lams)
+    for idx, matrix, window, modes in stacks:
+        bases = _null_spaces(matrix)
+        dims = np.array([kernel.shape[1] for kernel, _ in bases])
+        cols = list(accumulate((m.kind.shape[1] for m in modes), initial=nc))
+        spans = list(zip(wins, wins[1:], cols, cols[1:]))  # window rows, modal columns of each tail
+        for dim in sorted(set(dims.tolist())):
+            at = np.flatnonzero(dims == dim)
+            lam_rows, window_at, modes_at = idx[at].tolist(), window[at], [m.take(at) for m in modes]
+            kernel = np.array([bases[t][0] for t in at.tolist()])
+            # the pair form of each kernel's basis, its solutions normalized on the windows
+            sol = window_at @ kernel[:, nc:]
+            norms = np.sqrt((np.abs(sol) ** 2).sum(axis=1))
+            sol = sol / np.where(norms > 1e-12, norms, 1.0)[:, None, :]
+            residual = np.abs(sol.swapaxes(1, 2) @ form @ sol).max(axis=(1, 2), initial=0.0)
+            outs = np.array([(m.kind == OUT).sum(axis=1) for m in modes_at]).reshape(-1, len(at)).T
+            critical = np.array([any(c.critical for c in clfs[i]) for i in lam_rows], dtype=bool)
+            solve = (outs.sum(axis=1) > 0) & ~critical & (dim == expected)
+            smat = _s_matrices(kernel[:, nc:], window_at, modes_at, form, solve) if solve.any() else {}
+            for r, (t, i) in enumerate(zip(at.tolist(), lam_rows)):
+                flags = {f for f, on in (("critical", critical[r]), ("kernel-dim-mismatch", dim != expected),
+                                         ("window-degenerate", (norms[r] <= 1e-12).any())) if on}
+                sub = AsymptoticSubspace(
+                    float(lams[i]), dim, expected, kernel[r, :nc], [kernel[r, c0:c1] for *_, c0, c1 in spans],
+                    [window[t, w0:w1, c0 - nc : c1 - nc] for w0, w1, c0, c1 in spans], clfs[i],
+                    float(residual[r]), bases[t][1], flags, [m.take(t) for m in modes],
+                )
+                channels = [(j, c) for j, n in enumerate(outs[r].tolist()) for c in range(n)]
+                more = ({"no-channels"} if not channels else
+                        {"singular"} if solve[r] and r not in smat else set())
+                out[i] = ScatteringResult(sub.lam, channels, *smat.get(r, (None,) * 4), sub, flags | more)
+    return out
 
+
+def _s_matrices(coef, window, modes, form, solve) -> dict:
+    """S and its unitarity, symmetry and pairing defects by kernel, for the
+    kernels ``solve`` whose square grow/in system M has cond(M) < 1e10.
+    ``coef`` holds the (R, modes, dim) modal coefficients of R kernels of one
+    dimension, at the R rows of ``window`` and ``modes``.  Every M goes
+    through one stacked SVD; S is batched over kernels of one channel count."""
+    dim = coef.shape[2]
+    kinds = np.concatenate([m.kind for m in modes], axis=1)
+    rows = np.flatnonzero(solve & ((kinds <= IN).sum(axis=1) == dim))
     # the growing and incoming rows form a square system M over the kernel
     # (n_grow + n_ch = sum k_j l_j = dim): S = K_out M^-1 [0; I]
-    kinds = np.array([mode.kind for mset in sub.modes for mode in mset])
-    coef = np.vstack(sub.modal)
-    m = np.vstack([coef[kinds == "grow"], coef[kinds == "in"]])
-    u, sing, vh = np.linalg.svd(m)
-    if m.shape != (sub.dim, sub.dim) or sing[-1] * 1e10 <= sing[0]:  # cond(M) >= 1e10
-        flags.add("singular")
-        return ScatteringResult(lam, channels, None, None, None, None, sub, flags)
-    s = coef[kinds == "out"] @ (vh.conj().T / sing) @ u[-nch:].conj().T
-
-    unit = float(np.max(np.abs(s @ s.conj().T - np.eye(nch))))
-    symm = float(np.max(np.abs(s - s.T)))
-
-    # diagnostic: the in/out pair normalization across channels
-    defect = 0.0
-    for tail, mset, x, n in zip(graph.tails, sub.modes, sub.windows, per_tail):
-        if n:
-            kind = np.array([mode.kind for mode in mset])
-            pair = x[:, kind == "in"].T @ swronskian_form(tail.op, 0).matrix @ x[:, kind == "out"]
-            defect = max(defect, float(np.max(np.abs(pair - A_LAMBDA * np.eye(n)))))
-    return ScatteringResult(lam, channels, s, unit, symm, defect, sub, flags)
+    kinds = kinds[rows]
+    m = coef[rows[:, None], kinds.argsort(axis=1, kind="stable")]  # grow, in, out, decay
+    u, sing, vh = np.linalg.svd(m[:, :dim])
+    good = sing[:, -1] * 1e10 > sing[:, 0]  # cond(M) < 1e10; an all-zero M is singular
+    if not good.all():
+        rows, kinds, m, u, sing, vh = rows[good], kinds[good], m[good], u[good], sing[good], vh[good]
+    inverse = vh.conj().swapaxes(1, 2) / sing[:, None, :]
+    # diagnostic: the in/out pair normalization; each out mode's column is followed
+    # by its in mode's (``_tail_grid``), and the windows of two tails pair to zero
+    x, outs = window[rows], kinds[:, :-1] == OUT
+    pair = np.abs((x.swapaxes(1, 2) @ form @ x)[:, 1:, :-1] - A_LAMBDA * np.eye(x.shape[2] - 1))
+    defect = (pair * (outs[:, :, None] & outs[:, None, :])).max(axis=(1, 2), initial=0.0)
+    found, nch = {}, outs.sum(axis=1)
+    for n in set(nch.tolist()):
+        at = np.flatnonzero(nch == n)
+        s = m[at, dim : dim + n] @ inverse[at] @ u[at, dim - n :].conj().swapaxes(1, 2)
+        unit = np.abs(s @ s.conj().swapaxes(1, 2) - np.eye(n)).max(axis=(1, 2))
+        symm = np.abs(s - s.swapaxes(1, 2)).max(axis=(1, 2))
+        for g, r in enumerate(rows[at].tolist()):
+            found[r] = (s[g], float(unit[g]), float(symm[g]), float(defect[at[g]]))
+    return found
 
 
 # -- discrete spectrum -----------------------------------------------------------
@@ -851,21 +865,18 @@ def _junction_eigs(graph: TailedGraph, lams):
     complement A(lambda) (see the module docstring) at every lambda of
     ``lams``, NaN where some tail has an open channel, and the eigenvectors
     over (core values, decaying-mode coefficients)."""
-    kls = [t.op.k * t.op.l for t in graph.tails]
-    size = graph.core_size + sum(kls)
+    (core, _, select, _, _), nc = graph._plan, graph.core_size
+    size = len(core)
     vals, vecs = np.full((len(lams), size), np.nan), np.full((len(lams), size, size), np.nan)
     coefs = np.full((len(lams), size, size), np.nan, dtype=complex)
-    for idx, stack, offsets, windows in _junction_grid(graph, lams, decay_only=True)[2]:
-        if any(x.shape[2] != kl for x, kl in zip(windows, kls)):
+    for idx, a, window, _ in _junction_grid(graph, lams, decay_only=True)[1]:
+        if a.shape[2] != size:
             continue  # an open channel
-        ylo = [x[:, :kl] for x, kl in zip(windows, kls)]  # values on sites 0..k-1
-        for off, y in zip(offsets, ylo):
-            cols = stack[:, :, off : off + y.shape[2]]
-            cols[:] = np.linalg.solve(y.swapaxes(1, 2), cols.swapaxes(1, 2)).swapaxes(1, 2)
-        vals[idx], vecs[idx] = np.linalg.eigh(0.5 * (stack.real + stack.real.swapaxes(1, 2)))
+        ylo = select[nc:] @ window  # values on sites 0..k_j - 1, block-diagonal
+        a[:, :, nc:] = np.linalg.solve(ylo.swapaxes(1, 2), a[:, :, nc:].swapaxes(1, 2)).swapaxes(1, 2)
+        vals[idx], vecs[idx] = np.linalg.eigh(0.5 * (a.real + a.real.swapaxes(1, 2)))
         coefs[idx] = vecs[idx]
-        for off, y in zip(offsets, ylo):
-            coefs[idx, off : off + y.shape[2]] = np.linalg.solve(y, vecs[idx, off : off + y.shape[2]])
+        coefs[idx, nc:] = np.linalg.solve(ylo, vecs[idx, nc:])
     return vals, vecs, coefs
 
 
@@ -927,21 +938,15 @@ def regular_discrete_spectrum(
     # cluster of equal core eigenvalues contributes the null space, over its
     # eigenvectors, of the attach rows summed per tail site
     if graph.core_size:
-        cmat = graph.core_matrix()
-        evals, evecs = np.linalg.eigh(cmat)
-        attach = [m for tail in graph.tails for m in tail.attach.values()]
-        tol = 1e-10 * max(float(np.max(np.abs(m))) for m in [cmat, *attach])
+        core = graph._plan[0]  # the core rows, then the attach rows of every tail site
+        evals, evecs = np.linalg.eigh(core[:nc])
+        tol = 1e-10 * float(np.max(np.abs(core)))
         for cluster in np.split(np.arange(len(evals)), np.flatnonzero(np.diff(evals) > tol) + 1):
             lam_e = float(np.mean(evals[cluster]))
             if not (lo <= lam_e <= hi):
                 continue
             vecs = evecs[:, cluster]
-            hits: dict = {}  # (tail, site) -> sum of its attach rows applied to vecs
-            for j, tail in enumerate(graph.tails):
-                for (v, n), m in tail.attach.items():
-                    at = slice(graph.core_offset[v], graph.core_offset[v] + graph.core_dims[v])
-                    hits[j, n] = hits.get((j, n), 0) + m.T @ vecs[at]
-            _, sing, vt = np.linalg.svd(np.vstack([*hits.values(), np.zeros((len(cluster),) * 2)]))
+            _, sing, vt = np.linalg.svd(np.vstack([core[nc:] @ vecs, np.zeros((len(cluster),) * 2)]))
             modal = [np.zeros(0, dtype=complex) for _ in graph.tails]
             for null in vt[np.sum(sing > tol) :]:
                 out.append(BoundState(lam_e, 0.0, vecs @ null, modal, False, singular=True))
@@ -1015,14 +1020,9 @@ def band_scan(
 ) -> BandScan:
     """Classification plus scattering data on a regular grid."""
     grid = _grid(lo, hi, samples, 2)
-    subs = _subspaces(graph, grid)
-    rows = []
-    for sub in subs:
-        res = _scatter(graph, sub)
-        clfs = sub.classifications
-        singular = "singular" in res.flags or "kernel-dim-mismatch" in res.flags
-        counts = [c.counts() for c in clfs]
-        rows.append(ScanRow(sub.lam, counts, any(c.critical for c in clfs), singular, res))
+    rows = [ScanRow(res.lam, [c.counts() for c in res.subspace.classifications], "critical" in res.flags,
+                    bool(res.flags & {"singular", "kernel-dim-mismatch"}), res)
+            for res in _scatter(graph, grid)]
     return BandScan(graph, rows, _tail_critical_points(graph, lo, hi))
 
 

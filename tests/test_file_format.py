@@ -11,6 +11,7 @@ from swron.complex_core import _write_json, save_complex
 from swron.line_lattice import LineOperator, load_line_operator, save_line_operator
 from swron.operators import DiscreteOperator, _matrix_from_json, load_operator, save_operator
 from swron.scattering import save_tailed_graph
+from test_scattering import two_channel_graph
 
 DATA = Path(__file__).parent / "data"
 
@@ -21,7 +22,8 @@ def test_savers_reproduce_committed_fixtures(tmp_path):
     save_complex(cx, str(tmp_path / "torus7.json"))
     save_operator(op, str(tmp_path / "torus7_operator.json"))
     save_tailed_graph(ex.potential_line(1.0), str(tmp_path / "well.json"))
-    for name in ("torus7.json", "torus7_operator.json", "well.json"):
+    save_tailed_graph(two_channel_graph(), str(tmp_path / "two_channel.json"))
+    for name in ("torus7.json", "torus7_operator.json", "well.json", "two_channel.json"):
         assert (tmp_path / name).read_bytes() == (DATA / name).read_bytes(), name
 
 

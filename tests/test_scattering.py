@@ -1,5 +1,4 @@
 import csv
-import dataclasses
 import re
 
 import numpy as np
@@ -267,16 +266,24 @@ def test_warm_scattering_point_runs_two_svds_and_no_inverse(monkeypatch):
         assert calls == ["svd", "svd"]
 
 
-def test_zero_incoming_rows_are_singular():
-    from swron.scattering import _scatter
+def test_zero_incoming_rows_are_singular(monkeypatch):
+    import swron.scattering as sc
 
+    real = sc._null_spaces
     for graph in (ex.potential_line(1.0), two_channel_graph()):
-        sub = asymptotic_subspace(graph, 0.5)
-        modal = [
-            np.where(np.array([m.kind == "in" for m in mset])[:, None], 0.0, coef)
-            for mset, coef in zip(sub.modes, sub.modal)
-        ]
-        res = _scatter(graph, dataclasses.replace(sub, modal=modal))
+        kinds = [m.kind for mset in asymptotic_subspace(graph, 0.5).modes for m in mset]
+        incoming = graph.core_size + np.flatnonzero(np.array(kinds) == "in")
+
+        def zeroed(stack):
+            # every kernel with its incoming coefficients set to zero
+            out = [(kernel.copy(), sing) for kernel, sing in real(stack)]
+            for kernel, _ in out:
+                kernel[incoming] = 0.0
+            return out
+
+        with monkeypatch.context() as m:
+            m.setattr(sc, "_null_spaces", zeroed)
+            res = scattering_matrix(graph, 0.5)
         assert "singular" in res.flags
         assert res.s_matrix is None
 
@@ -730,8 +737,8 @@ def test_informative_rows_per_tail():
     for graph, rows in cases:
         assert rows == graph.core_size + sum(t.op.k * t.op.l for t in graph.tails)
         for decay_only in (False, True):
-            stacks = sc._junction_grid(graph, np.array([-3.5, 0.5]), decay_only)[2]
-            assert [stack.shape[1] for _, stack, *_ in stacks] == [rows] * len(stacks)
+            stacks = sc._junction_grid(graph, np.array([-3.5, 0.5]), decay_only)[1]
+            assert [matrix.shape[1] for _, matrix, *_ in stacks] == [rows] * len(stacks)
 
 
 def test_mode_values_are_evaluated_once_per_tail_and_stack(monkeypatch):
@@ -741,16 +748,94 @@ def test_mode_values_are_evaluated_once_per_tail_and_stack(monkeypatch):
     assert scattering_matrix(graph, 0.5).s_matrix is not None  # warm the form caches
     calls, real = [], sc._site_values
 
-    def spy(*args):
-        calls.append(args[1:3])
-        return real(*args)
+    def spy(modes):
+        calls.append(modes.kind.shape[0])  # the lambda rows of the stack
+        return real(modes)
 
     monkeypatch.setattr(sc, "_site_values", spy)
     assert scattering_matrix(graph, 0.5).s_matrix is not None
-    assert len(calls) == 3, calls
+    assert calls == [1, 1, 1], calls
     calls.clear()
     band_scan(graph, -3.0, 3.0, 31)
-    assert len(calls) == 3, calls
+    assert calls == [31, 31, 31], calls
+
+
+def embedded_state_graph() -> TailedGraph:
+    """A hub coupled to the closed channel of a two-channel tail (on-site
+    diag(0, 2.5)) and a core vertex coupled to nothing.  At lambda = 0 the
+    hub and the closed channel hold a state, mu = -1/2 on the tail, inside
+    the open channel's band: the grow/in system is singular.  At -1 the
+    lone vertex adds a kernel dimension."""
+    op = LineOperator(1, 2, {0: np.diag([0.0, 2.5]), 1: np.eye(2)})
+    return TailedGraph({0: 1, 1: 1}, {(0, 0): [[0.5]], (1, 1): [[-1.0]]},
+                       [Tail(op, {(0, 0): [[0.0, 1.0]]})])
+
+
+def scaled_ring() -> TailedGraph:
+    return scaled(ex.two_tail_ring_core(6), 1e-18)
+
+
+STACKED_SCANS = {  # graph, lo, hi; one shape stack of 31 rows each
+    "embedded": (embedded_state_graph, -3.0, 3.0),
+    "two_channel": (two_channel_graph, -3.0, 3.0),
+    "ring_1e-18": (scaled_ring, -3e-18, 3e-18),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STACKED_SCANS))
+def test_scan_rows_are_the_points_of_scattering_matrix(name):
+    make, lo, hi = STACKED_SCANS[name]
+    graph = make()
+    rows = band_scan(graph, lo, hi, 31).rows
+    for row in rows:
+        res, want = row.result, scattering_matrix(graph, row.lam)
+        assert (res.flags, res.channels) == (want.flags, want.channels), row.lam
+        assert (res.subspace.dim, res.subspace.flags) == (want.subspace.dim, want.subspace.flags)
+        assert (res.s_matrix is None) == (want.s_matrix is None)
+        if want.s_matrix is not None:
+            assert np.max(np.abs(res.s_matrix - want.s_matrix)) <= 1e-13
+        for key in ("unitarity_residual", "symmetry_residual", "pairing_defect"):
+            got, ref = getattr(res, key), getattr(want, key)
+            assert (got is None) == (ref is None) and (ref is None or abs(got - ref) <= 1e-13), key
+        assert abs(res.subspace.lagrangian_residual - want.subspace.lagrangian_residual) <= 1e-13
+    flags = set().union(*(row.result.flags for row in rows))
+    channels = {len(row.result.channels) for row in rows if row.result.s_matrix is not None}
+    if name == "embedded":
+        assert flags == {"no-channels", "critical", "singular", "kernel-dim-mismatch"}
+        assert [row.lam for row in rows if "singular" in row.result.flags] == [0.0]
+        assert channels == {1, 2}
+    elif name == "two_channel":
+        assert len(channels) >= 3 and not flags
+    else:
+        assert {"no-channels", "critical", "kernel-dim-mismatch"} <= flags
+        assert len({row.result.subspace.dim for row in rows}) > 1
+
+
+@pytest.mark.parametrize("name", sorted(STACKED_SCANS))
+def test_scan_takes_s_per_stack(monkeypatch, name):
+    # one junction SVD per shape stack, and one SVD of the grow/in systems
+    # per kernel dimension that has S rows: not one per row
+    import swron.scattering as sc
+
+    make, lo, hi = STACKED_SCANS[name]
+    graph, stacks, svds = make(), [], []
+    real_assemble, real_svd = sc._assemble, np.linalg.svd
+
+    def assemble(graph, lams, modes):
+        stacks.append(len(lams))
+        return real_assemble(graph, lams, modes)
+
+    def svd(a, *args, **kw):
+        if np.ndim(a) == 3 and len(a):  # a stack; critical-point sets take 2-D SVDs
+            svds.append(len(a))
+        return real_svd(a, *args, **kw)
+
+    monkeypatch.setattr(sc, "_assemble", assemble)
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    scan = band_scan(graph, lo, hi, 31)
+    assert stacks == [31]
+    with_s = {row.result.subspace.dim for row in scan.rows if row.result.s_matrix is not None}
+    assert svds[0] == 31 and len(svds) == 1 + len(with_s) <= 2, svds
 
 
 def test_subspace_windows_hold_mode_values_past_the_junction():

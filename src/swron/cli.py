@@ -18,8 +18,14 @@ import numpy as np
 from . import __version__
 from .complex_core import DomainError, _read_json, _write_csv, _write_json, load_complex
 from .line_lattice import (
+    CRITICAL_GAP,
+    PAIRING_TOL,
+    UNIMODULAR_TOL,
     CoveringGraph,
+    _classify_grid,
+    _grid,
     direct_image,
+    find_critical_points,
     line_operator_to_json,
     load_line_operator,
     transfer_map,
@@ -37,14 +43,8 @@ from .nonlinear import (
 )
 from .operators import _matrix_from_json, load_operator, to_vertex_operator
 from .scattering import (
-    CRITICAL_GAP,
     KERNEL_REL_TOL,
-    PAIRING_TOL,
-    UNIMODULAR_TOL,
-    _classify_grid,
-    _grid,
     band_scan,
-    find_critical_points,
     load_tailed_graph,
     regular_discrete_spectrum,
     scattering_matrix,

@@ -1,5 +1,6 @@
 """Vector-valued lattice operators on Z, their solution bases, the
-symplectic form carried by solution pairs, and transfer dynamics.
+symplectic form carried by solution pairs, and transfer dynamics: the
+monodromy classification of transfer maps and its critical points.
 
 State and basis conventions
 ---------------------------
@@ -327,6 +328,274 @@ def transfer_between(op: LineOperator, lam, n: int, m: int):
     for j in range(n, m):
         total = transfer_map(op, lam, j).matrix @ total
     return _exact_dtype(total), swronskian_form(op, n), swronskian_form(op, m)
+
+
+# -- monodromy classification and critical points ---------------------------
+
+
+UNIMODULAR_TOL = 1e-9
+PAIRING_TOL = 1e-8
+CRITICAL_GAP = 1e-6
+
+
+@dataclass
+class MonodromyClassification:
+    """Eigenvalue bookkeeping of one transfer map.  Margins of the critical
+    decision: ``min_gap`` is the smallest distance between two eigenvalues,
+    ``unit_gap`` the smallest |mu -+ 1|; either below ``CRITICAL_GAP`` flags."""
+
+    lam: complex
+    kl: int
+    s: int
+    p: int
+    q: int
+    eigenvalues: np.ndarray
+    critical: bool
+    critical_reason: str | None
+    pairing_defect: float
+    min_gap: float
+    unit_gap: float
+
+    @property
+    def identity_holds(self) -> bool:
+        return 2 * self.s + 4 * self.p + 2 * self.q == 2 * self.kl
+
+    def counts(self) -> tuple[int, int, int]:
+        return (self.s, self.p, self.q)
+
+
+def classify_monodromy(
+    matrix_or_transfer, lam=None, *, kl: int | None = None
+) -> MonodromyClassification:
+    """Count channel pairs / quadruples / real pairs of a transfer map.
+
+    A point is critical when eigenvalues collide (gap below
+    ``CRITICAL_GAP``), when one sits at +-1, or when the pair structure
+    cannot be matched within ``PAIRING_TOL``; the (s, p, q) identity is
+    not trusted there.
+    """
+    if hasattr(matrix_or_transfer, "matrix"):
+        if lam is None:
+            lam = matrix_or_transfer.lam
+        matrix = matrix_or_transfer.matrix
+    else:
+        matrix = np.asarray(matrix_or_transfer)
+    if matrix.shape[0] != matrix.shape[1] or matrix.shape[0] % 2:
+        raise DomainError("transfer matrix must be square of even size")
+    kl = matrix.shape[0] // 2 if kl is None else kl
+    mus = np.linalg.eigvals(matrix.astype(complex))
+    return _classify(mus[None], [complex("nan") if lam is None else lam], kl)[0]
+
+
+def _classify(mus: np.ndarray, lams, kl: int) -> list[MonodromyClassification]:
+    """(s, p, q) counts, critical flags and margins of the eigenvalue rows
+    ``mus`` (S, 2kl), one row per transfer map of a lambda grid."""
+    n = mus.shape[1]
+    size = np.abs(mus)
+    # each eigenvalue, its conjugate and its inverse (0 for mu = 0, which then
+    # finds itself) against every eigenvalue of its row
+    targets = np.concatenate((mus, mus.conj(), 1.0 / np.where(size > 0, mus, np.inf)), axis=1)
+    dist = np.abs(targets[:, :, None] - mus[:, None, :])
+    diag = np.arange(n)
+    dist[:, diag, diag] = np.inf
+    nearest = dist.min(axis=2)
+    min_gap = nearest[:, :n].min(axis=1).tolist()
+    # symmetry of each row under conjugation and inversion
+    pairing = (nearest[:, n:] / np.maximum(1.0, np.abs(targets[:, n:]))).max(axis=1).tolist()
+    unit_gap = np.minimum(np.abs(mus - 1), np.abs(mus + 1)).min(axis=1).tolist()
+    unimod = np.abs(size - 1.0) <= UNIMODULAR_TOL
+    realish = np.abs(mus.imag) <= UNIMODULAR_TOL * np.maximum(1.0, size)
+    upper, outer = mus.imag > 0, ~unimod & (size > 1)
+    s, p, q = np.array(
+        [unimod & ~realish & upper, outer & ~realish & upper, outer & realish]
+    ).sum(axis=2).tolist()
+    out = []
+    for i, lam in enumerate(lams):
+        reason = None
+        if min_gap[i] < CRITICAL_GAP:  # includes +-1 doublets and band-edge mergers
+            reason = "eigenvalue-collision"
+        elif unit_gap[i] < CRITICAL_GAP:
+            reason = "unit-eigenvalue"
+        elif pairing[i] > PAIRING_TOL:
+            reason = "pairing-defect"
+        elif s[i] + 2 * p[i] + q[i] != kl:
+            reason = "identity-failure"
+        out.append(MonodromyClassification(
+            lam=complex(lam), kl=kl, s=s[i], p=p[i], q=q[i], eigenvalues=mus[i],
+            critical=reason is not None, critical_reason=reason,
+            pairing_defect=pairing[i], min_gap=min_gap[i], unit_gap=unit_gap[i],
+        ))
+    return out
+
+
+def _classify_grid(op: LineOperator, lams) -> list[MonodromyClassification]:
+    """classify_monodromy of the transfer map at every lambda of ``lams``:
+    one eigvals call on the transfer stack."""
+    mus = np.linalg.eigvals(_transfer_stack(op, lams)).astype(complex)
+    return _classify(mus, lams, op.k * op.l)
+
+
+def _grid(lo: float, hi: float, samples: int, least: int) -> np.ndarray:
+    """The regular grid of a lambda scan, after checking its arguments."""
+    if samples < least:
+        raise DomainError(f"need at least {'two' if least == 2 else 'three'} grid samples")
+    if not lo < hi:
+        raise DomainError(f"a lambda grid needs lo < hi, got lo={lo} and hi={hi}")
+    return np.linspace(lo, hi, samples)
+
+
+@dataclass
+class CriticalPoint:
+    lam: float
+    before: tuple[int, int, int]
+    after: tuple[int, int, int]
+    path: int | None
+    spectrum_neutral: bool
+
+    def to_json_dict(self) -> dict:
+        return {
+            "lambda": self.lam,
+            "before": list(self.before),
+            "after": list(self.after),
+            "path": self.path,
+            "spectrum_neutral": self.spectrum_neutral,
+        }
+
+
+_PATHS = {
+    # delta (ds, dp, dq) up to overall sign -> (path number, neutral flag)
+    (0, 1, -2): (1, True),
+    (-2, 1, 0): (2, False),
+    (-1, 0, 1): (3, False),
+}
+
+
+def _path_of(before, after):
+    delta = tuple(a - b for a, b in zip(after, before))
+    return _PATHS.get(delta) or _PATHS.get(tuple(-d for d in delta), (None, False))
+
+
+def find_critical_points(
+    op: LineOperator, lo: float, hi: float, samples: int = 101
+) -> list[CriticalPoint]:
+    """Where the channel counts (s, p, q) of a constant real operator change
+    in [lo, hi], with the counts on each side and the path type.  The
+    points come from the symbol, once per operator (``_symbol_criticals``),
+    so they do not depend on ``samples``, which is checked as a grid size."""
+    _grid(lo, hi, samples, 2)
+    return [cp for cp in _symbol_criticals(op) if lo <= cp.lam <= hi]
+
+
+def _symbol_criticals(op: LineOperator) -> list[CriticalPoint]:
+    """Every critical point of a constant real operator.  Counts change where
+    two Bloch multipliers meet on the unit circle or the real axis: at a
+    turn of an eigenvalue branch of the symbol S(mu) = sum_s B_s mu^s along
+    * mu = e^(i theta), theta in [0, pi], where S is Hermitian with slopes
+      v^H dS/dtheta v (Hellmann-Feynman), both ends included;
+    * real mu = +-e^u, u in [log floor, 0] (S(1/mu) = S(mu)^T): the real
+      eigenvalues nu / mu^k of mu^k S(mu), with slopes y^T mu dS/dmu x over
+      left and right eigenvectors; below ``floor`` B_-k dominates.
+    A branch keeps its rank among the real eigenvalues between folds, where
+    a pair leaves the real axis; folds are bisected so both sides are
+    sampled.  Slope sign changes are refined by ``_branch_turns``, and a
+    candidate is kept where the counts at lambda -+ delta differ.  delta
+    and the merge width are 1e-10 (max|B_s| + |lambda|).  The set is cached
+    on the operator."""
+    if op._criticals is not None:
+        return op._criticals
+    if not op.constant:
+        raise DomainError("critical points need a constant operator")
+    if not op.is_real():
+        raise DomainError("critical points need real blocks: the symbol of a complex "
+                          "operator is not Hermitian")
+    _transfer_stack(op, [])  # checks the order and the leading block
+    k, shifts = op.k, np.arange(-op.k, op.k + 1)
+    blocks = np.array([op.block(0, s) for s in shifts], dtype=float)
+
+    def circle(theta, _):
+        phase = np.exp(1j * theta[:, None] * shifts)
+        lam, vec = np.linalg.eigh(np.einsum("ts,sij->tij", phase, blocks))
+        ds = np.einsum("ts,sij->tij", 1j * shifts * phase, blocks)
+        return lam, np.einsum("tji,tjk,tki->ti", vec.conj(), ds, vec).real
+
+    def symbol(u, sign):  # mu and mu^k S(mu) at mu = sign e^u
+        mu = (sign * np.exp(u))[:, None]
+        return mu, np.einsum("ts,sij->tij", mu ** (shifts + k), blocks)
+
+    def axis(u, sign):
+        mu, mat = symbol(u, sign)
+        nu, vec = np.linalg.eig(mat)
+        ds = np.einsum("ts,sij->tij", shifts * mu ** (shifts + k), blocks)
+        slope = np.einsum("tij,tjk,tki->ti", np.linalg.inv(vec), ds, vec).real / mu**k
+        lam = np.where(nu.imag == 0, nu.real / mu**k, np.nan)
+        order = np.argsort(lam, axis=1)  # real eigenvalues ascending, then NaN
+        return np.take_along_axis(lam, order, 1), np.take_along_axis(slope, order, 1)
+
+    # a turn needs |mu| above about sigma_min(B_-k) / sum_j (1 + j/k) |B_(j-k)|
+    weight = np.sqrt(np.sum(blocks[1:] ** 2, axis=(1, 2))) * (1 + np.arange(1, 2 * k + 1) / k)
+    floor = np.linalg.svd(blocks[0], compute_uv=False)[-1] / (4 * np.sum(weight))
+    ends = 0.5 - 0.5 * np.cos(np.linspace(0, np.pi, 64))  # samples on [0, 1], dense at the ends
+    found, sides = [], np.repeat([1.0, -1.0], len(ends))
+    for curve, x, sign in ((circle, np.pi * ends, sides[: len(ends)]),
+                           (axis, np.log(floor) * np.r_[ends, ends], sides)):
+        lam, slope = curve(x, sign)
+        real = np.sum(~np.isnan(lam), axis=1)
+        p = np.flatnonzero(sign[:-1] == sign[1:])
+        q, f = p + 1, p[real[p] != real[p + 1]]
+        a, b = x[f], x[f + 1]
+        while np.any(np.abs(b - a) > 3e-5):  # folds are on the axis: S is Hermitian on the circle
+            mid = 0.5 * (a + b)
+            left = np.sum(np.linalg.eigvals(symbol(mid, sign[f])[1]).imag == 0, axis=1) == real[f]
+            a, b = np.where(left, mid, a), np.where(left, b, mid)
+        if len(f):  # each fold step splits in two, at the sides of its fold
+            more, new = curve(np.r_[a, b], sign[np.r_[f, f]]), len(x) + np.arange(len(f))
+            p, q = np.r_[p, f, new + len(f)], np.r_[q, new, f + 1]
+            x, sign = np.r_[x, a, b], np.r_[sign, sign[f], sign[f]]
+            lam, slope = np.vstack((lam, more[0])), np.vstack((slope, more[1]))
+            real = np.sum(~np.isnan(lam), axis=1)
+        found.append(lam[(x == 0) | (x == np.pi)].ravel() if curve is circle else [])
+        slope[(x == 0) | (x == np.pi)] = 0.0  # theta = 0, pi and mu = +-1: found above
+        j, i = np.nonzero((real[p] == real[q])[:, None] & (slope[p] * slope[q] < 0))
+        found.append(_branch_turns(curve, x[p[j]], x[q[j]], slope[p[j], i], slope[q[j], i],
+                                   lam[p[j], i], sign[p[j]], i, real[p[j]]))
+    cands = np.sort(np.concatenate(found))
+    delta = 1e-10 * (np.max(np.abs(blocks)) + np.abs(cands))
+    keep = np.r_[True, np.diff(cands) > delta[1:]] & ~np.isnan(cands)  # one per point
+    cands, delta = cands[keep].tolist(), delta[keep]
+    cls = _classify_grid(op, np.r_[cands - delta, cands + delta])
+    counts = [(lam, c.counts(), d.counts()) for lam, c, d in zip(cands, cls, cls[len(cands):])]
+    op._criticals = [CriticalPoint(lam, b, a, *_path_of(b, a)) for lam, b, a in counts if b != a]
+    return op._criticals
+
+
+def _branch_turns(curve, a, b, fa, fb, lam, sign, rank, real, width=1e-6):
+    """The value at the turn inside [a, b] of each branch of ``curve``: the
+    real eigenvalue of rank ``rank`` among ``real``, whose slope changes sign
+    from fa to fb.  Batched Illinois steps on the slope stop where a step
+    lands within ``width`` of the zero of the secant through it and the step
+    before, taking the value there plus the area under the secant (exact to
+    O(width^3)), or where a step finds another number of real eigenvalues."""
+    ga, gb, moved = fa.copy(), fb.copy(), np.zeros(len(a))
+    px, pf, live = np.full(len(a), np.nan), np.full(len(a), np.nan), np.ones(len(a), dtype=bool)
+    for _ in range(60):
+        if not (at := np.flatnonzero(live)).size:
+            break
+        x = (a[at] * gb[at] - b[at] * ga[at]) / (gb[at] - ga[at])
+        lams, slopes = curve(x, sign[at])
+        lx, fx = lams[np.arange(len(at)), rank[at]], slopes[np.arange(len(at)), rank[at]]
+        ok = np.sum(~np.isnan(lams), axis=1) == real[at]
+        lam[at[ok]], live[at[~ok]] = lx[ok], False
+        at, x, lx, fx = at[ok], x[ok], lx[ok], fx[ok]
+        turn = x - fx * (x - px[at]) / np.where(fx == pf[at], np.inf, fx - pf[at])  # flat: x
+        done = np.abs(turn - x) <= width
+        lam[at[done]], live[at[done]] = (lx + 0.5 * fx * (turn - x))[done], False
+        px[at], pf[at], up = x, fx, np.sign(fx) == np.sign(fa[at])  # x replaces a, else b
+        ia, ib = at[up], at[~up]
+        gb[ia[moved[ia] > 0]] *= 0.5  # the same end moved twice: Illinois halving
+        ga[ib[moved[ib] < 0]] *= 0.5
+        a[ia], fa[ia], ga[ia], moved[ia] = x[up], fx[up], fx[up], 1
+        b[ib], fb[ib], gb[ib], moved[ib] = x[~up], fx[~up], fx[~up], -1
+    return lam
 
 
 # -- coverings over Z ---------------------------------------------------------

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import oracles as orc
+import swron.line_lattice as ll
 import swron.scattering as sc
 from swron import (
     DomainError,
@@ -72,14 +73,14 @@ def test_classify_command_rejects_reversed_interval(tmp_path, capsys):
 def test_classify_command_classifies_its_grid_once(tmp_path, monkeypatch):
     import swron.cli as cli
 
-    grids, real = [], sc._classify_grid
+    grids, real = [], ll._classify_grid
 
     def spy(op, lams):
         grids.append(len(lams))
         return real(op, lams)
 
     monkeypatch.setattr(cli, "_classify_grid", spy)
-    monkeypatch.setattr(sc, "_classify_grid", spy)
+    monkeypatch.setattr(ll, "_classify_grid", spy)
     opath = tmp_path / "free.json"
     opath.write_text(json.dumps(line_operator_to_json(ex.free_line_operator(1))))
     out = tmp_path / "report.json"
@@ -104,14 +105,14 @@ def test_classification_margins_on_the_free_line():
     # mu = lam/2 +- i sqrt(1 - lam^2/4): the pair splits by sqrt(4 - lam^2)
     edge = classify_monodromy(transfer_map(op, 2 - 1e-13, 0))
     assert edge.critical and edge.critical_reason == "eigenvalue-collision"
-    assert edge.min_gap < sc.CRITICAL_GAP and edge.unit_gap < sc.CRITICAL_GAP
+    assert edge.min_gap < ll.CRITICAL_GAP and edge.unit_gap < ll.CRITICAL_GAP
     assert edge.min_gap == pytest.approx(math.sqrt(4e-13), rel=0.1)
     assert edge.unit_gap == pytest.approx(math.sqrt(4e-13) / 2, rel=0.1)
     inside = classify_monodromy(transfer_map(op, 1.9, 0))
     assert not inside.critical
     assert inside.min_gap == pytest.approx(math.sqrt(4 - 1.9**2), rel=1e-12)
     assert inside.unit_gap == pytest.approx(math.sqrt(2 - 1.9), rel=1e-12)
-    assert inside.min_gap > 1e5 * sc.CRITICAL_GAP
+    assert inside.min_gap > 1e5 * ll.CRITICAL_GAP
 
 
 # -- batched grids against independent and per-point references --------------------

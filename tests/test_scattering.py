@@ -897,10 +897,11 @@ def scaled(graph: TailedGraph, c: float) -> TailedGraph:
 
 @pytest.mark.parametrize("c", [1e5, 1e8, 1e13])
 def test_refinements_stop_at_large_lambda(monkeypatch, c):
+    import swron.line_lattice as ll
     import swron.scattering as sc
 
-    def capped(name):
-        real, calls = getattr(sc, name), []
+    def capped(module, name):
+        real, calls = getattr(module, name), []
 
         def spy(*args, **kw):
             calls.append(args)
@@ -908,10 +909,10 @@ def test_refinements_stop_at_large_lambda(monkeypatch, c):
                 raise AssertionError(f"{name} called more than 200 times")
             return real(*args, **kw)
 
-        monkeypatch.setattr(sc, name, spy)
+        monkeypatch.setattr(module, name, spy)
 
-    capped("_junction_grid")
-    capped("_classify_grid")
+    capped(sc, "_junction_grid")
+    capped(ll, "_classify_grid")
     states = regular_discrete_spectrum(scaled(ex.potential_line(1.0), c), -4 * c, -2.05 * c, 61)
     assert len(states) == 1
     assert abs(states[0].lam / c + np.sqrt(5)) <= 1e-9

@@ -26,7 +26,7 @@ import numpy as np
 
 from .complex_core import DomainError, SimplicialComplex
 from .operators import DiscreteOperator
-from .swronskian import SWronskianChain, swronskian
+from .swronskian import SWronskianChain, _covered, swronskian
 
 __all__ = [
     "Density",
@@ -298,18 +298,21 @@ class DiscreteLagrangianSystem:
         return any(dens.uses_fd for dens, _, _ in self._groups)
 
 
+def _vector(name: str, values: dict, v, dims=None) -> np.ndarray:
+    """``values[v]`` as a float vector; DomainError when it is missing or has
+    not ``dims[v]`` entries (where ``dims`` has v)."""
+    if v not in values:
+        raise DomainError(f"{name} undefined at vertex {v}")
+    x = np.asarray(values[v], dtype=float).reshape(-1)
+    if dims is not None and (dim := dims.get(v, x.size)) != x.size:
+        raise DomainError(f"{name} value at vertex {v} has {x.size} entries, expected {dim}")
+    return x
+
+
 def _vectors(name: str, values: dict, keys, dims=None, finite=True) -> dict:
-    """``values`` at ``keys`` as float vectors.  DomainError names the first
-    vertex that is missing, has not ``dims[v]`` entries (where ``dims``
-    has v) or (one stacked check when none is and ``finite``) is not
-    finite."""
-    out = {}
-    for v in keys:
-        if v not in values:
-            raise DomainError(f"{name} undefined at vertex {v}")
-        out[v] = x = np.asarray(values[v], dtype=float).reshape(-1)
-        if dims is not None and (dim := dims.get(v, x.size)) != x.size:
-            raise DomainError(f"{name} value at vertex {v} has {x.size} entries, expected {dim}")
+    """:func:`_vector` at each of ``keys``, in order; then (one stacked check
+    when ``finite``) DomainError names the first that is not finite."""
+    out = {v: _vector(name, values, v, dims) for v in keys}
     if finite and out and not np.isfinite(np.concatenate(list(out.values()))).all():
         v = next(v for v, x in out.items() if not np.isfinite(x).all())
         raise DomainError(f"{name} is not finite at vertex {v}")
@@ -340,23 +343,30 @@ def local_action(sys: DiscreteLagrangianSystem, psi: dict, around=None) -> float
     return sum((i.density.value([vals[v] for v in i.vertices]) for i in inters), 0.0)
 
 
-def _local(sys: DiscreteLagrangianSystem, vals: dict, v: int, w=None):
-    """The interactions at ``v`` as one-row stacks: the gradient at ``v`` summed over
-    those without ``w``, and (density, slot values, slot of v, slot of w) for the rest."""
-    fixed, terms = np.zeros(sys.chart_dims[v]), []
+def _at(sys: DiscreteLagrangianSystem, psi: dict, v: int, unknown=None):
+    """One pass over the interactions at ``v``: the checked values of psi on
+    them but ``unknown`` (not yet tested for finiteness), and per interaction
+    (density, one-row slot stacks with None for ``unknown``, slot of v, slot
+    of ``unknown`` or -1)."""
+    if v not in sys._at_vertex:
+        raise DomainError(f"vertex {v} not in the system")
+    vals, parts = {}, []
     for i in sys._at_vertex[v]:
-        dens, vs = sys.interactions[i].density, sys.interactions[i].vertices
-        xs = [None if u == w else vals[u][None] for u in vs]
-        if w in vs:
-            terms.append((dens, xs, vs.index(v), vs.index(w)))
-        else:
-            fixed += dens._grad_rows(xs, vs.index(v))[0]
-    return fixed, terms
+        inter, xs = sys.interactions[i], []
+        for u in inter.vertices:
+            if u != unknown and u not in vals:
+                vals[u] = _vector("psi", psi, u, sys.chart_dims)
+            xs.append(None if u == unknown else vals[u][None])
+        vs = inter.vertices
+        parts.append((inter.density, xs, vs.index(v), vs.index(unknown) if unknown in vs else -1))
+    return vals, parts
 
 
 def el_residual(sys: DiscreteLagrangianSystem, psi: dict, v: int) -> np.ndarray:
     """Derivative of the action with respect to the value at ``v``."""
-    return _local(sys, _values_on(sys, psi, _meeting(sys, [v])), v)[0]
+    vals, parts = _at(sys, psi, v)
+    _vectors("psi", vals, vals)  # names a non-finite value
+    return sum((dens._grad_rows(xs, a)[0] for dens, xs, a, _ in parts), np.zeros(sys.chart_dims[v]))
 
 
 def dynamical_step(
@@ -378,37 +388,42 @@ def dynamical_step(
     Hessian at an iterate is singular, and NonConvergenceError after
     ``maxiter``.
     """
-    vals = _values_on(sys, psi, _meeting(sys, [v]), skip=unknown, finite=False)
-    fixed, terms = _local(sys, vals, v, unknown)
-    if not terms:
+    vals, parts = _at(sys, psi, v, unknown)
+    fixed = sum((d._grad_rows(xs, a)[0] for d, xs, a, b in parts if b < 0), np.zeros(sys.chart_dims[v]))
+    if not (terms := [part for part in parts if part[3] >= 0]):
         raise DomainError(f"vertex {unknown} does not interact with {v}")
     dim = sys.chart_dims[unknown]
     x = np.zeros(dim) if x0 is None else np.asarray(x0, dtype=float).reshape(-1)
     if x.size != dim:
         raise DomainError(f"x0 has {x.size} entries, expected {dim}")
 
-    def residual(x):  # and the cross Hessian (v, unknown)
-        r, cross = fixed, 0.0
+    def residual(x):
+        r = fixed
         for dens, xs, a, b in terms:
             xs[b] = x[None]
             r = r + dens._grad_rows(xs, a)[0]
-            cross = cross + dens._hess_rows(xs, a, b)[0]
-        return r, cross
+        return r
 
     for _ in range(maxiter):
-        r, cross = residual(x)
-        if (norm := np.linalg.norm(r)) <= tol:
+        if (norm := math.hypot(*(r := residual(x)))) <= tol:
             return x
         if not math.isfinite(norm):
-            _values_on(sys, psi, sys._at_vertex[v], skip=unknown)
+            _vectors("psi", vals, vals)  # names a non-finite neighbour value
+        cross = 0.0  # the cross Hessian (v, unknown) at x, needed only for a step
+        for dens, xs, a, b in terms:
+            cross = cross + dens._hess_rows(xs, a, b)[0]
         try:
-            delta = np.linalg.solve(cross, r)
+            if np.shape(cross) != (1, 1):
+                x = x - np.linalg.solve(cross, r)
+            elif c := float(cross[0, 0]):  # a division, in Python floats: no warning
+                x = np.array([float(x[0]) - float(r[0]) / c])
+            else:
+                raise np.linalg.LinAlgError
         except np.linalg.LinAlgError:
             raise DegeneracyError(
                 f"cross Hessian between {v} and {unknown} is singular"
             ) from None
-        x = x - delta
-    if np.linalg.norm(residual(x)[0]) <= tol:
+    if math.hypot(*residual(x)) <= tol:
         return x
     raise NonConvergenceError(
         f"no convergence at vertex {v} after {maxiter} iterations"
@@ -510,13 +525,12 @@ def linearize(
         fix = gap > 0
         stack[fix] = 0.5 * (stack[fix] + stack[partner[fix]].transpose(0, 2, 1))
         sid = np.array([sys.graph.vertex_sid(v) for v in used.tolist()], dtype=np.intp)
-        blocks = dict(zip(zip(sid[u].tolist(), sid[w].tolist()), stack))
         checked = grads[np.isin(used, labels)]
         residual = float(np.abs(checked).max()) if checked.size else 0.0
         warning = (f"configuration misses stationarity by {residual:.3e}; "
                    "linearization is a plain Hessian, not a conserved-form operator"
                    if residual > solution_tol else None)
-        op = DiscreteOperator(sys.graph, dim, blocks)
+        op = DiscreteOperator._from_stack(sys.graph, dim, sid[np.stack((u, w), axis=1)], stack)
         sys._linearized = (key, LinearizeResult(op, residual, warning, sys.uses_fd()))
     lin = replace(sys._linearized[1])
     if lin.warning is not None:
@@ -542,13 +556,13 @@ def variational_swronskian(
     has not ``vec_dim`` entries raises DomainError naming its vertex.
     """
     op = linearize(sys, psi, at=at).operator
-    support = set(op.complex.vertex_sid(v) for v in (at or sys.graph.vertex_labels))
+    labels = sys.graph.vertex_labels if at is None else at
+    support = set(op.complex.vertex_sid(v) for v in labels)
     scale = float(np.abs(op.stack).max()) if len(op.stack) else 1.0
     for name, dvec in (("delta1", delta1), ("delta2", delta2)):
         vals = {op.complex.vertex_sid(v): x
                 for v, x in _vectors(name, dvec, dvec, sys.chart_dims).items()}
-        check = [sid for sid in support if all(b in vals for b in op.stencil(sid))]
-        img = list(op.apply(vals, at=check).values())
+        img = list(op.apply(vals, at=_covered(op, support, vals)).values())
         worst = float(np.abs(np.stack(img)).max()) if img else 0.0
         if worst > kernel_tol * max(1.0, scale):
             raise DomainError(

@@ -21,6 +21,7 @@ id order.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from types import MappingProxyType
 
 import numpy as np
@@ -182,12 +183,25 @@ class DiscreteOperator:
     (target, source) to a view of the row, not a copy.  Nothing can change,
     so the structure flags (:meth:`is_real`, :meth:`is_symmetric`,
     :meth:`is_vertex_operator`) are derived once, from the stack.  The
-    constructor runs one incidence search per target simplex, stopped once
-    its sources are labelled, and keeps only the computed order and the
-    homogeneity flag; :meth:`validate` reads those and searches nothing.
+    constructor reads the step count of a source within two incidence steps
+    of its target off the incidence lists, runs one incidence search per
+    target with a farther source, stopped once those are labelled, and
+    keeps only the computed order and the homogeneity flag;
+    :meth:`validate` reads those and searches nothing.
     """
 
     def __init__(self, complex, vec_dim, blocks, *, order=None):
+        ids = np.array(list(blocks), dtype=np.intp).reshape(-1, 2)
+        self._build(complex, vec_dim, ids, list(blocks.values()), order)
+
+    @classmethod
+    def _from_stack(cls, complex, vec_dim, ids, stack, order=None):
+        """The operator of the (B, 2) ids (no key twice) and (B, l, l) blocks ``stack``."""
+        op = cls.__new__(cls)
+        op._build(complex, vec_dim, ids, stack, order)
+        return op
+
+    def _build(self, complex, vec_dim, ids, mats, order):
         self.complex = complex
         self.vec_dim = int(vec_dim)
         if self.vec_dim < 1:
@@ -195,10 +209,9 @@ class DiscreteOperator:
         declared = None if order is None else int(order)
         if declared is not None and declared < 0:
             raise DomainError(f"declared order {declared} is negative")
-        ids = np.array(list(blocks), dtype=np.intp).reshape(-1, 2)
         if len(bad := ids[(ids < 0) | (ids >= len(complex))]):
             raise DomainError(f"no simplex with id {bad[0]}")
-        stack = _as_stack(list(blocks.values()), self.vec_dim)
+        stack = _as_stack(mats, self.vec_dim)
         live = np.any(stack != 0, axis=(1, 2))
         self.stack, ids = stack[live], ids[live]
         self.target, self.source = ids.T.copy()
@@ -210,13 +223,6 @@ class DiscreteOperator:
         self.partner = np.where(code[hit] == back, hit, -1)
         for arr in (self.stack, self.target, self.source, self.partner):
             arr.setflags(write=False)
-        keys = zip(self.target.tolist(), self.source.tolist())
-        self.blocks = MappingProxyType(dict(zip(keys, self.stack)))
-        # target -> sorted sources, read by stencil and the order check
-        by_row = np.lexsort((self.source, self.target))
-        tgt, src = self.target[by_row].tolist(), self.source[by_row].tolist()
-        starts = np.flatnonzero(np.diff(self.target[by_row], prepend=-1)).tolist()
-        self._sources = {tgt[i]: src[i:j] for i, j in zip(starts, starts[1:] + [len(src)])}
         # (real, symmetric, vertex-only): nothing can change, so derived here once
         self._flags = (
             not np.iscomplexobj(self.stack),
@@ -227,31 +233,38 @@ class DiscreteOperator:
         # the pair table and last kernel split of swronskian and verify
         self._pair_table = self._kernel_split = None
 
-        levels, over = set(), []
-        for a, bs in self._sources.items():
-            others = [b for b in bs if b != a]
-            reach = complex._search(a, targets=others)
-            for b in others:
-                if b not in reach:
-                    raise DomainError(
-                        f"block ({a}, {b}) joins different components"
-                    )
-                levels.add(reach[b])
-                if declared is not None and reach[b] > declared:
-                    over.append((a, b))
-        if over:
-            raise DomainError(
-                f"blocks {over[:3]} exceed declared order {declared}"
-            )
+        # incidence steps of each block, in (target, source) order: read off
+        # the incidence lists within two steps, else one search per target
+        by_row = np.lexsort((self.source, self.target))
+        rows = list(zip(self.target[by_row].tolist(), self.source[by_row].tolist()))
+        inc, far = complex._incidence, {}
+        steps = [0 if a == b else 1 if b in inc[a] else 2 if not set(inc[a]).isdisjoint(inc[b])
+                 else None for a, b in rows]
+        for (a, b), k in zip(rows, steps):
+            if k is None:
+                far.setdefault(a, []).append(b)
+        reach = {a: complex._search(a, targets=bs) for a, bs in far.items()}
+        steps = [reach[a].get(b, -1) if k is None else k for (a, b), k in zip(rows, steps)]
+        if lost := [row for row, k in zip(rows, steps) if k < 0]:
+            raise DomainError(f"block {lost[0]} joins different components")
+        if declared is not None and (over := [r for r, k in zip(rows, steps) if k > declared]):
+            raise DomainError(f"blocks {over[:3]} exceed declared order {declared}")
+        levels = {k for (a, b), k in zip(rows, steps) if a != b}
         self._computed_order = max(levels, default=0)
         self._homogeneous = len(levels) == 1
         self.order = self._computed_order if declared is None else declared
+
+    @cached_property
+    def blocks(self):
+        """Read-only (target, source) -> view of the stack row."""
+        keys = zip(self.target.tolist(), self.source.tolist())
+        return MappingProxyType(dict(zip(keys, self.stack)))
 
     # -- action ------------------------------------------------------------
 
     def stencil(self, sid: int) -> list[int]:
         """Source simplices feeding the value at ``sid``."""
-        return list(self._sources.get(sid, ()))
+        return sorted(self.source[self.target == sid].tolist())
 
     def apply(self, psi: dict, at=None) -> dict:
         """Evaluate L psi on ``at`` (default: every simplex of the complex).
@@ -269,7 +282,10 @@ class DiscreteOperator:
             first = rows[np.isin(self.source[rows], lost)][0]
             raise DomainError(f"psi undefined on simplex {self.source[first]} "
                               f"required at {self.target[first]}")
-        vals = np.array([np.ravel(psi[b]) for b in need.tolist()], dtype=complex)
+        try:  # one stacking when the values share a shape, else one ravel per value
+            vals = np.array([psi[b] for b in need.tolist()], dtype=complex)
+        except ValueError:
+            vals = np.array([np.ravel(psi[b]) for b in need.tolist()], dtype=complex)
         vals = vals.reshape(len(need), self.vec_dim)
         out = np.zeros((len(targets), self.vec_dim), dtype=complex)
         np.add.at(out, slot[rows], np.einsum("rij,rj->ri", self.stack[rows], vals[inv]))
@@ -346,9 +362,8 @@ def to_vertex_operator(op: DiscreteOperator):
     """
     sub, center_map = barycentric_subdivision(op.complex)
     center = np.array([sub.vertex_sid(center_map[s.id]) for s in op.complex.simplices])
-    keys = zip(center[op.target].tolist(), center[op.source].tolist())
-    vertex_op = DiscreteOperator(sub, op.vec_dim, dict(zip(keys, op.stack)),
-                                 order=2 * op.order)
+    ids = center[np.stack((op.target, op.source), axis=1)]
+    vertex_op = DiscreteOperator._from_stack(sub, op.vec_dim, ids, op.stack, 2 * op.order)
     return vertex_op, sub, center_map
 
 

@@ -66,7 +66,8 @@ class _PairTable:
     """Stack ``rows`` of the block pairs a < b with their endpoints
     ``ia``/``ib`` (into ``verts``), and one incidence entry (``edge_pos``
     into ``edges``, ``pair``, ``sign``) per step of each canonical path
-    a -> b.
+    a -> b.  An edge joining a and b is their only minimal path, so only
+    farther pairs call :func:`canonical_path`.
     """
 
     def __init__(self, op: DiscreteOperator):
@@ -74,9 +75,14 @@ class _PairTable:
         tgt, src = op.target[self.rows], op.source[self.rows]
         verts, ends = np.unique(np.r_[tgt, src], return_inverse=True)
         self.verts, self.ia, self.ib = verts.tolist(), ends[: len(tgt)], ends[len(tgt) :]
-        label = lambda sid: _vertex_label(op, sid)
-        steps = [(eid, p, sign) for p, (a, b) in enumerate(zip(tgt.tolist(), src.tolist()))
-                 for eid, sign in canonical_path(op.complex, label(a), label(b)).steps]
+        labels = [_vertex_label(op, sid) for sid in self.verts]
+        edge, steps = op.complex._edge_sid, []
+        for p, (a, b) in enumerate(zip(self.ia.tolist(), self.ib.tolist())):
+            a, b = labels[a], labels[b]
+            if (eid := edge.get((a, b) if a < b else (b, a))) is not None:
+                steps.append((eid, p, 1 if a < b else -1))
+            else:
+                steps += [(eid, p, sign) for eid, sign in canonical_path(op.complex, a, b).steps]
         eids, self.pair, self.sign = np.array(steps, dtype=np.intp).reshape(-1, 3).T
         self.edges, self.edge_pos = np.unique(eids, return_inverse=True)
 
@@ -177,12 +183,16 @@ def swronskian(
     )
 
 
+def _covered(op: DiscreteOperator, sids, domain) -> list[int]:
+    """The ids of ``sids``, ascending, whose whole stencil lies in ``domain``."""
+    fringe = op.target[~np.isin(op.source, list(domain))]
+    return sorted(set(sids).difference(fringe.tolist()))
+
+
 def interior_vertices(op: DiscreteOperator, support) -> list[int]:
     """Vertices of ``support`` whose whole stencil lies inside it."""
     support = set(support)
-    return [
-        sid for sid in sorted(support) if all(b in support for b in op.stencil(sid))
-    ]
+    return _covered(op, support, support)
 
 
 def verify_cycle(

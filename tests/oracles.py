@@ -644,3 +644,23 @@ def lagrangian_derivatives(sys, psi: dict, idxs=None, rows=None, cols=None):
                 if cols is None or w in cols:
                     hess[(u, w)] = hess.get((u, w), 0) + inter.density.hess(xs, sa, sb)
     return grads, hess
+
+
+def newton_orbit(sys, psi: dict, n: int, tol: float = 1e-10, maxiter: int = 50) -> dict:
+    """Values at 2..n of a path orbit: for v = 1..n-1 the value at v + 1
+    solves the stationarity equation at v by Newton steps from the value at
+    v, each step x - solve(H, g) with the gradient g at v and the cross
+    Hessian H at (v, v + 1) from :func:`lagrangian_derivatives` over the
+    interactions containing v; the step stops at the first x with
+    |g| <= tol."""
+    psi = dict(psi)
+    for v in range(1, n):
+        at = [i for i, inter in enumerate(sys.interactions) if v in inter.vertices]
+        x = np.asarray(psi[v], dtype=float).reshape(-1)
+        for _ in range(maxiter):
+            g, h = lagrangian_derivatives(sys, {**psi, v + 1: x}, at, rows={v}, cols={v + 1})
+            if np.linalg.norm(g[v]) <= tol:
+                break
+            x = x - np.linalg.solve(h[(v, v + 1)], g[v])
+        psi[v + 1] = x
+    return psi

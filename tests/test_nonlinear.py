@@ -157,24 +157,64 @@ def test_dynamical_step_reproduces_explicit_map():
     assert np.max(np.abs(got - psi[7])) <= 1e-10
 
 
+def test_dynamical_step_reproduces_the_newton_oracle_bit_for_bit():
+    sys, psi, _ = kicked_path(200, kick=0.65, a=0.2, b=-0.15)
+    start = {0: psi[0], 1: psi[1]}
+    want = orc.newton_orbit(sys, start, 200)
+    got = dict(start)
+    for v in range(1, 200):
+        got[v + 1] = dynamical_step(sys, got, v, v + 1, x0=got[v])
+    assert all(got[v].tobytes() == want[v].tobytes() for v in range(201))
+
+
 def test_dynamical_step_requires_neighbor():
     sys, psi, _ = kicked_path(5)
     with pytest.raises(DomainError):
         dynamical_step(sys, psi, 1, 4)
 
 
+def counted_edge_density(hess_calls):
+    """0.5 (x - y)^2 with analytic derivatives; ``hess`` logs each call."""
+    def hess(a, b, x, y):
+        hess_calls.append((a, b))
+        return np.eye(1) if a == b else -np.eye(1)
+
+    return Density(2, value=lambda x, y: 0.5 * float((x - y) @ (x - y)),
+                   grad=lambda s, x, y: (x - y) if s == 0 else (y - x), hess=hess)
+
+
+def test_cross_hessian_is_evaluated_only_for_a_step():
+    calls = []
+    sys = build_translation_invariant(ex.interval(2), counted_edge_density(calls), allow_ends=True)
+    psi = {0: np.array([0.25]), 1: np.array([0.5])}
+    # the equation at 1 is linear with solution 0.75, exact in binary
+    assert dynamical_step(sys, psi, 1, 2, x0=np.array([0.75]))[0] == 0.75
+    assert calls == []
+    assert dynamical_step(sys, psi, 1, 2, x0=np.array([0.0]))[0] == 0.75
+    assert calls == [(0, 1)]
+
+
 def test_dynamical_step_degenerate_cross_hessian():
-    # zero coupling between the slots: Newton has no equation to solve
-    den = Density(
+    # zero coupling in the scalar case; (x0 + x1)(y0 + y1) couples through
+    # the singular 2x2 block [[1, 1], [1, 1]]
+    zero = Density(
         2,
         value=lambda x, y: float(x**2 + y**2),
         grad=lambda s, x, y: 2.0 * np.asarray((x, y)[s]).reshape(-1),
         hess=lambda a, b, x, y: 2.0 * np.eye(1) if a == b else np.zeros((1, 1)),
     )
-    graph = ex.interval(1)
-    sys = DiscreteLagrangianSystem(graph, [((0, 1), den)], allow_ends=True)
-    with pytest.raises(DegeneracyError):
-        dynamical_step(sys, {0: np.array([1.0])}, 0, 1, x0=np.array([0.5]))
+    rank_one = Density(
+        2,
+        value=lambda x, y: float(x.sum() * y.sum() + 0.5 * x @ x + 0.5 * y @ y),
+        grad=lambda s, x, y: (x, y)[1 - s].sum() + (x, y)[s],
+        hess=lambda a, b, x, y: np.eye(2) if a == b else np.ones((2, 2)),
+    )
+    for dens, dim in ((zero, 1), (rank_one, 2)):
+        sys = DiscreteLagrangianSystem(ex.interval(1), [((0, 1), dens)], dim, allow_ends=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(DegeneracyError, match="cross Hessian between 0 and 1 is singular"):
+                dynamical_step(sys, {0: np.full(dim, 1.0)}, 0, 1, x0=np.full(dim, 0.5))
 
 
 def test_dynamical_step_nonconvergence():
@@ -330,6 +370,16 @@ def test_variational_chain_rejects_non_kernel():
     junk = {v: np.array([float(v)]) for v in range(11)}
     with pytest.raises(DomainError):
         variational_swronskian(sys, psi, junk, junk, at=list(range(1, 10)))
+
+
+def test_an_empty_at_gives_an_empty_support():
+    sys, psi, kick = kicked_path(12)
+    d1, d2 = tangent_pair(psi, kick, 12)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # nothing is checked, so nothing misses stationarity
+        assert len(linearize(sys, psi, at=[]).operator.stack) == 0
+        w = variational_swronskian(sys, psi, d1, d2, at=[])
+    assert w.support == set() and w.chain.coeffs == {}
 
 
 def test_homogeneous_order4_builder():

@@ -1,6 +1,7 @@
 import importlib
 import importlib.util
 import inspect
+import re
 from pathlib import Path
 
 import numpy as np
@@ -302,6 +303,46 @@ def test_construction_searches_once_per_row_and_validate_never(monkeypatch):
     assert sorted(searched) == sorted([v[0], v[4]])
 
 
+def test_every_block_pair_reads_the_oracle_order():
+    for seed in range(3):
+        tops = [s.vertices for s in ex.random_complex(np.random.default_rng(70 + seed), 30).simplices]
+        cx = SimplicialComplex(tops + [(90, 91), (91, 92)])  # and a second component
+        steps = orc.incidence_steps(cx)
+        for a in range(len(cx)):
+            for b in range(a + 1, len(cx)):
+                blocks = {(a, b): [[1.0]], (b, a): [[1.0]]}
+                if np.isfinite(steps[a, b]):
+                    assert DiscreteOperator(cx, 1, blocks).validate().order == steps[a, b]
+                else:
+                    with pytest.raises(DomainError, match="joins different components"):
+                        DiscreteOperator(cx, 1, blocks)
+
+
+def test_order_and_errors_for_near_and_far_sources():
+    cx = SimplicialComplex([(0, 1, 2), (2, 3), (3, 4), (5, 6)])
+    steps = orc.incidence_steps(cx)
+    a, v = cx.vertex_sid(0), cx.vertex_sid
+    sources = [cx.id_of((0, 1)), cx.id_of((0, 1, 2)), v(1), cx.id_of((1, 2)), v(3), v(4)]
+    assert [int(steps[a, b]) for b in sources] == [1, 1, 2, 2, 4, 6]
+    for b in sources:
+        blocks = {(a, a): [[2.0]], (a, b): [[1.0]], (b, a): [[1.0]]}
+        k = int(steps[a, b])
+        report = DiscreteOperator(cx, 1, blocks).validate()
+        assert (report.order, report.homogeneous) == (k, True)
+        assert DiscreteOperator(cx, 1, blocks, order=k).order == k
+        with pytest.raises(DomainError, match=re.escape(
+                f"blocks {[(a, b), (b, a)]} exceed declared order {k - 1}")):
+            DiscreteOperator(cx, 1, blocks, order=k - 1)
+    near, far = sources[0], sources[-1]
+    mixed = {(a, near): [[1.0]], (near, a): [[1.0]], (a, far): [[1.0]], (far, a): [[1.0]]}
+    report = DiscreteOperator(cx, 1, mixed).validate()
+    assert (report.order, report.homogeneous) == (6, False)
+    apart = {(a, near): [[1.0]], (near, a): [[1.0]], (a, v(5)): [[1.0]], (v(5), a): [[1.0]]}
+    for order in (None, 1, 5):
+        with pytest.raises(DomainError, match=re.escape(f"block ({a}, {v(5)}) joins different")):
+            DiscreteOperator(cx, 1, apart, order=order)
+
+
 # -- symmetry closure of block tables ---------------------------------------------
 
 ASYM = np.array([[1.0, 2.0], [3.0, 4.0]])
@@ -401,6 +442,9 @@ def test_block_stack_matches_dict_loop_oracles(name):
         got, want = op.apply(psi, at=at), orc.block_apply(op, psi, at=at)
         assert list(got) == list(want)
         assert max(np.abs(got[s] - want[s]).max() for s in want) <= 1e-12
+    # values of mixed shapes, (l,) and (1, l), are read one by one, to the same bits
+    mixed = {sid: v.reshape(1, -1) if sid % 2 else v for sid, v in psi.items()}
+    assert all(np.array_equal(x, y) for x, y in zip(op.apply(mixed).values(), op.apply(psi).values()))
     row = len(op.stack) // 2
     gone = set(op.source[row::3].tolist())
     partial = {sid: v for sid, v in psi.items() if sid not in gone}

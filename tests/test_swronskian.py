@@ -19,6 +19,7 @@ from swron import examples as ex
 from swron.cli import main
 from swron.complex_core import save_complex
 from swron.operators import operator_to_json
+from swron.swronskian import _PairTable
 from swron.verify import _KernelSplit, coupled_free_sites, kernel_solutions
 
 
@@ -196,6 +197,24 @@ def test_pair_chain_matches_oracle(seed, vec_dim):
                 total[eid] = total.get(eid, 0) + c
     w = swronskian(vop, 0.0, psi, phi, support=cut)
     assert_same_chain(w.chain, total)
+
+
+@pytest.mark.parametrize("seed", [51, 52, 53])
+def test_pair_table_paths_are_the_lex_least_paths(seed):
+    rng = np.random.default_rng(seed)
+    lengths = set()
+    for order in (1, 2, 3):
+        cx = ex.random_complex(rng, 30)
+        vop, sub, _ = to_vertex_operator(ex.random_operator(rng, cx, max_steps=order))
+        table = _PairTable(vop)
+        paths = [[] for _ in table.rows]
+        for pos, p, sign in zip(table.edge_pos.tolist(), table.pair.tolist(), table.sign.tolist()):
+            paths[p].append((int(table.edges[pos]), sign))
+        for p, row in enumerate(table.rows.tolist()):
+            a, b = (sub.simplex(int(s)).vertices[0] for s in (vop.target[row], vop.source[row]))
+            assert paths[p] == orc.lex_least_path(sub, a, b)
+            lengths.add(len(paths[p]))
+    assert 1 in lengths and max(lengths) >= 3  # edge pairs and farther ones
 
 
 def test_zero_pair_touches_no_edge():

@@ -309,11 +309,11 @@ def _vector(name: str, values: dict, v, dims=None) -> np.ndarray:
     return x
 
 
-def _vectors(name: str, values: dict, keys, dims=None, finite=True) -> dict:
-    """:func:`_vector` at each of ``keys``, in order; then (one stacked check
-    when ``finite``) DomainError names the first that is not finite."""
+def _vectors(name: str, values: dict, keys, dims=None) -> dict:
+    """:func:`_vector` at each of ``keys``, in order; then (one stacked check)
+    DomainError names the first that is not finite."""
     out = {v: _vector(name, values, v, dims) for v in keys}
-    if finite and out and not np.isfinite(np.concatenate(list(out.values()))).all():
+    if out and not np.isfinite(np.concatenate(list(out.values()))).all():
         v = next(v for v, x in out.items() if not np.isfinite(x).all())
         raise DomainError(f"{name} is not finite at vertex {v}")
     return out
@@ -329,11 +329,10 @@ def _meeting(sys: DiscreteLagrangianSystem, vertices):
     return sorted({i for v in vertices for i in sys._at_vertex[v]})
 
 
-def _values_on(sys: DiscreteLagrangianSystem, psi: dict, idxs, skip=None, finite=True) -> dict:
-    """:func:`_vectors` of psi on the interactions ``idxs`` but ``skip``, in first-use order."""
+def _values_on(sys: DiscreteLagrangianSystem, psi: dict, idxs) -> dict:
+    """:func:`_vectors` of psi on the interactions ``idxs``, in first-use order."""
     used = dict.fromkeys(v for i in idxs for v in sys.interactions[i].vertices)
-    used.pop(skip, None)
-    return _vectors("psi", psi, used, sys.chart_dims, finite)
+    return _vectors("psi", psi, used, sys.chart_dims)
 
 
 def local_action(sys: DiscreteLagrangianSystem, psi: dict, around=None) -> float:

@@ -282,10 +282,7 @@ class DiscreteOperator:
             first = rows[np.isin(self.source[rows], lost)][0]
             raise DomainError(f"psi undefined on simplex {self.source[first]} "
                               f"required at {self.target[first]}")
-        try:  # one stacking when the values share a shape, else one ravel per value
-            vals = np.array([psi[b] for b in need.tolist()], dtype=complex)
-        except ValueError:
-            vals = np.array([np.ravel(psi[b]) for b in need.tolist()], dtype=complex)
+        vals = np.array([np.ravel(psi[b]) for b in need.tolist()], dtype=complex)
         vals = vals.reshape(len(need), self.vec_dim)
         out = np.zeros((len(targets), self.vec_dim), dtype=complex)
         np.add.at(out, slot[rows], np.einsum("rij,rj->ri", self.stack[rows], vals[inv]))

@@ -442,9 +442,6 @@ def test_block_stack_matches_dict_loop_oracles(name):
         got, want = op.apply(psi, at=at), orc.block_apply(op, psi, at=at)
         assert list(got) == list(want)
         assert max(np.abs(got[s] - want[s]).max() for s in want) <= 1e-12
-    # values of mixed shapes, (l,) and (1, l), are read one by one, to the same bits
-    mixed = {sid: v.reshape(1, -1) if sid % 2 else v for sid, v in psi.items()}
-    assert all(np.array_equal(x, y) for x, y in zip(op.apply(mixed).values(), op.apply(psi).values()))
     row = len(op.stack) // 2
     gone = set(op.source[row::3].tolist())
     partial = {sid: v for sid, v in psi.items() if sid not in gone}

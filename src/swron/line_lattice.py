@@ -383,15 +383,21 @@ def classify_monodromy(
     if matrix.shape[0] != matrix.shape[1] or matrix.shape[0] % 2:
         raise DomainError("transfer matrix must be square of even size")
     kl = matrix.shape[0] // 2 if kl is None else kl
-    mus = np.linalg.eigvals(matrix.astype(complex))
-    return _classify(mus[None], [complex("nan") if lam is None else lam], kl)[0]
+    mus = np.linalg.eigvals(matrix.astype(complex))[None]
+    return _classify(mus, [complex("nan") if lam is None else lam], kl, *_moduli(mus))[0]
 
 
-def _classify(mus: np.ndarray, lams, kl: int) -> list[MonodromyClassification]:
-    """(s, p, q) counts, critical flags and margins of the eigenvalue rows
-    ``mus`` (S, 2kl), one row per transfer map of a lambda grid."""
-    n = mus.shape[1]
+def _moduli(mus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """|mu| of eigenvalue rows and the mask of the unimodular ones."""
     size = np.abs(mus)
+    return size, np.abs(size - 1.0) <= UNIMODULAR_TOL
+
+
+def _classify(mus: np.ndarray, lams, kl: int, size, unimod) -> list[MonodromyClassification]:
+    """(s, p, q) counts, critical flags and margins of the eigenvalue rows
+    ``mus`` (S, 2kl), one row per transfer map of a lambda grid, given
+    their ``_moduli``."""
+    n = mus.shape[1]
     # each eigenvalue, its conjugate and its inverse (0 for mu = 0, which then
     # finds itself) against every eigenvalue of its row
     targets = np.concatenate((mus, mus.conj(), 1.0 / np.where(size > 0, mus, np.inf)), axis=1)
@@ -403,7 +409,6 @@ def _classify(mus: np.ndarray, lams, kl: int) -> list[MonodromyClassification]:
     # symmetry of each row under conjugation and inversion
     pairing = (nearest[:, n:] / np.maximum(1.0, np.abs(targets[:, n:]))).max(axis=1).tolist()
     unit_gap = np.minimum(np.abs(mus - 1), np.abs(mus + 1)).min(axis=1).tolist()
-    unimod = np.abs(size - 1.0) <= UNIMODULAR_TOL
     realish = np.abs(mus.imag) <= UNIMODULAR_TOL * np.maximum(1.0, size)
     upper, outer = mus.imag > 0, ~unimod & (size > 1)
     s, p, q = np.array(
@@ -432,7 +437,7 @@ def _classify_grid(op: LineOperator, lams) -> list[MonodromyClassification]:
     """classify_monodromy of the transfer map at every lambda of ``lams``:
     one eigvals call on the transfer stack."""
     mus = np.linalg.eigvals(_transfer_stack(op, lams)).astype(complex)
-    return _classify(mus, lams, op.k * op.l)
+    return _classify(mus, lams, op.k * op.l, *_moduli(mus))
 
 
 def _grid(lo: float, hi: float, samples: int, least: int) -> np.ndarray:

@@ -382,10 +382,11 @@ def dynamical_step(
     ``unknown`` by Newton iteration.
 
     All other values in the neighborhood of ``v`` must be present in
-    ``psi``.  Raises DomainError naming an unknown vertex or a missing,
-    non-finite or wrong-length value, DegeneracyError when the cross
-    Hessian at an iterate is singular, and NonConvergenceError after
-    ``maxiter``.
+    ``psi``.  Raises DomainError naming an unknown vertex, a missing,
+    non-finite or wrong-length value, or the chart dimensions of ``v`` and
+    ``unknown`` when they differ and a step is needed; DegeneracyError when
+    the cross Hessian at an iterate is singular, and NonConvergenceError
+    after ``maxiter``.
     """
     vals, parts = _at(sys, psi, v, unknown)
     fixed = sum((d._grad_rows(xs, a)[0] for d, xs, a, b in parts if b < 0), np.zeros(sys.chart_dims[v]))
@@ -413,6 +414,10 @@ def dynamical_step(
             cross = cross + dens._hess_rows(xs, a, b)[0]
         try:
             if np.shape(cross) != (1, 1):
+                if (rows := sys.chart_dims[v]) != dim:
+                    raise DomainError(f"chart dimensions differ: {rows} at vertex {v}, {dim} at "
+                                      f"vertex {unknown}; the stationarity equation at {v} "
+                                      f"has no Newton step for the value at {unknown}")
                 x = x - np.linalg.solve(cross, r)
             elif c := float(cross[0, 0]):  # a division, in Python floats: no warning
                 x = np.array([float(x[0]) - float(r[0]) / c])

@@ -58,7 +58,7 @@ import numpy as np
 from .complex_core import DomainError, _read_json, _write_csv, _write_json
 from .line_lattice import (  # classification and critical points live with the transfer maps
     UNIMODULAR_TOL, CriticalPoint, LineOperator, MonodromyClassification, _classify, _grid,
-    _symbol_criticals, _transfer_stack, classify_monodromy, find_critical_points,
+    _moduli, _symbol_criticals, _transfer_stack, classify_monodromy, find_critical_points,
     line_operator_from_json, line_operator_to_json, swronskian_form,
 )
 from .operators import (
@@ -95,10 +95,9 @@ A_LAMBDA = 1j  # fixed value of the in/out pair form
 
 
 def _tail_critical_points(graph, lo: float, hi: float) -> list[CriticalPoint]:
-    """find_critical_points of every tail in order, one set per tail key."""
-    first = {key: tail.op for key, tail in reversed(list(zip(graph._tail_keys, graph.tails)))}
-    return [cp for key in graph._tail_keys for cp in _symbol_criticals(first[key])
-            if lo <= cp.lam <= hi]
+    """find_critical_points of every tail in order, one set per distinct operator."""
+    solves, where = graph._solves
+    return [cp for a, g, _ in where for cp in _symbol_criticals(solves[a].ops[g]) if lo <= cp.lam <= hi]
 
 
 # -- Bloch modes ---------------------------------------------------------------
@@ -155,35 +154,59 @@ def _site_values(modes: _Modes) -> np.ndarray:
     return modes.w.transpose(0, 2, 1)[:, None] * powers[:, :, None, :]
 
 
-def _tail_grid(op: LineOperator, lams, origins, decay_only=False):
-    """tail_modes at every lambda of ``lams`` and phase origin of ``origins``
-    from one eig of the transfer stack: the classifications (None when
-    ``decay_only``), per origin one flat ``_Modes`` table of the modes of
-    each lambda in turn (the decaying ones when ``decay_only``), and where
-    each lambda's modes start.  A Python loop per lambda over listed values
-    orders the modes and emits their kind codes and indices among the
-    eigenvalues and their conjugates; one gather per origin builds the
-    table.  The eigenvector of mu has window blocks mu^p w, p = -k+1..k;
-    ``w`` is read from the largest (p = k when |mu| >= 1, else p = -k+1)."""
-    if not op.constant:
+class _Solve(NamedTuple):
+    """The lambda-free part of one stacked Bloch solve (``_tail_grid``):
+    distinct tail operators of one shape (k, l), their pair forms at m = 0
+    as a (G, 1, 2kl, 2kl) stack, their zero-current thresholds (G, 1, 1)
+    and the phase origins their tables are needed at."""
+
+    ops: list[LineOperator]
+    forms: np.ndarray
+    no_current: np.ndarray
+    origins: list[int]
+
+
+def _solve(ops: list[LineOperator], origins) -> _Solve:
+    if not all(op.constant for op in ops):
         raise DomainError("tail operators must be constant")
-    k, l = op.k, op.l
-    mus, vecs = np.linalg.eig(_transfer_stack(op, lams).astype(complex))
-    clfs = None if decay_only else _classify(mus, lams, k * l)
-    size = np.abs(mus)
-    unimod = np.abs(size - 1.0) <= UNIMODULAR_TOL
+    forms = np.array([swronskian_form(op, 0).matrix for op in ops])[:, None]
+    return _Solve(ops, forms, 1e-12 * np.abs(forms).max(axis=(2, 3), keepdims=True)[:, 0], sorted(origins))
+
+
+def _tail_grid(solve: _Solve, lams, decay_only=False):
+    """tail_modes of every operator of ``solve`` at every lambda of ``lams``
+    and every phase origin of ``solve`` from one eig of the (G, S) transfer
+    stack, one row per operator and lambda, operator-major: the
+    classifications of the rows (None when ``decay_only``), per origin one
+    flat ``_Modes`` table of the modes of each row in turn (the decaying ones
+    when ``decay_only``, at origin 0 only), and where each row's modes start.
+    A Python loop per row over listed values orders the modes and emits
+    their kind codes and indices among the eigenvalues and their conjugates;
+    one gather per origin builds the table.  The eigenvector of mu has
+    window blocks mu^p w, p = -k+1..k; ``w`` is read from the largest
+    (p = k when |mu| >= 1, else p = -k+1)."""
+    ops, count = solve.ops, len(lams)
+    k, l, n = ops[0].k, ops[0].l, 2 * ops[0].k * ops[0].l
+    t = np.empty((len(ops), count, n, n), dtype=complex)
+    for g, op in enumerate(ops):
+        t[g] = _transfer_stack(op, lams)
+    mus, vecs = np.linalg.eig(t.reshape(-1, n, n))
+    size, unimod = _moduli(mus)
+    clfs = None if decay_only else _classify(mus, list(lams) * len(ops), k * l, size, unimod)
     w = np.where((size >= 1)[:, None, :], vecs[:, -l:, :], vecs[:, :l, :])
     w = w * np.take_along_axis(w, np.abs(w).argmax(axis=1)[:, None, :], axis=1).conj()
     w = (w / np.sqrt(np.sum(w.real**2 + w.imag**2, axis=1, keepdims=True))).transpose(0, 2, 1)
     if not decay_only:
         # current Im(conj(x) SW x) of each unimodular mode's window x at m_pair = k - 1
-        sw = swronskian_form(op, 0).matrix
         rise = np.where(unimod, mus, 0.0)[:, :, None] ** np.arange(2 * k)
-        x = (rise[:, :, :, None] * w[:, :, None, :]).reshape(len(mus), 2 * k * l, 2 * k * l)
-        tau = np.sum((x.conj() @ sw) * x, axis=2).imag
-        taus, no_current = tau.tolist(), 1e-12 * float(np.max(np.abs(sw)))
-    n, src, kinds, starts = 2 * k * l, [], [], [0]
-    conj = len(mus) * n  # where the conjugates start in the gather below
+        x = (rise[:, :, :, None] * w[:, :, None, :]).reshape(len(ops), count, n, n)
+        tau = np.sum((x.conj() @ solve.forms) * x, axis=3).imag
+        flow = np.abs(tau)
+        live = unimod.reshape(tau.shape) & (flow >= solve.no_current)
+        tau, flow, live = (a.reshape(mus.shape) for a in (tau, flow, live))
+        taus, lives = tau.tolist(), live.tolist()
+    src, kinds, starts = [], [], [0]
+    conj = mus.size  # where the conjugates start in the gather below
     for i, (row, angles, sizes, unit) in enumerate(
             zip(mus.tolist(), np.angle(mus).tolist(), size.tolist(), unimod.tolist())):
         for j in sorted(range(n), key=lambda j: (round(angles[j], 12), sizes[j])):
@@ -193,7 +216,7 @@ def _tail_grid(op: LineOperator, lams, origins, decay_only=False):
                     kinds.append(DECAY if sizes[j] < 1.0 else GROW)
             elif decay_only or (row[j].imag <= 0 and abs(row[j].imag) > UNIMODULAR_TOL):
                 continue  # conjugate partner handled with its mate
-            elif abs(taus[i][j]) < no_current:
+            elif not lives[i][j]:
                 clfs[i].critical = True
                 clfs[i].critical_reason = clfs[i].critical_reason or "zero-current-channel"
             else:  # the outgoing mode has positive current; its conjugate comes in
@@ -203,10 +226,9 @@ def _tail_grid(op: LineOperator, lams, origins, decay_only=False):
     src, kind = np.array(src, dtype=np.intp), np.array(kinds, dtype=np.int8)
     mu = np.concatenate((mus, mus.conj())).reshape(-1)[src]
     if not decay_only:  # channel modes: the origin's phase and 1/sqrt(current)
-        live = unimod & (np.abs(tau) >= no_current)
-        base, current = np.where(live, mus, 1.0), np.sqrt(np.where(live, np.abs(tau), 1.0))[:, :, None]
+        base, current = np.where(live, mus, 1.0), np.sqrt(np.where(live, flow, 1.0))[:, :, None]
     tables = {}
-    for origin in origins:
+    for origin in [0] if decay_only else solve.origins:
         f = w if decay_only else w * (base**origin)[:, :, None] / current
         tables[origin] = _Modes(mu, np.concatenate((f, f.conj())).reshape(-1, l)[src], kind, k)
     return clfs, tables, np.array(starts)
@@ -229,7 +251,7 @@ def tail_modes(
     on the window 0..2k-1 is at most |w|; these are the modes
     ``asymptotic_subspace`` reads.
     """
-    clfs, tables, _ = _tail_grid(op, [lam], [origin])
+    clfs, tables, _ = _tail_grid(_solve([op], [origin]), [lam])
     return clfs[0], tables[origin].as_list()
 
 
@@ -343,6 +365,22 @@ class TailedGraph:
         return [json.dumps(line_operator_to_json(t.op), sort_keys=True) for t in self.tails]
 
     @cached_property
+    def _solves(self):
+        """The lambda-free part of the Bloch solves: the distinct tail
+        operators (one per ``_tail_keys`` key) grouped by shape (k, l) into
+        one ``_Solve`` each, and per tail (its solve, its operator's row in
+        that solve, its phase origin)."""
+        shapes: dict = {}  # (k, l) -> {key: (op, origins)}
+        for key, tail in zip(self._tail_keys, self.tails):
+            ops = shapes.setdefault((tail.op.k, tail.op.l), {})
+            ops.setdefault(key, (tail.op, set()))[1].add(tail.origin)
+        solves, row = [], {}
+        for a, ops in enumerate(shapes.values()):
+            row.update((key, (a, g)) for g, key in enumerate(ops))
+            solves.append(_solve([op for op, _ in ops.values()], set().union(*(o for _, o in ops.values()))))
+        return solves, [(*row[key], tail.origin) for key, tail in zip(self._tail_keys, self.tails)]
+
+    @cached_property
     def _plan(self):
         """The junction rows (see the module docstring) apart from lambda,
         over (core values, modal coefficients): A(lambda) = [core - lambda E,
@@ -391,16 +429,15 @@ def _junction_grid(graph: TailedGraph, lams: np.ndarray, decay_only=False):
     """Per lambda of ``lams``, the classifications of every tail (None when
     ``decay_only``), and per mode-count shape a stack: its rows of ``lams``,
     the ``_assemble`` output there and each tail's (S, n_j) ``_Modes`` table.
-    Tails with one operator share a ``_tail_grid``; decaying modes need no origin."""
-    keys = graph._tail_keys
-    origins = [0 if decay_only else t.origin for t in graph.tails]
-    ops: dict = {}
-    for key, tail, origin in zip(keys, graph.tails, origins):
-        ops.setdefault(key, (tail.op, set()))[1].add(origin)
-    solved = {key: _tail_grid(op, lams, sorted(ps), decay_only) for key, (op, ps) in ops.items()}
-    clfs = None if decay_only else [[solved[key][0][i] for key in keys] for i in range(len(lams))]
-    tables = [solved[key][1][origin] for key, origin in zip(keys, origins)]
-    starts = np.array([solved[key][2] for key in keys]).reshape(len(keys), len(lams) + 1)
+    There is one ``_tail_grid`` per shape (k, l) of the graph's tail
+    operators (``TailedGraph._solves``); each tail reads its operator's rows
+    of that solve at its origin, and decaying modes need no origin."""
+    solves, where = graph._solves
+    solved = [_tail_grid(solve, lams, decay_only) for solve in solves]
+    count = len(lams)
+    clfs = None if decay_only else [[solved[a][0][g * count + i] for a, g, _ in where] for i in range(count)]
+    tables = [solved[a][1][0 if decay_only else origin] for a, _, origin in where]
+    starts = np.array([solved[a][2][g * count : (g + 1) * count + 1] for a, g, _ in where])
     groups: dict[tuple[int, ...], list[int]] = {}
     for i, shape in enumerate(np.diff(starts, axis=1).T.tolist()):
         groups.setdefault(tuple(shape), []).append(i)
@@ -506,8 +543,8 @@ def scattering_matrix(graph: TailedGraph, lam: float) -> ScatteringResult:
 
 def _scatter(graph: TailedGraph, lams) -> list[ScatteringResult]:
     """scattering_matrix at every lambda of ``lams``: one Bloch solve per
-    distinct tail, one assembly and one junction SVD per stack of equal
-    shape, then, per kernel dimension within a stack, the residuals of the
+    tail shape (k, l), one assembly and one junction SVD per stack of equal
+    mode counts, then, per kernel dimension within a stack, the residuals of the
     stacked kernels as batched reductions and S from one stacked SVD."""
     clfs, stacks = _junction_grid(graph, lams)
     expected, nc, (*_, form, wins) = graph.expected_dim(), graph.core_size, graph._plan

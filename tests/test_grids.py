@@ -250,6 +250,35 @@ def test_classify_command_reports_the_narrow_band(capsys):
     assert [round(cp["lambda"], 12) for cp in cps] == [-2.0, 2.0, 2.48, 2.52]
 
 
+CLOSE = str(Path(__file__).parent / "data" / "close_pair.json")
+
+
+def close_pair_operator() -> LineOperator:
+    """A random two-channel order-2 operator (the two-channel tail of the
+    bench's ``sweep`` workload, seed 85, batch 80) whose counts change twice
+    within 4.53e-8 near 3.69629: (1, 1, 1) -> (3, 0, 1) -> (1, 1, 1)."""
+    return ex.random_line_operator(np.random.default_rng([85, 4, 80]), 2, 2)
+
+
+@pytest.mark.parametrize("samples", [2, 24, 101])
+def test_two_changes_5e_8_apart_are_both_found(samples):
+    op = close_pair_operator()
+    cps = find_critical_points(op, 3.6, 3.8, samples)
+    assert [(cp.before, cp.after) for cp in cps] == [((1, 1, 1), (3, 0, 1)), ((3, 0, 1), (1, 1, 1))]
+    assert abs(cps[0].lam - 3.696285946787507) <= 1e-12
+    assert abs(cps[1].lam - 3.6962859920605595) <= 1e-12
+    for cp in cps:
+        assert cp.before == orc.channel_counts(op, cp.lam - 1e-8)
+        assert cp.after == orc.channel_counts(op, cp.lam + 1e-8)
+
+
+def test_classify_command_reports_the_close_pair(capsys):
+    assert main(["classify", "--operator-file", CLOSE, "--lo", "3.6", "--hi", "3.8",
+                 "--samples", "24"]) == 0
+    cps = json.loads(capsys.readouterr().out)["critical_points"]
+    assert len(cps) == 2 and 0 < cps[1]["lambda"] - cps[0]["lambda"] < 1e-7
+
+
 def random_band_range(op) -> tuple[float, float]:
     """Lowest and highest band value, from eigvalsh of the symbol on 64 angles."""
     theta = np.linspace(0.0, np.pi, 64)

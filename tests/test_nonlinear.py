@@ -570,6 +570,10 @@ def test_el_residual_and_dynamical_step_on_mixed_chart_dims():
     got = dynamical_step(sys, {0: psi[0], 2: psi[2]}, 0, 1, x0=np.array([1.0]), tol=1e-8)
     assert abs(x[0] - np.sqrt(1.75)) <= 1e-6
     assert np.abs(got - x).max() <= 1e-14 * np.abs(x).max()
+    # one equation at 0 for the two unknowns at 2 has no Newton step: a shape
+    # error naming both chart dimensions, not a singular cross Hessian
+    with pytest.raises(DomainError, match="chart dimensions differ: 1 at vertex 0, 2 at vertex 2"):
+        dynamical_step(sys, {0: psi[0], 1: psi[1]}, 0, 2, x0=[0.1, 0.2])
 
 
 def test_standard_map_rows_match_the_closed_form():

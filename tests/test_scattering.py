@@ -760,6 +760,71 @@ def test_mode_values_are_evaluated_once_per_tail_and_stack(monkeypatch):
     assert calls == [31, 31, 31], calls
 
 
+def mixed_shape_graph() -> TailedGraph:
+    """A hub of fiber dimension 2 with a scalar free tail and three
+    two-channel tails, two of them sharing one operator at origins 0 and 2:
+    two tail shapes, three distinct operators."""
+    two = two_channel_graph().tails
+    attach = {(0, 0): np.array([[1.0, 0.5], [0.2, -0.7]])}
+    tails = [Tail(ex.free_tail(), {(0, 0): np.array([[1.0], [0.5]])}, origin=1),
+             Tail(two[0].op, attach, origin=0), Tail(two[1].op, attach), Tail(two[0].op, attach, origin=2)]
+    return TailedGraph({0: 2}, {(0, 0): np.diag([0.3, -0.2])}, tails)
+
+
+@pytest.mark.parametrize("graph, solves", [(two_channel_graph, 1), (mixed_shape_graph, 2)])
+def test_one_eig_per_tail_shape(monkeypatch, graph, solves):
+    graph = graph()
+    band_scan(graph, -3.0, 3.0, 31)  # warm the critical-point sets, which also call eig
+    calls, real = [], np.linalg.eig
+
+    def spy(a):
+        calls.append(a.shape[0])
+        return real(a)
+
+    monkeypatch.setattr(np.linalg, "eig", spy)
+    scattering_matrix(graph, 0.5)
+    distinct = len(set(graph._tail_keys))
+    assert len(calls) == solves and sum(calls) == distinct, calls
+    calls.clear()
+    band_scan(graph, -3.0, 3.0, 31)
+    assert len(calls) == solves and sum(calls) == 31 * distinct, calls
+
+
+def unstacked(graph: TailedGraph) -> TailedGraph:
+    """``graph`` with one Bloch solve per distinct tail operator: the
+    reference that the solves stacked by tail shape must reproduce."""
+    import swron.scattering as sc
+
+    solves, where = graph._solves
+    firsts = np.cumsum([0] + [len(solve.ops) for solve in solves])
+    graph.__dict__["_solves"] = ([sc._solve([op], solve.origins) for solve in solves for op in solve.ops],
+                                 [(firsts[a] + g, 0, origin) for a, g, origin in where])
+    return graph
+
+
+def scattering_bytes(res) -> tuple:
+    sub = res.subspace
+    return (None if res.s_matrix is None else res.s_matrix.tobytes(), sorted(res.flags), res.channels,
+            res.unitarity_residual, res.symmetry_residual, res.pairing_defect, sub.lagrangian_residual,
+            sub.dim, [c.counts() for c in sub.classifications],
+            [[(m.mu, m.w.tobytes(), m.kind, m.anchor) for m in modes] for modes in sub.modes])
+
+
+@pytest.mark.parametrize("make", [two_channel_graph, mixed_shape_graph, ex.pure_line_graph])
+def test_stacked_tail_solves_match_the_per_operator_solves_bit_for_bit(make):
+    import swron.scattering as sc
+
+    graph, ref = make(), unstacked(make())
+    lams = np.linspace(-2.9, 2.9, 23)
+    for lam in lams[::4]:
+        assert scattering_bytes(scattering_matrix(graph, lam)) == scattering_bytes(scattering_matrix(ref, lam))
+    got, want = band_scan(graph, -2.9, 2.9, 23), band_scan(ref, -2.9, 2.9, 23)
+    assert [scattering_bytes(r.result) for r in got.rows] == [scattering_bytes(r.result) for r in want.rows]
+    for outside in (np.linspace(-9.0, -6.0, 5), np.zeros(0)):  # an empty stack too
+        for a, b in zip(sc._junction_eigs(graph, outside), sc._junction_eigs(ref, outside)):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 def embedded_state_graph() -> TailedGraph:
     """A hub coupled to the closed channel of a two-channel tail (on-site
     diag(0, 2.5)) and a core vertex coupled to nothing.  At lambda = 0 the

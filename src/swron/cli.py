@@ -141,40 +141,33 @@ _SCATTER_TOLERANCES = dict(
 )
 
 
+def _scatter_fails(res, tol: float) -> bool:
+    """A scattering result fails when its S misses ``tol`` in unitarity or
+    symmetry, or its junction kernel has the wrong dimension."""
+    if "kernel-dim-mismatch" in res.flags:
+        return True
+    return res.s_matrix is not None and (res.unitarity_residual > tol or res.symmetry_residual > tol)
+
+
 def cmd_scatter(args) -> int:
     graph = load_tailed_graph(args.graph_file)
+    report = {"metadata": _metadata(**_SCATTER_TOLERANCES)}
     if args.lo is not None or args.hi is not None:
         if args.lo is None or args.hi is None:
             raise DomainError("a scan needs both --lo and --hi")
         scan = band_scan(graph, args.lo, args.hi, args.samples)
         if args.csv:
             scan.to_csv(args.csv)
-        report = {"metadata": _metadata(**_SCATTER_TOLERANCES)}
         report.update(scan.to_json_dict())
-        _write_json(report, args.output)
-        bad = any(
-            row.result.unitarity_residual is not None
-            and (
-                row.result.unitarity_residual > args.residual_tol
-                or row.result.symmetry_residual > args.residual_tol
-            )
-            for row in scan.rows
-        )
-        return EXIT_PROPERTY if bad else EXIT_OK
-    if args.lam is None:
-        raise DomainError("give --lambda for one point or --lo/--hi for a scan")
-    res = scattering_matrix(graph, args.lam)
-    report = {"metadata": _metadata(**_SCATTER_TOLERANCES)}
-    report.update(res.to_json_dict())
+        results = [row.result for row in scan.rows]
+    else:
+        if args.lam is None:
+            raise DomainError("give --lambda for one point or --lo/--hi for a scan")
+        res = scattering_matrix(graph, args.lam)
+        report.update(res.to_json_dict())
+        results = [res]
     _write_json(report, args.output)
-    if res.s_matrix is not None and (
-        res.unitarity_residual > args.residual_tol
-        or res.symmetry_residual > args.residual_tol
-    ):
-        return EXIT_PROPERTY
-    if "kernel-dim-mismatch" in res.flags:
-        return EXIT_PROPERTY
-    return EXIT_OK
+    return EXIT_PROPERTY if any(_scatter_fails(r, args.residual_tol) for r in results) else EXIT_OK
 
 
 def cmd_spectrum(args) -> int:
@@ -324,8 +317,8 @@ def cmd_nonlinear(args) -> int:
     if "configuration" not in data:
         raise DomainError("system JSON needs a 'configuration' map")
     psi = _configuration_from_json(data["configuration"], "configuration")
-    at = data.get("interior")
-    at = [int(v) for v in at] if at else None
+    at = data.get("interior")  # absent: every vertex; [] is the empty set
+    at = None if at is None else [int(v) for v in at]
 
     lin = linearize(system, psi, at=at)
     report = {

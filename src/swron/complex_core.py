@@ -76,13 +76,9 @@ class SimplicialComplex:
     ----------
     simplices : iterable of vertex iterables
         Generating simplices; all faces are added automatically.
-    tails : list or None
-        Optional periodic-tail generators carried through serialization
-        (see :func:`materialize_tails`); they do not affect the finite
-        complex itself.
     """
 
-    def __init__(self, simplices, *, tails=None):
+    def __init__(self, simplices):
         closure: set[tuple[int, ...]] = set()
         for vs in simplices:
             top = _normalize_simplex(vs)
@@ -96,7 +92,6 @@ class SimplicialComplex:
         self._id_of: dict[tuple[int, ...], int] = {
             s.vertices: s.id for s in self.simplices
         }
-        self.tails = list(tails) if tails else []
 
         # vertex label -> id of its 0-simplex
         self._vertex_sid: dict[int, int] = {
@@ -424,18 +419,20 @@ def complex_to_json(complex: SimplicialComplex) -> dict:
         for s in complex.simplices
         if not complex._cofaces_all[s.id]
     ]
-    data = {
+    return {
         "vertices": complex.vertex_labels,
         "simplices": maximal,
     }
-    if complex.tails:
-        data["tails"] = complex.tails
-    return data
 
 
 def complex_from_json(data: dict) -> SimplicialComplex:
     if "simplices" not in data:
         raise DomainError("complex JSON must contain a 'simplices' list")
+    if "tails" in data:
+        raise DomainError(
+            "complex JSON key 'tails' is not read; periodic tails belong in a "
+            "tailed-graph file"
+        )
     gens = [tuple(s) for s in data["simplices"]]
     declared = set(int(v) for v in data.get("vertices", []))
     for vs in gens:
@@ -444,7 +441,7 @@ def complex_from_json(data: dict) -> SimplicialComplex:
                 raise DomainError(f"simplex {vs} uses undeclared vertex {v}")
     for v in sorted(declared):
         gens.append((int(v),))
-    return SimplicialComplex(gens, tails=data.get("tails"))
+    return SimplicialComplex(gens)
 
 
 def _read_json(path: str):
@@ -474,35 +471,3 @@ def load_complex(path: str) -> SimplicialComplex:
 
 def save_complex(complex: SimplicialComplex, path: str) -> None:
     _write_json(complex_to_json(complex), path)
-
-
-def materialize_tails(
-    complex: SimplicialComplex, depth: int
-) -> tuple[SimplicialComplex, dict[tuple[int, int, int], int]]:
-    """Attach ``depth`` periods of each tail generator as concrete edges.
-
-    Tail generators follow the serialized form::
-
-        {"orbits": m, "edges": [[a, b, w], ...], "attach": [[core_vertex, orbit], ...]}
-
-    Vertices of tail j, orbit a, period n get fresh labels; the returned
-    map sends (j, a, n) to the new label.
-    """
-    if depth < 1:
-        raise DomainError("tail depth must be at least 1")
-    gens = [list(s.vertices) for s in complex.simplices]
-    label = max(complex.vertex_labels, default=-1) + 1
-    where: dict[tuple[int, int, int], int] = {}
-    for j, tail in enumerate(complex.tails):
-        m = int(tail["orbits"])
-        for a in range(m):
-            for n in range(depth):
-                where[(j, a, n)] = label
-                label += 1
-        for a, b, w in tail.get("edges", []):
-            for n in range(depth):
-                if 0 <= n + w < depth:
-                    gens.append([where[(j, a, n)], where[(j, b, n + w)]])
-        for v, a in tail.get("attach", []):
-            gens.append([int(v), where[(j, int(a), 0)]])
-    return SimplicialComplex(gens), where

@@ -47,7 +47,6 @@ falls by one at each pole of Y_hi Y_lo^-1, a gap state of a half-tail alone.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate, groupby
@@ -75,7 +74,11 @@ __all__ = [
     "TailedGraph",
     "MonodromyClassification",
     "CriticalPoint",
-    "Mode",
+    "ModeTable",
+    "GROW",
+    "IN",
+    "OUT",
+    "DECAY",
     "AsymptoticSubspace",
     "ScatteringResult",
     "BoundState",
@@ -103,54 +106,39 @@ def _tail_critical_points(graph, lo: float, hi: float) -> list[CriticalPoint]:
 # -- Bloch modes ---------------------------------------------------------------
 
 
-@dataclass
-class Mode:
-    """One Bloch solution mu^n w of a tail operator at fixed lambda.
-
-    The fiber vector w has unit norm and its largest entry real and
-    positive; this phase convention fixes the channel phases of a
-    multi-channel S.  ``anchor`` rescales the stored vector so site values
-    stay bounded on the window 0..2k-1: value(n) = w * mu**(n - anchor),
-    with anchor 0 for decaying and channel modes and 2k - 1 for growing
-    ones.  Channel modes carry the tail's phase reference and current
-    normalization in ``w`` already (factor mu**origin / sqrt(current)).
-    """
-
-    mu: complex
-    w: np.ndarray
-    kind: str  # 'in' | 'out' | 'decay' | 'grow'
-    anchor: int = 0
-
-    def value(self, n: int) -> np.ndarray:
-        return self.w * (self.mu ** (n - self.anchor))
-
-
 # mode kind codes, in the row order of the square grow/in system of S
 GROW, IN, OUT, DECAY = range(4)
-_KIND_NAMES = ("grow", "in", "out", "decay")
 
 
-class _Modes(NamedTuple):
-    """Bloch modes of a tail of order ``k`` as arrays, with any leading axes:
-    multipliers ``mu`` (S, n), fiber vectors ``w`` (S, n, l), kind codes."""
+class ModeTable(NamedTuple):
+    """Bloch modes of a tail of order ``k`` as arrays: multipliers ``mu``
+    (n,), fiber vectors ``w`` (n, l) and int8 ``kind`` codes (n,), one of
+    GROW, IN, OUT, DECAY; internal stacks carry leading lambda axes.
+
+    A GROW mode is anchored at site 2k - 1 and every other mode at 0: the
+    value of a mode at site n is w * mu**(n - anchor), at most |w| on the
+    window 0..2k-1.  ``w`` has unit norm and its largest entry real and
+    positive, a phase convention that fixes the channel phases of a
+    multi-channel S; channel (IN, OUT) modes carry the tail's phase origin
+    and current normalization in ``w`` already (factor mu**origin /
+    sqrt(current))."""
 
     mu: np.ndarray
     w: np.ndarray
     kind: np.ndarray
     k: int
 
-    def take(self, at) -> "_Modes":
-        return _Modes(self.mu[at], self.w[at], self.kind[at], self.k)
+    @property
+    def anchor(self) -> np.ndarray:
+        return np.where(self.kind == GROW, 2 * self.k - 1, 0)
 
-    def as_list(self) -> list[Mode]:  # the Mode objects of one lambda's table
-        return [Mode(mu, w, _KIND_NAMES[c], 2 * self.k - 1 if c == GROW else 0)
-                for mu, w, c in zip(self.mu.tolist(), self.w, self.kind.tolist())]
+    def take(self, at) -> "ModeTable":
+        return ModeTable(self.mu[at], self.w[at], self.kind[at], self.k)
 
 
-def _site_values(modes: _Modes) -> np.ndarray:
+def _site_values(modes: ModeTable) -> np.ndarray:
     """(S, 2k, l, n) values on the window sites 0..2k-1 of a (S, n) table."""
-    anchors = np.where(modes.kind == GROW, 2 * modes.k - 1, 0)
-    powers = modes.mu[:, None, :] ** (np.arange(2 * modes.k)[:, None] - anchors[:, None, :])
+    powers = modes.mu[:, None, :] ** (np.arange(2 * modes.k)[:, None] - modes.anchor[:, None, :])
     return modes.w.transpose(0, 2, 1)[:, None] * powers[:, :, None, :]
 
 
@@ -178,7 +166,7 @@ def _tail_grid(solve: _Solve, lams, decay_only=False):
     and every phase origin of ``solve`` from one eig of the (G, S) transfer
     stack, one row per operator and lambda, operator-major: the
     classifications of the rows (None when ``decay_only``), per origin one
-    flat ``_Modes`` table of the modes of each row in turn (the decaying ones
+    flat ``ModeTable`` of the modes of each row in turn (the decaying ones
     when ``decay_only``, at origin 0 only), and where each row's modes start.
     A Python loop per row over listed values orders the modes and emits
     their kind codes and indices among the eigenvalues and their conjugates;
@@ -230,7 +218,7 @@ def _tail_grid(solve: _Solve, lams, decay_only=False):
     tables = {}
     for origin in [0] if decay_only else solve.origins:
         f = w if decay_only else w * (base**origin)[:, :, None] / current
-        tables[origin] = _Modes(mu, np.concatenate((f, f.conj())).reshape(-1, l)[src], kind, k)
+        tables[origin] = ModeTable(mu, np.concatenate((f, f.conj())).reshape(-1, l)[src], kind, k)
     return clfs, tables, np.array(starts)
 
 
@@ -239,20 +227,18 @@ def tail_modes(
     lam: float,
     *,
     origin: int = 0,
-) -> tuple[MonodromyClassification, list[Mode]]:
-    """Classify the tail at lambda and build its full mode list.
+) -> tuple[MonodromyClassification, ModeTable]:
+    """Classify the tail at lambda and build its table of modes.
 
     One eigendecomposition of the transfer map gives both: its eigenvalues
     are classified, and each eigenvector yields its mode's fiber vector.
     Channel (unimodular) modes are normalized so the bilinear pair form
     of (incoming, outgoing) is exactly i; the incoming fiber vector is
-    the exact conjugate of the outgoing one.  Decaying and channel modes
-    are anchored at site 0 and growing ones at 2k - 1, so every site value
-    on the window 0..2k-1 is at most |w|; these are the modes
-    ``asymptotic_subspace`` reads.
+    the exact conjugate of the outgoing one.  These are the modes, in the
+    frame of ``ModeTable``, that ``asymptotic_subspace`` reads.
     """
     clfs, tables, _ = _tail_grid(_solve([op], [origin]), [lam])
-    return clfs[0], tables[origin].as_list()
+    return clfs[0], tables[origin]
 
 
 # -- tailed graphs -------------------------------------------------------------
@@ -359,26 +345,22 @@ class TailedGraph:
         return sum(t.op.k * t.op.l for t in self.tails)
 
     @cached_property
-    def _tail_keys(self) -> list[str]:
-        """Content key (k, l and blocks) of each tail operator; tails with
-        one key share their Bloch solves and critical-point sets."""
-        return [json.dumps(line_operator_to_json(t.op), sort_keys=True) for t in self.tails]
-
-    @cached_property
     def _solves(self):
         """The lambda-free part of the Bloch solves: the distinct tail
-        operators (one per ``_tail_keys`` key) grouped by shape (k, l) into
-        one ``_Solve`` each, and per tail (its solve, its operator's row in
-        that solve, its phase origin)."""
+        operators, keyed by (k, l, bytes of the (2k+1, l, l) shift blocks),
+        grouped by shape (k, l) into one ``_Solve`` each, and per tail (its
+        solve, its operator's row in that solve, its phase origin)."""
+        keys = [(t.op.k, t.op.l, np.array([t.op.block(0, s) for s in range(-t.op.k, t.op.k + 1)]).tobytes())
+                for t in self.tails]
         shapes: dict = {}  # (k, l) -> {key: (op, origins)}
-        for key, tail in zip(self._tail_keys, self.tails):
-            ops = shapes.setdefault((tail.op.k, tail.op.l), {})
+        for key, tail in zip(keys, self.tails):
+            ops = shapes.setdefault(key[:2], {})
             ops.setdefault(key, (tail.op, set()))[1].add(tail.origin)
         solves, row = [], {}
         for a, ops in enumerate(shapes.values()):
             row.update((key, (a, g)) for g, key in enumerate(ops))
             solves.append(_solve([op for op, _ in ops.values()], set().union(*(o for _, o in ops.values()))))
-        return solves, [(*row[key], tail.origin) for key, tail in zip(self._tail_keys, self.tails)]
+        return solves, [(*row[key], tail.origin) for key, tail in zip(keys, self.tails)]
 
     @cached_property
     def _plan(self):
@@ -428,7 +410,7 @@ class TailedGraph:
 def _junction_grid(graph: TailedGraph, lams: np.ndarray, decay_only=False):
     """Per lambda of ``lams``, the classifications of every tail (None when
     ``decay_only``), and per mode-count shape a stack: its rows of ``lams``,
-    the ``_assemble`` output there and each tail's (S, n_j) ``_Modes`` table.
+    the ``_assemble`` output there and each tail's (S, n_j) ``ModeTable``.
     There is one ``_tail_grid`` per shape (k, l) of the graph's tail
     operators (``TailedGraph._solves``); each tail reads its operator's rows
     of that solve at its origin, and decaying modes need no origin."""
@@ -450,7 +432,7 @@ def _junction_grid(graph: TailedGraph, lams: np.ndarray, decay_only=False):
     return clfs, stacks
 
 
-def _assemble(graph: TailedGraph, lams: np.ndarray, modes: list[_Modes]):
+def _assemble(graph: TailedGraph, lams: np.ndarray, modes: list[ModeTable]):
     """The (S, rows, columns) junction matrices over (core values, modal
     coefficients) at the S values ``lams``, from the graph's junction plan,
     and the mode values they read: the block-diagonal (S, sum 2kl, modes)
@@ -468,26 +450,22 @@ def _assemble(graph: TailedGraph, lams: np.ndarray, modes: list[_Modes]):
 
 @dataclass
 class AsymptoticSubspace:
-    """Kernel of the junction problem in modal coordinates.  ``windows[j]`` holds
-    the (2kl, modes) values of tail j's modes on its window sites 0..2k-1,
-    one column per mode of ``modes[j]``: ``Mode`` objects built on read from
-    the arrays of the lambda stack the modes were solved in."""
+    """Kernel of the junction problem in modal coordinates.  ``modes[j]`` is
+    the ``ModeTable`` of tail j at lam, and ``windows[j]`` holds the (2kl,
+    modes) values of those modes on its window sites 0..2k-1, one column
+    per table entry."""
 
     lam: float
     dim: int
     expected_dim: int
     core_values: np.ndarray
     modal: list[np.ndarray]
+    modes: list[ModeTable]
     windows: list[np.ndarray]
     classifications: list[MonodromyClassification]
     lagrangian_residual: float
     singular_values: np.ndarray
     flags: set
-    _tables: list[_Modes] = field(repr=False)
-
-    @cached_property
-    def modes(self) -> list[list[Mode]]:
-        return [m.as_list() for m in self._tables]
 
 
 def asymptotic_subspace(graph: TailedGraph, lam: float) -> AsymptoticSubspace:
@@ -572,8 +550,8 @@ def _scatter(graph: TailedGraph, lams) -> list[ScatteringResult]:
                                          ("window-degenerate", (norms[r] <= 1e-12).any())) if on}
                 sub = AsymptoticSubspace(
                     float(lams[i]), dim, expected, kernel[r, :nc], [kernel[r, c0:c1] for *_, c0, c1 in spans],
-                    [window[t, w0:w1, c0 - nc : c1 - nc] for w0, w1, c0, c1 in spans], clfs[i],
-                    float(residual[r]), bases[t][1], flags, [m.take(t) for m in modes],
+                    [m.take(t) for m in modes], [window[t, w0:w1, c0 - nc : c1 - nc] for w0, w1, c0, c1 in spans],
+                    clfs[i], float(residual[r]), bases[t][1], flags,
                 )
                 channels = [(j, c) for j, n in enumerate(outs[r].tolist()) for c in range(n)]
                 more = ({"no-channels"} if not channels else
@@ -846,7 +824,10 @@ def tailed_graph_from_json(data: dict) -> TailedGraph:
             core_dims[int(v)] = 1
     core_blocks = {}
     for item in core.get("blocks", []):
-        core_blocks[(int(item["to"]), int(item["from"]))] = _matrix_from_json(item["matrix"])
+        key = (int(item["to"]), int(item["from"]))
+        if key in core_blocks:
+            raise DomainError(f"core block {key} appears twice")
+        core_blocks[key] = _matrix_from_json(item["matrix"])
 
     next_label = max(core_dims, default=-1) + 1
     tails = []
@@ -863,10 +844,12 @@ def tailed_graph_from_json(data: dict) -> TailedGraph:
         quotient = item.get("quotient")
         if quotient is not None and not isinstance(quotient, (dict, list)):
             raise DomainError(f"tail {jt} quotient metadata must be a table")
-        attach = {
-            (int(a["vertex"]), int(a["site"])): _matrix_from_json(a["matrix"])
-            for a in item.get("attach", [])
-        }
+        attach = {}
+        for a in item.get("attach", []):
+            key = (int(a["vertex"]), int(a["site"]))
+            if key in attach:
+                raise DomainError(f"tail {jt} attach entry at (vertex, site) {key} appears twice")
+            attach[key] = _matrix_from_json(a["matrix"])
         origin = int(item.get("origin", 0))
 
         overrides = {}

@@ -11,6 +11,7 @@ import numpy as np
 
 import oracles as orc
 from swron import (
+    OUT,
     DiscreteOperator,
     asymptotic_subspace,
     band_scan,
@@ -266,8 +267,8 @@ def test_criterion_07_scattering_unitary_symmetric():
         for lam in (-1.3, 0.5, 1.7):
             res = scattering_matrix(graph, lam)
             a = res.s_matrix
-            channels = [(j, m.mu, m.w) for j, mset in enumerate(res.subspace.modes)
-                        for m in mset if m.kind == "out"]
+            channels = [(j, mu, w) for j, t in enumerate(res.subspace.modes)
+                        for mu, w in zip(t.mu[t.kind == OUT], t.w[t.kind == OUT])]
             # the junction-row S against the truncated modal system at the
             # old default depth (50 k + junction rows per tail) and at twice it
             s, outs = orc.truncated_modal_s_matrix(graph, lam)

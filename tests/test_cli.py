@@ -42,6 +42,13 @@ def well_graph():
     )
 
 
+def embedded_vertex_graph():
+    """Two free tails on hub 0 and a core vertex 1, on-site 0.5, coupled to
+    nothing: at lambda = 0.5 the junction kernel has one extra dimension."""
+    tails = [Tail(free_tail(), {(0, 0): [[1.0]]}, origin=1) for _ in range(2)]
+    return TailedGraph({0: 1, 1: 1}, {(1, 1): [[0.5]]}, tails)
+
+
 def pure_line_graph():
     return TailedGraph(
         {},
@@ -209,6 +216,17 @@ def test_scatter_scan_writes_csv(tmp_path):
     report = json.loads(out.read_text())
     assert len(report["rows"]) == 7
     assert report["open_intervals"] == [[-1.5, 1.5]]
+
+
+def test_scatter_point_and_scan_share_one_exit_rule(capsys):
+    # tests/data/embedded_vertex.json is CI's scan with a kernel-dim-mismatch row
+    gpath = str(Path(__file__).parent / "data" / "embedded_vertex.json")
+    assert main(["scatter", "--graph-file", gpath, "--lambda", "0.5"]) == 1
+    assert "kernel-dim-mismatch" in json.loads(capsys.readouterr().out)["flags"]
+    assert main(["scatter", "--graph-file", gpath, "--lo=-1.5", "--hi=1.5", "--samples", "7"]) == 1
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert [row["lambda"] for row in rows if row["flags"]] == [0.5]
+    assert rows[4]["flags"] == ["kernel-dim-mismatch"]
 
 
 def test_scatter_needs_point_or_scan(tmp_path, capsys):
@@ -440,6 +458,58 @@ def test_nonlinear_committed_fixture(capsys):
     assert json.loads(path.read_text()) == kicked_system_json()
     assert main(["nonlinear", "--system-file", str(path)]) == 0
     assert json.loads(capsys.readouterr().out)["passed"] is True
+
+
+def test_nonlinear_empty_interior_is_the_empty_set(tmp_path, capsys):
+    # only an absent "interior" means every vertex; at no vertex every
+    # variation is a kernel variation and the residual is empty
+    data = kicked_system_json()
+    data["interior"] = []
+    rc = main(["nonlinear", "--system-file", write_json(tmp_path / "none.json", data)])
+    assert rc == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["max_el_residual"] == 0.0 and report["passed"] is True
+
+
+def explicit_system_json(expression_edge=None):
+    """kicked_system_json without its builder: one standard-map interaction
+    per edge, the one at ``expression_edge`` given as an expression, and
+    chart dimensions as a map."""
+    data = kicked_system_json()
+    del data["builder"], data["variations"]
+    density = data.pop("density")
+    edges = data["graph"]["simplices"]
+    expr = {"name": "expression", "nvars": 2, "expr": "0.5 * (x0 - x1) ** 2 + 0.4 * math.cos(x0)"}
+    data["interactions"] = [{"vertices": e, "density": expr if i == expression_edge else density}
+                            for i, e in enumerate(edges)]
+    data["chart_dims"] = {str(v): 1 for v in range(len(edges) + 1)}
+    return data
+
+
+def test_nonlinear_explicit_interactions_load_like_the_builder(tmp_path, capsys):
+    data = kicked_system_json()
+    del data["variations"]
+    assert main(["nonlinear", "--system-file", write_json(tmp_path / "built.json", data)]) == 0
+    built = capsys.readouterr().out
+    assert main(["nonlinear", "--system-file", write_json(tmp_path / "explicit.json", explicit_system_json())]) == 0
+    assert capsys.readouterr().out == built
+    # one interaction as an expression: finite-difference derivatives
+    path = write_json(tmp_path / "expr.json", explicit_system_json(expression_edge=7))
+    assert main(["nonlinear", "--system-file", path]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["uses_fd"] is True and report["max_el_residual"] <= 1e-6
+    assert report["linearization"]["symmetric"] is True
+
+
+@pytest.mark.parametrize("field, value, want", [
+    ("builder", "triangle-fan", "unknown builder 'triangle-fan'"),
+    ("density", {"name": "quartic"}, "unknown density 'quartic'"),
+])
+def test_nonlinear_names_an_unknown_builder_or_density(tmp_path, capsys, field, value, want):
+    data = kicked_system_json()
+    data[field] = value
+    assert main(["nonlinear", "--system-file", write_json(tmp_path / "bad.json", data)]) == 2
+    assert want in capsys.readouterr().err
 
 
 def test_swronskian_committed_torus_fixture(capsys):

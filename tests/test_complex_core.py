@@ -11,7 +11,6 @@ from swron import (
     complex_from_json,
     complex_to_json,
     load_complex,
-    materialize_tails,
     save_complex,
 )
 from swron import examples as ex
@@ -129,17 +128,14 @@ def test_complex_json_roundtrip(tmp_path):
         complex_from_json({"wrong": []})
 
 
-def test_materialize_tails():
+def test_complex_json_rejects_a_tails_key():
+    # periodic tails live in tailed-graph files; an old complex file that
+    # carries them is refused by name rather than loaded without them
     data = complex_to_json(ex.interval(1))
+    assert "tails" not in data
     data["tails"] = [{"orbits": 1, "edges": [[0, 0, 1]], "attach": [[1, 0]]}]
-    cx = complex_from_json(data)
-    big, site_map = materialize_tails(cx, 3)
-    assert len(big.vertex_labels) == len(cx.vertex_labels) + 3
-    # consecutive tail sites are adjacent, and the first hangs off vertex 1
-    labs = [site_map[(0, 0, n)] for n in range(3)]
-    for a, b in zip(labs, labs[1:]):
-        assert big.distance(big.vertex_sid(a), big.vertex_sid(b)) == 1
-    assert big.distance(big.vertex_sid(1), big.vertex_sid(labs[0])) == 1
+    with pytest.raises(DomainError, match="'tails'"):
+        complex_from_json(data)
 
 
 def oracle_complexes():

@@ -11,6 +11,7 @@ from swron.complex_core import _write_json, save_complex
 from swron.line_lattice import LineOperator, load_line_operator, save_line_operator
 from swron.operators import DiscreteOperator, _matrix_from_json, load_operator, save_operator
 from swron.scattering import save_tailed_graph
+from test_cli import embedded_vertex_graph
 from test_grids import close_pair_operator
 from test_scattering import two_channel_graph
 
@@ -25,7 +26,10 @@ def test_savers_reproduce_committed_fixtures(tmp_path):
     save_tailed_graph(ex.potential_line(1.0), str(tmp_path / "well.json"))
     save_tailed_graph(two_channel_graph(), str(tmp_path / "two_channel.json"))
     save_line_operator(close_pair_operator(), str(tmp_path / "close_pair.json"))
-    for name in ("torus7.json", "torus7_operator.json", "well.json", "two_channel.json", "close_pair.json"):
+    save_tailed_graph(embedded_vertex_graph(), str(tmp_path / "embedded_vertex.json"))
+    names = ("torus7.json", "torus7_operator.json", "well.json", "two_channel.json", "close_pair.json",
+             "embedded_vertex.json")
+    for name in names:
         assert (tmp_path / name).read_bytes() == (DATA / name).read_bytes(), name
 
 

@@ -6,6 +6,10 @@ import pytest
 
 import oracles as orc
 from swron import (
+    DECAY,
+    GROW,
+    IN,
+    OUT,
     transfer_map,
     DomainError,
     LineOperator,
@@ -23,6 +27,11 @@ from swron import (
     tailed_graph_to_json,
 )
 from swron import examples as ex
+
+
+def site_values(table, n: int) -> np.ndarray:
+    """(modes, l) values at site n of a ModeTable's modes: w mu^(n - anchor)."""
+    return table.w * (table.mu ** (n - table.anchor))[:, None]
 
 
 def test_classify_free_line():
@@ -63,17 +72,15 @@ def test_tail_mode_normalization():
     theta = np.arccos(lam / 2)
     op = ex.free_line_operator(1)
     clf, modes = tail_modes(op, lam, origin=1)
-    out = [m for m in modes if m.kind == "out"][0]
-    inc = [m for m in modes if m.kind == "in"][0]
+    out, inc = (np.flatnonzero(modes.kind == kind)[0] for kind in (OUT, IN))
     for n in (0, 3, 7):
         want = np.exp(1j * theta * (n + 1)) / np.sqrt(2 * np.sin(theta))
-        assert abs(out.value(n)[0] - want) <= 1e-12
-        assert abs(inc.value(n)[0] - np.conj(want)) <= 1e-12
+        assert abs(site_values(modes, n)[out, 0] - want) <= 1e-12
+        assert abs(site_values(modes, n)[inc, 0] - np.conj(want)) <= 1e-12
     # bilinear pair form of (in, out) window coordinates is exactly i
     sw = swronskian_form(op, 0).matrix
-    xo = np.concatenate([out.value(n) for n in (0, 1)])
-    xi = np.concatenate([inc.value(n) for n in (0, 1)])
-    assert abs(xi @ sw @ xo - 1j) <= 1e-12
+    x = np.concatenate([site_values(modes, n) for n in (0, 1)], axis=1)
+    assert abs(x[inc] @ sw @ x[out] - 1j) <= 1e-12
 
 
 @pytest.mark.parametrize("k, l", [(k, l) for k in (1, 2, 3) for l in (1, 2, 3)])
@@ -87,26 +94,28 @@ def test_tail_mode_fiber_vectors(k, l):
         for mu, _ in orc.companion_bloch_modes(op, lam):
             near = min(range(len(left)), key=lambda i: abs(left[i] - mu))
             assert abs(left.pop(near) - mu) <= 1e-8 * max(1.0, abs(mu))
+        assert modes.mu.shape == modes.kind.shape and modes.w.shape == (len(modes.mu), l)
+        assert modes.kind.dtype == np.int8 and modes.k == k
         if not clf.critical:
-            assert len(modes) == 2 * k * l
-        for m in modes:
-            sym = sum(op.block(0, s) * m.mu**s for s in range(-k, k + 1))
+            assert len(modes.mu) == 2 * k * l
+        for mu, w, kind in zip(modes.mu, modes.w, modes.kind):
+            sym = sum(op.block(0, s) * mu**s for s in range(-k, k + 1))
             scale = abs(lam) + sum(
-                np.linalg.norm(op.block(0, s), 2) * abs(m.mu) ** s for s in range(-k, k + 1)
+                np.linalg.norm(op.block(0, s), 2) * abs(mu) ** s for s in range(-k, k + 1)
             )
-            u = m.w / np.linalg.norm(m.w)  # channel modes carry 1/sqrt(current)
+            u = w / np.linalg.norm(w)  # channel modes carry 1/sqrt(current)
             assert np.linalg.norm((sym - lam * np.eye(l)) @ u) <= 1e-10 * scale
             top = u[np.argmax(np.abs(u))]
             assert top.real > 0 and abs(top.imag) <= 1e-12
-            if m.kind in ("decay", "grow"):
-                assert abs(np.linalg.norm(m.w) - 1.0) <= 1e-12
+            if kind in (DECAY, GROW):
+                assert abs(np.linalg.norm(w) - 1.0) <= 1e-12
 
 
 def test_repeated_channels_get_independent_fiber_vectors():
     # two identical decoupled channels: a doubly repeated pair of Bloch
     # eigenvalues whose eigenspace is two-dimensional
     _, modes = tail_modes(ex.free_line_operator(2), 0.5)
-    outs = np.stack([m.w for m in modes if m.kind == "out"])
+    outs = modes.w[modes.kind == OUT]
     assert outs.shape == (2, 2)
     assert np.linalg.matrix_rank(outs, tol=1e-8) == 2
 
@@ -271,8 +280,8 @@ def test_zero_incoming_rows_are_singular(monkeypatch):
 
     real = sc._null_spaces
     for graph in (ex.potential_line(1.0), two_channel_graph()):
-        kinds = [m.kind for mset in asymptotic_subspace(graph, 0.5).modes for m in mset]
-        incoming = graph.core_size + np.flatnonzero(np.array(kinds) == "in")
+        kinds = np.concatenate([t.kind for t in asymptotic_subspace(graph, 0.5).modes])
+        incoming = graph.core_size + np.flatnonzero(kinds == IN)
 
         def zeroed(stack):
             # every kernel with its incoming coefficients set to zero
@@ -531,10 +540,11 @@ def site_residuals(graph, st):
     core = {v: st.core_values[off[v] : off[v] + d] for v, d in graph.core_dims.items()}
     tails = []
     for tail, coeffs in zip(graph.tails, st.modal):
-        decay = [m for m in tail_modes(tail.op, lam)[1] if m.kind == "decay"]
-        assert len(decay) == len(coeffs)
+        modes = tail_modes(tail.op, lam)[1]
+        decay = modes.kind == DECAY
+        assert decay.sum() == len(coeffs)
         sites = range(3 * tail.op.k + 1)
-        tails.append([sum(c * m.w * m.mu**n for c, m in zip(coeffs, decay)) for n in sites])
+        tails.append([coeffs @ (modes.w * modes.mu[:, None] ** n)[decay] for n in sites])
     res = {("core", v): -lam * x for v, x in core.items()}
     for (u, v), m in graph.core_blocks.items():
         res["core", u] = res["core", u] + m @ core[v]
@@ -625,6 +635,26 @@ def test_tailed_graph_json_roundtrip():
         assert np.max(np.abs(a.s_matrix - b.s_matrix)) <= 1e-12
 
 
+@pytest.mark.parametrize("where, entry, want", [
+    ("core", {"from": 0, "to": 0, "matrix": [[5.0]]}, "core block (0, 0) appears twice"),
+    ("attach", {"vertex": 0, "site": 0, "matrix": [[5.0]]},
+     "tail 1 attach entry at (vertex, site) (0, 0) appears twice"),
+])
+def test_repeated_tailed_graph_entry_is_named(where, entry, want):
+    # a second entry for one key would silently replace the first
+    data = tailed_graph_to_json(ex.potential_line(1.0))
+    (data["core"]["blocks"] if where == "core" else data["tails"][1]["attach"]).append(entry)
+    with pytest.raises(DomainError, match=re.escape(want)):
+        tailed_graph_from_json(data)
+
+
+def test_core_vertices_may_be_plain_labels():
+    # a bare label is a vertex of fiber dimension 1
+    data = tailed_graph_to_json(ex.potential_line(1.0))
+    data["core"]["vertices"] = [0]
+    assert tailed_graph_to_json(tailed_graph_from_json(data)) == tailed_graph_to_json(ex.potential_line(1.0))
+
+
 # -- the exact junction reduction against the truncated modal oracle -----------
 
 
@@ -709,12 +739,8 @@ ORACLE_GRAPHS = {
 
 
 def out_channels(res) -> list:
-    return [
-        (j, m.mu, m.w)
-        for j, mset in enumerate(res.subspace.modes)
-        for m in mset
-        if m.kind == "out"
-    ]
+    return [(j, mu, w) for j, t in enumerate(res.subspace.modes)
+            for mu, w in zip(t.mu[t.kind == OUT], t.w[t.kind == OUT])]
 
 
 @pytest.mark.parametrize("name", sorted(ORACLE_GRAPHS))
@@ -783,7 +809,7 @@ def test_one_eig_per_tail_shape(monkeypatch, graph, solves):
 
     monkeypatch.setattr(np.linalg, "eig", spy)
     scattering_matrix(graph, 0.5)
-    distinct = len(set(graph._tail_keys))
+    distinct = sum(len(solve.ops) for solve in graph._solves[0])
     assert len(calls) == solves and sum(calls) == distinct, calls
     calls.clear()
     band_scan(graph, -3.0, 3.0, 31)
@@ -807,7 +833,7 @@ def scattering_bytes(res) -> tuple:
     return (None if res.s_matrix is None else res.s_matrix.tobytes(), sorted(res.flags), res.channels,
             res.unitarity_residual, res.symmetry_residual, res.pairing_defect, sub.lagrangian_residual,
             sub.dim, [c.counts() for c in sub.classifications],
-            [[(m.mu, m.w.tobytes(), m.kind, m.anchor) for m in modes] for modes in sub.modes])
+            [(t.mu.tobytes(), t.w.tobytes(), t.kind.tobytes(), t.k) for t in sub.modes])
 
 
 @pytest.mark.parametrize("make", [two_channel_graph, mixed_shape_graph, ex.pure_line_graph])
@@ -908,10 +934,9 @@ def test_subspace_windows_hold_mode_values_past_the_junction():
     sub = asymptotic_subspace(graph, 0.5)
     for tail, modes, x in zip(graph.tails, sub.modes, sub.windows):
         k = tail.op.k
-        assert x.shape == (2 * k * tail.op.l, len(modes))
-        for col, mode in zip(x.T, modes):
-            want = np.concatenate([mode.value(n) for n in range(2 * k)])
-            assert np.allclose(col, want, rtol=1e-13, atol=0.0)
+        assert x.shape == (2 * k * tail.op.l, len(modes.mu))
+        want = np.concatenate([site_values(modes, n) for n in range(2 * k)], axis=1)
+        assert np.allclose(x, want.T, rtol=1e-13, atol=0.0)
 
 
 def test_tail_modes_are_the_modes_the_subspace_reads():
@@ -919,9 +944,8 @@ def test_tail_modes_are_the_modes_the_subspace_reads():
     graph = ex.pure_line_graph()
     _, modes = tail_modes(graph.tails[1].op, -3.0)
     read = asymptotic_subspace(graph, -3.0).modes[1]
-    assert "grow" in [m.kind for m in modes]
-    assert [(m.mu, m.w.tobytes(), m.kind, m.anchor) for m in modes] == [
-        (m.mu, m.w.tobytes(), m.kind, m.anchor) for m in read]
+    assert GROW in modes.kind
+    assert [a.tobytes() for a in modes[:3]] == [a.tobytes() for a in read[:3]] and modes.k == read.k
 
 
 @pytest.mark.parametrize("lam", [-3.5, 0.5, 1.3])
@@ -932,7 +956,7 @@ def test_mode_pair_form_is_the_same_on_every_window(lam):
     sub = asymptotic_subspace(graph, lam)
     for tail, modes, x in zip(graph.tails, sub.modes, sub.windows):
         k, sw = tail.op.k, swronskian_form(tail.op, 0).matrix
-        deep = np.stack([np.concatenate([m.value(n) for n in range(k, 3 * k)]) for m in modes], 1)
+        deep = np.concatenate([site_values(modes, n) for n in range(k, 3 * k)], axis=1).T
         want = deep.T @ sw @ deep
         assert np.max(np.abs(x.T @ sw @ x - want)) <= 1e-12 * np.max(np.abs(want))
 
@@ -944,7 +968,7 @@ def test_one_mode_frame():
         tail_modes(ex.free_tail(), -3.0, anchor=3)
     graph = ex.potential_line(1.0)
     assert not hasattr(graph, "junction_depth") and not hasattr(graph.tails[0], "junction_depth")
-    assert not hasattr(sc.Mode, "values")
+    assert not hasattr(sc, "Mode")
 
 
 def scaled(graph: TailedGraph, c: float) -> TailedGraph:
@@ -1153,7 +1177,7 @@ def test_asymptotic_operator_key_loads_like_operator():
     data = tailed_graph_to_json(ex.potential_line(1.0))
     data["tails"][1]["asymptotic_operator"] = data["tails"][1].pop("operator")
     graph, alias = ex.potential_line(1.0), tailed_graph_from_json(data)
-    assert alias._tail_keys == graph._tail_keys
+    assert tailed_graph_to_json(alias) == tailed_graph_to_json(graph)
     for lam in (-1.3, 0.5, 1.7):
         assert np.array_equal(scattering_matrix(alias, lam).s_matrix,
                               scattering_matrix(graph, lam).s_matrix)

@@ -598,6 +598,10 @@ def _s_matrices(coef, window, modes, form, solve) -> dict:
 
 @dataclass
 class BoundState:
+    """A state of the regular discrete spectrum at ``lam``; ``modal[i]``
+    holds its coefficients over the DECAY entries of
+    ``tail_modes(tails[i].op, lam)[1]``, in table order."""
+
     lam: float
     sigma_min: float
     core_values: np.ndarray

@@ -27,6 +27,7 @@ from swron import (
     tailed_graph_to_json,
 )
 from swron import examples as ex
+from swron.line_lattice import line_operator_from_json, line_operator_to_json
 
 
 def site_values(table, n: int) -> np.ndarray:
@@ -788,18 +789,20 @@ def test_mode_values_are_evaluated_once_per_tail_and_stack(monkeypatch):
 
 def mixed_shape_graph() -> TailedGraph:
     """A hub of fiber dimension 2 with a scalar free tail and three
-    two-channel tails, two of them sharing one operator at origins 0 and 2:
-    two tail shapes, three distinct operators."""
+    two-channel tails, two of them with equal operators at origins 0 and 2
+    (the second rebuilt from the first's JSON, so they share only their
+    blocks): two tail shapes, three distinct operators."""
     two = two_channel_graph().tails
+    twin = line_operator_from_json(line_operator_to_json(two[0].op))
     attach = {(0, 0): np.array([[1.0, 0.5], [0.2, -0.7]])}
     tails = [Tail(ex.free_tail(), {(0, 0): np.array([[1.0], [0.5]])}, origin=1),
-             Tail(two[0].op, attach, origin=0), Tail(two[1].op, attach), Tail(two[0].op, attach, origin=2)]
+             Tail(two[0].op, attach, origin=0), Tail(two[1].op, attach), Tail(twin, attach, origin=2)]
     return TailedGraph({0: 2}, {(0, 0): np.diag([0.3, -0.2])}, tails)
 
 
 @pytest.mark.parametrize("graph, solves", [(two_channel_graph, 1), (mixed_shape_graph, 2)])
 def test_one_eig_per_tail_shape(monkeypatch, graph, solves):
-    graph = graph()
+    graph, distinct = graph(), 3  # both graphs have three distinct tail operators
     band_scan(graph, -3.0, 3.0, 31)  # warm the critical-point sets, which also call eig
     calls, real = [], np.linalg.eig
 
@@ -809,7 +812,6 @@ def test_one_eig_per_tail_shape(monkeypatch, graph, solves):
 
     monkeypatch.setattr(np.linalg, "eig", spy)
     scattering_matrix(graph, 0.5)
-    distinct = sum(len(solve.ops) for solve in graph._solves[0])
     assert len(calls) == solves and sum(calls) == distinct, calls
     calls.clear()
     band_scan(graph, -3.0, 3.0, 31)

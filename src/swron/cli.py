@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .complex_core import DomainError, _read_json, _write_csv, _write_json, load_complex
+from .complex_core import DomainError, _distinct, _read_json, _write_csv, _write_json, load_complex
 from .line_lattice import (
     CRITICAL_GAP,
     PAIRING_TOL,
@@ -236,10 +236,9 @@ def _cover_from_json(data: dict) -> tuple[CoveringGraph, dict, int]:
             tuple(tuple(e) for e in data["edges"]),
         )
         vec_dim = int(data.get("vec_dim", 1))
-        blocks = {}
-        for item in data["blocks"]:
-            key = (int(item["from"]), int(item["to"]), int(item["shift"]))
-            blocks[key] = _matrix_from_json(item["matrix"])
+        blocks = _distinct((((int(b["from"]), int(b["to"]), int(b["shift"])), _matrix_from_json(b["matrix"]))
+                            for b in data["blocks"]),
+                           lambda key: f"cover block (from, to, shift) {key} appears twice")
     except KeyError as missing:
         raise DomainError(f"cover JSON lacks field {missing}") from None
     return cover, blocks, vec_dim

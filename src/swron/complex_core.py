@@ -449,6 +449,17 @@ def _read_json(path: str):
         return json.load(fh)
 
 
+def _distinct(pairs, message) -> dict:
+    """The dict of the (key, value) ``pairs`` of an input table; a key
+    that appears twice raises DomainError(message(key))."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise DomainError(message(key))
+        out[key] = value
+    return out
+
+
 def _write_json(data, path: str | None) -> None:
     """The package's one JSON file format: indent 1, sorted keys, final
     newline.  Without a path the text goes to stdout."""

@@ -154,8 +154,9 @@ def solution_basis(
 ) -> SolutionBasis:
     """Extend the 2kl Kronecker-window columns across ``window``.
 
-    The window must contain the defining sites [m-k+1, m+k]; extension
-    steps solve with the leading blocks and raise naming the site where
+    The window must contain the defining sites [m-k+1, m+k]; the window
+    columns are carried forward by products of the one-step transfer maps
+    and backward by solves against them, which raise naming the site where
     a leading block is singular.
     """
     k, l = op.k, op.l
@@ -169,33 +170,17 @@ def solution_basis(
             f"[{m - k + 1}, {m + k}]"
         )
     cols = _column_order(k, l)
-    ncol = 2 * k * l
-    values = {
-        m + q: np.zeros((l, ncol), dtype=complex) for q in range(-k + 1, k + 1)
-    }
-    for j, (p, i) in enumerate(cols):
-        values[m + p][i, j] = 1.0
-
-    def step(target: int, eq_site: int, lead_shift: int) -> None:
-        lead = op.block(eq_site, lead_shift)
-        rhs = lam * values[eq_site].astype(complex)
-        for s in range(-k, k + 1):
-            if s == lead_shift:
-                continue
-            b = op.block(eq_site, s)
-            if np.any(b != 0):
-                rhs = rhs - b @ values[eq_site + s]
+    ahead = back = np.eye(2 * k * l, dtype=complex)  # the window at base m
+    values = {m + p: ahead[(p + k - 1) * l : (p + k) * l] for p in range(-k + 1, k + 1)}
+    for b in range(m, hi - k):  # window at b + 1 = T(b) window at b
+        ahead = transfer_map(op, lam, b).matrix @ ahead
+        values[b + k + 1] = ahead[-l:]
+    for b in range(m - 1, lo + k - 2, -1):
         try:
-            values[target] = np.linalg.solve(lead, rhs)
+            back = np.linalg.solve(transfer_map(op, lam, b).matrix, back)
         except np.linalg.LinAlgError:
-            raise DomainError(
-                f"leading block at site {eq_site} (shift {lead_shift}) is singular"
-            ) from None
-
-    for n in range(m + k + 1, hi + 1):
-        step(n, n - k, k)
-    for n in range(m - k, lo - 1, -1):
-        step(n, n + k, -k)
+            raise DomainError(f"leading block at site {b + 1} (shift {-k}) is singular") from None
+        values[b - k + 1] = back[:l]
     return SolutionBasis(
         m=m, k=k, l=l, lam=lam, lo=lo, hi=hi, values=values, columns=cols
     )
@@ -295,7 +280,7 @@ def _transfer_stack(op: LineOperator, lams, m: int = 0) -> np.ndarray:
         try:
             lead_inv = np.linalg.inv(op.block(m + 1, k).astype(complex))
         except np.linalg.LinAlgError:
-            raise DomainError(f"leading block at site {m + 1} is singular") from None
+            raise DomainError(f"leading block at site {m + 1} (shift {k}) is singular") from None
         t0 = np.zeros((2 * k * l, 2 * k * l), dtype=complex)
         t0[:-l, l:] = np.eye((2 * k - 1) * l)  # x_{m+1}[p] = x_m[p+1]
         # equation at m+1 solved for psi(m+1+k); column block s + k holds psi(m+1+s)
@@ -342,7 +327,8 @@ CRITICAL_GAP = 1e-6
 class MonodromyClassification:
     """Eigenvalue bookkeeping of one transfer map.  Margins of the critical
     decision: ``min_gap`` is the smallest distance between two eigenvalues,
-    ``unit_gap`` the smallest |mu -+ 1|; either below ``CRITICAL_GAP`` flags."""
+    ``unit_gap`` the smallest |mu -+ 1|; either below ``CRITICAL_GAP`` flags.
+    The map is critical exactly when ``critical_reason`` names a reason."""
 
     lam: complex
     kl: int
@@ -350,11 +336,14 @@ class MonodromyClassification:
     p: int
     q: int
     eigenvalues: np.ndarray
-    critical: bool
     critical_reason: str | None
     pairing_defect: float
     min_gap: float
     unit_gap: float
+
+    @property
+    def critical(self) -> bool:
+        return self.critical_reason is not None
 
     @property
     def identity_holds(self) -> bool:
@@ -393,10 +382,11 @@ def _moduli(mus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return size, np.abs(size - 1.0) <= UNIMODULAR_TOL
 
 
-def _classify(mus: np.ndarray, lams, kl: int, size, unimod) -> list[MonodromyClassification]:
-    """(s, p, q) counts, critical flags and margins of the eigenvalue rows
+def _classify(mus: np.ndarray, lams, kl: int, size, unimod, dead=()) -> list[MonodromyClassification]:
+    """(s, p, q) counts, critical reasons and margins of the eigenvalue rows
     ``mus`` (S, 2kl), one row per transfer map of a lambda grid, given
-    their ``_moduli``."""
+    their ``_moduli``; the rows ``dead`` have an open channel that carries
+    no current (``scattering._tail_grid``), the last reason checked."""
     n = mus.shape[1]
     # each eigenvalue, its conjugate and its inverse (0 for mu = 0, which then
     # finds itself) against every eigenvalue of its row
@@ -425,9 +415,10 @@ def _classify(mus: np.ndarray, lams, kl: int, size, unimod) -> list[MonodromyCla
             reason = "pairing-defect"
         elif s[i] + 2 * p[i] + q[i] != kl:
             reason = "identity-failure"
+        elif i in dead:
+            reason = "zero-current-channel"
         out.append(MonodromyClassification(
-            lam=complex(lam), kl=kl, s=s[i], p=p[i], q=q[i], eigenvalues=mus[i],
-            critical=reason is not None, critical_reason=reason,
+            lam=complex(lam), kl=kl, s=s[i], p=p[i], q=q[i], eigenvalues=mus[i], critical_reason=reason,
             pairing_defect=pairing[i], min_gap=min_gap[i], unit_gap=unit_gap[i],
         ))
     return out

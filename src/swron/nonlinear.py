@@ -57,6 +57,10 @@ class NonConvergenceError(RuntimeError):
 
 
 _FD_STEP = float(np.cbrt(np.finfo(float).eps))
+NEWTON_TOL = 1e-10  # dynamical_step: residual norm at which Newton stops
+NEWTON_MAXITER = 50
+SOLUTION_TOL = 1e-6  # linearize: stationarity residual above which it warns
+ASYM_TOL = 1e-8  # linearize: relative Hessian block asymmetry it averages away
 
 
 class Density:
@@ -375,18 +379,16 @@ def dynamical_step(
     unknown: int,
     *,
     x0=None,
-    tol: float = 1e-10,
-    maxiter: int = 50,
 ) -> np.ndarray:
     """Solve the stationarity equation at ``v`` for the value at
-    ``unknown`` by Newton iteration.
+    ``unknown`` by Newton iteration, to a residual norm of ``NEWTON_TOL``.
 
     All other values in the neighborhood of ``v`` must be present in
     ``psi``.  Raises DomainError naming an unknown vertex, a missing,
     non-finite or wrong-length value, or the chart dimensions of ``v`` and
     ``unknown`` when they differ and a step is needed; DegeneracyError when
     the cross Hessian at an iterate is singular, and NonConvergenceError
-    after ``maxiter``.
+    after ``NEWTON_MAXITER`` steps.
     """
     vals, parts = _at(sys, psi, v, unknown)
     fixed = sum((d._grad_rows(xs, a)[0] for d, xs, a, b in parts if b < 0), np.zeros(sys.chart_dims[v]))
@@ -404,8 +406,8 @@ def dynamical_step(
             r = r + dens._grad_rows(xs, a)[0]
         return r
 
-    for _ in range(maxiter):
-        if (norm := math.hypot(*(r := residual(x)))) <= tol:
+    for _ in range(NEWTON_MAXITER):
+        if (norm := math.hypot(*(r := residual(x)))) <= NEWTON_TOL:
             return x
         if not math.isfinite(norm):
             _vectors("psi", vals, vals)  # names a non-finite neighbour value
@@ -427,10 +429,10 @@ def dynamical_step(
             raise DegeneracyError(
                 f"cross Hessian between {v} and {unknown} is singular"
             ) from None
-    if math.hypot(*residual(x)) <= tol:
+    if math.hypot(*residual(x)) <= NEWTON_TOL:
         return x
     raise NonConvergenceError(
-        f"no convergence at vertex {v} after {maxiter} iterations"
+        f"no convergence at vertex {v} after {NEWTON_MAXITER} iterations"
     )
 
 
@@ -454,18 +456,16 @@ def linearize(
     psi: dict,
     *,
     at=None,
-    solution_tol: float = 1e-6,
-    asym_tol: float = 1e-8,
 ) -> LinearizeResult:
     """Second variation of the action at ``psi`` as a block operator.
 
     Blocks are the summed mixed Hessians over shared interactions; the
-    raw blocks must already be symmetric to within ``asym_tol`` times
+    raw blocks must already be symmetric to within ``ASYM_TOL`` times
     max(1, largest entry) (they are for any twice continuously
     differentiable density evaluated at one point).  A pair (u, w), (w, u)
     within that bound but not exact is averaged to exact symmetry; a
     larger gap raises DomainError naming the first such pair.  If psi
-    fails the stationarity equations beyond ``solution_tol`` at the
+    fails the stationarity equations beyond ``SOLUTION_TOL`` at the
     checked vertices, a warning string is attached (and emitted): the
     operator is still the Hessian, but conservation statements need a
     solution.
@@ -479,15 +479,14 @@ def linearize(
     Each group makes one density call per slot and per slot pair for all
     its interactions used; the terms are summed in interaction order.
 
-    The system keeps its last result: a call with the same ``at``,
-    tolerances and values of psi on the interactions used returns a new
-    LinearizeResult around the same read-only operator, warning included.
+    The system keeps its last result: a call with the same ``at`` and
+    values of psi on the interactions used returns a new LinearizeResult
+    around the same read-only operator, warning included.
     """
     labels = sys.graph.vertex_labels if at is None else list(at)
     idxs = _meeting(sys, None if at is None else labels)
     vals = _values_on(sys, psi, idxs)
-    key = (None if at is None else tuple(labels), solution_tol, asym_tol,
-           tuple(x.tobytes() for x in vals.values()))
+    key = (None if at is None else tuple(labels), tuple(x.tobytes() for x in vals.values()))
     if sys._linearized[0] != key:
         if len(dims := set(sys.chart_dims.values())) != 1:
             raise DomainError("mixed chart dimensions are not supported here")
@@ -522,7 +521,7 @@ def linearize(
         partner = by_code[np.searchsorted(codes, w * n + u, sorter=by_code)]
         gap = np.abs(stack - stack[partner].transpose(0, 2, 1)).max(axis=(1, 2))
         scale = float(np.abs(stack).max()) if len(stack) else 1.0
-        if len(bad := np.flatnonzero(~(gap <= asym_tol * max(1.0, scale)))):
+        if len(bad := np.flatnonzero(~(gap <= ASYM_TOL * max(1.0, scale)))):
             pair = (int(used[u[bad[0]]]), int(used[w[bad[0]]]))
             raise DomainError(
                 f"blocks {pair} and {pair[::-1]} break symmetry by {gap[bad[0]]:.3e}")
@@ -533,7 +532,7 @@ def linearize(
         residual = float(np.abs(checked).max()) if checked.size else 0.0
         warning = (f"configuration misses stationarity by {residual:.3e}; "
                    "linearization is a plain Hessian, not a conserved-form operator"
-                   if residual > solution_tol else None)
+                   if residual > SOLUTION_TOL else None)
         op = DiscreteOperator._from_stack(sys.graph, dim, sid[np.stack((u, w), axis=1)], stack)
         sys._linearized = (key, LinearizeResult(op, residual, warning, sys.uses_fd()))
     lin = replace(sys._linearized[1])

@@ -29,6 +29,7 @@ import numpy as np
 from .complex_core import (
     DomainError,
     SimplicialComplex,
+    _distinct,
     _read_json,
     _write_json,
     barycentric_subdivision,
@@ -518,12 +519,8 @@ def operator_from_json(
     if on_asymmetry not in ("reject", "symmetrize"):
         raise DomainError(f"unknown asymmetry policy {on_asymmetry!r}")
     l = int(data["vec_dim"])
-    blocks: dict[tuple[int, int], np.ndarray] = {}
-    for item in data["blocks"]:
-        key = (int(item["to"]), int(item["from"]))
-        if key in blocks:
-            raise DomainError(f"duplicate block for pair {key}")
-        blocks[key] = _as_block(_matrix_from_json(item["matrix"]), l)
+    blocks = _distinct((((int(b["to"]), int(b["from"])), _as_block(_matrix_from_json(b["matrix"]), l))
+                        for b in data["blocks"]), lambda key: f"duplicate block for pair {key}")
     tol = 0.0
     if on_asymmetry == "reject":
         lost = [(b, a) for a, b in sorted(blocks) if (b, a) not in blocks]

@@ -47,14 +47,14 @@ falls by one at each pole of Y_hi Y_lo^-1, a gap state of a half-tail alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import accumulate, groupby
 from typing import NamedTuple
 
 import numpy as np
 
-from .complex_core import DomainError, _read_json, _write_csv, _write_json
+from .complex_core import DomainError, _distinct, _read_json, _write_csv, _write_json
 from .line_lattice import (  # classification and critical points live with the transfer maps
     UNIMODULAR_TOL, CriticalPoint, LineOperator, MonodromyClassification, _classify, _grid,
     _moduli, _symbol_criticals, _transfer_stack, classify_monodromy, find_critical_points,
@@ -168,10 +168,11 @@ def _tail_grid(solve: _Solve, lams, decay_only=False):
     classifications of the rows (None when ``decay_only``), per origin one
     flat ``ModeTable`` of the modes of each row in turn (the decaying ones
     when ``decay_only``, at origin 0 only), and where each row's modes start.
-    A Python loop per row over listed values orders the modes and emits
-    their kind codes and indices among the eigenvalues and their conjugates;
-    one gather per origin builds the table.  The eigenvector of mu has
-    window blocks mu^p w, p = -k+1..k; ``w`` is read from the largest
+    A Python loop per row over listed values orders the modes, emits
+    their kind codes and indices among the eigenvalues and their conjugates,
+    and notes the rows that ``_classify`` reads as having a zero-current
+    channel; one gather per origin builds the table.  The eigenvector of mu
+    has window blocks mu^p w, p = -k+1..k; ``w`` is read from the largest
     (p = k when |mu| >= 1, else p = -k+1)."""
     ops, count = solve.ops, len(lams)
     k, l, n = ops[0].k, ops[0].l, 2 * ops[0].k * ops[0].l
@@ -180,7 +181,6 @@ def _tail_grid(solve: _Solve, lams, decay_only=False):
         t[g] = _transfer_stack(op, lams)
     mus, vecs = np.linalg.eig(t.reshape(-1, n, n))
     size, unimod = _moduli(mus)
-    clfs = None if decay_only else _classify(mus, list(lams) * len(ops), k * l, size, unimod)
     w = np.where((size >= 1)[:, None, :], vecs[:, -l:, :], vecs[:, :l, :])
     w = w * np.take_along_axis(w, np.abs(w).argmax(axis=1)[:, None, :], axis=1).conj()
     w = (w / np.sqrt(np.sum(w.real**2 + w.imag**2, axis=1, keepdims=True))).transpose(0, 2, 1)
@@ -193,7 +193,7 @@ def _tail_grid(solve: _Solve, lams, decay_only=False):
         live = unimod.reshape(tau.shape) & (flow >= solve.no_current)
         tau, flow, live = (a.reshape(mus.shape) for a in (tau, flow, live))
         taus, lives = tau.tolist(), live.tolist()
-    src, kinds, starts = [], [], [0]
+    src, kinds, starts, dead = [], [], [0], set()  # dead: rows with a zero-current channel
     conj = mus.size  # where the conjugates start in the gather below
     for i, (row, angles, sizes, unit) in enumerate(
             zip(mus.tolist(), np.angle(mus).tolist(), size.tolist(), unimod.tolist())):
@@ -205,12 +205,12 @@ def _tail_grid(solve: _Solve, lams, decay_only=False):
             elif decay_only or (row[j].imag <= 0 and abs(row[j].imag) > UNIMODULAR_TOL):
                 continue  # conjugate partner handled with its mate
             elif not lives[i][j]:
-                clfs[i].critical = True
-                clfs[i].critical_reason = clfs[i].critical_reason or "zero-current-channel"
+                dead.add(i)
             else:  # the outgoing mode has positive current; its conjugate comes in
                 src += [i * n + j, i * n + j + conj][:: 1 if taus[i][j] > 0 else -1]
                 kinds += [OUT, IN]
         starts.append(len(src))
+    clfs = None if decay_only else _classify(mus, list(lams) * len(ops), k * l, size, unimod, dead)
     src, kind = np.array(src, dtype=np.intp), np.array(kinds, dtype=np.int8)
     mu = np.concatenate((mus, mus.conj())).reshape(-1)[src]
     if not decay_only:  # channel modes: the origin's phase and 1/sqrt(current)
@@ -266,19 +266,17 @@ class TailedGraph:
     ----------
     core_dims : dict label -> fiber dimension (may be empty).
     core_blocks : dict (u, v) -> matrix; symmetry closure is checked.
-    tails : list of Tail.
+    tails : list of Tail; the graph keeps validated copies.
     cross_links : list of ((j1, n1), (j2, n2), matrix) direct couplings
-        between tail sites, matrix shaped (l_j1, l_j2).
+        between tail sites, matrix shaped (l_j1, l_j2), at most one per
+        pair of sites.
 
     Every coupling is real: a block with a nonzero imaginary part raises
     DomainError naming it.
     """
 
     def __init__(self, core_dims, core_blocks, tails, cross_links=()):
-        if isinstance(core_dims, dict):
-            self.core_dims = {int(v): int(d) for v, d in core_dims.items()}
-        else:
-            self.core_dims = {int(v): 1 for v in core_dims}
+        self.core_dims = {int(v): int(d) for v, d in core_dims.items()}
         self.core_order = sorted(self.core_dims)
         offsets = list(accumulate((self.core_dims[v] for v in self.core_order), initial=0))
         self.core_offset, self.core_size = dict(zip(self.core_order, offsets)), offsets[-1]
@@ -293,8 +291,8 @@ class TailedGraph:
             self.core_blocks[(u, v)] = _as_block(m, shape, f"core block ({u}, {v})", real=True)
         _close_symmetric(self.core_blocks, lambda uv: uv[::-1])
 
-        self.tails = list(tails)
-        for j, tail in enumerate(self.tails):
+        self.tails = []
+        for j, tail in enumerate(tails):
             if not tail.op.constant:
                 raise DomainError(f"tail {j} operator is not constant")
             if not tail.op.is_real():
@@ -316,7 +314,7 @@ class TailedGraph:
                     )
                 shape, what = (self.core_dims[v], tail.op.l), f"tail {j} attach block at ({v}, {n})"
                 fixed[(v, n)] = _as_block(m, shape, what, real=True)
-            tail.attach = fixed
+            self.tails.append(replace(tail, attach=fixed))
 
         self.cross_links = []
         for (j1, n1), (j2, n2), m in cross_links:
@@ -332,6 +330,8 @@ class TailedGraph:
                         f"cross link site {n} of tail {j} is outside 0..{k - 1}; "
                         + _DEEP_COUPLING_HINT
                     )
+            if any({a, b} == {(j1, n1), (j2, n2)} for a, b, _ in self.cross_links):
+                raise DomainError(f"cross link between tail sites {(j1, n1)} and {(j2, n2)} appears twice")
             shape = (self.tails[j1].op.l, self.tails[j2].op.l)
             self.cross_links.append(
                 ((j1, n1), (j2, n2), _as_block(m, shape, "cross link block", real=True))
@@ -820,18 +820,10 @@ def tailed_graph_from_json(data: dict) -> TailedGraph:
     dynamics.
     """
     core = data.get("core", {})
-    core_dims = {}
-    for v in core.get("vertices", []):
-        if isinstance(v, dict):
-            core_dims[int(v["label"])] = int(v.get("dim", 1))
-        else:
-            core_dims[int(v)] = 1
-    core_blocks = {}
-    for item in core.get("blocks", []):
-        key = (int(item["to"]), int(item["from"]))
-        if key in core_blocks:
-            raise DomainError(f"core block {key} appears twice")
-        core_blocks[key] = _matrix_from_json(item["matrix"])
+    core_dims = _distinct(((int(v["label"]), int(v.get("dim", 1))) if isinstance(v, dict) else (int(v), 1)
+                           for v in core.get("vertices", [])), lambda v: f"core vertex {v} appears twice")
+    core_blocks = _distinct((((int(b["to"]), int(b["from"])), _matrix_from_json(b["matrix"]))
+                             for b in core.get("blocks", [])), lambda key: f"core block {key} appears twice")
 
     next_label = max(core_dims, default=-1) + 1
     tails = []
@@ -848,21 +840,16 @@ def tailed_graph_from_json(data: dict) -> TailedGraph:
         quotient = item.get("quotient")
         if quotient is not None and not isinstance(quotient, (dict, list)):
             raise DomainError(f"tail {jt} quotient metadata must be a table")
-        attach = {}
-        for a in item.get("attach", []):
-            key = (int(a["vertex"]), int(a["site"]))
-            if key in attach:
-                raise DomainError(f"tail {jt} attach entry at (vertex, site) {key} appears twice")
-            attach[key] = _matrix_from_json(a["matrix"])
+        attach = _distinct((((int(a["vertex"]), int(a["site"])), _matrix_from_json(a["matrix"]))
+                            for a in item.get("attach", [])),
+                           lambda key: f"tail {jt} attach entry at (vertex, site) {key} appears twice")
         origin = int(item.get("origin", 0))
 
-        overrides = {}
-        for d in item.get("decay", []):
-            n = int(d["site"])
-            if n < 0 or n in overrides:
-                why = "is negative" if n < 0 else "appears twice"
-                raise DomainError(f'tail {jt} "decay" table: site {n} {why}')
-            overrides[n] = {int(s): _matrix_from_json(m) for s, m in d["blocks"].items()}
+        overrides = _distinct(
+            ((int(d["site"]), {int(s): _matrix_from_json(m) for s, m in d["blocks"].items()})
+             for d in item.get("decay", [])), lambda n: f'tail {jt} "decay" table: site {n} appears twice')
+        if min(overrides, default=0) < 0:
+            raise DomainError(f'tail {jt} "decay" table: site {min(overrides)} is negative')
         cut = max(overrides, default=-1) + 1
         if cut:
             # absorb sites [0, cut) into the core as fresh vertices

@@ -182,6 +182,14 @@ def test_scatter_names_an_unknown_cross_link_tail(tmp_path, capsys):
     assert capsys.readouterr().err == "error: cross link uses unknown tail 5\n"
 
 
+def test_scatter_rejects_the_committed_repeated_link(capsys):
+    # tests/data/repeated_link.json is the pure line with its one cross link
+    # listed a second time, reversed; CI expects exit 2 on it
+    gpath = str(Path(__file__).parent / "data" / "repeated_link.json")
+    assert main(["scatter", "--graph-file", gpath, "--lambda", "0.5"]) == 2
+    assert capsys.readouterr().err == "error: cross link between tail sites (1, 0) and (0, 0) appears twice\n"
+
+
 def test_scatter_has_no_depth_flag():
     gpath = str(Path(__file__).parent / "data" / "well.json")
     with pytest.raises(SystemExit) as exit_info:
@@ -361,6 +369,15 @@ def test_direct_image_rejects_bad_cover(tmp_path, capsys):
     cpath = write_json(tmp_path / "bad.json", {"orbits": [0], "edges": []})
     rc = main(["direct-image", "--cover-file", cpath])
     assert rc == 2
+
+
+def test_direct_image_rejects_a_repeated_cover_block(tmp_path, capsys):
+    # a second block for one (from, to, shift) would replace the first
+    cover = json.loads((Path(__file__).parent / "data" / "ladder_cover.json").read_text())
+    cover["blocks"].append({**cover["blocks"][0], "matrix": [[5.0]]})
+    rc = main(["direct-image", "--cover-file", write_json(tmp_path / "c.json", cover)])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: cover block (from, to, shift) (0, 0, 1) appears twice\n"
 
 
 def kicked_system_json(n=16, kick=0.4):

@@ -115,6 +115,20 @@ def test_classification_margins_on_the_free_line():
     assert inside.min_gap > 1e5 * ll.CRITICAL_GAP
 
 
+def test_a_zero_current_channel_is_the_last_critical_reason():
+    # rows: one clean open channel, and the +1 doublet of a band edge; the
+    # rows ``dead`` carry an open channel without current (``_tail_grid``)
+    mus = np.array([np.exp([0.5j, -0.5j]), [1.0 + 0j, 1.0 + 0j]])
+    clean = ll._classify(mus, [0.1, 0.2], 1, *ll._moduli(mus))
+    assert [c.critical_reason for c in clean] == [None, "eigenvalue-collision"]
+    dead = ll._classify(mus, [0.1, 0.2], 1, *ll._moduli(mus), {0, 1})
+    assert [c.critical_reason for c in dead] == ["zero-current-channel", "eigenvalue-collision"]
+    assert [c.critical for c in clean + dead] == [False, True, True, True]
+    assert [c.counts() for c in dead] == [c.counts() for c in clean]
+    with pytest.raises(AttributeError):  # one fact, one field
+        dead[0].critical = False
+
+
 # -- batched grids against independent and per-point references --------------------
 
 

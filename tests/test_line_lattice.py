@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ import oracles as orc
 from swron import (
     CoveringGraph,
     DomainError,
+    LineOperator,
     direct_image,
     leading_determinant_product,
     line_operator_from_json,
@@ -85,6 +88,16 @@ def test_solution_basis_window_must_cover_defining_sites():
     op = ex.free_line_operator(1)
     with pytest.raises(DomainError):
         solution_basis(op, 0.1, 0, window=(1, 2))
+
+
+@pytest.mark.parametrize("m, where", [(0, "site 2 (shift 1)"), (5, "site 3 (shift -1)")])
+def test_solution_basis_names_a_singular_leading_block(m, where):
+    # block(2, 1) = block(3, -1) = 0: going forward from m = 0 the equation at
+    # site 2 cannot be solved for psi(3), going backward from m = 5 the
+    # equation at site 3 cannot be solved for psi(2)
+    op = LineOperator(1, 1, {0: [[0.5]], 1: [[1.0]]}, {2: {1: [[0.0]]}})
+    with pytest.raises(DomainError, match=re.escape(f"leading block at {where} is singular")):
+        solution_basis(op, 0.3, m, window=(-3, 6))
 
 
 def test_form_matrix_block_pattern():

@@ -1,5 +1,7 @@
 import csv
+import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +29,7 @@ from swron import (
     tailed_graph_to_json,
 )
 from swron import examples as ex
+from swron.scattering import load_tailed_graph
 from swron.line_lattice import line_operator_from_json, line_operator_to_json
 
 
@@ -647,6 +650,51 @@ def test_repeated_tailed_graph_entry_is_named(where, entry, want):
     (data["core"]["blocks"] if where == "core" else data["tails"][1]["attach"]).append(entry)
     with pytest.raises(DomainError, match=re.escape(want)):
         tailed_graph_from_json(data)
+
+
+@pytest.mark.parametrize("vertex", [0, {"label": 0, "dim": 2}])
+def test_repeated_core_vertex_is_named(vertex):
+    # a second entry for one label would silently replace the first
+    data = tailed_graph_to_json(ex.potential_line(1.0))
+    data["core"]["vertices"].append(vertex)
+    with pytest.raises(DomainError, match=re.escape("core vertex 0 appears twice")):
+        tailed_graph_from_json(data)
+
+
+@pytest.mark.parametrize("ends", [((0, 0), (1, 0)), ((1, 0), (0, 0))])
+def test_repeated_cross_link_is_named(ends):
+    # a second link between the same two sites, in either order, would be summed
+    data = tailed_graph_to_json(ex.pure_line_graph())
+    data["cross_links"].append({"from": list(ends[0]), "to": list(ends[1]), "matrix": [[1.0]]})
+    want = f"cross link between tail sites {ends[0]} and {ends[1]} appears twice"
+    with pytest.raises(DomainError, match=re.escape(want)):
+        tailed_graph_from_json(data)
+    with pytest.raises(DomainError, match=re.escape(want)):
+        TailedGraph({}, {}, [Tail(ex.free_tail()), Tail(ex.free_tail())], [((0, 0), (1, 0), 1.0), (*ends, 0.5)])
+
+
+def test_the_committed_repeated_link_is_rejected():
+    # tests/data/repeated_link.json is the pure line with its cross link listed again, reversed
+    want = tailed_graph_to_json(ex.pure_line_graph())
+    want["cross_links"].append({"from": [1, 0], "to": [0, 0], "matrix": [[1.0]]})
+    path = Path(__file__).parent / "data" / "repeated_link.json"
+    assert json.loads(path.read_text()) == want
+    with pytest.raises(DomainError, match=re.escape("cross link between tail sites (1, 0) and (0, 0)")):
+        load_tailed_graph(str(path))
+
+
+def test_a_tailed_graph_keeps_its_own_tails():
+    def graph_of(first):
+        return TailedGraph({0: 1}, {(0, 0): [[-1.0]]}, [first, Tail(ex.free_tail(), {(0, 0): [[1.0]]})])
+
+    attach = {(0, 0): [[1.0]]}
+    tail = Tail(ex.free_tail(), attach)
+    graph, twin = graph_of(tail), graph_of(Tail(ex.free_tail(), {(0, 0): [[1.0]]}))
+    assert tail.attach is attach and attach == {(0, 0): [[1.0]]}  # the caller's Tail is unchanged
+    assert graph.tails[0] is not tail and graph.tails[0].attach[(0, 0)].shape == (1, 1)
+    tail.origin, attach[(0, 0)] = 3, [[2.0]]  # edits after construction leave the graph alone
+    assert graph.tails[0].origin == 0 and graph.tails[0].attach[(0, 0)][0, 0] == 1.0
+    assert np.array_equal(scattering_matrix(graph, 0.5).s_matrix, scattering_matrix(twin, 0.5).s_matrix)
 
 
 def test_core_vertices_may_be_plain_labels():

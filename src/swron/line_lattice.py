@@ -354,26 +354,19 @@ class MonodromyClassification:
 
 
 def classify_monodromy(
-    matrix_or_transfer, lam=None, *, kl: int | None = None
+    transfer: TransferMatrix, lam=None, *, kl: int | None = None
 ) -> MonodromyClassification:
-    """Count channel pairs / quadruples / real pairs of a transfer map.
+    """Count channel pairs / quadruples / real pairs of a ``transfer_map``
+    (``lam`` and ``kl`` default to its own).
 
     A point is critical when eigenvalues collide (gap below
     ``CRITICAL_GAP``), when one sits at +-1, or when the pair structure
     cannot be matched within ``PAIRING_TOL``; the (s, p, q) identity is
     not trusted there.
     """
-    if hasattr(matrix_or_transfer, "matrix"):
-        if lam is None:
-            lam = matrix_or_transfer.lam
-        matrix = matrix_or_transfer.matrix
-    else:
-        matrix = np.asarray(matrix_or_transfer)
-    if matrix.shape[0] != matrix.shape[1] or matrix.shape[0] % 2:
-        raise DomainError("transfer matrix must be square of even size")
-    kl = matrix.shape[0] // 2 if kl is None else kl
-    mus = np.linalg.eigvals(matrix.astype(complex))[None]
-    return _classify(mus, [complex("nan") if lam is None else lam], kl, *_moduli(mus))[0]
+    kl = transfer.matrix.shape[0] // 2 if kl is None else kl
+    mus = np.linalg.eigvals(transfer.matrix.astype(complex))[None]
+    return _classify(mus, [transfer.lam if lam is None else lam], kl, *_moduli(mus))[0]
 
 
 def _moduli(mus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -431,10 +424,19 @@ def _classify_grid(op: LineOperator, lams) -> list[MonodromyClassification]:
     return _classify(mus, lams, op.k * op.l, *_moduli(mus))
 
 
+def _finite(lam):
+    """``lam``, after checking that it is finite."""
+    if not np.isfinite(lam):
+        raise DomainError(f"lambda must be finite, got {lam}")
+    return lam
+
+
 def _grid(lo: float, hi: float, samples: int, least: int) -> np.ndarray:
     """The regular grid of a lambda scan, after checking its arguments."""
     if samples < least:
         raise DomainError(f"need at least {'two' if least == 2 else 'three'} grid samples")
+    if not np.isfinite([lo, hi]).all():
+        raise DomainError(f"a lambda grid needs finite ends, got lo={lo} and hi={hi}")
     if not lo < hi:
         raise DomainError(f"a lambda grid needs lo < hi, got lo={lo} and hi={hi}")
     return np.linspace(lo, hi, samples)

@@ -66,9 +66,11 @@ ASYM_TOL = 1e-8  # linearize: relative Hessian block asymmetry it averages away
 class Density:
     """Interaction density of ``nvars`` vector slots.
 
-    ``value(xs)`` maps a list of slot vectors to a float.  ``grad`` and
-    ``hess`` may be omitted; central finite differences fill in, with
-    the ``uses_fd`` flag set so downstream code can flag the reduced
+    ``value(xs)`` maps a list of slot vectors to a float.  ``grad(xs, slot)``
+    and ``hess(xs, a, b)`` take a row stack, ``xs`` one (E, d_s) array per
+    slot, and return (E, d_slot) and (E, d_a, d_b).  Either callable may be
+    omitted; central finite differences of ``value`` fill in, row by row,
+    with the ``uses_fd`` flag set so downstream code can flag the reduced
     accuracy instead of hiding it.
     """
 
@@ -85,41 +87,14 @@ class Density:
 
     def grad(self, xs, slot: int) -> np.ndarray:
         if self._grad is not None:
-            return np.asarray(self._grad(slot, *xs), dtype=float).reshape(-1)
-        return _central(self.value, xs, slot)
+            return self._grad(xs, slot)
+        return np.stack([_central(self.value, list(row), slot) for row in zip(*xs)])
 
     def hess(self, xs, slot_a: int, slot_b: int) -> np.ndarray:
         if self._hess is not None:
-            return np.atleast_2d(
-                np.asarray(self._hess(slot_a, slot_b, *xs), dtype=float)
-            )
-        return _central(lambda ys: self.grad(ys, slot_a), xs, slot_b)
-
-    # array form over E rows, ``xs`` one (E, d_s) array per slot: one call per row
-    def _grad_rows(self, xs, slot: int) -> np.ndarray:
-        return np.stack([self.grad(list(row), slot) for row in zip(*xs)])
-
-    def _hess_rows(self, xs, slot_a: int, slot_b: int) -> np.ndarray:
-        return np.stack([self.hess(list(row), slot_a, slot_b) for row in zip(*xs)])
-
-
-class _Stacked(Density):
-    """Density whose ``grad``/``hess`` callables take the array form
-    (xs, slot) and (xs, a, b); the per-slot methods read a one-row stack."""
-
-    def grad(self, xs, slot):
-        xs = [np.asarray(x, dtype=float).reshape(1, -1) for x in xs]
-        return self._grad(xs, slot)[0]
-
-    def hess(self, xs, slot_a, slot_b):
-        xs = [np.asarray(x, dtype=float).reshape(1, -1) for x in xs]
-        return self._hess(xs, slot_a, slot_b)[0]
-
-    def _grad_rows(self, xs, slot):
-        return self._grad(xs, slot)
-
-    def _hess_rows(self, xs, slot_a, slot_b):
-        return self._hess(xs, slot_a, slot_b)
+            return self._hess(xs, slot_a, slot_b)
+        row_grad = lambda ys: self.grad([y[None] for y in ys], slot_a)[0]
+        return np.stack([_central(row_grad, list(row), slot_b) for row in zip(*xs)])
 
 
 def _scalar(xs):  # the two slots of a standard-map row stack
@@ -154,7 +129,7 @@ def _central(f, xs, slot: int) -> np.ndarray:
 def quadratic_pair_density(weight: float = 1.0) -> Density:
     """0.5 * weight * |x - y|^2 on an edge."""
     w = float(weight)
-    return _Stacked(
+    return Density(
         2,
         lambda x, y: 0.5 * w * float(np.sum((np.asarray(x) - np.asarray(y)) ** 2)),
         grad=lambda xs, slot: w * (xs[0] - xs[1]) * (1 if slot == 0 else -1),
@@ -181,7 +156,7 @@ def standard_map_density(kick: float = 1.0) -> Density:
         h = 1.0 - kk * np.cos(x) if a == b == 0 else np.full(x.shape, 1.0 if a == b else -1.0)
         return h[:, :, None]
 
-    return _Stacked(2, val, grad=grad, hess=hess, name="standard-map")
+    return Density(2, val, grad=grad, hess=hess, name="standard-map")
 
 
 _ELEMENTWISE = "sin cos tan sinh cosh tanh exp log log1p expm1 sqrt pi e"
@@ -246,7 +221,8 @@ class DiscreteLagrangianSystem:
     ----------
     graph : SimplicialComplex of dimension <= 1.
     interactions : iterable of (vertex tuple, Density).
-    chart_dims : int or dict vertex label -> dimension.
+    chart_dims : int or dict vertex label -> dimension (default 1), each
+        at least 1 and on a vertex of the graph.
     allow_ends : permit vertices lying in fewer than two edges (finite
         truncations of infinite graphs need this).
 
@@ -261,10 +237,13 @@ class DiscreteLagrangianSystem:
             raise DomainError("lagrangian systems live on graphs (dim <= 1)")
         self.graph = graph
         labels = graph.vertex_labels
-        if isinstance(chart_dims, dict):
-            self.chart_dims = {int(v): int(chart_dims.get(v, 1)) for v in labels}
-        else:
-            self.chart_dims = {v: int(chart_dims) for v in labels}
+        given = chart_dims if isinstance(chart_dims, dict) else dict.fromkeys(labels, chart_dims)
+        self.chart_dims = dict.fromkeys(labels, 1) | {int(v): int(d) for v, d in given.items()}
+        for v, d in self.chart_dims.items():
+            if v not in graph._skeleton:
+                raise DomainError(f"chart_dims names vertex {v}, which is not in the graph")
+            if d < 1:
+                raise DomainError(f"chart dimension {d} at vertex {v}, expected at least 1")
         if not allow_ends:
             for v in labels:
                 if len(graph._skeleton[v]) < 2:
@@ -369,7 +348,7 @@ def el_residual(sys: DiscreteLagrangianSystem, psi: dict, v: int) -> np.ndarray:
     """Derivative of the action with respect to the value at ``v``."""
     vals, parts = _at(sys, psi, v)
     _vectors("psi", vals, vals)  # names a non-finite value
-    return sum((dens._grad_rows(xs, a)[0] for dens, xs, a, _ in parts), np.zeros(sys.chart_dims[v]))
+    return sum((dens.grad(xs, a)[0] for dens, xs, a, _ in parts), np.zeros(sys.chart_dims[v]))
 
 
 def dynamical_step(
@@ -391,7 +370,7 @@ def dynamical_step(
     after ``NEWTON_MAXITER`` steps.
     """
     vals, parts = _at(sys, psi, v, unknown)
-    fixed = sum((d._grad_rows(xs, a)[0] for d, xs, a, b in parts if b < 0), np.zeros(sys.chart_dims[v]))
+    fixed = sum((d.grad(xs, a)[0] for d, xs, a, b in parts if b < 0), np.zeros(sys.chart_dims[v]))
     if not (terms := [part for part in parts if part[3] >= 0]):
         raise DomainError(f"vertex {unknown} does not interact with {v}")
     dim = sys.chart_dims[unknown]
@@ -403,7 +382,7 @@ def dynamical_step(
         r = fixed
         for dens, xs, a, b in terms:
             xs[b] = x[None]
-            r = r + dens._grad_rows(xs, a)[0]
+            r = r + dens.grad(xs, a)[0]
         return r
 
     for _ in range(NEWTON_MAXITER):
@@ -413,7 +392,7 @@ def dynamical_step(
             _vectors("psi", vals, vals)  # names a non-finite neighbour value
         cross = 0.0  # the cross Hessian (v, unknown) at x, needed only for a step
         for dens, xs, a, b in terms:
-            cross = cross + dens._hess_rows(xs, a, b)[0]
+            cross = cross + dens.hess(xs, a, b)[0]
         try:
             if np.shape(cross) != (1, 1):
                 if (rows := sys.chart_dims[v]) != dim:
@@ -505,8 +484,8 @@ def linearize(
             ids, rows = ids[mask], by_label[np.searchsorted(used, verts[mask].T, sorter=by_label)]
             xs = [field[r] for r in rows]  # rows: the field row of each slot value
             for a, ra in enumerate(rows):
-                gparts.append((ids * width + a, ra, dens._grad_rows(xs, a)))
-                hparts += [((ids * width + a) * width + b, ra * n + rb, dens._hess_rows(xs, a, b))
+                gparts.append((ids * width + a, ra, dens.grad(xs, a)))
+                hparts += [((ids * width + a) * width + b, ra * n + rb, dens.hess(xs, a, b))
                            for b, rb in enumerate(rows)]
         grads = np.zeros((n, dim))
         np.add.at(grads, *_ordered(gparts))

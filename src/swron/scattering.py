@@ -57,7 +57,7 @@ import numpy as np
 from .complex_core import DomainError, _distinct, _read_json, _write_csv, _write_json
 from .line_lattice import (  # classification and critical points live with the transfer maps
     UNIMODULAR_TOL, CriticalPoint, LineOperator, MonodromyClassification, _classify, _grid,
-    _moduli, _symbol_criticals, _transfer_stack, classify_monodromy, find_critical_points,
+    _finite, _moduli, _symbol_criticals, _transfer_stack, classify_monodromy, find_critical_points,
     line_operator_from_json, line_operator_to_json, swronskian_form,
 )
 from .operators import (
@@ -237,7 +237,7 @@ def tail_modes(
     the exact conjugate of the outgoing one.  These are the modes, in the
     frame of ``ModeTable``, that ``asymptotic_subspace`` reads.
     """
-    clfs, tables, _ = _tail_grid(_solve([op], [origin]), [lam])
+    clfs, tables, _ = _tail_grid(_solve([op], [origin]), [_finite(lam)])
     return clfs[0], tables[origin]
 
 
@@ -277,6 +277,9 @@ class TailedGraph:
 
     def __init__(self, core_dims, core_blocks, tails, cross_links=()):
         self.core_dims = {int(v): int(d) for v, d in core_dims.items()}
+        for v, d in self.core_dims.items():
+            if d < 1:
+                raise DomainError(f"core vertex {v} has dimension {d}, expected at least 1")
         self.core_order = sorted(self.core_dims)
         offsets = list(accumulate((self.core_dims[v] for v in self.core_order), initial=0))
         self.core_offset, self.core_size = dict(zip(self.core_order, offsets)), offsets[-1]
@@ -516,7 +519,7 @@ def scattering_matrix(graph: TailedGraph, lam: float) -> ScatteringResult:
     Critical or singular points withhold the matrix and set flags rather
     than returning unreliable numbers.
     """
-    return _scatter(graph, np.array([float(lam)]))[0]
+    return _scatter(graph, np.array([_finite(float(lam))]))[0]
 
 
 def _scatter(graph: TailedGraph, lams) -> list[ScatteringResult]:

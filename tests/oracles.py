@@ -628,21 +628,21 @@ def lagrangian_derivatives(sys, psi: dict, idxs=None, rows=None, cols=None):
     """Summed gradients at the vertices ``rows`` and summed Hessian blocks
     at the pairs ``rows`` x ``cols`` (label keys; None means every vertex)
     over the interactions ``idxs`` (None: all), one interaction at a time
-    with one per-slot ``Density.grad`` call per slot and one
+    as a one-row stack, with one ``Density.grad`` call per slot and one
     ``Density.hess`` call per slot pair.  Hessian keys come in order of
     first use."""
     grads = {} if rows is None else {u: np.zeros(sys.chart_dims[u]) for u in rows}
     hess: dict[tuple[int, int], np.ndarray] = {}
     for i in range(len(sys.interactions)) if idxs is None else idxs:
         inter = sys.interactions[i]
-        xs = [np.asarray(psi[v], dtype=float).reshape(-1) for v in inter.vertices]
+        xs = [np.asarray(psi[v], dtype=float).reshape(1, -1) for v in inter.vertices]
         for sa, u in enumerate(inter.vertices):
             if rows is not None and u not in rows:
                 continue
-            grads[u] = grads.get(u, 0) + inter.density.grad(xs, sa)
+            grads[u] = grads.get(u, 0) + inter.density.grad(xs, sa)[0]
             for sb, w in enumerate(inter.vertices):
                 if cols is None or w in cols:
-                    hess[(u, w)] = hess.get((u, w), 0) + inter.density.hess(xs, sa, sb)
+                    hess[(u, w)] = hess.get((u, w), 0) + inter.density.hess(xs, sa, sb)[0]
     return grads, hess
 
 

@@ -190,6 +190,22 @@ def test_scatter_rejects_the_committed_repeated_link(capsys):
     assert capsys.readouterr().err == "error: cross link between tail sites (1, 0) and (0, 0) appears twice\n"
 
 
+def test_scatter_rejects_the_committed_negative_dimension(capsys):
+    # tests/data/negative_dim.json gives core vertex 0 dimension -1, which
+    # would empty vertex 1's rows and scatter as the bare half-line; CI
+    # expects exit 2 on it
+    gpath = str(Path(__file__).parent / "data" / "negative_dim.json")
+    assert main(["scatter", "--graph-file", gpath, "--lambda", "0.5"]) == 2
+    assert capsys.readouterr().err == "error: core vertex 0 has dimension -1, expected at least 1\n"
+
+
+def test_nonlinear_rejects_chart_dims_off_the_graph(tmp_path, capsys):
+    data = explicit_system_json()
+    data["chart_dims"]["40"] = 1
+    assert main(["nonlinear", "--system-file", write_json(tmp_path / "off.json", data)]) == 2
+    assert "chart_dims names vertex 40, which is not in the graph" in capsys.readouterr().err
+
+
 def test_scatter_has_no_depth_flag():
     gpath = str(Path(__file__).parent / "data" / "well.json")
     with pytest.raises(SystemExit) as exit_info:

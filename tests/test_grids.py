@@ -62,6 +62,43 @@ def test_grid_entry_points_reject_reversed_intervals(lo, hi):
         band_scan(ex.potential_line(1.0), lo, hi, 11)
 
 
+@pytest.mark.parametrize("lo, hi", [(-math.inf, -2.05), (-3.0, math.nan)])
+def test_grid_entry_points_reject_non_finite_ends(lo, hi):
+    want = f"a lambda grid needs finite ends, got lo={lo} and hi={hi}"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(DomainError, match=re.escape(want)):
+            find_critical_points(ex.free_line_operator(1), lo, hi, 11)
+        with pytest.raises(DomainError, match=re.escape(want)):
+            regular_discrete_spectrum(ex.potential_line(1.0), lo, hi, 61)
+        with pytest.raises(DomainError, match=re.escape(want)):
+            band_scan(ex.potential_line(1.0), lo, hi, 11)
+
+
+@pytest.mark.parametrize("lam", [math.nan, math.inf])
+def test_a_non_finite_lambda_is_named(lam):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(DomainError, match=f"lambda must be finite, got {lam}"):
+            scattering_matrix(ex.potential_line(1.0), lam)
+        with pytest.raises(DomainError, match=f"lambda must be finite, got {lam}"):
+            sc.tail_modes(ex.free_tail(), lam)
+
+
+@pytest.mark.parametrize("command", ["scatter", "spectrum", "classify"])
+def test_grid_commands_reject_an_infinite_end(tmp_path, capsys, command):
+    if command == "classify":
+        path = tmp_path / "free.json"
+        path.write_text(json.dumps(line_operator_to_json(ex.free_line_operator(1))))
+        args = ["classify", "--operator-file", str(path)]
+    else:
+        args = [command, "--graph-file", str(Path(__file__).parent / "data" / "well.json")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(args + ["--lo=-inf", "--hi", "-2.05", "--samples", "11"]) == 2
+    assert "a lambda grid needs finite ends, got lo=-inf and hi=-2.05" in capsys.readouterr().err
+
+
 def test_classify_command_rejects_reversed_interval(tmp_path, capsys):
     opath = tmp_path / "free.json"
     opath.write_text(json.dumps(line_operator_to_json(ex.free_line_operator(1))))

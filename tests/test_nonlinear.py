@@ -54,8 +54,9 @@ def test_density_analytic_vs_fd():
     den = standard_map_density(0.7)
     assert not den.uses_fd
     xs = [np.array([0.3]), np.array([1.1])]
+    rows = [x[None] for x in xs]
     for slot in (0, 1):
-        got = den.grad(xs, slot)
+        got = den.grad(rows, slot)[0]
         want = orc.central_gradient(
             lambda t, s=slot: den.value(
                 [t if i == s else xs[i] for i in range(2)]
@@ -65,10 +66,10 @@ def test_density_analytic_vs_fd():
         assert np.max(np.abs(got - want)) <= 1e-8
     for a in (0, 1):
         for b in (0, 1):
-            got = den.hess(xs, a, b)
+            got = den.hess(rows, a, b)[0]
             def grad_entry(t):
                 pt = [t if i == b else xs[i] for i in range(2)]
-                return den.grad(pt, a)[0]
+                return den.grad([p[None] for p in pt], a)[0, 0]
             want = orc.central_gradient(grad_entry, xs[b])
             assert np.max(np.abs(got - want.reshape(1, 1))) <= 1e-6
 
@@ -110,7 +111,7 @@ def test_expression_density_falls_back_to_fd():
     xs = [np.array([0.9]), np.array([0.2])]
     want = (0.9 - 0.2) ** 4 / 4
     assert abs(den.value(xs) - want) <= 1e-12
-    g = den.grad(xs, 0)
+    g = den.grad([x[None] for x in xs], 0)[0]
     assert abs(g[0] - (0.9 - 0.2) ** 3) <= 1e-6
 
 
@@ -119,6 +120,16 @@ def test_system_rejects_higher_dimensional_graphs():
         build_translation_invariant(
             ex.filled_triangle(), quadratic_pair_density()
         )
+
+
+@pytest.mark.parametrize("chart_dims, want", [
+    ({0: 1, 1: 1, 7: 3}, "chart_dims names vertex 7, which is not in the graph"),
+    ({0: 1, 1: 0}, "chart dimension 0 at vertex 1, expected at least 1"),
+    (-2, "chart dimension -2 at vertex 0, expected at least 1"),
+], ids=["off-the-graph", "zero", "negative"])
+def test_system_rejects_bad_chart_dims(chart_dims, want):
+    with pytest.raises(DomainError, match=re.escape(want)):
+        build_translation_invariant(ex.interval(3), quadratic_pair_density(), chart_dims, allow_ends=True)
 
 
 def test_system_rejects_dangling_ends_by_default():
@@ -175,12 +186,12 @@ def test_dynamical_step_requires_neighbor():
 
 def counted_edge_density(hess_calls):
     """0.5 (x - y)^2 with analytic derivatives; ``hess`` logs each call."""
-    def hess(a, b, x, y):
+    def hess(xs, a, b):
         hess_calls.append((a, b))
-        return np.eye(1) if a == b else -np.eye(1)
+        return np.full((len(xs[0]), 1, 1), 1.0 if a == b else -1.0)
 
     return Density(2, value=lambda x, y: 0.5 * float((x - y) @ (x - y)),
-                   grad=lambda s, x, y: (x - y) if s == 0 else (y - x), hess=hess)
+                   grad=lambda xs, s: (xs[0] - xs[1]) if s == 0 else (xs[1] - xs[0]), hess=hess)
 
 
 def test_cross_hessian_is_evaluated_only_for_a_step():
@@ -194,20 +205,28 @@ def test_cross_hessian_is_evaluated_only_for_a_step():
     assert calls == [(0, 1)]
 
 
+def test_linearize_calls_hess_once_per_slot_pair():
+    calls = []
+    sys = build_translation_invariant(ex.circle(6), counted_edge_density(calls))
+    lin = linearize(sys, {v: np.array([0.25]) for v in range(6)})
+    assert calls == [(0, 0), (0, 1), (1, 0), (1, 1)]  # one call per slot pair, not per edge
+    assert lin.operator.blocks[(sys.graph.vertex_sid(0), sys.graph.vertex_sid(0))][0, 0] == 2.0
+
+
 def test_dynamical_step_degenerate_cross_hessian():
     # zero coupling in the scalar case; (x0 + x1)(y0 + y1) couples through
     # the singular 2x2 block [[1, 1], [1, 1]]
     zero = Density(
         2,
         value=lambda x, y: float(x**2 + y**2),
-        grad=lambda s, x, y: 2.0 * np.asarray((x, y)[s]).reshape(-1),
-        hess=lambda a, b, x, y: 2.0 * np.eye(1) if a == b else np.zeros((1, 1)),
+        grad=lambda xs, s: 2.0 * xs[s],
+        hess=lambda xs, a, b: np.full((len(xs[0]), 1, 1), 2.0 if a == b else 0.0),
     )
     rank_one = Density(
         2,
         value=lambda x, y: float(x.sum() * y.sum() + 0.5 * x @ x + 0.5 * y @ y),
-        grad=lambda s, x, y: (x, y)[1 - s].sum() + (x, y)[s],
-        hess=lambda a, b, x, y: np.eye(2) if a == b else np.ones((2, 2)),
+        grad=lambda xs, s: xs[1 - s].sum(axis=1, keepdims=True) + xs[s],
+        hess=lambda xs, a, b: np.tile(np.eye(2) if a == b else np.ones((2, 2)), (len(xs[0]), 1, 1)),
     )
     for dens, dim in ((zero, 1), (rank_one, 2)):
         sys = DiscreteLagrangianSystem(ex.interval(1), [((0, 1), dens)], dim, allow_ends=True)
@@ -309,9 +328,9 @@ def skewed_edge_system(skew):
     den = Density(
         2,
         value=lambda x, y: 0.5 * float((x - y) @ (x - y)),
-        grad=lambda s, x, y: (x - y) if s == 0 else (y - x),
-        hess=lambda a, b, x, y: np.array(
-            [[1.0 if a == b else -1.0 + (skew if (a, b) == (0, 1) else 0.0)]]
+        grad=lambda xs, s: (xs[0] - xs[1]) if s == 0 else (xs[1] - xs[0]),
+        hess=lambda xs, a, b: np.full(
+            (len(xs[0]), 1, 1), 1.0 if a == b else -1.0 + (skew if (a, b) == (0, 1) else 0.0)
         ),
     )
     sys = DiscreteLagrangianSystem(ex.interval(1), [((0, 1), den)], allow_ends=True)
@@ -340,9 +359,10 @@ def test_fd_derivatives_of_vector_slots():
     assert den.uses_fd
     xs = [np.array([0.4, -0.8]), np.array([1.2, 0.5])]
     (x0, x1), (y0, y1) = xs
-    assert np.allclose(den.grad(xs, 0), [np.cos(x0) * y1**2, y0**3], atol=1e-8)
-    assert np.allclose(den.grad(xs, 1), [3 * x1 * y0**2, 2 * np.sin(x0) * y1], atol=1e-8)
-    cross = den.hess(xs, 0, 1)
+    rows = [x[None] for x in xs]
+    assert np.allclose(den.grad(rows, 0)[0], [np.cos(x0) * y1**2, y0**3], atol=1e-8)
+    assert np.allclose(den.grad(rows, 1)[0], [3 * x1 * y0**2, 2 * np.sin(x0) * y1], atol=1e-8)
+    cross = den.hess(rows, 0, 1)[0]
     assert cross.shape == (2, 2)
     want = [[0.0, 2 * np.cos(x0) * y1], [3 * y0**2, 0.0]]
     assert np.allclose(cross, want, atol=1e-5)
@@ -489,22 +509,24 @@ def test_variational_chain_is_unchanged_by_reuse(n):
             == np.array(list(built.chain.coeffs.values())).tobytes())
 
 
-# -- stacked evaluation against the per-slot oracle ------------------------------
+# -- stacked evaluation against the one-interaction-at-a-time oracle -------------
 
 
 RING_EXPR = "0.5 * (x0 - x1) ** 2 + 0.5 * (x0 - x2) ** 2 + 0.25 * np.cos(x0) * (x1 - x2) ** 2"
 
 
 def user_density():
-    """x^2 y + sin(x - y) with per-slot analytic derivatives."""
-    return Density(
-        2,
-        value=lambda x, y: float(x[0] ** 2 * y[0] + np.sin(x[0] - y[0])),
-        grad=lambda s, x, y: (2 * x * y + np.cos(x - y)) if s == 0 else (x**2 - np.cos(x - y)),
-        hess=lambda a, b, x, y: np.atleast_2d(
-            2 * y - np.sin(x - y) if a == b == 0 else -np.sin(x - y) if a == b
-            else 2 * x + np.sin(x - y)),
-    )
+    """x^2 y + sin(x - y) with analytic derivatives over row stacks."""
+    def grad(xs, s):
+        x, y = xs
+        return (2 * x * y + np.cos(x - y)) if s == 0 else (x**2 - np.cos(x - y))
+
+    def hess(xs, a, b):
+        x, y = xs
+        h = 2 * y - np.sin(x - y) if a == b == 0 else -np.sin(x - y) if a == b else 2 * x + np.sin(x - y)
+        return h[:, :, None]
+
+    return Density(2, value=lambda x, y: float(x[0] ** 2 * y[0] + np.sin(x[0] - y[0])), grad=grad, hess=hess)
 
 
 def order4_ring():
@@ -584,7 +606,7 @@ def test_standard_map_rows_match_the_closed_form():
         (0, 1): [-1.0] * 64, (1, 0): [-1.0] * 64, (1, 1): [1.0] * 64,
     }
     for slots, closed in want.items():
-        rows = den._grad_rows([x, y], *slots) if len(slots) == 1 else den._hess_rows([x, y], *slots)
+        rows = den.grad([x, y], *slots) if len(slots) == 1 else den.hess([x, y], *slots)
         closed = np.array(closed)
         assert rows.shape == (64,) + (1,) * len(slots)
         assert np.all(np.abs(rows.reshape(64) - closed) <= 1e-15 * np.maximum(1.0, np.abs(closed)))

@@ -673,6 +673,19 @@ def test_repeated_cross_link_is_named(ends):
         TailedGraph({}, {}, [Tail(ex.free_tail()), Tail(ex.free_tail())], [((0, 0), (1, 0), 1.0), (*ends, 0.5)])
 
 
+def test_a_core_vertex_of_dimension_below_one_is_named():
+    # a dimension below 1 would shift the next vertex to offset -1 and empty its rows
+    tail = Tail(ex.free_tail(), {(1, 0): [[1.0]]})
+    with pytest.raises(DomainError, match=re.escape("core vertex 0 has dimension -1, expected at least 1")):
+        TailedGraph({0: -1, 1: 1}, {(1, 1): [[0.0]]}, [tail])
+    data = tailed_graph_to_json(ex.potential_line(1.0))
+    data["core"]["vertices"][0]["dim"] = 0
+    with pytest.raises(DomainError, match=re.escape("core vertex 0 has dimension 0, expected at least 1")):
+        tailed_graph_from_json(data)
+    with pytest.raises(DomainError, match=re.escape("core vertex 0 has dimension -1")):
+        load_tailed_graph(str(Path(__file__).parent / "data" / "negative_dim.json"))
+
+
 def test_the_committed_repeated_link_is_rejected():
     # tests/data/repeated_link.json is the pure line with its cross link listed again, reversed
     want = tailed_graph_to_json(ex.pure_line_graph())

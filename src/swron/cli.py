@@ -284,7 +284,7 @@ def _system_from_json(data: dict) -> DiscreteLagrangianSystem:
     graph = complex_from_json(data["graph"])
     chart = data.get("chart_dims", 1)
     if isinstance(chart, dict):
-        chart = {int(v): int(d) for v, d in chart.items()}
+        chart = {int(v): d for v, d in chart.items()}
     allow_ends = bool(data.get("allow_ends", False))
     builder = data.get("builder")
     if builder:
@@ -307,7 +307,7 @@ def _system_from_json(data: dict) -> DiscreteLagrangianSystem:
 
 def _configuration_from_json(data, name: str) -> dict:
     values = {int(v): x for v, x in data.items()}
-    return _vectors(name, values, values)
+    return dict(zip(values, _vectors(name, values, list(values))))
 
 
 def cmd_nonlinear(args) -> int:

@@ -460,6 +460,14 @@ def _distinct(pairs, message) -> dict:
     return out
 
 
+def _dimension(d, what: str) -> int:
+    """The dimension ``d`` as an int; DomainError "{what}, expected ..." unless
+    it is a whole number of at least 1."""
+    if not (x := float(d)).is_integer() or x < 1:
+        raise DomainError(f"{what}, expected {'at least 1' if x.is_integer() else 'a whole number'}")
+    return int(x)
+
+
 def _write_json(data, path: str | None) -> None:
     """The package's one JSON file format: indent 1, sorted keys, final
     newline.  Without a path the text goes to stdout."""

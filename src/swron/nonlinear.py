@@ -20,11 +20,12 @@ import ast
 import math
 import warnings
 from dataclasses import dataclass, replace
+from operator import itemgetter
 from types import SimpleNamespace
 
 import numpy as np
 
-from .complex_core import DomainError, SimplicialComplex
+from .complex_core import DomainError, SimplicialComplex, _dimension
 from .operators import DiscreteOperator
 from .swronskian import SWronskianChain, _covered, swronskian
 
@@ -68,10 +69,11 @@ class Density:
 
     ``value(xs)`` maps a list of slot vectors to a float.  ``grad(xs, slot)``
     and ``hess(xs, a, b)`` take a row stack, ``xs`` one (E, d_s) array per
-    slot, and return (E, d_slot) and (E, d_a, d_b).  Either callable may be
-    omitted; central finite differences of ``value`` fill in, row by row,
-    with the ``uses_fd`` flag set so downstream code can flag the reduced
-    accuracy instead of hiding it.
+    slot, and return (E, d_slot) and (E, d_a, d_b); on all-1-D charts
+    :func:`dynamical_step` passes one float per slot and reads one number
+    back.  Either callable may be omitted; central finite differences of
+    ``value`` fill in, row by row, with the ``uses_fd`` flag set so
+    downstream code can flag the reduced accuracy instead of hiding it.
     """
 
     def __init__(self, nvars, value, grad=None, hess=None, name=""):
@@ -88,17 +90,24 @@ class Density:
     def grad(self, xs, slot: int) -> np.ndarray:
         if self._grad is not None:
             return self._grad(xs, slot)
-        return np.stack([_central(self.value, list(row), slot) for row in zip(*xs)])
+        return _by_row(lambda row: _central(self.value, row, slot), xs)
 
     def hess(self, xs, slot_a: int, slot_b: int) -> np.ndarray:
         if self._hess is not None:
             return self._hess(xs, slot_a, slot_b)
         row_grad = lambda ys: self.grad([y[None] for y in ys], slot_a)[0]
-        return np.stack([_central(row_grad, list(row), slot_b) for row in zip(*xs)])
+        return _by_row(lambda row: _central(row_grad, row, slot_b), xs)
 
 
-def _scalar(xs):  # the two slots of a standard-map row stack
-    if xs[0].shape[1] != 1 or xs[1].shape[1] != 1:
+def _by_row(f, xs):
+    """``f`` at each row of the slot stacks ``xs``, stacked; at floats, its one number."""
+    if isinstance(xs[0], np.ndarray):
+        return np.stack([f(list(row)) for row in zip(*xs)])
+    return f([np.array([x]) for x in xs]).item()
+
+
+def _scalar(xs):  # the two slots of a standard-map row stack, or two floats
+    if isinstance(xs[0], np.ndarray) and (xs[0].shape[1] != 1 or xs[1].shape[1] != 1):
         raise DomainError("the standard-map density takes scalar slots")
     return xs
 
@@ -133,8 +142,8 @@ def quadratic_pair_density(weight: float = 1.0) -> Density:
         2,
         lambda x, y: 0.5 * w * float(np.sum((np.asarray(x) - np.asarray(y)) ** 2)),
         grad=lambda xs, slot: w * (xs[0] - xs[1]) * (1 if slot == 0 else -1),
-        hess=lambda xs, a, b: (w * np.eye(xs[0].shape[1]) * (1 if a == b else -1)
-                               * np.ones((len(xs[0]), 1, 1))),
+        hess=lambda xs, a, b: w * (1 if a == b else -1) * (
+            np.eye(xs[0].shape[1]) * np.ones((len(xs[0]), 1, 1)) if isinstance(xs[0], np.ndarray) else 1.0),
         name="quadratic",
     )
 
@@ -153,8 +162,8 @@ def standard_map_density(kick: float = 1.0) -> Density:
 
     def hess(xs, a, b):
         x, _ = _scalar(xs)
-        h = 1.0 - kk * np.cos(x) if a == b == 0 else np.full(x.shape, 1.0 if a == b else -1.0)
-        return h[:, :, None]
+        h = 1.0 - kk * np.cos(x) if a == b == 0 else 1.0 if a == b else -1.0
+        return np.broadcast_to(h, x.shape)[:, :, None] if isinstance(x, np.ndarray) else h
 
     return Density(2, val, grad=grad, hess=hess, name="standard-map")
 
@@ -238,12 +247,14 @@ class DiscreteLagrangianSystem:
         self.graph = graph
         labels = graph.vertex_labels
         given = chart_dims if isinstance(chart_dims, dict) else dict.fromkeys(labels, chart_dims)
-        self.chart_dims = dict.fromkeys(labels, 1) | {int(v): int(d) for v, d in given.items()}
+        self.chart_dims = dict.fromkeys(labels, 1) | {int(v): d for v, d in given.items()}
         for v, d in self.chart_dims.items():
             if v not in graph._skeleton:
                 raise DomainError(f"chart_dims names vertex {v}, which is not in the graph")
-            if d < 1:
-                raise DomainError(f"chart dimension {d} at vertex {v}, expected at least 1")
+            if type(d) is not int or d < 1:
+                self.chart_dims[v] = _dimension(d, f"chart dimension {d} at vertex {v}")
+        dims = set(self.chart_dims.values())
+        self._dim = dims.pop() if len(dims) == 1 else None  # the one chart dimension
         if not allow_ends:
             for v in labels:
                 if len(graph._skeleton[v]) < 2:
@@ -292,12 +303,19 @@ def _vector(name: str, values: dict, v, dims=None) -> np.ndarray:
     return x
 
 
-def _vectors(name: str, values: dict, keys, dims=None) -> dict:
-    """:func:`_vector` at each of ``keys``, in order; then (one stacked check)
-    DomainError names the first that is not finite."""
-    out = {v: _vector(name, values, v, dims) for v in keys}
-    if out and not np.isfinite(np.concatenate(list(out.values()))).all():
-        v = next(v for v, x in out.items() if not np.isfinite(x).all())
+def _vectors(name: str, values: dict, keys, dims=None):
+    """The values at ``keys`` (a list or dict) in order: one (len(keys), d) stack, read
+    and checked at once; when that fails, a list of :func:`_vector` at each
+    key, which names the first bad value, then the first not finite."""
+    try:
+        rows = np.array([values[v] for v in keys], dtype=float).reshape(len(keys), -1)
+        if set(map((dims or {}).get, keys)) <= {rows.shape[1], None} and np.isfinite(rows).all():
+            return rows
+    except (KeyError, ValueError, TypeError):
+        pass
+    out = [_vector(name, values, v, dims) for v in keys]
+    if out and not np.isfinite(np.concatenate(out)).all():
+        v = next(v for v, x in zip(keys, out) if not np.isfinite(x).all())
         raise DomainError(f"{name} is not finite at vertex {v}")
     return out
 
@@ -312,24 +330,24 @@ def _meeting(sys: DiscreteLagrangianSystem, vertices):
     return sorted({i for v in vertices for i in sys._at_vertex[v]})
 
 
-def _values_on(sys: DiscreteLagrangianSystem, psi: dict, idxs) -> dict:
-    """:func:`_vectors` of psi on the interactions ``idxs``, in first-use order."""
-    used = dict.fromkeys(v for i in idxs for v in sys.interactions[i].vertices)
-    return _vectors("psi", psi, used, sys.chart_dims)
+def _values_on(sys: DiscreteLagrangianSystem, psi: dict, idxs):
+    """The vertices of the interactions ``idxs`` in first-use order, and psi on them."""
+    used = list(dict.fromkeys(v for i in idxs for v in sys.interactions[i].vertices))
+    return used, _vectors("psi", psi, used, sys.chart_dims)
 
 
 def local_action(sys: DiscreteLagrangianSystem, psi: dict, around=None) -> float:
     """Sum of densities; restricted to interactions meeting ``around``."""
-    vals = _values_on(sys, psi, idxs := _meeting(sys, around))
+    vals = dict(zip(*_values_on(sys, psi, idxs := _meeting(sys, around))))
     inters = [sys.interactions[i] for i in idxs]
     return sum((i.density.value([vals[v] for v in i.vertices]) for i in inters), 0.0)
 
 
-def _at(sys: DiscreteLagrangianSystem, psi: dict, v: int, unknown=None):
-    """One pass over the interactions at ``v``: the checked values of psi on
-    them but ``unknown`` (not yet tested for finiteness), and per interaction
-    (density, one-row slot stacks with None for ``unknown``, slot of v, slot
-    of ``unknown`` or -1)."""
+def _at(sys: DiscreteLagrangianSystem, psi: dict, v: int, unknown=None, flat=False):
+    """One pass over the interactions at ``v``: the checked slot values of
+    psi on them but ``unknown`` (not yet tested for finiteness), one-row
+    stacks or, when ``flat``, floats; and per interaction (density, slot
+    values with None for ``unknown``, slot of v, slot of ``unknown`` or -1)."""
     if v not in sys._at_vertex:
         raise DomainError(f"vertex {v} not in the system")
     vals, parts = {}, []
@@ -337,8 +355,9 @@ def _at(sys: DiscreteLagrangianSystem, psi: dict, v: int, unknown=None):
         inter, xs = sys.interactions[i], []
         for u in inter.vertices:
             if u != unknown and u not in vals:
-                vals[u] = _vector("psi", psi, u, sys.chart_dims)
-            xs.append(None if u == unknown else vals[u][None])
+                x = _vector("psi", psi, u, sys.chart_dims)
+                vals[u] = x.item() if flat else x[None]
+            xs.append(None if u == unknown else vals[u])
         vs = inter.vertices
         parts.append((inter.density, xs, vs.index(v), vs.index(unknown) if unknown in vs else -1))
     return vals, parts
@@ -368,48 +387,55 @@ def dynamical_step(
     ``unknown`` when they differ and a step is needed; DegeneracyError when
     the cross Hessian at an iterate is singular, and NonConvergenceError
     after ``NEWTON_MAXITER`` steps.
+
+    On a system whose charts are all 1-D it runs in Python floats, with
+    one float per density slot; otherwise on one-row stacks.
     """
-    vals, parts = _at(sys, psi, v, unknown)
-    fixed = sum((d.grad(xs, a)[0] for d, xs, a, b in parts if b < 0), np.zeros(sys.chart_dims[v]))
+    flat = sys._dim == 1
+    vals, parts = _at(sys, psi, v, unknown, flat)
+    # a density's number at the one row, the zero residual and the residual norm
+    one, zero, norm = ((float, 0.0, abs) if flat else
+                       (itemgetter(0), np.zeros(sys.chart_dims[v]), lambda r: math.hypot(*r)))
+    fixed = sum((one(d.grad(xs, a)) for d, xs, a, b in parts if b < 0), zero)
     if not (terms := [part for part in parts if part[3] >= 0]):
         raise DomainError(f"vertex {unknown} does not interact with {v}")
     dim = sys.chart_dims[unknown]
     x = np.zeros(dim) if x0 is None else np.asarray(x0, dtype=float).reshape(-1)
     if x.size != dim:
         raise DomainError(f"x0 has {x.size} entries, expected {dim}")
+    x = x.item() if flat else x
 
     def residual(x):
         r = fixed
         for dens, xs, a, b in terms:
-            xs[b] = x[None]
-            r = r + dens.grad(xs, a)[0]
+            xs[b] = x if flat else x[None]
+            r = r + one(dens.grad(xs, a))
         return r
 
     for _ in range(NEWTON_MAXITER):
-        if (norm := math.hypot(*(r := residual(x)))) <= NEWTON_TOL:
-            return x
-        if not math.isfinite(norm):
+        if (size := norm(r := residual(x))) <= NEWTON_TOL:
+            return np.array([x]) if flat else x
+        if not math.isfinite(size):
             _vectors("psi", vals, vals)  # names a non-finite neighbour value
-        cross = 0.0  # the cross Hessian (v, unknown) at x, needed only for a step
-        for dens, xs, a, b in terms:
-            cross = cross + dens.hess(xs, a, b)[0]
-        try:
-            if np.shape(cross) != (1, 1):
-                if (rows := sys.chart_dims[v]) != dim:
-                    raise DomainError(f"chart dimensions differ: {rows} at vertex {v}, {dim} at "
-                                      f"vertex {unknown}; the stationarity equation at {v} "
-                                      f"has no Newton step for the value at {unknown}")
-                x = x - np.linalg.solve(cross, r)
-            elif c := float(cross[0, 0]):  # a division, in Python floats: no warning
-                x = np.array([float(x[0]) - float(r[0]) / c])
+        # the cross Hessian (v, unknown) at x, needed only for a step
+        cross = sum((one(dens.hess(xs, a, b)) for dens, xs, a, b in terms), 0.0)
+        try:  # a 1x1 block divides in Python floats: no warning
+            if flat:
+                x = x - r / cross
+            elif np.shape(cross) == (1, 1):
+                x = np.array([float(x[0]) - float(r[0]) / float(cross[0, 0])])
+            elif (rows := sys.chart_dims[v]) != dim:
+                raise DomainError(f"chart dimensions differ: {rows} at vertex {v}, {dim} at "
+                                  f"vertex {unknown}; the stationarity equation at {v} "
+                                  f"has no Newton step for the value at {unknown}")
             else:
-                raise np.linalg.LinAlgError
-        except np.linalg.LinAlgError:
+                x = x - np.linalg.solve(cross, r)
+        except (np.linalg.LinAlgError, ZeroDivisionError):
             raise DegeneracyError(
                 f"cross Hessian between {v} and {unknown} is singular"
             ) from None
-    if math.hypot(*residual(x)) <= NEWTON_TOL:
-        return x
+    if norm(residual(x)) <= NEWTON_TOL:
+        return np.array([x]) if flat else x
     raise NonConvergenceError(
         f"no convergence at vertex {v} after {NEWTON_MAXITER} iterations"
     )
@@ -464,14 +490,13 @@ def linearize(
     """
     labels = sys.graph.vertex_labels if at is None else list(at)
     idxs = _meeting(sys, None if at is None else labels)
-    vals = _values_on(sys, psi, idxs)
-    key = (None if at is None else tuple(labels), tuple(x.tobytes() for x in vals.values()))
+    used, rows = _values_on(sys, psi, idxs)
+    if (dim := sys._dim) is None:
+        raise DomainError("mixed chart dimensions are not supported here")
+    field = np.asarray(rows, dtype=float).reshape(n := len(used), dim)
+    key = (None if at is None else tuple(labels), field.tobytes())
     if sys._linearized[0] != key:
-        if len(dims := set(sys.chart_dims.values())) != 1:
-            raise DomainError("mixed chart dimensions are not supported here")
-        dim, used, n = dims.pop(), np.array(list(vals), dtype=int), len(vals)
-        field = np.array(list(vals.values())).reshape(n, dim)
-        by_label = np.argsort(used)
+        by_label = np.argsort(used := np.array(used, dtype=int))
         # slot a of interaction i has rank i*width + a and slot pair (a, b) rank
         # (i*width + a)*width + b: sorted by rank, terms sum in interaction order
         width = max((dens.nvars for dens, _, _ in sys._groups), default=1)
@@ -542,8 +567,7 @@ def variational_swronskian(
     support = set(op.complex.vertex_sid(v) for v in labels)
     scale = float(np.abs(op.stack).max()) if len(op.stack) else 1.0
     for name, dvec in (("delta1", delta1), ("delta2", delta2)):
-        vals = {op.complex.vertex_sid(v): x
-                for v, x in _vectors(name, dvec, dvec, sys.chart_dims).items()}
+        vals = dict(zip(map(op.complex.vertex_sid, dvec), _vectors(name, dvec, dvec, sys.chart_dims)))
         img = list(op.apply(vals, at=_covered(op, support, vals)).values())
         worst = float(np.abs(np.stack(img)).max()) if img else 0.0
         if worst > kernel_tol * max(1.0, scale):

@@ -54,7 +54,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .complex_core import DomainError, _distinct, _read_json, _write_csv, _write_json
+from .complex_core import DomainError, _dimension, _distinct, _read_json, _write_csv, _write_json
 from .line_lattice import (  # classification and critical points live with the transfer maps
     UNIMODULAR_TOL, CriticalPoint, LineOperator, MonodromyClassification, _classify, _grid,
     _finite, _moduli, _symbol_criticals, _transfer_stack, classify_monodromy, find_critical_points,
@@ -276,10 +276,8 @@ class TailedGraph:
     """
 
     def __init__(self, core_dims, core_blocks, tails, cross_links=()):
-        self.core_dims = {int(v): int(d) for v, d in core_dims.items()}
-        for v, d in self.core_dims.items():
-            if d < 1:
-                raise DomainError(f"core vertex {v} has dimension {d}, expected at least 1")
+        self.core_dims = {int(v): _dimension(d, f"core vertex {v} has dimension {d}")
+                          for v, d in core_dims.items()}
         self.core_order = sorted(self.core_dims)
         offsets = list(accumulate((self.core_dims[v] for v in self.core_order), initial=0))
         self.core_offset, self.core_size = dict(zip(self.core_order, offsets)), offsets[-1]
@@ -823,7 +821,7 @@ def tailed_graph_from_json(data: dict) -> TailedGraph:
     dynamics.
     """
     core = data.get("core", {})
-    core_dims = _distinct(((int(v["label"]), int(v.get("dim", 1))) if isinstance(v, dict) else (int(v), 1)
+    core_dims = _distinct(((int(v["label"]), v.get("dim", 1)) if isinstance(v, dict) else (int(v), 1)
                            for v in core.get("vertices", [])), lambda v: f"core vertex {v} appears twice")
     core_blocks = _distinct((((int(b["to"]), int(b["from"])), _matrix_from_json(b["matrix"]))
                              for b in core.get("blocks", [])), lambda key: f"core block {key} appears twice")

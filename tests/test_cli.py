@@ -199,6 +199,21 @@ def test_scatter_rejects_the_committed_negative_dimension(capsys):
     assert capsys.readouterr().err == "error: core vertex 0 has dimension -1, expected at least 1\n"
 
 
+def test_nonlinear_rejects_the_committed_fractional_chart(capsys):
+    # tests/data/fractional_chart.json is kicked16.json with "chart_dims": 1.5,
+    # which used to run as chart dimension 1; CI expects exit 2 on it
+    spath = str(Path(__file__).parent / "data" / "fractional_chart.json")
+    assert main(["nonlinear", "--system-file", spath]) == 2
+    assert capsys.readouterr().err == "error: chart dimension 1.5 at vertex 0, expected a whole number\n"
+
+
+def test_nonlinear_names_a_fractional_chart_dimension_at_one_vertex(tmp_path, capsys):
+    data = kicked_system_json()
+    data["chart_dims"] = {"3": 1.7}
+    assert main(["nonlinear", "--system-file", write_json(tmp_path / "frac.json", data)]) == 2
+    assert "chart dimension 1.7 at vertex 3, expected a whole number" in capsys.readouterr().err
+
+
 def test_nonlinear_rejects_chart_dims_off_the_graph(tmp_path, capsys):
     data = explicit_system_json()
     data["chart_dims"]["40"] = 1

@@ -126,10 +126,17 @@ def test_system_rejects_higher_dimensional_graphs():
     ({0: 1, 1: 1, 7: 3}, "chart_dims names vertex 7, which is not in the graph"),
     ({0: 1, 1: 0}, "chart dimension 0 at vertex 1, expected at least 1"),
     (-2, "chart dimension -2 at vertex 0, expected at least 1"),
-], ids=["off-the-graph", "zero", "negative"])
+    (1.7, "chart dimension 1.7 at vertex 0, expected a whole number"),
+    ({0: 1.9}, "chart dimension 1.9 at vertex 0, expected a whole number"),
+], ids=["off-the-graph", "zero", "negative", "fractional", "fractional-at-one-vertex"])
 def test_system_rejects_bad_chart_dims(chart_dims, want):
     with pytest.raises(DomainError, match=re.escape(want)):
         build_translation_invariant(ex.interval(3), quadratic_pair_density(), chart_dims, allow_ends=True)
+
+
+def test_a_whole_float_chart_dimension_is_an_int():
+    sys = build_translation_invariant(ex.interval(3), quadratic_pair_density(), 2.0, allow_ends=True)
+    assert all(type(d) is int and d == 2 for d in sys.chart_dims.values())
 
 
 def test_system_rejects_dangling_ends_by_default():
@@ -178,6 +185,53 @@ def test_dynamical_step_reproduces_the_newton_oracle_bit_for_bit():
     assert all(got[v].tobytes() == want[v].tobytes() for v in range(201))
 
 
+def quadratic_path(n):
+    return build_translation_invariant(ex.interval(n), quadratic_pair_density(1.3), allow_ends=True)
+
+
+def expression_path(n):
+    # a standard map through finite differences of value alone
+    return build_translation_invariant(
+        ex.interval(n), expression_density(2, "0.5 * (x0 - x1) ** 2 + 0.6 * np.cos(x0)"), allow_ends=True)
+
+
+def quadratic_dim2_path(n):
+    return build_translation_invariant(ex.interval(n), quadratic_pair_density(1.3), chart_dim=2, allow_ends=True)
+
+
+@pytest.mark.parametrize("build", [
+    quadratic_path, expression_path, lambda n: mixed_densities(ex.interval(n))[0], quadratic_dim2_path,
+], ids=["quadratic", "expression", "mixed", "quadratic-dim2"])
+def test_dynamical_step_orbits_match_the_newton_oracle_bit_for_bit(build):
+    sys = build(12)
+    rng = np.random.default_rng(8)
+    start = {v: rng.uniform(-0.3, 0.3, sys.chart_dims[v]) for v in (0, 1)}
+    want = orc.newton_orbit(sys, start, 12)
+    got = dict(start)
+    for v in range(1, 12):
+        got[v + 1] = dynamical_step(sys, got, v, v + 1, x0=got[v])
+    assert all(got[v].tobytes() == want[v].tobytes() for v in range(13))
+    assert len(set(np.round(np.concatenate(list(got.values())), 6))) > 3  # the orbit moves
+
+
+def test_dynamical_step_calls_densities_with_floats_on_1d_charts():
+    seen = []
+
+    def grad(xs, s):
+        seen.append(type(xs[0]))
+        return (xs[0] - xs[1]) if s == 0 else (xs[1] - xs[0])
+
+    def hess(xs, a, b):
+        seen.append(type(xs[0]))
+        return 1.0 if a == b else -1.0
+
+    sys = build_translation_invariant(
+        ex.interval(3), Density(2, lambda x, y: 0.5 * float((x - y) @ (x - y)), grad, hess),
+        allow_ends=True)
+    assert dynamical_step(sys, {0: np.array([0.25]), 1: np.array([0.5])}, 1, 2).tolist() == [0.75]
+    assert seen and set(seen) == {float}
+
+
 def test_dynamical_step_requires_neighbor():
     sys, psi, _ = kicked_path(5)
     with pytest.raises(DomainError):
@@ -185,10 +239,12 @@ def test_dynamical_step_requires_neighbor():
 
 
 def counted_edge_density(hess_calls):
-    """0.5 (x - y)^2 with analytic derivatives; ``hess`` logs each call."""
+    """0.5 (x - y)^2 with analytic derivatives over row stacks or floats;
+    ``hess`` logs each call."""
     def hess(xs, a, b):
         hess_calls.append((a, b))
-        return np.full((len(xs[0]), 1, 1), 1.0 if a == b else -1.0)
+        h = 1.0 if a == b else -1.0
+        return np.full((len(xs[0]), 1, 1), h) if isinstance(xs[0], np.ndarray) else h
 
     return Density(2, value=lambda x, y: 0.5 * float((x - y) @ (x - y)),
                    grad=lambda xs, s: (xs[0] - xs[1]) if s == 0 else (xs[1] - xs[0]), hess=hess)
@@ -220,7 +276,8 @@ def test_dynamical_step_degenerate_cross_hessian():
         2,
         value=lambda x, y: float(x**2 + y**2),
         grad=lambda xs, s: 2.0 * xs[s],
-        hess=lambda xs, a, b: np.full((len(xs[0]), 1, 1), 2.0 if a == b else 0.0),
+        hess=lambda xs, a, b: (np.full((len(xs[0]), 1, 1), 2.0 if a == b else 0.0)
+                               if isinstance(xs[0], np.ndarray) else 2.0 if a == b else 0.0),
     )
     rank_one = Density(
         2,
@@ -441,7 +498,8 @@ def test_variational_swronskian_names_a_bad_variation_value(which):
     sys, psi, kick = kicked_path(30)
     interior = list(range(1, 30))
     for bad, msg in ((np.array([np.nan]), f"{which} is not finite at vertex 7"),
-                     (np.array([1.0, 2.0]), f"{which} value at vertex 7 has 2 entries, expected 1")):
+                     (np.array([1.0, 2.0]), f"{which} value at vertex 7 has 2 entries, expected 1"),
+                     (np.zeros(0), f"{which} value at vertex 7 has 0 entries, expected 1")):
         pair = dict(zip(("delta1", "delta2"), tangent_pair(psi, kick, 30)))
         pair[which][7] = bad
         with pytest.raises(DomainError, match=msg):
@@ -477,6 +535,55 @@ def test_linearize_rebuilds_when_what_it_reads_changes():
     base = linearize(sys, psi, at=interior).operator
     psi[4] += 1e-12  # in place
     assert linearize(sys, psi, at=interior).operator is not base
+
+
+def test_linearize_keys_its_reuse_on_the_values_read():
+    sys, psi, _ = kicked_path(20)
+    interior = list(range(1, 20))
+    base = linearize(sys, psi, at=interior).operator
+    # the same numbers in other shapes read as the same field
+    same = {**psi, 4: psi[4].reshape(1, 1), 5: float(psi[5][0]), 6: psi[6].tolist()}
+    assert linearize(sys, same, at=interior).operator is base
+    old = psi[4][0]
+    psi[4][0] = old + 1e-12  # an entry edited in place
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        edited = linearize(sys, psi, at=interior).operator
+    assert edited is not base
+    psi[4][0] = old
+    assert linearize(sys, psi, at=interior).operator is not edited
+
+
+BAD_VALUES = [
+    (None, "psi undefined at vertex 7"),
+    (np.array([np.nan]), "psi is not finite at vertex 7"),
+    (np.array([1.0, 2.0]), "psi value at vertex 7 has 2 entries, expected 1"),
+    (np.zeros(0), "psi value at vertex 7 has 0 entries, expected 1"),
+    ([[0.1], [0.2, 0.3]], "setting an array element with a sequence"),
+]
+
+
+@pytest.mark.parametrize("bad, msg", BAD_VALUES, ids=["missing", "nan", "long", "empty", "ragged"])
+def test_linearize_names_a_bad_value(bad, msg):
+    sys, psi, kick = kicked_path(30)
+    interior = list(range(1, 30))
+    d1, d2 = tangent_pair(psi, kick, 30)
+    if bad is None:
+        del psi[7]
+    else:
+        psi[7] = bad
+    error = DomainError if bad is None or isinstance(bad, np.ndarray) else ValueError
+    for call in (lambda: linearize(sys, psi, at=interior),
+                 lambda: variational_swronskian(sys, psi, d1, d2, at=interior)):
+        with pytest.raises(error, match=re.escape(msg)):
+            call()
+
+
+def test_a_bad_length_is_named_before_an_earlier_non_finite_value():
+    sys, psi, _ = kicked_path(30)
+    psi[3], psi[7] = np.array([np.inf]), np.array([1.0, 2.0])
+    with pytest.raises(DomainError, match="psi value at vertex 7 has 2 entries, expected 1"):
+        linearize(sys, psi, at=list(range(1, 30)))
 
 
 def test_linearize_reemits_its_warning_on_reuse():
@@ -516,7 +623,7 @@ RING_EXPR = "0.5 * (x0 - x1) ** 2 + 0.5 * (x0 - x2) ** 2 + 0.25 * np.cos(x0) * (
 
 
 def user_density():
-    """x^2 y + sin(x - y) with analytic derivatives over row stacks."""
+    """x^2 y + sin(x - y) with analytic derivatives over row stacks or floats."""
     def grad(xs, s):
         x, y = xs
         return (2 * x * y + np.cos(x - y)) if s == 0 else (x**2 - np.cos(x - y))
@@ -524,7 +631,7 @@ def user_density():
     def hess(xs, a, b):
         x, y = xs
         h = 2 * y - np.sin(x - y) if a == b == 0 else -np.sin(x - y) if a == b else 2 * x + np.sin(x - y)
-        return h[:, :, None]
+        return h[:, :, None] if isinstance(x, np.ndarray) else h
 
     return Density(2, value=lambda x, y: float(x[0] ** 2 * y[0] + np.sin(x[0] - y[0])), grad=grad, hess=hess)
 
@@ -538,12 +645,13 @@ def quadratic_dim2():
     return build_translation_invariant(ex.circle(6), quadratic_pair_density(1.3), chart_dim=2), 2
 
 
-def mixed_densities():
-    graph = ex.circle(9)
+def mixed_densities(graph=None):
+    # on a path (a graph with ends) every edge keeps its vertex order
+    graph, ends = (ex.circle(9), False) if graph is None else (graph, True)
     dens = [quadratic_pair_density(0.7), standard_map_density(0.6), user_density()]
     edges = [graph.simplex(eid).vertices for eid in graph.edge_sids]
-    inters = [(vs if k % 2 else vs[::-1], dens[k % 3]) for k, vs in enumerate(edges)]
-    return DiscreteLagrangianSystem(graph, inters), 1
+    inters = [(vs if k % 2 or ends else vs[::-1], dens[k % 3]) for k, vs in enumerate(edges)]
+    return DiscreteLagrangianSystem(graph, inters, allow_ends=ends), 1
 
 
 @pytest.mark.parametrize("build", [order4_ring, quadratic_dim2, mixed_densities])
@@ -624,6 +732,6 @@ def test_scalar_slot_densities_reject_vector_charts_by_name(name):
     psi = {v: np.array([0.1 * v, 0.2]) for v in sys.graph.vertex_labels}
     want = f"the {name} density takes scalar slots"
     for call in (lambda: local_action(sys, psi), lambda: linearize(sys, psi),
-                 lambda: el_residual(sys, psi, 0)):
+                 lambda: el_residual(sys, psi, 0), lambda: dynamical_step(sys, psi, 0, 1)):
         with pytest.raises(DomainError, match=re.escape(want)):
             call()

@@ -686,6 +686,19 @@ def test_a_core_vertex_of_dimension_below_one_is_named():
         load_tailed_graph(str(Path(__file__).parent / "data" / "negative_dim.json"))
 
 
+def test_a_core_vertex_of_fractional_dimension_is_named():
+    # int() used to truncate it: a "dim" of 1.5 loaded as 1
+    tail = Tail(ex.free_tail(), {(1, 0): [[1.0]]})
+    with pytest.raises(DomainError, match=re.escape("core vertex 0 has dimension 1.5, expected a whole number")):
+        TailedGraph({0: 1.5, 1: 1}, {(1, 1): [[0.0]]}, [tail])
+    data = tailed_graph_to_json(ex.potential_line(1.0))
+    data["core"]["vertices"][0]["dim"] = 1.5
+    with pytest.raises(DomainError, match=re.escape("core vertex 0 has dimension 1.5, expected a whole number")):
+        tailed_graph_from_json(data)
+    data["core"]["vertices"][0]["dim"] = 1.0
+    assert tailed_graph_from_json(data).core_dims == ex.potential_line(1.0).core_dims
+
+
 def test_the_committed_repeated_link_is_rejected():
     # tests/data/repeated_link.json is the pure line with its cross link listed again, reversed
     want = tailed_graph_to_json(ex.pure_line_graph())

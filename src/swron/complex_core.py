@@ -460,11 +460,14 @@ def _distinct(pairs, message) -> dict:
     return out
 
 
-def _dimension(d, what: str) -> int:
-    """The dimension ``d`` as an int; DomainError "{what}, expected ..." unless
-    it is a whole number of at least 1."""
+def _dimension(d, v, what: str) -> int:
+    """The dimension ``d`` at vertex ``v`` as an int; DomainError "{what}, expected ..."
+    (``what`` formatted with d and v) unless it is a whole number of at least 1."""
+    if type(d) is int and d >= 1:
+        return d
     if not (x := float(d)).is_integer() or x < 1:
-        raise DomainError(f"{what}, expected {'at least 1' if x.is_integer() else 'a whole number'}")
+        expected = "at least 1" if x.is_integer() else "a whole number"
+        raise DomainError(f"{what.format(d=d, v=v)}, expected {expected}")
     return int(x)
 
 

@@ -251,8 +251,7 @@ class DiscreteLagrangianSystem:
         for v, d in self.chart_dims.items():
             if v not in graph._skeleton:
                 raise DomainError(f"chart_dims names vertex {v}, which is not in the graph")
-            if type(d) is not int or d < 1:
-                self.chart_dims[v] = _dimension(d, f"chart dimension {d} at vertex {v}")
+            self.chart_dims[v] = _dimension(d, v, "chart dimension {d} at vertex {v}")
         dims = set(self.chart_dims.values())
         self._dim = dims.pop() if len(dims) == 1 else None  # the one chart dimension
         if not allow_ends:
@@ -293,11 +292,14 @@ class DiscreteLagrangianSystem:
 
 
 def _vector(name: str, values: dict, v, dims=None) -> np.ndarray:
-    """``values[v]`` as a float vector; DomainError when it is missing or has
-    not ``dims[v]`` entries (where ``dims`` has v)."""
+    """``values[v]`` as a float vector; DomainError when it is missing, not a
+    vector of numbers or has not ``dims[v]`` entries (where ``dims`` has v)."""
     if v not in values:
         raise DomainError(f"{name} undefined at vertex {v}")
-    x = np.asarray(values[v], dtype=float).reshape(-1)
+    try:
+        x = np.asarray(values[v], dtype=float).reshape(-1)
+    except (ValueError, TypeError):  # ragged, or not numbers
+        raise DomainError(f"{name} value at vertex {v} is not a vector of numbers") from None
     if dims is not None and (dim := dims.get(v, x.size)) != x.size:
         raise DomainError(f"{name} value at vertex {v} has {x.size} entries, expected {dim}")
     return x
@@ -419,17 +421,12 @@ def dynamical_step(
             _vectors("psi", vals, vals)  # names a non-finite neighbour value
         # the cross Hessian (v, unknown) at x, needed only for a step
         cross = sum((one(dens.hess(xs, a, b)) for dens, xs, a, b in terms), 0.0)
-        try:  # a 1x1 block divides in Python floats: no warning
-            if flat:
-                x = x - r / cross
-            elif np.shape(cross) == (1, 1):
-                x = np.array([float(x[0]) - float(r[0]) / float(cross[0, 0])])
-            elif (rows := sys.chart_dims[v]) != dim:
-                raise DomainError(f"chart dimensions differ: {rows} at vertex {v}, {dim} at "
-                                  f"vertex {unknown}; the stationarity equation at {v} "
-                                  f"has no Newton step for the value at {unknown}")
-            else:
-                x = x - np.linalg.solve(cross, r)
+        if (rows := sys.chart_dims[v]) != dim:
+            raise DomainError(f"chart dimensions differ: {rows} at vertex {v}, {dim} at "
+                              f"vertex {unknown}; the stationarity equation at {v} "
+                              f"has no Newton step for the value at {unknown}")
+        try:
+            x = x - (r / cross if flat else np.linalg.solve(cross, r))
         except (np.linalg.LinAlgError, ZeroDivisionError):
             raise DegeneracyError(
                 f"cross Hessian between {v} and {unknown} is singular"

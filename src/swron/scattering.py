@@ -276,7 +276,7 @@ class TailedGraph:
     """
 
     def __init__(self, core_dims, core_blocks, tails, cross_links=()):
-        self.core_dims = {int(v): _dimension(d, f"core vertex {v} has dimension {d}")
+        self.core_dims = {int(v): _dimension(d, v, "core vertex {v} has dimension {d}")
                           for v, d in core_dims.items()}
         self.core_order = sorted(self.core_dims)
         offsets = list(accumulate((self.core_dims[v] for v in self.core_order), initial=0))

@@ -479,6 +479,14 @@ def test_nonlinear_rejects_non_finite_input(tmp_path, capsys):
     assert "variations[1] is not finite at vertex 3" in capsys.readouterr().err
 
 
+def test_nonlinear_names_a_ragged_configuration_value(tmp_path, capsys):
+    data = kicked_system_json()
+    data["configuration"]["5"] = [[0.1], [0.2, 0.3]]
+    rc = main(["nonlinear", "--system-file", write_json(tmp_path / "ragged.json", data)])
+    assert rc == 2
+    assert "configuration value at vertex 5 is not a vector of numbers" in capsys.readouterr().err
+
+
 def test_nonlinear_rejects_dunder_expression(tmp_path, capsys):
     data = kicked_system_json()
     expr = "().__class__.__base__.__subclasses__().__len__() + 0*x0"

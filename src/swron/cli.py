@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .complex_core import DomainError, _distinct, _read_json, _write_csv, _write_json, load_complex
+from .complex_core import DomainError, _distinct, _read_json, _tolerance, _write_csv, _write_json, load_complex
 from .line_lattice import (
     CRITICAL_GAP,
     PAIRING_TOL,
@@ -82,6 +82,7 @@ def _cochain_from_json(data: dict) -> dict:
 
 
 def cmd_swronskian(args) -> int:
+    _tolerance(args.tol_rel, "--tol-rel")
     cx = load_complex(args.complex_file)
     op = load_operator(args.operator_file, cx, on_asymmetry=args.on_asymmetry)
     vop, sub, centers = to_vertex_operator(op)
@@ -150,6 +151,7 @@ def _scatter_fails(res, tol: float) -> bool:
 
 
 def cmd_scatter(args) -> int:
+    _tolerance(args.residual_tol, "--residual-tol")
     graph = load_tailed_graph(args.graph_file)
     report = {"metadata": _metadata(**_SCATTER_TOLERANCES)}
     if args.lo is not None or args.hi is not None:
@@ -311,6 +313,7 @@ def _configuration_from_json(data, name: str) -> dict:
 
 
 def cmd_nonlinear(args) -> int:
+    _tolerance(args.kernel_tol, "--kernel-tol")
     data = _read_json(args.system_file)
     system = _system_from_json(data)
     if "configuration" not in data:

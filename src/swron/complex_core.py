@@ -471,6 +471,13 @@ def _dimension(d, v, what: str) -> int:
     return int(x)
 
 
+def _tolerance(tol, name: str) -> float:
+    """The tolerance ``name`` as a float; DomainError unless it is finite and at least 0."""
+    if not 0.0 <= (x := float(tol)) < math.inf:
+        raise DomainError(f"{name} {x!r} is not a finite number >= 0")
+    return x
+
+
 def _write_json(data, path: str | None) -> None:
     """The package's one JSON file format: indent 1, sorted keys, final
     newline.  Without a path the text goes to stdout."""

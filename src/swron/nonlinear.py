@@ -25,9 +25,9 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .complex_core import DomainError, SimplicialComplex, _dimension
+from .complex_core import DomainError, SimplicialComplex, _dimension, _tolerance
 from .operators import DiscreteOperator
-from .swronskian import SWronskianChain, _covered, swronskian
+from .swronskian import SWronskianChain, swronskian
 
 __all__ = [
     "Density",
@@ -554,26 +554,32 @@ def variational_swronskian(
     """Pair chain of two kernel variations of the linearized operator.
 
     Both variations must satisfy the linearized equations (at the
-    checked vertices) to within ``kernel_tol`` relative to the block
-    scale; otherwise the request is rejected, since the conservation law
-    is what the chain is for.  A variation value that is not finite or
-    has not ``vec_dim`` entries raises DomainError naming its vertex.
+    checked vertices whose stencil they cover) to within ``kernel_tol``
+    relative to the block scale; otherwise the request is rejected, since
+    the conservation law is what the chain is for.  A variation value that
+    is missing at a checked vertex, not finite or has not ``vec_dim``
+    entries raises DomainError naming its vertex, as does a ``kernel_tol``
+    that is not finite or is negative.
     """
+    kernel_tol = _tolerance(kernel_tol, "kernel_tol")
     op = linearize(sys, psi, at=at).operator
-    labels = sys.graph.vertex_labels if at is None else at
-    support = set(op.complex.vertex_sid(v) for v in labels)
-    scale = float(np.abs(op.stack).max()) if len(op.stack) else 1.0
+    cx, labels = op.complex, sys.graph.vertex_labels if at is None else at
+    inside = np.isin(np.arange(len(cx)), list(map(cx.vertex_sid, labels)))
+    bound = kernel_tol * max(1.0, float(np.abs(op.stack).max(initial=0.0)))
+    values = []
     for name, dvec in (("delta1", delta1), ("delta2", delta2)):
-        vals = dict(zip(map(op.complex.vertex_sid, dvec), _vectors(name, dvec, dvec, sys.chart_dims)))
-        img = list(op.apply(vals, at=_covered(op, support, vals)).values())
-        worst = float(np.abs(np.stack(img)).max()) if img else 0.0
-        if worst > kernel_tol * max(1.0, scale):
-            raise DomainError(
-                f"{name} is not a kernel variation (residual {worst:.3e})"
-            )
-    d1 = {op.complex.vertex_sid(v): x for v, x in delta1.items()}
-    d2 = {op.complex.vertex_sid(v): x for v, x in delta2.items()}
-    return swronskian(op, 0.0, d1, d2, support=sorted(support))
+        rows = _vectors(name, dvec, dvec, sys.chart_dims)
+        sids = np.array(list(map(cx.vertex_sid, dvec)), dtype=np.intp)
+        x, have = np.zeros((len(cx), op.vec_dim)), np.zeros(len(cx), dtype=bool)
+        x[sids], have[sids] = np.reshape(rows, (len(sids), op.vec_dim)), True
+        if len(lost := np.flatnonzero(inside & ~have)):
+            raise DomainError(f"{name} undefined at vertex {cx.simplex(int(lost[0])).vertices[0]}")
+        img = op._act(live := inside[op.target], x[op.source[live]], op.target[live], len(cx))
+        img[op.target[~have[op.source]]] = 0.0  # checked: only ids whose every source has a value
+        if (worst := float(np.abs(img).max(initial=0.0))) > bound:
+            raise DomainError(f"{name} is not a kernel variation (residual {worst:.3e})")
+        values.append(dict(zip(sids.tolist(), dvec.values())))
+    return swronskian(op, 0.0, *values, support=np.flatnonzero(inside).tolist())
 
 
 def build_translation_invariant(

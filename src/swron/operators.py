@@ -285,9 +285,13 @@ class DiscreteOperator:
                               f"required at {self.target[first]}")
         vals = np.array([np.ravel(psi[b]) for b in need.tolist()], dtype=complex)
         vals = vals.reshape(len(need), self.vec_dim)
-        out = np.zeros((len(targets), self.vec_dim), dtype=complex)
-        np.add.at(out, slot[rows], np.einsum("rij,rj->ri", self.stack[rows], vals[inv]))
-        return dict(zip(targets, out))
+        return dict(zip(targets, self._act(rows, vals[inv], slot[rows], len(targets))))
+
+    def _act(self, rows, x, into, n: int) -> np.ndarray:
+        """(n, l) sums of stack rows ``rows`` times ``x`` (one per row), each added at ``into``."""
+        out = np.zeros((n, self.vec_dim), dtype=np.result_type(self.stack, x))
+        np.add.at(out, into, np.einsum("rij,rj->ri", self.stack[rows], x))
+        return out
 
     # -- structure ---------------------------------------------------------
 

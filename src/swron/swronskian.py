@@ -183,16 +183,11 @@ def swronskian(
     )
 
 
-def _covered(op: DiscreteOperator, sids, domain) -> list[int]:
-    """The ids of ``sids``, ascending, whose whole stencil lies in ``domain``."""
-    fringe = op.target[~np.isin(op.source, list(domain))]
-    return sorted(set(sids).difference(fringe.tolist()))
-
-
 def interior_vertices(op: DiscreteOperator, support) -> list[int]:
-    """Vertices of ``support`` whose whole stencil lies inside it."""
+    """Vertices of ``support``, ascending, whose whole stencil lies inside it."""
     support = set(support)
-    return _covered(op, support, support)
+    fringe = op.target[~np.isin(op.source, list(support))]
+    return sorted(support.difference(fringe.tolist()))
 
 
 def verify_cycle(

@@ -447,6 +447,30 @@ def test_nonlinear_variational_report(tmp_path):
     assert all(abs(v - vals[0]) <= 1e-9 for v in vals)
 
 
+DATA = Path(__file__).parent / "data"
+TOLERANCE_RUNS = {
+    "--kernel-tol": ["nonlinear", "--system-file", str(DATA / "kicked16.json")],
+    "--residual-tol": ["scatter", "--graph-file", str(DATA / "well.json"), "--lambda", "0.5"],
+    "--tol-rel": ["swronskian", "--complex-file", str(DATA / "torus7.json"),
+                  "--operator-file", str(DATA / "torus7_operator.json"), "--solve"],
+}
+
+
+@pytest.mark.parametrize("flag", list(TOLERANCE_RUNS))
+@pytest.mark.parametrize("value", ["nan", "inf", "-1e-9"])
+def test_a_tolerance_that_is_not_finite_or_is_negative_exits_2(flag, value, capsys):
+    assert main(TOLERANCE_RUNS[flag] + [f"{flag}={value}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {flag} {float(value)!r} is not a finite number >= 0\n"
+
+
+@pytest.mark.parametrize("flag", list(TOLERANCE_RUNS))
+def test_a_zero_tolerance_is_accepted(flag, capsys):
+    assert main(TOLERANCE_RUNS[flag] + [f"{flag}=0"]) in (0, 1)
+    assert json.loads(capsys.readouterr().out)
+
+
 def test_nonlinear_stationarity_only(tmp_path, capsys):
     data = kicked_system_json()
     del data["variations"]

@@ -10,8 +10,10 @@ from swron import (
     DegeneracyError,
     Density,
     DiscreteLagrangianSystem,
+    DiscreteOperator,
     DomainError,
     NonConvergenceError,
+    SimplicialComplex,
     build_homogeneous_order4,
     build_translation_invariant,
     dynamical_step,
@@ -476,6 +478,8 @@ def test_quadratic_chain_matches_hand_value():
     d2 = {v: np.array([1.0]) for v in range(n)}
     w = variational_swronskian(sys, psi, d1, d2)
     assert w.max_abs() == 0.0
+    # the residual is exactly 0, so a zero tolerance accepts it
+    assert variational_swronskian(sys, psi, d1, d2, kernel_tol=0.0).max_abs() == 0.0
 
 
 def test_verify_cycle_fails_a_chain_with_nan_coefficients():
@@ -505,6 +509,105 @@ def test_variational_swronskian_names_a_bad_variation_value(which):
         pair[which][7] = bad
         with pytest.raises(DomainError, match=msg):
             variational_swronskian(sys, psi, pair["delta1"], pair["delta2"], at=interior)
+
+
+def relabelled_kicked_path(n, offset):
+    """kicked_path(n) and its tangent pair on the labels offset..offset+n, so
+    that a label is not its simplex id."""
+    _, psi, kick = kicked_path(n)
+    graph = SimplicialComplex([(offset + v, offset + v + 1) for v in range(n)])
+    sys = build_translation_invariant(graph, standard_map_density(kick), allow_ends=True)
+    shift = lambda values: {offset + v: x for v, x in values.items()}
+    return sys, shift(psi), *map(shift, tangent_pair(psi, kick, n))
+
+
+@pytest.mark.parametrize("which", ["delta1", "delta2"])
+def test_a_variation_missing_at_a_support_vertex_is_named_by_its_label(which):
+    sys, psi, d1, d2 = relabelled_kicked_path(30, 10)
+    interior = list(range(11, 40))
+    assert sys.graph.vertex_sid(17) != 17
+    pair = {"delta1": d1, "delta2": d2}
+    del pair[which][17]
+    with pytest.raises(DomainError, match=f"^{which} undefined at vertex 17$"):
+        variational_swronskian(sys, psi, d1, d2, at=interior)
+
+
+def test_a_variation_label_outside_the_graph_still_raises():
+    sys, psi, d1, d2 = relabelled_kicked_path(30, 10)
+    d2[99] = np.array([0.0])
+    with pytest.raises(DomainError, match="vertex 99 not in complex"):
+        variational_swronskian(sys, psi, d1, d2, at=list(range(11, 40)))
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1e-8])
+def test_kernel_tol_must_be_finite_and_not_negative(tol):
+    sys, psi, kick = kicked_path(30)
+    d1, d2 = tangent_pair(psi, kick, 30)
+    with pytest.raises(DomainError, match=r"^kernel_tol -?(nan|inf|1e-08) is not a finite number >= 0$"):
+        variational_swronskian(sys, psi, d1, d2, at=list(range(1, 30)), kernel_tol=tol)
+
+
+def oracle_kernel_residual(op, support, values):
+    """max |L delta| over the support ids whose every block source has a value,
+    from ``oracles.block_apply``, and the block scale."""
+    covered = [a for a in support if all(b in values for (t, b) in op.blocks if t == a)]
+    img = orc.block_apply(op, values, at=covered)
+    scale = max(float(np.abs(block).max()) for block in op.blocks.values())
+    return max(float(np.abs(x).max()) for x in img.values()), scale
+
+
+def test_the_kernel_check_is_the_block_apply_residual_against_its_bound():
+    sys, psi, kick = kicked_path(30)
+    interior = list(range(1, 30))
+    d1, d2 = tangent_pair(psi, kick, 30)
+    d1[12] = d1[12] + 1e-3
+    op = linearize(sys, psi, at=interior).operator
+    sid = op.complex.vertex_sid
+    residual, scale = oracle_kernel_residual(op, [sid(v) for v in interior],
+                                             {sid(v): x for v, x in d1.items()})
+    assert 1e-4 < residual < 1e-2
+    at_bound = residual / max(1.0, scale)
+    w = variational_swronskian(sys, psi, d1, d2, at=interior, kernel_tol=at_bound * (1 + 1e-6))
+    assert w.operator is op
+    with pytest.raises(DomainError, match=re.escape(f"delta1 is not a kernel variation "
+                                                    f"(residual {residual:.3e})")):
+        variational_swronskian(sys, psi, d1, d2, at=interior, kernel_tol=at_bound * (1 - 1e-6))
+
+
+def test_the_kernel_check_skips_fringe_vertices_the_variation_does_not_cover():
+    sys, psi, kick = kicked_path(30)
+    interior = list(range(1, 30))
+    d1, d2 = tangent_pair(psi, kick, 30)
+    full = variational_swronskian(sys, psi, d1, d2, at=interior)
+    # defined on the support only: the stencils of 1 and 29 reach 0 and 30
+    short1, short2 = ({v: d[v] for v in interior} for d in (d1, d2))
+    op = full.operator
+    sid = op.complex.vertex_sid
+    for fringe in (1, 29):
+        with pytest.raises(DomainError, match="psi undefined on simplex"):
+            orc.block_apply(op, {sid(v): x for v, x in short1.items()}, at=[sid(fringe)])
+    residual, _ = oracle_kernel_residual(op, [sid(v) for v in interior],
+                                         {sid(v): x for v, x in short1.items()})
+    assert residual <= 1e-12
+    short = variational_swronskian(sys, psi, short1, short2, at=interior, kernel_tol=1e-12)
+    assert short.chain.coeffs == full.chain.coeffs
+
+
+def test_variational_swronskian_makes_no_apply_call(monkeypatch):
+    sys, psi, kick = kicked_path(30)
+    d1, d2 = tangent_pair(psi, kick, 30)
+    calls = []
+
+    def counted(name, real):
+        def spy(*args, **kw):
+            calls.append(name)
+            return real(*args, **kw)
+        return spy
+
+    for name in ("apply", "_act"):
+        monkeypatch.setattr(DiscreteOperator, name, counted(name, getattr(DiscreteOperator, name)))
+    variational_swronskian(sys, psi, d1, d2, at=list(range(1, 30)))
+    assert calls == ["_act", "_act"]  # one product over the stack per variation
 
 
 def test_linearize_reuses_its_operator_for_equal_content():

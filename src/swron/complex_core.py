@@ -460,13 +460,13 @@ def _distinct(pairs, message) -> dict:
     return out
 
 
-def _dimension(d, v, what: str) -> int:
+def _dimension(d, v, what: str, least: float = 1) -> int:
     """The dimension ``d`` at vertex ``v`` as an int; DomainError "{what}, expected ..."
-    (``what`` formatted with d and v) unless it is a whole number of at least 1."""
-    if type(d) is int and d >= 1:
+    (``what`` formatted with d and v) unless it is a whole number of at least ``least``."""
+    if type(d) is int and d >= least:
         return d
-    if not (x := float(d)).is_integer() or x < 1:
-        expected = "at least 1" if x.is_integer() else "a whole number"
+    if not (x := float(d)).is_integer() or x < least:
+        expected = f"at least {least}" if x.is_integer() else "a whole number"
         raise DomainError(f"{what.format(d=d, v=v)}, expected {expected}")
     return int(x)
 

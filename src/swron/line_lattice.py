@@ -23,6 +23,7 @@ exactly invertibility of every leading block in the window.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -266,12 +267,11 @@ class TransferMatrix:
         )
 
 
-def _transfer_stack(op: LineOperator, lams, m: int = 0) -> np.ndarray:
-    """(S, 2kl, 2kl) one-step window maps at base m for the S values
-    ``lams``, real when the operator and every lambda are.  T(lambda) =
-    T0 + lambda E, E holding the inverse leading block in the last l rows
-    at the column block of psi(m+1); T0 and that block are cached per
-    (op, m), once for a constant operator, so a grid is one broadcast."""
+def _transfer_parts(op: LineOperator, m: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """(T0, E) of the one-step window maps T(lambda) = T0 + lambda E at base
+    m, E holding the inverse leading block in the last l rows at the column
+    block of psi(m+1); real when the operator is, and cached per (op, m),
+    once for a constant operator."""
     k, l = op.k, op.l
     m = 0 if op.constant else int(m)
     if m not in op._transfer:
@@ -281,26 +281,19 @@ def _transfer_stack(op: LineOperator, lams, m: int = 0) -> np.ndarray:
             lead_inv = np.linalg.inv(op.block(m + 1, k).astype(complex))
         except np.linalg.LinAlgError:
             raise DomainError(f"leading block at site {m + 1} (shift {k}) is singular") from None
-        t0 = np.zeros((2 * k * l, 2 * k * l), dtype=complex)
-        t0[:-l, l:] = np.eye((2 * k - 1) * l)  # x_{m+1}[p] = x_m[p+1]
+        t0, e = np.zeros((2, 2 * k * l, 2 * k * l), dtype=complex)
+        t0[:-l, l:], e[-l:, k * l : (k + 1) * l] = np.eye((2 * k - 1) * l), lead_inv  # x_{m+1}[p] = x_m[p+1]
         # equation at m+1 solved for psi(m+1+k); column block s + k holds psi(m+1+s)
         t0[-l:] = -lead_inv @ np.hstack([op.block(m + 1, s) for s in range(-k, k)])
-        if np.all(t0.imag == 0) and np.all(lead_inv.imag == 0):
-            t0, lead_inv = t0.real, lead_inv.real
-        op._transfer[m] = (t0, lead_inv)
-    t0, lead_inv = op._transfer[m]
-    lams = np.asarray(lams)
-    out = np.empty((len(lams),) + t0.shape, dtype=np.result_type(t0, lams))
-    out[:] = t0
-    out[:, -l:, k * l : (k + 1) * l] += lams[:, None, None] * lead_inv
-    return out
+        op._transfer[m] = (t0.real, e.real) if np.all(t0.imag == 0) and np.all(e.imag == 0) else (t0, e)
+    return op._transfer[m]
 
 
 def transfer_map(op: LineOperator, lam, m: int) -> TransferMatrix:
     """Window shift map: rows copy coordinates down one site and the last
     l rows solve the equation at m+1 with the leading block."""
-    lam = complex(lam)
-    t = _transfer_stack(op, [lam.real if lam.imag == 0 else lam], m)[0]
+    lam, (t0, e) = complex(lam), _transfer_parts(op, m)
+    t = t0 + (lam.real if lam.imag == 0 else lam) * e
     return TransferMatrix(matrix=t, lam=lam, m=m, op=op)
 
 
@@ -381,22 +374,21 @@ def _classify(mus: np.ndarray, lams, kl: int, size, unimod, dead=()) -> list[Mon
     their ``_moduli``; the rows ``dead`` have an open channel that carries
     no current (``scattering._tail_grid``), the last reason checked."""
     n = mus.shape[1]
-    # each eigenvalue, its conjugate and its inverse (0 for mu = 0, which then
-    # finds itself) against every eigenvalue of its row
-    targets = np.concatenate((mus, mus.conj(), 1.0 / np.where(size > 0, mus, np.inf)), axis=1)
+    # each eigenvalue, its conjugate, its inverse (0 for mu = 0, which then
+    # finds itself) and +-1 against every eigenvalue of its row
+    targets = np.empty((len(mus), 3 * n + 2), dtype=complex)
+    targets[:, :n], targets[:, n : 2 * n], targets[:, 3 * n :] = mus, mus.conj(), (1.0, -1.0)
+    np.divide(1.0, np.where(size > 0, mus, np.inf), out=targets[:, 2 * n : 3 * n])
     dist = np.abs(targets[:, :, None] - mus[:, None, :])
-    diag = np.arange(n)
-    dist[:, diag, diag] = np.inf
+    dist.reshape(len(mus), (3 * n + 2) * n)[:, : n * n : n + 1] = np.inf  # each eigenvalue against itself
     nearest = dist.min(axis=2)
-    min_gap = nearest[:, :n].min(axis=1).tolist()
+    min_gap, _, unit_gap = np.minimum.reduceat(nearest, [0, n, 3 * n], axis=1).T.tolist()
     # symmetry of each row under conjugation and inversion
-    pairing = (nearest[:, n:] / np.maximum(1.0, np.abs(targets[:, n:]))).max(axis=1).tolist()
-    unit_gap = np.minimum(np.abs(mus - 1), np.abs(mus + 1)).min(axis=1).tolist()
-    realish = np.abs(mus.imag) <= UNIMODULAR_TOL * np.maximum(1.0, size)
-    upper, outer = mus.imag > 0, ~unimod & (size > 1)
-    s, p, q = np.array(
-        [unimod & ~realish & upper, outer & ~realish & upper, outer & realish]
-    ).sum(axis=2).tolist()
+    pairing = (nearest[:, n : 3 * n] / np.maximum(1.0, np.abs(targets[:, n : 3 * n]))).max(axis=1).tolist()
+    # above and on the real axis, within UNIMODULAR_TOL * max(1, |mu|)
+    tol, outer = UNIMODULAR_TOL * np.maximum(1.0, size), (size > 1) & ~unimod
+    upper = mus.imag > tol
+    s, p, q = np.array([unimod & upper, outer & upper, outer & (np.abs(mus.imag) <= tol)]).sum(axis=2).tolist()
     out = []
     for i, lam in enumerate(lams):
         reason = None
@@ -420,19 +412,28 @@ def _classify(mus: np.ndarray, lams, kl: int, size, unimod, dead=()) -> list[Mon
 def _classify_grid(op: LineOperator, lams) -> list[MonodromyClassification]:
     """classify_monodromy of the transfer map at every lambda of ``lams``:
     one eigvals call on the transfer stack."""
-    mus = np.linalg.eigvals(_transfer_stack(op, lams)).astype(complex)
+    t0, e = _transfer_parts(op)
+    mus = np.linalg.eigvals(t0 + np.asarray(lams)[:, None, None] * e).astype(complex)
     return _classify(mus, lams, op.k * op.l, *_moduli(mus))
 
 
-def _finite(lam):
-    """``lam``, after checking that it is finite."""
-    if not np.isfinite(lam):
+def _finite(lam) -> float:
+    """``lam`` as a float, after checking that it is a finite real number."""
+    try:
+        if isinstance(lam, (complex, np.complexfloating)):
+            raise TypeError
+        x = float(lam)
+    except (TypeError, ValueError):
+        raise DomainError(f"lambda must be a real number, got {lam!r}") from None
+    if not math.isfinite(x):
         raise DomainError(f"lambda must be finite, got {lam}")
-    return lam
+    return x
 
 
 def _grid(lo: float, hi: float, samples: int, least: int) -> np.ndarray:
     """The regular grid of a lambda scan, after checking its arguments."""
+    if not isinstance(samples, (int, np.integer)):
+        raise DomainError(f"grid samples must be an integer, got {samples!r}")
     if samples < least:
         raise DomainError(f"need at least {'two' if least == 2 else 'three'} grid samples")
     if not np.isfinite([lo, hi]).all():
@@ -506,7 +507,7 @@ def _symbol_criticals(op: LineOperator) -> list[CriticalPoint]:
     if not op.is_real():
         raise DomainError("critical points need real blocks: the symbol of a complex "
                           "operator is not Hermitian")
-    _transfer_stack(op, [])  # checks the order and the leading block
+    _transfer_parts(op)  # checks the order and the leading block
     k, shifts = op.k, np.arange(-op.k, op.k + 1)
     blocks = np.array([op.block(0, s) for s in shifts], dtype=float)
 

@@ -59,7 +59,7 @@ def _null_spaces(stack: np.ndarray):
     if stack.shape[1] == 0 or stack.shape[2] == 0:
         return [(np.eye(stack.shape[2]), np.zeros(0)) for _ in stack]
     _, sings, vts = np.linalg.svd(stack, full_matrices=True)
-    ranks = np.sum(sings > KERNEL_REL_TOL * np.where(sings[:, :1] > 0, sings[:, :1], 1.0), axis=1)
+    ranks = (sings > KERNEL_REL_TOL * sings[:, :1]).sum(axis=1).tolist()
     return [(vt[rank:].conj().T, sing) for sing, vt, rank in zip(sings, vts, ranks)]
 
 

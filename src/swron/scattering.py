@@ -47,6 +47,7 @@ falls by one at each pole of Y_hi Y_lo^-1, a gap state of a half-tail alone.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import accumulate, groupby
@@ -57,7 +58,7 @@ import numpy as np
 from .complex_core import DomainError, _dimension, _distinct, _read_json, _write_csv, _write_json
 from .line_lattice import (  # classification and critical points live with the transfer maps
     UNIMODULAR_TOL, CriticalPoint, LineOperator, MonodromyClassification, _classify, _grid,
-    _finite, _moduli, _symbol_criticals, _transfer_stack, classify_monodromy, find_critical_points,
+    _finite, _moduli, _symbol_criticals, _transfer_parts, classify_monodromy, find_critical_points,
     line_operator_from_json, line_operator_to_json, swronskian_form,
 )
 from .operators import (
@@ -130,10 +131,14 @@ class ModeTable(NamedTuple):
 
     @property
     def anchor(self) -> np.ndarray:
-        return np.where(self.kind == GROW, 2 * self.k - 1, 0)
+        return np.array([2 * self.k - 1, 0, 0, 0])[self.kind]  # by kind code, GROW first
 
     def take(self, at) -> "ModeTable":
         return ModeTable(self.mu[at], self.w[at], self.kind[at], self.k)
+
+    def rows(self, first: int, last: int, count: int) -> "ModeTable":
+        """The entries first..last-1 of a flat table as ``count`` rows of equal length."""
+        return ModeTable(*(a[first:last].reshape(count, -1, *a.shape[1:]) for a in self[:3]), self.k)
 
 
 def _site_values(modes: ModeTable) -> np.ndarray:
@@ -144,11 +149,14 @@ def _site_values(modes: ModeTable) -> np.ndarray:
 
 class _Solve(NamedTuple):
     """The lambda-free part of one stacked Bloch solve (``_tail_grid``):
-    distinct tail operators of one shape (k, l), their pair forms at m = 0
-    as a (G, 1, 2kl, 2kl) stack, their zero-current thresholds (G, 1, 1)
-    and the phase origins their tables are needed at."""
+    distinct tail operators of one shape (k, l), the parts (T0, E) of their
+    transfer maps (``_transfer_parts``) and their pair forms at m = 0, each
+    a (G, 1, 2kl, 2kl) stack, their zero-current thresholds (G, 1, 1) and
+    the phase origins their tables are needed at."""
 
     ops: list[LineOperator]
+    t0: np.ndarray
+    e: np.ndarray
     forms: np.ndarray
     no_current: np.ndarray
     origins: list[int]
@@ -157,51 +165,48 @@ class _Solve(NamedTuple):
 def _solve(ops: list[LineOperator], origins) -> _Solve:
     if not all(op.constant for op in ops):
         raise DomainError("tail operators must be constant")
+    t0, e = (np.array(part, dtype=complex)[:, None] for part in zip(*map(_transfer_parts, ops)))
     forms = np.array([swronskian_form(op, 0).matrix for op in ops])[:, None]
-    return _Solve(ops, forms, 1e-12 * np.abs(forms).max(axis=(2, 3), keepdims=True)[:, 0], sorted(origins))
+    return _Solve(ops, t0, e, forms, 1e-12 * np.abs(forms).max(axis=(2, 3), keepdims=True)[:, 0], sorted(origins))
 
 
 def _tail_grid(solve: _Solve, lams, decay_only=False):
     """tail_modes of every operator of ``solve`` at every lambda of ``lams``
     and every phase origin of ``solve`` from one eig of the (G, S) transfer
-    stack, one row per operator and lambda, operator-major: the
-    classifications of the rows (None when ``decay_only``), per origin one
-    flat ``ModeTable`` of the modes of each row in turn (the decaying ones
-    when ``decay_only``, at origin 0 only), and where each row's modes start.
-    A Python loop per row over listed values orders the modes, emits
-    their kind codes and indices among the eigenvalues and their conjugates,
-    and notes the rows that ``_classify`` reads as having a zero-current
-    channel; one gather per origin builds the table.  The eigenvector of mu
-    has window blocks mu^p w, p = -k+1..k; ``w`` is read from the largest
-    (p = k when |mu| >= 1, else p = -k+1)."""
+    stack, one row per operator and lambda, operator-major: the rows'
+    classifications (None when ``decay_only``), per origin one flat
+    ``ModeTable`` of each row's modes in turn (the decaying ones at origin 0
+    when ``decay_only``), and the list of where each row's modes start.  A
+    Python loop per row orders the modes, emits their kind codes and indices
+    among the eigenvalues and their conjugates, and notes the rows with a
+    zero-current channel; one gather per origin builds the table.  The
+    eigenvector of mu has window blocks mu^p w, p = -k+1..k; ``w`` is read
+    from the largest (p = k when |mu| >= 1, else p = -k+1)."""
     ops, count = solve.ops, len(lams)
     k, l, n = ops[0].k, ops[0].l, 2 * ops[0].k * ops[0].l
-    t = np.empty((len(ops), count, n, n), dtype=complex)
-    for g, op in enumerate(ops):
-        t[g] = _transfer_stack(op, lams)
-    mus, vecs = np.linalg.eig(t.reshape(-1, n, n))
+    mus, vecs = np.linalg.eig((solve.t0 + lams[:, None, None] * solve.e).reshape(-1, n, n))
     size, unimod = _moduli(mus)
-    w = np.where((size >= 1)[:, None, :], vecs[:, -l:, :], vecs[:, :l, :])
-    w = w * np.take_along_axis(w, np.abs(w).argmax(axis=1)[:, None, :], axis=1).conj()
-    w = (w / np.sqrt(np.sum(w.real**2 + w.imag**2, axis=1, keepdims=True))).transpose(0, 2, 1)
+    # one (l,) fiber vector per mode, its largest entry made real and positive, of unit norm
+    w = np.where((size >= 1)[:, None, :], vecs[:, -l:, :], vecs[:, :l, :]).transpose(0, 2, 1).reshape(-1, l)
+    w = w * w[np.arange(len(w)), np.abs(w).argmax(axis=1)].conj()[:, None]
+    w = w / np.sqrt((w.real**2 + w.imag**2).sum(axis=1, keepdims=True))
     if not decay_only:
         # current Im(conj(x) SW x) of each unimodular mode's window x at m_pair = k - 1
-        rise = np.where(unimod, mus, 0.0)[:, :, None] ** np.arange(2 * k)
-        x = (rise[:, :, :, None] * w[:, :, None, :]).reshape(len(ops), count, n, n)
-        tau = np.sum((x.conj() @ solve.forms) * x, axis=3).imag
+        rise = np.where(unimod, mus, 0.0).reshape(-1, 1, 1) ** np.arange(2 * k)[:, None]
+        x = (rise * w[:, None, :]).reshape(len(ops), count, n, n)
+        tau = ((x.conj() @ solve.forms) * x).sum(axis=3).imag
         flow = np.abs(tau)
-        live = unimod.reshape(tau.shape) & (flow >= solve.no_current)
-        tau, flow, live = (a.reshape(mus.shape) for a in (tau, flow, live))
-        taus, lives = tau.tolist(), live.tolist()
+        live = (flow >= solve.no_current).reshape(mus.shape) & unimod
+        taus, lives = tau.reshape(mus.shape).tolist(), live.tolist()
     src, kinds, starts, dead = [], [], [0], set()  # dead: rows with a zero-current channel
     conj = mus.size  # where the conjugates start in the gather below
     for i, (row, angles, sizes, unit) in enumerate(
-            zip(mus.tolist(), np.angle(mus).tolist(), size.tolist(), unimod.tolist())):
-        for j in sorted(range(n), key=lambda j: (round(angles[j], 12), sizes[j])):
+            zip(mus.tolist(), np.arctan2(mus.imag, mus.real).tolist(), size.tolist(), unimod.tolist())):
+        for _, modulus, j in sorted(zip([round(a, 12) for a in angles], sizes, range(n))):
             if not unit[j]:
-                if sizes[j] < 1.0 or not decay_only:
+                if modulus < 1.0 or not decay_only:
                     src.append(i * n + j)
-                    kinds.append(DECAY if sizes[j] < 1.0 else GROW)
+                    kinds.append(DECAY if modulus < 1.0 else GROW)
             elif decay_only or (row[j].imag <= 0 and abs(row[j].imag) > UNIMODULAR_TOL):
                 continue  # conjugate partner handled with its mate
             elif not lives[i][j]:
@@ -214,12 +219,13 @@ def _tail_grid(solve: _Solve, lams, decay_only=False):
     src, kind = np.array(src, dtype=np.intp), np.array(kinds, dtype=np.int8)
     mu = np.concatenate((mus, mus.conj())).reshape(-1)[src]
     if not decay_only:  # channel modes: the origin's phase and 1/sqrt(current)
-        base, current = np.where(live, mus, 1.0), np.sqrt(np.where(live, flow, 1.0))[:, :, None]
+        base = np.where(live, mus, 1.0).reshape(-1, 1)
+        current = np.sqrt(np.where(live, flow.reshape(mus.shape), 1.0)).reshape(-1, 1)
     tables = {}
     for origin in [0] if decay_only else solve.origins:
-        f = w if decay_only else w * (base**origin)[:, :, None] / current
-        tables[origin] = ModeTable(mu, np.concatenate((f, f.conj())).reshape(-1, l)[src], kind, k)
-    return clfs, tables, np.array(starts)
+        f = w if decay_only else w * base**origin / current
+        tables[origin] = ModeTable(mu, np.concatenate((f, f.conj()))[src], kind, k)
+    return clfs, tables, starts
 
 
 def tail_modes(
@@ -237,7 +243,8 @@ def tail_modes(
     the exact conjugate of the outgoing one.  These are the modes, in the
     frame of ``ModeTable``, that ``asymptotic_subspace`` reads.
     """
-    clfs, tables, _ = _tail_grid(_solve([op], [origin]), [_finite(lam)])
+    origin = _dimension(origin, None, "origin {d}", least=-math.inf)
+    clfs, tables, _ = _tail_grid(_solve([op], [origin]), np.array([_finite(lam)]))
     return clfs[0], tables[origin]
 
 
@@ -315,7 +322,8 @@ class TailedGraph:
                     )
                 shape, what = (self.core_dims[v], tail.op.l), f"tail {j} attach block at ({v}, {n})"
                 fixed[(v, n)] = _as_block(m, shape, what, real=True)
-            self.tails.append(replace(tail, attach=fixed))
+            origin = _dimension(tail.origin, j, "tail {v} has origin {d}", least=-math.inf)
+            self.tails.append(replace(tail, attach=fixed, origin=origin))
 
         self.cross_links = []
         for (j1, n1), (j2, n2), m in cross_links:
@@ -366,16 +374,15 @@ class TailedGraph:
     @cached_property
     def _plan(self):
         """The junction rows (see the module docstring) apart from lambda,
-        over (core values, modal coefficients): A(lambda) = [core - lambda E,
-        (modal - lambda select) W], W the mode values on the stacked windows
-        of every tail, which start at rows ``wins``; ``form`` is the direct
-        sum of the tail pair forms on W.  Returns (core, modal, select, form,
-        wins)."""
+        over (core values, window values): A(lambda) = (junction - lambda
+        select) diag(I, W), W the mode values on the stacked windows of every
+        tail, which start at rows ``wins`` of W; ``form`` is the direct sum of
+        the tail pair forms on W.  Returns (junction, select, form, wins)."""
         nc, kls = self.core_size, [t.op.k * t.op.l for t in self.tails]
         rows, wins = list(accumulate(kls, initial=nc)), list(accumulate((2 * kl for kl in kls), initial=0))
-        core, modal = np.zeros((rows[-1], nc)), np.zeros((rows[-1], wins[-1]))
-        core[:nc] = self.core_matrix()
-        select, form = np.zeros_like(modal), np.zeros((wins[-1], wins[-1]), dtype=complex)
+        junction, select = np.zeros((2, rows[-1], nc + wins[-1]))
+        junction[:nc, :nc], select[:nc, :nc] = self.core_matrix(), np.eye(nc)
+        cols, form = [nc + w for w in wins], np.zeros((wins[-1], wins[-1]), dtype=complex)
 
         def site(j: int, n: int, base) -> slice:
             l = self.tails[j].op.l
@@ -384,18 +391,18 @@ class TailedGraph:
         for j, (tail, kl) in enumerate(zip(self.tails, kls)):
             op = tail.op
             form[wins[j] : wins[j + 1], wins[j] : wins[j + 1]] = swronskian_form(op, 0).matrix
-            select[rows[j] : rows[j + 1], wins[j] : wins[j] + kl] = np.eye(kl)
+            select[rows[j] : rows[j + 1], cols[j] : cols[j] + kl] = np.eye(kl)
             for n in range(op.k):
                 for s in range(max(-op.k, -n), op.k + 1):  # the half-line has no sites below 0
-                    modal[site(j, n, rows), site(j, n + s, wins)] = op.block(0, s)
+                    junction[site(j, n, rows), site(j, n + s, cols)] = op.block(0, s)
             for (v, n), m in tail.attach.items():
                 c = slice(self.core_offset[v], self.core_offset[v] + self.core_dims[v])
-                modal[c, site(j, n, wins)] += m
-                core[site(j, n, rows), c] += m.T
+                junction[c, site(j, n, cols)] += m
+                junction[site(j, n, rows), c] += m.T
         for (j1, n1), (j2, n2), m in self.cross_links:
-            modal[site(j1, n1, rows), site(j2, n2, wins)] += m
-            modal[site(j2, n2, rows), site(j1, n1, wins)] += m.T
-        return core, modal, select, form, wins
+            junction[site(j1, n1, rows), site(j2, n2, cols)] += m
+            junction[site(j2, n2, rows), site(j1, n1, cols)] += m.T
+        return junction, select, form, wins
 
     def core_matrix(self) -> np.ndarray:
         mat = np.zeros((self.core_size, self.core_size))
@@ -410,26 +417,24 @@ class TailedGraph:
 
 def _junction_grid(graph: TailedGraph, lams: np.ndarray, decay_only=False):
     """Per lambda of ``lams``, the classifications of every tail (None when
-    ``decay_only``), and per mode-count shape a stack: its rows of ``lams``,
-    the ``_assemble`` output there and each tail's (S, n_j) ``ModeTable``.
+    ``decay_only``), and per run of consecutive lambdas with equal mode
+    counts a stack: its slice of ``lams``, the ``_assemble`` output there and
+    each tail's (S, n_j) ``ModeTable``, a view of that tail's flat table.
     There is one ``_tail_grid`` per shape (k, l) of the graph's tail
     operators (``TailedGraph._solves``); each tail reads its operator's rows
-    of that solve at its origin, and decaying modes need no origin."""
+    of that solve at its origin; decaying modes need no origin.  Tails with
+    one operator and origin (any origin if ``decay_only``) share one view."""
     solves, where = graph._solves
     solved = [_tail_grid(solve, lams, decay_only) for solve in solves]
-    count = len(lams)
+    count, where = len(lams), [(a, g, 0 if decay_only else origin) for a, g, origin in where]
     clfs = None if decay_only else [[solved[a][0][g * count + i] for a, g, _ in where] for i in range(count)]
-    tables = [solved[a][1][0 if decay_only else origin] for a, _, origin in where]
-    starts = np.array([solved[a][2][g * count : (g + 1) * count + 1] for a, g, _ in where])
-    groups: dict[tuple[int, ...], list[int]] = {}
-    for i, shape in enumerate(np.diff(starts, axis=1).T.tolist()):
-        groups.setdefault(tuple(shape), []).append(i)
-    stacks = []
-    for shape, idx in groups.items():
-        idx = np.array(idx)
-        modes = [table.take(first[idx, None] + np.arange(n))
-                 for table, first, n in zip(tables, starts, shape)]
-        stacks.append((idx, *_assemble(graph, lams[idx], modes), modes))
+    tables = {(a, g, o): (solved[a][1][o], solved[a][2][g * count : (g + 1) * count + 1]) for a, g, o in where}
+    stacks, end = [], 0
+    for _, run in groupby(zip(*([b - a for a, b in zip(s, s[1:])] for _, s in tables.values()))):
+        at = slice(end, end := end + len(list(run)))
+        views = {key: table.rows(first[at.start], first[end], end - at.start) for key, (table, first) in tables.items()}
+        modes = [views[key] for key in where]
+        stacks.append((at, *_assemble(graph, lams[at], modes), modes))
     return clfs, stacks
 
 
@@ -438,15 +443,15 @@ def _assemble(graph: TailedGraph, lams: np.ndarray, modes: list[ModeTable]):
     coefficients) at the S values ``lams``, from the graph's junction plan,
     and the mode values they read: the block-diagonal (S, sum 2kl, modes)
     values of the modes of every tail j on its window sites 0..2k_j - 1,
-    evaluated once from its (S, n_j) table ``modes[j]``."""
-    core, modal, select, _, wins = graph._plan
-    cols = list(accumulate((m.kind.shape[1] for m in modes), initial=0))
-    window = np.zeros((len(lams), modal.shape[1], cols[-1]), dtype=complex)
+    evaluated once per table object from its (S, n_j) table ``modes[j]``."""
+    junction, select, _, wins = graph._plan
+    cols, nc = list(accumulate((m.kind.shape[1] for m in modes), initial=0)), graph.core_size
+    window = np.zeros((len(lams), wins[-1], cols[-1]), dtype=complex)
+    values = {key: _site_values(m) for key, m in {id(m): m for m in modes}.items()}
     for w0, w1, c0, c1, m in zip(wins, wins[1:], cols, cols[1:], modes):
-        window[:, w0:w1, c0:c1] = _site_values(m).reshape(len(lams), w1 - w0, c1 - c0)
-    lams = lams[:, None, None]
-    a = np.concatenate((core - lams * np.eye(*core.shape), (modal - lams * select) @ window), axis=2)
-    return a, window
+        window[:, w0:w1, c0:c1] = values[id(m)].reshape(len(lams), w1 - w0, c1 - c0)
+    shifted = junction - lams[:, None, None] * select
+    return np.concatenate((shifted[:, :, :nc], shifted[:, :, nc:] @ window), axis=2), window
 
 
 @dataclass
@@ -517,81 +522,81 @@ def scattering_matrix(graph: TailedGraph, lam: float) -> ScatteringResult:
     Critical or singular points withhold the matrix and set flags rather
     than returning unreliable numbers.
     """
-    return _scatter(graph, np.array([_finite(float(lam))]))[0]
+    return _scatter(graph, np.array([_finite(lam)]))[0]
 
 
 def _scatter(graph: TailedGraph, lams) -> list[ScatteringResult]:
     """scattering_matrix at every lambda of ``lams``: one Bloch solve per
     tail shape (k, l), one assembly and one junction SVD per stack of equal
-    mode counts, then, per kernel dimension within a stack, the residuals of the
-    stacked kernels as batched reductions and S from one stacked SVD."""
+    mode counts, then the residuals of the stacked kernels per run of equal
+    kernel dimension as batched reductions, and S from one stacked SVD."""
     clfs, stacks = _junction_grid(graph, lams)
-    expected, nc, (*_, form, wins) = graph.expected_dim(), graph.core_size, graph._plan
-    out: list = [None] * len(lams)
-    for idx, matrix, window, modes in stacks:
+    nc, (*_, form, wins) = graph.core_size, graph._plan
+    expected = wins[-1] // 2  # sum k_j l_j, graph.expected_dim()
+    out: list = []
+    for at, matrix, window, modes in stacks:
         bases = _null_spaces(matrix)
-        dims = np.array([kernel.shape[1] for kernel, _ in bases])
         cols = list(accumulate((m.kind.shape[1] for m in modes), initial=nc))
         spans = list(zip(wins, wins[1:], cols, cols[1:]))  # window rows, modal columns of each tail
-        for dim in sorted(set(dims.tolist())):
-            at = np.flatnonzero(dims == dim)
-            lam_rows, window_at, modes_at = idx[at].tolist(), window[at], [m.take(at) for m in modes]
-            kernel = np.array([bases[t][0] for t in at.tolist()])
+        residual, degenerate = [], []
+        for _, run in groupby((kernel for kernel, _ in bases), key=lambda kernel: kernel.shape[1]):
+            kernel = np.array(list(run))[:, nc:]
             # the pair form of each kernel's basis, its solutions normalized on the windows
-            sol = window_at @ kernel[:, nc:]
+            sol = window[len(residual) : len(residual) + len(kernel)] @ kernel
             norms = np.sqrt((np.abs(sol) ** 2).sum(axis=1))
-            sol = sol / np.where(norms > 1e-12, norms, 1.0)[:, None, :]
-            residual = np.abs(sol.swapaxes(1, 2) @ form @ sol).max(axis=(1, 2), initial=0.0)
-            outs = np.array([(m.kind == OUT).sum(axis=1) for m in modes_at]).reshape(-1, len(at)).T
-            critical = np.array([any(c.critical for c in clfs[i]) for i in lam_rows], dtype=bool)
-            solve = (outs.sum(axis=1) > 0) & ~critical & (dim == expected)
-            smat = _s_matrices(kernel[:, nc:], window_at, modes_at, form, solve) if solve.any() else {}
-            for r, (t, i) in enumerate(zip(at.tolist(), lam_rows)):
-                flags = {f for f, on in (("critical", critical[r]), ("kernel-dim-mismatch", dim != expected),
-                                         ("window-degenerate", (norms[r] <= 1e-12).any())) if on}
-                sub = AsymptoticSubspace(
-                    float(lams[i]), dim, expected, kernel[r, :nc], [kernel[r, c0:c1] for *_, c0, c1 in spans],
-                    [m.take(t) for m in modes], [window[t, w0:w1, c0 - nc : c1 - nc] for w0, w1, c0, c1 in spans],
-                    clfs[i], float(residual[r]), bases[t][1], flags,
-                )
-                channels = [(j, c) for j, n in enumerate(outs[r].tolist()) for c in range(n)]
-                more = ({"no-channels"} if not channels else
-                        {"singular"} if solve[r] and r not in smat else set())
-                out[i] = ScatteringResult(sub.lam, channels, *smat.get(r, (None,) * 4), sub, flags | more)
+            sol = sol / np.where(small := norms <= 1e-12, 1.0, norms)[:, None, :]
+            residual += np.abs(sol.swapaxes(1, 2) @ form @ sol).max(axis=(1, 2), initial=0.0).tolist()
+            degenerate += small.any(axis=1).tolist()
+        kinds = np.concatenate([m.kind for m in modes], axis=1)
+        # per row: its channels per tail, their number and whether a tail is critical
+        outs = [[row[c0 - nc : c1 - nc].count(OUT) for *_, c0, c1 in spans] for row in kinds.tolist()]
+        rows = [(o, sum(o), any(c.critical for c in clfs[i])) for i, o in zip(range(at.start, at.stop), outs)]
+        # S where there are channels, no tail is critical and the kernel has the expected dimension
+        solve = sorted((t for t, ((_, nch, critical), (kernel, _)) in enumerate(zip(rows, bases))
+                        if nch and not critical and kernel.shape[1] == expected), key=lambda t: rows[t][1])
+        smat = dict(zip(solve, _s_matrices(np.array([bases[t][0] for t in solve])[:, nc:], window[solve], kinds[solve],
+                                           [rows[t][1] for t in solve], form) if solve else []))
+        for t, (i, (kernel, sing), (outs, _, critical)) in enumerate(zip(range(at.start, at.stop), bases, rows)):
+            dim = kernel.shape[1]
+            flags = {f for f, on in (("critical", critical), ("kernel-dim-mismatch", dim != expected),
+                                     ("window-degenerate", degenerate[t])) if on}
+            sub = AsymptoticSubspace(
+                float(lams[i]), dim, expected, kernel[:nc], [kernel[c0:c1] for *_, c0, c1 in spans],
+                [m.take(t) for m in modes], [window[t, w0:w1, c0 - nc : c1 - nc] for w0, w1, c0, c1 in spans],
+                clfs[i], residual[t], sing, flags,
+            )
+            channels = [(j, c) for j, n in enumerate(outs) for c in range(n)]
+            more = {"no-channels"} if not channels else {"singular"} if t in smat and not smat[t] else set()
+            out.append(ScatteringResult(sub.lam, channels, *(smat.get(t) or (None,) * 4), sub, flags | more))
     return out
 
 
-def _s_matrices(coef, window, modes, form, solve) -> dict:
-    """S and its unitarity, symmetry and pairing defects by kernel, for the
-    kernels ``solve`` whose square grow/in system M has cond(M) < 1e10.
-    ``coef`` holds the (R, modes, dim) modal coefficients of R kernels of one
-    dimension, at the R rows of ``window`` and ``modes``.  Every M goes
-    through one stacked SVD; S is batched over kernels of one channel count."""
-    dim = coef.shape[2]
-    kinds = np.concatenate([m.kind for m in modes], axis=1)
-    rows = np.flatnonzero(solve & ((kinds <= IN).sum(axis=1) == dim))
-    # grow and in rows: a square M over the kernel (n_grow + n_ch = dim), S = K_out M^-1 [0; I]
-    kinds = kinds[rows]
-    m = coef[rows[:, None], kinds.argsort(axis=1, kind="stable")]  # grow, in, out, decay
+def _s_matrices(coef, window, kinds, nch, form) -> list:
+    """S and its unitarity, symmetry and pairing defects at each of R rows,
+    or None where the square grow/in system M has cond(M) >= 1e10.  ``coef``
+    holds the (R, modes, dim) modal coefficients of R kernels, at the R rows
+    of ``window`` and of the kind codes ``kinds``, sorted by their channel
+    counts ``nch``.  A row with no critical tail has dim grow and in modes
+    (s + 2p + q = kl on each tail).  Every M goes through one stacked SVD; S
+    is batched over each run of one channel count."""
+    dim, rows = coef.shape[2], np.arange(len(coef))[:, None]
+    # grow, in, out and decay modes in turn: M is the square grow/in system, S = K_out M^-1 [0; I];
+    # x holds the window values of the modes in that order
+    order = kinds.argsort(axis=1, kind="stable")
+    m, x = coef[rows, order], window.swapaxes(1, 2)[rows, order]
     u, sing, vh = np.linalg.svd(m[:, :dim])
     good = sing[:, -1] * 1e10 > sing[:, 0]  # cond(M) < 1e10; an all-zero M is singular
-    if not good.all():
-        rows, kinds, m, u, sing, vh = rows[good], kinds[good], m[good], u[good], sing[good], vh[good]
-    inverse = vh.conj().swapaxes(1, 2) / sing[:, None, :]
-    # diagnostic: the in/out pair normalization; each out mode's column is followed
-    # by its in mode's (``_tail_grid``), and the windows of two tails pair to zero
-    x, outs = window[rows], kinds[:, :-1] == OUT
-    pair = np.abs((x.swapaxes(1, 2) @ form @ x)[:, 1:, :-1] - A_LAMBDA * np.eye(x.shape[2] - 1))
-    defect = (pair * (outs[:, :, None] & outs[:, None, :])).max(axis=(1, 2), initial=0.0)
-    found, nch = {}, outs.sum(axis=1)
-    for n in set(nch.tolist()):
-        at = np.flatnonzero(nch == n)
+    inverse = vh.conj().swapaxes(1, 2) / np.where(good[:, None], sing, 1.0)[:, None, :]  # S of a bad M is dropped
+    found, first = [], 0
+    for n, run in groupby(nch):
+        at, eye = slice(first, first := first + len(list(run))), np.eye(n)
         s = m[at, dim : dim + n] @ inverse[at] @ u[at, dim - n :].conj().swapaxes(1, 2)
-        unit = np.abs(s @ s.conj().swapaxes(1, 2) - np.eye(n)).max(axis=(1, 2))
-        symm = np.abs(s - s.swapaxes(1, 2)).max(axis=(1, 2))
-        for g, r in enumerate(rows[at].tolist()):
-            found[r] = (s[g], float(unit[g]), float(symm[g]), float(defect[at[g]]))
-    return found
+        # unitarity and symmetry defects, and the in/out pair normalization on the windows:
+        # the in mode of each out mode follows it (``_tail_grid``), so the n in modes pair in turn with the n out modes
+        pairs = x[at, dim - n : dim] @ form @ x[at, dim : dim + n].swapaxes(1, 2) - A_LAMBDA * eye
+        defects = np.array((s @ s.conj().swapaxes(1, 2) - eye, s - s.swapaxes(1, 2), pairs))
+        found += zip(s, *np.abs(defects).max(axis=(2, 3)).tolist())
+    return [row if ok else None for row, ok in zip(found, good.tolist())]
 
 
 # -- discrete spectrum -----------------------------------------------------------
@@ -616,14 +621,14 @@ def _junction_eigs(graph: TailedGraph, lams):
     complement A(lambda) (see the module docstring) at every lambda of
     ``lams``, NaN where some tail has an open channel, and the eigenvectors
     over (core values, decaying-mode coefficients)."""
-    (core, _, select, _, _), nc = graph._plan, graph.core_size
-    size = len(core)
+    (junction, select, *_), nc = graph._plan, graph.core_size
+    size = len(junction)
     vals, vecs = np.full((len(lams), size), np.nan), np.full((len(lams), size, size), np.nan)
     coefs = np.full((len(lams), size, size), np.nan, dtype=complex)
     for idx, a, window, _ in _junction_grid(graph, lams, decay_only=True)[1]:
         if a.shape[2] != size:
             continue  # an open channel
-        ylo = select[nc:] @ window  # values on sites 0..k_j - 1, block-diagonal
+        ylo = select[nc:, nc:] @ window  # values on sites 0..k_j - 1, block-diagonal
         a[:, :, nc:] = np.linalg.solve(ylo.swapaxes(1, 2), a[:, :, nc:].swapaxes(1, 2)).swapaxes(1, 2)
         vals[idx], vecs[idx] = np.linalg.eigh(0.5 * (a.real + a.real.swapaxes(1, 2)))
         coefs[idx] = vecs[idx]
@@ -689,7 +694,7 @@ def regular_discrete_spectrum(
     # cluster of equal core eigenvalues contributes the null space, over its
     # eigenvectors, of the attach rows summed per tail site
     if graph.core_size:
-        core = graph._plan[0]  # the core rows, then the attach rows of every tail site
+        core = graph._plan[0][:, :nc]  # the core rows, then the attach rows of every tail site
         evals, evecs = np.linalg.eigh(core[:nc])
         tol = 1e-10 * float(np.max(np.abs(core)))
         for cluster in np.split(np.arange(len(evals)), np.flatnonzero(np.diff(evals) > tol) + 1):
@@ -844,7 +849,7 @@ def tailed_graph_from_json(data: dict) -> TailedGraph:
         attach = _distinct((((int(a["vertex"]), int(a["site"])), _matrix_from_json(a["matrix"]))
                             for a in item.get("attach", [])),
                            lambda key: f"tail {jt} attach entry at (vertex, site) {key} appears twice")
-        origin = int(item.get("origin", 0))
+        origin = _dimension(item.get("origin", 0), jt, "tail {v} has origin {d}", least=-math.inf)
 
         overrides = _distinct(
             ((int(d["site"]), {int(s): _matrix_from_json(m) for s, m in d["blocks"].items()})
@@ -881,11 +886,8 @@ def tailed_graph_from_json(data: dict) -> TailedGraph:
                 else:
                     new_attach[(v, n - cut)] = m
             attach = new_attach
-            origin += cut
-            shifts.append(cut)
-        else:
-            shifts.append(0)
-        tails.append(Tail(op=op, attach=attach, origin=origin))
+        shifts.append(cut)
+        tails.append(Tail(op=op, attach=attach, origin=origin + cut))
 
     core_blocks.update(extra_blocks)
     cross = []

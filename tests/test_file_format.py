@@ -1,16 +1,17 @@
 """The one JSON file format: committed fixtures byte for byte, save/load
 round trips of every saver, and reports on stdout equal to reports in files."""
 
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from swron import examples as ex
-from swron.complex_core import _write_json, save_complex
+from swron.complex_core import DomainError, _write_json, save_complex
 from swron.line_lattice import LineOperator, load_line_operator, save_line_operator
 from swron.operators import DiscreteOperator, _matrix_from_json, load_operator, save_operator
-from swron.scattering import save_tailed_graph
+from swron.scattering import save_tailed_graph, tailed_graph_from_json, tailed_graph_to_json
 from test_cli import embedded_vertex_graph
 from test_grids import close_pair_operator
 from test_scattering import two_channel_graph
@@ -89,3 +90,13 @@ def test_report_on_stdout_matches_report_file(tmp_path, capsys):
     written = (tmp_path / "r.json").read_bytes()
     assert printed.encode() == written
     assert written.endswith(b"}\n") and written.index(b'"a"') < written.index(b'"z"')
+
+
+def test_a_fractional_tail_origin_is_named_on_load():
+    # int() truncated it: an "origin" of 2.5 loaded as 2
+    data = tailed_graph_to_json(ex.potential_line(1.0))
+    data["tails"][1]["origin"] = 2.5
+    with pytest.raises(DomainError, match=re.escape("tail 1 has origin 2.5, expected a whole number")):
+        tailed_graph_from_json(data)
+    data["tails"][1]["origin"] = 2.0
+    assert tailed_graph_from_json(data).tails[1].origin == 2

@@ -85,6 +85,18 @@ def test_a_non_finite_lambda_is_named(lam):
             sc.tail_modes(ex.free_tail(), lam)
 
 
+@pytest.mark.parametrize("lam", [0.5 + 0.1j, 0.5 + 0j, np.complex128(0.5 + 0.1j), "half", None])
+def test_a_lambda_that_is_not_a_real_number_is_named(lam):
+    # float() raised a bare TypeError, or dropped the imaginary part of a numpy complex
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (lambda: scattering_matrix(ex.potential_line(1.0), lam),
+                     lambda: sc.asymptotic_subspace(ex.potential_line(1.0), lam),
+                     lambda: sc.tail_modes(ex.free_tail(), lam)):
+            with pytest.raises(DomainError, match=re.escape(f"lambda must be a real number, got {lam!r}")):
+                call()
+
+
 @pytest.mark.parametrize("command", ["scatter", "spectrum", "classify"])
 def test_grid_commands_reject_an_infinite_end(tmp_path, capsys, command):
     if command == "classify":
@@ -132,6 +144,19 @@ def test_grid_sample_minimum_messages():
         find_critical_points(ex.free_line_operator(1), -3, 3, 1)
     with pytest.raises(DomainError, match="need at least three grid samples"):
         regular_discrete_spectrum(ex.potential_line(1.0), -3.5, -2.1, 2)
+
+
+@pytest.mark.parametrize("samples", [61.0, 24.5, "61"])
+def test_grid_samples_that_are_not_an_integer_are_named(samples):
+    # np.linspace raised a bare TypeError
+    message = re.escape(f"grid samples must be an integer, got {samples!r}")
+    with pytest.raises(DomainError, match=message):
+        band_scan(ex.potential_line(1.0), -3.0, 3.0, samples)
+    with pytest.raises(DomainError, match=message):
+        regular_discrete_spectrum(ex.potential_line(1.0), -3.5, -2.1, samples)
+    with pytest.raises(DomainError, match=message):
+        find_critical_points(ex.free_line_operator(1), -3.0, 3.0, samples)
+    assert len(band_scan(ex.potential_line(1.0), -3.0, 3.0, np.int64(5)).rows) == 5
 
 
 # -- classification margins -----------------------------------------------------------

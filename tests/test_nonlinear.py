@@ -442,6 +442,27 @@ def test_variational_chain_constant_for_kernel_pairs():
     assert abs(coeffs[0] - (-1.0)) <= 1e-10
 
 
+def test_complex_values_are_named():
+    # the kernel check read the real part of a complex variation while the
+    # chain used the complex values: verify_cycle failed with no error
+    sys, psi, kick = kicked_path(30)
+    d1, d2 = tangent_pair(psi, kick, 30)
+    shifted = {v: x + 5j + (3j if v == 10 else 0.0) for v, x in d1.items()}
+    with pytest.raises(DomainError, match=re.escape("delta1 value at vertex 0 is complex; values must be real")):
+        variational_swronskian(sys, psi, shifted, d2, at=list(range(1, 30)))
+    one = {**d2, 10: d2[10] + 3j}
+    with pytest.raises(DomainError, match=re.escape("delta2 value at vertex 10 is complex")):
+        variational_swronskian(sys, psi, d1, one, at=list(range(1, 30)))
+    bad = {**psi, 4: psi[4] + 0j}  # a complex dtype is complex, whatever its imaginary part
+    for call in (lambda: linearize(sys, bad), lambda: dynamical_step(sys, bad, 3, 2), lambda: local_action(sys, bad)):
+        with pytest.raises(DomainError, match=re.escape("psi value at vertex 4 is complex")):
+            call()
+    # real values of any type still read as floats
+    lists = {v: x.tolist() for v, x in d1.items()}
+    want = variational_swronskian(sys, psi, d1, d2, at=list(range(1, 30))).chain.coeffs
+    assert variational_swronskian(sys, psi, lists, d2, at=list(range(1, 30))).chain.coeffs == want
+
+
 def test_variational_chain_rejects_non_kernel():
     sys, psi, _ = kicked_path(10)
     junk = {v: np.array([float(v)]) for v in range(11)}

@@ -87,6 +87,21 @@ def test_tail_mode_normalization():
     assert abs(x[inc] @ sw @ x[out] - 1j) <= 1e-12
 
 
+def test_channel_modes_carry_unit_current():
+    # the table's pair-form normalization against the oracle's group velocity
+    channels = set()
+    for k, l, lam, origin in np.ndindex(3, 3, 3, 2):
+        op = ex.random_line_operator(np.random.default_rng(10 * k + l + 11), k + 1, l + 1)
+        _, modes = tail_modes(op, (-1.7, 0.3, 2.9)[lam], origin=3 * origin)
+        for i in np.flatnonzero(modes.kind == OUT):
+            assert abs(orc.bloch_current(op, modes.mu[i], modes.w[i]) - 1.0) <= 1e-10
+            # its incoming mate follows it, the exact conjugate
+            assert modes.kind[i + 1] == IN
+            assert modes.mu[i + 1] == np.conj(modes.mu[i]) and np.array_equal(modes.w[i + 1], modes.w[i].conj())
+            channels.add((k + 1, l + 1))
+    assert len(channels) >= 6, channels
+
+
 @pytest.mark.parametrize("k, l", [(k, l) for k in (1, 2, 3) for l in (1, 2, 3)])
 def test_tail_mode_fiber_vectors(k, l):
     rng = np.random.default_rng(10 * k + l)
@@ -697,6 +712,23 @@ def test_a_core_vertex_of_fractional_dimension_is_named():
         tailed_graph_from_json(data)
     data["core"]["vertices"][0]["dim"] = 1.0
     assert tailed_graph_from_json(data).core_dims == ex.potential_line(1.0).core_dims
+
+
+def test_a_fractional_tail_origin_is_named():
+    # it was kept, and S carried fractional powers of mu
+    def graph(origin):
+        return TailedGraph({0: 1}, {(0, 0): [[0.5]]}, [Tail(ex.free_tail(), {(0, 0): [[1.0]]}),
+                                                      Tail(ex.free_tail(), {(0, 0): [[1.0]]}, origin=origin)])
+
+    with pytest.raises(DomainError, match=re.escape("tail 1 has origin 2.5, expected a whole number")):
+        graph(2.5)
+    with pytest.raises(DomainError, match=re.escape("origin 0.5, expected a whole number")):
+        tail_modes(ex.free_tail(), 0.5, origin=0.5)
+    # a whole float is its int, at any sign
+    assert [t.origin for t in graph(-2.0).tails] == [0, -2] and type(graph(-2.0).tails[1].origin) is int
+    assert scattering_matrix(graph(2.0), 0.5).s_matrix.tobytes() == scattering_matrix(graph(2), 0.5).s_matrix.tobytes()
+    whole, three = tail_modes(ex.free_tail(), 0.5, origin=3.0)[1], tail_modes(ex.free_tail(), 0.5, origin=3)[1]
+    assert whole.w.tobytes() == three.w.tobytes()
 
 
 def test_the_committed_repeated_link_is_rejected():

@@ -420,7 +420,7 @@ def _classify_grid(op: LineOperator, lams) -> list[MonodromyClassification]:
 def _finite(lam) -> float:
     """``lam`` as a float, after checking that it is a finite real number."""
     try:
-        if isinstance(lam, (complex, np.complexfloating)):
+        if np.asarray(lam).dtype.kind == "c":
             raise TypeError
         x = float(lam)
     except (TypeError, ValueError):

@@ -291,24 +291,20 @@ class DiscreteLagrangianSystem:
         return any(dens.uses_fd for dens, _, _ in self._groups)
 
 
-_FLOAT = np.dtype(float)
-
-
 def _vector(name: str, values: dict, v, dims=None) -> np.ndarray:
     """``values[v]`` as a float vector; DomainError when it is missing, not a
     vector of numbers, complex or has not ``dims[v]`` entries (where ``dims``
     has v)."""
     if v not in values:
         raise DomainError(f"{name} undefined at vertex {v}")
-    if type(x := values[v]) is not np.ndarray or x.dtype is not _FLOAT:  # a float array is read as it is
-        try:
-            x = np.asarray(x)
-            x = x if x.dtype.kind == "c" else x.astype(float)
-        except (ValueError, TypeError):  # ragged, or not numbers
-            raise DomainError(f"{name} value at vertex {v} is not a vector of numbers") from None
-        if x.dtype.kind == "c":
-            raise DomainError(f"{name} value at vertex {v} is complex; values must be real")
-    x = x.reshape(-1)
+    x = values[v]
+    try:
+        x = np.asarray(x)
+        x = x.astype(float, casting="same_kind", copy=False).reshape(-1)  # a complex value does not cast
+    except (ValueError, TypeError):  # ragged, not numbers, or complex
+        complex_ = isinstance(x, np.ndarray) and x.dtype.kind == "c"
+        what = "is complex; values must be real" if complex_ else "is not a vector of numbers"
+        raise DomainError(f"{name} value at vertex {v} {what}") from None
     if dims is not None and (dim := dims.get(v, x.size)) != x.size:
         raise DomainError(f"{name} value at vertex {v} has {x.size} entries, expected {dim}")
     return x
@@ -319,11 +315,9 @@ def _vectors(name: str, values: dict, keys, dims=None):
     and checked at once; when that fails, a list of :func:`_vector` at each
     key, which names the first bad value, then the first not finite."""
     try:
-        rows = np.array([values[v] for v in keys])
-        if rows.dtype.kind != "c":  # a complex value is named below
-            rows = rows.astype(float, copy=False).reshape(len(keys), -1)
-            if set(map((dims or {}).get, keys)) <= {rows.shape[1], None} and np.isfinite(rows).all():
-                return rows
+        rows = np.array([values[v] for v in keys]).astype(float, casting="same_kind", copy=False).reshape(len(keys), -1)
+        if set(map((dims or {}).get, keys)) <= {rows.shape[1], None} and np.isfinite(rows).all():
+            return rows
     except (KeyError, ValueError, TypeError):
         pass
     out = [_vector(name, values, v, dims) for v in keys]

@@ -531,8 +531,7 @@ def _scatter(graph: TailedGraph, lams) -> list[ScatteringResult]:
     mode counts, then the residuals of the stacked kernels per run of equal
     kernel dimension as batched reductions, and S from one stacked SVD."""
     clfs, stacks = _junction_grid(graph, lams)
-    nc, (*_, form, wins) = graph.core_size, graph._plan
-    expected = wins[-1] // 2  # sum k_j l_j, graph.expected_dim()
+    expected, nc, (*_, form, wins) = graph.expected_dim(), graph.core_size, graph._plan
     out: list = []
     for at, matrix, window, modes in stacks:
         bases = _null_spaces(matrix)
@@ -577,8 +576,9 @@ def _s_matrices(coef, window, kinds, nch, form) -> list:
     holds the (R, modes, dim) modal coefficients of R kernels, at the R rows
     of ``window`` and of the kind codes ``kinds``, sorted by their channel
     counts ``nch``.  A row with no critical tail has dim grow and in modes
-    (s + 2p + q = kl on each tail).  Every M goes through one stacked SVD; S
-    is batched over each run of one channel count."""
+    (s + 2p + q = kl on each tail); a row without is None, as a singular M.
+    Every M goes through one stacked SVD; S is batched over each run of one
+    channel count."""
     dim, rows = coef.shape[2], np.arange(len(coef))[:, None]
     # grow, in, out and decay modes in turn: M is the square grow/in system, S = K_out M^-1 [0; I];
     # x holds the window values of the modes in that order
@@ -596,7 +596,9 @@ def _s_matrices(coef, window, kinds, nch, form) -> list:
         pairs = x[at, dim - n : dim] @ form @ x[at, dim : dim + n].swapaxes(1, 2) - A_LAMBDA * eye
         defects = np.array((s @ s.conj().swapaxes(1, 2) - eye, s - s.swapaxes(1, 2), pairs))
         found += zip(s, *np.abs(defects).max(axis=(2, 3)).tolist())
-    return [row if ok else None for row, ok in zip(found, good.tolist())]
+    # S needs a good M that is the whole grow/in system
+    return [row if ok and kind.count(GROW) + kind.count(IN) == dim else None
+            for row, ok, kind in zip(found, good.tolist(), kinds.tolist())]
 
 
 # -- discrete spectrum -----------------------------------------------------------

@@ -85,7 +85,7 @@ def test_a_non_finite_lambda_is_named(lam):
             sc.tail_modes(ex.free_tail(), lam)
 
 
-@pytest.mark.parametrize("lam", [0.5 + 0.1j, 0.5 + 0j, np.complex128(0.5 + 0.1j), "half", None])
+@pytest.mark.parametrize("lam", [0.5 + 0.1j, 0.5 + 0j, np.complex128(0.5 + 0.1j), np.array(0.5 + 0.1j), "half", None])
 def test_a_lambda_that_is_not_a_real_number_is_named(lam):
     # float() raised a bare TypeError, or dropped the imaginary part of a numpy complex
     with warnings.catch_warnings():

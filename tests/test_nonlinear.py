@@ -685,10 +685,15 @@ BAD_VALUES = [
     (np.array([1.0, 2.0]), "psi value at vertex 7 has 2 entries, expected 1"),
     (np.zeros(0), "psi value at vertex 7 has 0 entries, expected 1"),
     ([[0.1], [0.2, 0.3]], "psi value at vertex 7 is not a vector of numbers"),
+    # a float is read by a same-kind cast: text, null and complex do not cast
+    (["0.5"], "psi value at vertex 7 is not a vector of numbers"),
+    ([None], "psi value at vertex 7 is not a vector of numbers"),
+    (np.array([0.5], dtype=np.complex64), "psi value at vertex 7 is complex; values must be real"),
 ]
 
 
-@pytest.mark.parametrize("bad, msg", BAD_VALUES, ids=["missing", "nan", "long", "empty", "ragged"])
+@pytest.mark.parametrize("bad, msg", BAD_VALUES,
+                         ids=["missing", "nan", "long", "empty", "ragged", "text", "null", "complex64"])
 def test_linearize_names_a_bad_value(bad, msg):
     sys, psi, kick = kicked_path(30)
     interior = list(range(1, 30))

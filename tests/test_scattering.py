@@ -29,7 +29,7 @@ from swron import (
     tailed_graph_to_json,
 )
 from swron import examples as ex
-from swron.scattering import load_tailed_graph
+from swron.scattering import _s_matrices, load_tailed_graph
 from swron.line_lattice import line_operator_from_json, line_operator_to_json
 
 
@@ -92,7 +92,9 @@ def test_channel_modes_carry_unit_current():
     channels = set()
     for k, l, lam, origin in np.ndindex(3, 3, 3, 2):
         op = ex.random_line_operator(np.random.default_rng(10 * k + l + 11), k + 1, l + 1)
-        _, modes = tail_modes(op, (-1.7, 0.3, 2.9)[lam], origin=3 * origin)
+        clf, modes = tail_modes(op, (-1.7, 0.3, 2.9)[lam], origin=3 * origin)
+        # off criticality the grow and in modes number kl: the square grow/in system of S
+        assert clf.critical or (modes.kind <= IN).sum() == (k + 1) * (l + 1)
         for i in np.flatnonzero(modes.kind == OUT):
             assert abs(orc.bloch_current(op, modes.mu[i], modes.w[i]) - 1.0) <= 1e-10
             # its incoming mate follows it, the exact conjugate
@@ -100,6 +102,16 @@ def test_channel_modes_carry_unit_current():
             assert modes.mu[i + 1] == np.conj(modes.mu[i]) and np.array_equal(modes.w[i + 1], modes.w[i].conj())
             channels.add((k + 1, l + 1))
     assert len(channels) >= 6, channels
+
+
+def test_a_row_without_a_square_grow_in_system_has_no_s():
+    # two kernels of dimension 2: the first has one grow and one in mode, the
+    # second only one in mode, so its M would mix in an out mode
+    rng = np.random.default_rng(5)
+    coef, window = rng.standard_normal((2, 4, 2)), rng.standard_normal((2, 4, 4))
+    kinds = np.array([[GROW, IN, OUT, DECAY], [OUT, IN, OUT, DECAY]], dtype=np.int8)
+    first, second = _s_matrices(coef, window, kinds, [1, 2], np.eye(4))
+    assert first is not None and first[0].shape == (1, 1) and second is None
 
 
 @pytest.mark.parametrize("k, l", [(k, l) for k in (1, 2, 3) for l in (1, 2, 3)])

@@ -242,6 +242,20 @@ class SimplicialComplex:
                         left.discard(nxt)
         return seen
 
+    def _skeleton_search(self, src: int, targets) -> dict[int, int]:
+        """1-skeleton BFS from vertex ``src``: label -> edge count.  It stops once every
+        target (and so every nearer vertex) is labelled; a target left out is in another
+        component."""
+        dist, left, frontier = {src: 0}, set(targets) - {src}, deque([src])
+        while frontier and left:
+            u = frontier.popleft()
+            for _, w in self._skeleton[u]:
+                if w not in dist:
+                    dist[w] = dist[u] + 1
+                    frontier.append(w)
+                    left.discard(w)
+        return dist
+
     def steps_within(self, sid: int, max_steps: int) -> dict[int, int]:
         """Incidence-BFS ball: simplex id -> step count, up to max_steps."""
         return self._search(sid, max_steps)
@@ -353,32 +367,21 @@ def canonical_path(complex: SimplicialComplex, a: int, b: int) -> PathChain:
     tie-break whenever 2*d(a, b) is smaller than the girth in edges.
     """
     complex.vertex_sid(a), complex.vertex_sid(b)
-    if a == b:
-        return PathChain(complex, a, b, [])
-
-    # BFS from b stops once a is labelled: every vertex closer to b than a
-    # is labelled by then, and the descent below reads only those.
-    dist = {b: 0}
-    frontier = deque([b])
-    while frontier and a not in dist:
-        u = frontier.popleft()
-        for eid, w in complex._skeleton[u]:
-            if w not in dist:
-                dist[w] = dist[u] + 1
-                frontier.append(w)
+    dist = complex._skeleton_search(b, (a,))
     if a not in dist:
         raise DomainError(f"vertices {a} and {b} lie in different components")
+    return PathChain(complex, a, b, _descent(complex, a, dist))
 
-    steps: list[tuple[int, int]] = []
-    cur = a
-    while cur != b:
-        for eid, w in complex._skeleton[cur]:  # sorted by edge id
-            if dist.get(w, -1) == dist[cur] - 1:
-                u, v = complex.simplex(eid).vertices
-                steps.append((eid, 1 if cur == u else -1))
-                cur = w
-                break
-    return PathChain(complex, a, b, steps)
+
+def _descent(complex: SimplicialComplex, a: int, dist: dict) -> list[tuple[int, int]]:
+    """Steps (edge id, sign) of the greedy smallest-edge-id descent from
+    vertex ``a`` along the BFS distances ``dist`` of a search that labelled it."""
+    steps, cur = [], a
+    while dist[cur]:  # _skeleton lists are sorted by edge id
+        eid, w = next(e for e in complex._skeleton[cur] if dist.get(e[1], -1) == dist[cur] - 1)
+        steps.append((eid, 1 if cur < w else -1))
+        cur = w
+    return steps
 
 
 def barycentric_subdivision(

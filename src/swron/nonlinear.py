@@ -407,7 +407,7 @@ def dynamical_step(
     if not (terms := [part for part in parts if part[3] >= 0]):
         raise DomainError(f"vertex {unknown} does not interact with {v}")
     dim = sys.chart_dims[unknown]
-    x = np.zeros(dim) if x0 is None else np.asarray(x0, dtype=float).reshape(-1)
+    x = np.zeros(dim) if x0 is None else _vector("x0", {unknown: x0}, unknown)
     if x.size != dim:
         raise DomainError(f"x0 has {x.size} entries, expected {dim}")
     x = x.item() if flat else x

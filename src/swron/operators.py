@@ -185,9 +185,9 @@ class DiscreteOperator:
     so the structure flags (:meth:`is_real`, :meth:`is_symmetric`,
     :meth:`is_vertex_operator`) are derived once, from the stack.  The
     constructor reads the step count of a source within two incidence steps
-    of its target off the incidence lists, runs one incidence search per
-    target with a farther source, stopped once those are labelled, and
-    keeps only the computed order and the homogeneity flag;
+    of its target off the incidence lists, runs one search per target with a
+    farther source (of the 1-skeleton if all are vertices), stopped once those
+    are labelled, and keeps only the computed order and the homogeneity flag;
     :meth:`validate` reads those and searches nothing.
     """
 
@@ -238,13 +238,21 @@ class DiscreteOperator:
         # the incidence lists within two steps, else one search per target
         by_row = np.lexsort((self.source, self.target))
         rows = list(zip(self.target[by_row].tolist(), self.source[by_row].tolist()))
-        inc, far = complex._incidence, {}
+        inc, far, nv = complex._incidence, {}, len(complex._vertex_sid)
         steps = [0 if a == b else 1 if b in inc[a] else 2 if not set(inc[a]).isdisjoint(inc[b])
                  else None for a, b in rows]
         for (a, b), k in zip(rows, steps):
             if k is None:
                 far.setdefault(a, []).append(b)
-        reach = {a: complex._search(a, targets=bs) for a, bs in far.items()}
+
+        def search(a, bs):  # two vertices of a simplex share an edge: two steps per hop
+            if max(a, *bs) >= nv:
+                return complex._search(a, targets=bs)
+            src, *ends = (complex.simplices[sid].vertices[0] for sid in (a, *bs))
+            hops = complex._skeleton_search(src, ends)
+            return {b: 2 * hops[v] for b, v in zip(bs, ends) if v in hops}
+
+        reach = {a: search(a, bs) for a, bs in far.items()}
         steps = [reach[a].get(b, -1) if k is None else k for (a, b), k in zip(rows, steps)]
         if lost := [row for row, k in zip(rows, steps) if k < 0]:
             raise DomainError(f"block {lost[0]} joins different components")
@@ -344,11 +352,10 @@ class DiscreteOperator:
 
 
 def cochain_from_vector(vec: np.ndarray, sids, vec_dim: int) -> dict:
-    vec = np.asarray(vec).reshape(-1)
-    return {
-        sid: vec[i * vec_dim : (i + 1) * vec_dim].copy()
-        for i, sid in enumerate(sids)
-    }
+    """sid -> its length-``vec_dim`` slice of the flat ``vec``, in ``sids``
+    order.  The values are the rows of one (n, vec_dim) copy of ``vec``:
+    writing into one changes neither ``vec`` nor any other value."""
+    return dict(zip(sids, np.array(vec).reshape(-1, vec_dim)))
 
 
 # -- subdivision transport ---------------------------------------------------

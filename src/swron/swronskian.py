@@ -31,7 +31,7 @@ from itertools import compress
 
 import numpy as np
 
-from .complex_core import Chain1, DomainError, _max_or_nan, canonical_path
+from .complex_core import Chain1, DomainError, _descent, _max_or_nan
 from .operators import DiscreteOperator
 
 __all__ = [
@@ -66,8 +66,8 @@ class _PairTable:
     """Stack ``rows`` of the block pairs a < b with their endpoints
     ``ia``/``ib`` (into ``verts``), and one incidence entry (``edge_pos``
     into ``edges``, ``pair``, ``sign``) per step of each canonical path
-    a -> b.  An edge joining a and b is their only minimal path, so only
-    farther pairs call :func:`canonical_path`.
+    a -> b: :func:`canonical_path`'s descent, after one skeleton search
+    from each b that stops once every a paired with it is labelled.
     """
 
     def __init__(self, op: DiscreteOperator):
@@ -76,13 +76,13 @@ class _PairTable:
         verts, ends = np.unique(np.r_[tgt, src], return_inverse=True)
         self.verts, self.ia, self.ib = verts.tolist(), ends[: len(tgt)], ends[len(tgt) :]
         labels = [_vertex_label(op, sid) for sid in self.verts]
-        edge, steps = op.complex._edge_sid, []
-        for p, (a, b) in enumerate(zip(self.ia.tolist(), self.ib.tolist())):
-            a, b = labels[a], labels[b]
-            if (eid := edge.get((a, b) if a < b else (b, a))) is not None:
-                steps.append((eid, p, 1 if a < b else -1))
-            else:
-                steps += [(eid, p, sign) for eid, sign in canonical_path(op.complex, a, b).steps]
+        cx, starts = op.complex, {}
+        pairs = [(labels[a], labels[b]) for a, b in zip(self.ia.tolist(), self.ib.tolist())]
+        for a, b in pairs:
+            starts.setdefault(b, []).append(a)
+        dist = {b: cx._skeleton_search(b, near) for b, near in starts.items()}
+        # in pair order, which fixes the bits of the chain's sums
+        steps = [(eid, p, sign) for p, (a, b) in enumerate(pairs) for eid, sign in _descent(cx, a, dist[b])]
         eids, self.pair, self.sign = np.array(steps, dtype=np.intp).reshape(-1, 3).T
         self.edges, self.edge_pos = np.unique(eids, return_inverse=True)
 
@@ -96,12 +96,12 @@ def _pair_chain(op: DiscreteOperator, psi: dict, phi: dict, support: set) -> Cha
                 f"{name} undefined on simplex {min(missing)} in the support"
             )
     t = op._pair_table = op._pair_table or _PairTable(op)
-    inside = np.array([sid in support for sid in t.verts], dtype=bool)
-    vals = np.zeros((2, len(t.verts), op.vec_dim), dtype=complex)
-    for k, (name, values) in enumerate((("psi", psi), ("phi", phi))):
+    inside = np.fromiter((sid in support for sid in t.verts), bool, len(t.verts))
+    vals = []  # psi and phi each in its own dtype: real values take real products
+    for name, values in (("psi", psi), ("phi", phi)):
         live = [values[sid] for sid in compress(t.verts, inside)]
         try:
-            vals[k, inside] = np.array(live, dtype=complex).reshape(len(live), op.vec_dim)
+            arr = np.array(live).reshape(len(live), op.vec_dim)
         except ValueError:
             for sid in compress(t.verts, inside):
                 if np.size(values[sid]) != op.vec_dim:
@@ -110,6 +110,8 @@ def _pair_chain(op: DiscreteOperator, psi: dict, phi: dict, support: set) -> Cha
                         f"entries, operator expects vec_dim {op.vec_dim}"
                     ) from None
             raise
+        vals.append(np.zeros((len(t.verts), op.vec_dim), complex if np.iscomplexobj(arr) else float))
+        vals[-1][inside] = arr
     p, f = vals
     blocks = op.stack[t.rows]
     # psi(a) . B phi(b) - phi(a) . B psi(b); B = block between a (rows) and b
@@ -117,7 +119,8 @@ def _pair_chain(op: DiscreteOperator, psi: dict, phi: dict, support: set) -> Cha
     coeff -= np.einsum("pi,pij,pj->p", f[t.ia], blocks, p[t.ib])
     hit = (inside[t.ia] & inside[t.ib] & (coeff != 0))[t.pair]
     pos, steps, n = t.edge_pos[hit], t.sign[hit] * coeff[t.pair[hit]], len(t.edges)
-    sums = np.bincount(pos, steps.real, n) + 1j * np.bincount(pos, steps.imag, n)
+    sums = (np.bincount(pos, steps.real, n) + 1j * np.bincount(pos, steps.imag, n)
+            if np.iscomplexobj(steps) else np.bincount(pos, steps, n).astype(complex))
     touched = np.bincount(pos, minlength=n) > 0
     return Chain1(op.complex, zip(t.edges[touched].tolist(), sums[touched].tolist()))
 

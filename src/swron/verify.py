@@ -124,6 +124,7 @@ class _KernelSplit:
         if op.is_real() and op.is_symmetric():
             self.evals, self.q = np.linalg.eigh(self.a_rows[:, self.rows])
             self.b = self.q.T @ self.a_rows[:, self.cols]
+            self.stacked = np.vstack([self.b, np.eye(len(self.cols))])  # [X; I], X set per lambda
 
     def schur(self, lam):
         """Null basis of the imposed rows of A - lambda, None where the SVD
@@ -133,10 +134,11 @@ class _KernelSplit:
         if self.q is None or lam.imag != 0:
             return None
         gap = (self.evals - lam.real)[:, None]
-        if len(gap) and np.min(np.abs(gap)) <= 1e-8 * np.max(np.abs(gap)):
+        if len(gap) and (size := np.abs(gap)).min() <= 1e-8 * size.max():
             return None
         rows, cols = self.rows, self.cols
-        z = np.linalg.qr(np.vstack([-self.b / gap, np.eye(len(cols))]))[0]
+        np.divide(self.b, -gap, out=self.stacked[: len(rows)])
+        z = np.linalg.qr(self.stacked)[0]
         basis = np.empty((len(rows) + len(cols), len(cols)))
         basis[cols], basis[rows] = z[len(rows):], self.q @ z[: len(rows)]
         resid = self.a_rows @ basis - lam.real * basis[rows]
@@ -163,13 +165,13 @@ def kernel_solutions(
     should pass its vertex ids.  Returns (solutions, imposed sids); with
     every sid free nothing is imposed and the kernel is everything.
 
-    The dense matrix and one ``eigh`` of the imposed block A_II =
-    Q Lambda Q^T are kept per operator and (sids, free); the kernel is then
-    x_I = -Q (Lambda - lambda)^-1 Q^T A_IF x_F, orthonormalized by one QR.
-    An SVD of the imposed rows serves a complex operator or lambda, and
-    min |Lambda - lambda| <= 1e-8 max |Lambda - lambda|, where the kernel
-    may grow.  Solutions drawn for a given seed differ from earlier
-    versions, which took every basis from the SVD.
+    The dense matrix, one ``eigh`` of the imposed block A_II = Q Lambda Q^T
+    and the [X; I] matrix of one QR are kept per operator and (sids, free);
+    X = -(Lambda - lambda)^-1 Q^T A_IF is written into it per lambda, and the
+    QR orthonormalizes the kernel x_I = Q X x_F.  An SVD of the imposed rows
+    serves a complex operator or lambda, and min |Lambda - lambda| <= 1e-8
+    max |Lambda - lambda|, where the kernel may grow.  A solution is real
+    unless an imaginary part is nonzero; its values are the rows of one array.
     """
     if sids is None:
         sids = [s.id for s in op.complex.simplices]
@@ -187,9 +189,9 @@ def kernel_solutions(
         for _ in range(20):
             coeffs = rng.standard_normal(null.shape[1])
             vec = null @ coeffs
-            if np.max(np.abs(vec)) > 1e-4:
+            if np.abs(vec).max() > 1e-4:
                 break
-        if np.all(np.isreal(vec)):
+        if np.iscomplexobj(vec) and not vec.imag.any():
             vec = vec.real
         sols.append(cochain_from_vector(vec, sids, op.vec_dim))
     return sols, list(split.imposed)

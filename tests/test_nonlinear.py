@@ -382,6 +382,17 @@ def test_dynamical_step_checks_the_length_of_x0():
         dynamical_step(sys, psi, 6, 7, x0=np.array([0.1, 0.2]))
 
 
+@pytest.mark.parametrize("x0, what", [
+    (np.array([0.2 + 1j]), "is complex; values must be real"),
+    (["0.2"], "is not a vector of numbers"),
+    ([None], "is not a vector of numbers"),
+], ids=["complex", "text", "null"])
+def test_dynamical_step_names_an_x0_that_is_not_real_numbers(x0, what):
+    sys, psi, _ = kicked_path(10)
+    with pytest.raises(DomainError, match=re.escape(f"x0 value at vertex 7 {what}")):
+        dynamical_step(sys, psi, 6, 7, x0=x0)
+
+
 def skewed_edge_system(skew):
     """One quadratic edge whose analytic cross Hessian (0, 1) is off by skew."""
     den = Density(

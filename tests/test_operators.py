@@ -26,6 +26,7 @@ from swron import (
     to_vertex_operator,
 )
 from swron import examples as ex
+from swron.operators import cochain_from_vector
 
 
 def random_setup(seed, vec_dim=2):
@@ -33,6 +34,15 @@ def random_setup(seed, vec_dim=2):
     cx = ex.random_complex(rng, 40)
     op = ex.random_operator(rng, cx, vec_dim=vec_dim, max_steps=2)
     return rng, cx, op
+
+
+def test_cochain_values_share_nothing_a_write_can_reach():
+    vec = np.arange(12.0)
+    values = cochain_from_vector(vec, [7, 2, 9, 4], 3)
+    assert [v.tolist() for v in values.values()] == vec.reshape(4, 3).tolist()
+    values[2][1] = -1.0
+    assert vec.tolist() == np.arange(12.0).tolist()
+    assert [values[s].tolist() for s in (7, 9, 4)] == [[0.0, 1.0, 2.0], [6.0, 7.0, 8.0], [9.0, 10.0, 11.0]]
 
 
 def test_apply_matches_dense():
@@ -277,14 +287,20 @@ def test_cross_component_block_rejected_with_and_without_order():
 
 
 def test_construction_searches_once_per_row_and_validate_never(monkeypatch):
+    # rows between two vertices search the 1-skeleton from the row's vertex label
     searched = []
-    search = SimplicialComplex._search
+    search, skeleton_search = SimplicialComplex._search, SimplicialComplex._skeleton_search
 
     def spy(self, sid, *args, **kw):
         searched.append(sid)
         return search(self, sid, *args, **kw)
 
+    def skeleton_spy(self, label, *args, **kw):
+        searched.append(self.vertex_sid(label))
+        return skeleton_search(self, label, *args, **kw)
+
     monkeypatch.setattr(SimplicialComplex, "_search", spy)
+    monkeypatch.setattr(SimplicialComplex, "_skeleton_search", skeleton_spy)
     for op, _ in oracle_operators():
         searched.clear()
         rebuilt = DiscreteOperator(op.complex, op.vec_dim, op.blocks)
@@ -308,14 +324,22 @@ def test_every_block_pair_reads_the_oracle_order():
         tops = [s.vertices for s in ex.random_complex(np.random.default_rng(70 + seed), 30).simplices]
         cx = SimplicialComplex(tops + [(90, 91), (91, 92)])  # and a second component
         steps = orc.incidence_steps(cx)
+        # the subdivision's vertex rows read the 1-skeleton search, not the incidence one
+        _, sub, centers = to_vertex_operator(DiscreteOperator(cx, 1, {}))
+        sub_steps = orc.incidence_steps(sub)
         for a in range(len(cx)):
             for b in range(a + 1, len(cx)):
                 blocks = {(a, b): [[1.0]], (b, a): [[1.0]]}
+                ca, cb = (sub.vertex_sid(centers[s]) for s in (a, b))
                 if np.isfinite(steps[a, b]):
-                    assert DiscreteOperator(cx, 1, blocks).validate().order == steps[a, b]
+                    op = DiscreteOperator(cx, 1, blocks)
+                    assert op.validate().order == steps[a, b]
+                    vop = to_vertex_operator(op)[0]
+                    assert vop.validate().order == sub_steps[ca, cb] == 2 * steps[a, b]
                 else:
-                    with pytest.raises(DomainError, match="joins different components"):
-                        DiscreteOperator(cx, 1, blocks)
+                    for domain, pair in ((cx, blocks), (sub, {(ca, cb): [[1.0]], (cb, ca): [[1.0]]})):
+                        with pytest.raises(DomainError, match="joins different components"):
+                            DiscreteOperator(domain, 1, pair)
 
 
 def test_order_and_errors_for_near_and_far_sources():

@@ -201,20 +201,52 @@ def test_pair_chain_matches_oracle(seed, vec_dim):
 
 @pytest.mark.parametrize("seed", [51, 52, 53])
 def test_pair_table_paths_are_the_lex_least_paths(seed):
+    # the table's steps, in pair order, are the oracle paths one pair after
+    # another; on the 4-cycle opposite corners have two minimal paths
     rng = np.random.default_rng(seed)
-    lengths = set()
+    square = ex.circle(4)
+    corners = [square.vertex_sid(v) for v in range(4)]
+    ops = [DiscreteOperator(square, 1, {(a, b): [[1.0]] for a in corners for b in corners})]
     for order in (1, 2, 3):
         cx = ex.random_complex(rng, 30)
-        vop, sub, _ = to_vertex_operator(ex.random_operator(rng, cx, max_steps=order))
-        table = _PairTable(vop)
-        paths = [[] for _ in table.rows]
-        for pos, p, sign in zip(table.edge_pos.tolist(), table.pair.tolist(), table.sign.tolist()):
-            paths[p].append((int(table.edges[pos]), sign))
+        ops.append(to_vertex_operator(ex.random_operator(rng, cx, max_steps=order))[0])
+    lengths = set()
+    for vop in ops:
+        table, want = _PairTable(vop), []
         for p, row in enumerate(table.rows.tolist()):
-            a, b = (sub.simplex(int(s)).vertices[0] for s in (vop.target[row], vop.source[row]))
-            assert paths[p] == orc.lex_least_path(sub, a, b)
-            lengths.add(len(paths[p]))
+            a, b = (vop.complex.simplex(int(s)).vertices[0] for s in (vop.target[row], vop.source[row]))
+            path = orc.lex_least_path(vop.complex, a, b)
+            want += [(eid, p, sign) for eid, sign in path]
+            lengths.add(len(path))
+        got = zip(table.edges[table.edge_pos].tolist(), table.pair.tolist(), table.sign.tolist())
+        assert list(got) == want
     assert 1 in lengths and max(lengths) >= 3  # edge pairs and farther ones
+
+
+@pytest.mark.parametrize("vec_dim", [1, 2, 3])
+def test_real_values_give_the_chain_of_their_complex_copies(vec_dim):
+    # real values take real products; the chain must not differ in one bit
+    # from the same values read as complex with zero imaginary part
+    rng = np.random.default_rng(40 + vec_dim)
+    vop, domain, _ = random_vertex_operator(rng, vec_dim)
+    psi = {s: rng.standard_normal(vec_dim) for s in domain}
+    phi = {s: rng.standard_normal(vec_dim) for s in domain}
+    psi[domain[0]] = phi[domain[0]] = np.zeros(vec_dim)  # its pairs have c_ab == 0
+    cut = {s for s in domain if rng.random() < 0.7}
+
+    def bits(w):
+        coeffs = w.chain.coeffs
+        assert all(type(c) is complex for c in coeffs.values())
+        return list(coeffs), np.array(list(coeffs.values()), dtype=complex).view(np.uint64).tolist()
+
+    psi_c, phi_c = ({s: v.astype(complex) for s, v in f.items()} for f in (psi, phi))
+    for support in (None, cut):
+        want = bits(swronskian(vop, 0.0, psi_c, phi_c, support=support))
+        assert want[0]
+        w = swronskian(vop, 0.0, psi, phi, support=support)
+        assert_same_chain(w.chain, orc.pair_chain(vop, psi, phi, support))
+        assert bits(w) == want
+        assert bits(swronskian(vop, 0.0, psi, phi_c, support=support)) == want
 
 
 def test_zero_pair_touches_no_edge():

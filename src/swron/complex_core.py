@@ -243,9 +243,8 @@ class SimplicialComplex:
         return seen
 
     def _skeleton_search(self, src: int, targets) -> dict[int, int]:
-        """1-skeleton BFS from vertex ``src``: label -> edge count.  It stops once every
-        target (and so every nearer vertex) is labelled; a target left out is in another
-        component."""
+        """1-skeleton BFS from vertex ``src`` (label -> edge count), stopped once every target,
+        and so every nearer vertex, is labelled; a target left out is in another component."""
         dist, left, frontier = {src: 0}, set(targets) - {src}, deque([src])
         while frontier and left:
             u = frontier.popleft()
@@ -374,8 +373,7 @@ def canonical_path(complex: SimplicialComplex, a: int, b: int) -> PathChain:
 
 
 def _descent(complex: SimplicialComplex, a: int, dist: dict) -> list[tuple[int, int]]:
-    """Steps (edge id, sign) of the greedy smallest-edge-id descent from
-    vertex ``a`` along the BFS distances ``dist`` of a search that labelled it."""
+    """Steps (edge id, sign) of the least-edge-id descent from ``a`` along the BFS distances ``dist``."""
     steps, cur = [], a
     while dist[cur]:  # _skeleton lists are sorted by edge id
         eid, w = next(e for e in complex._skeleton[cur] if dist.get(e[1], -1) == dist[cur] - 1)

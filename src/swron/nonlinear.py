@@ -300,7 +300,7 @@ def _vector(name: str, values: dict, v, dims=None) -> np.ndarray:
     x = values[v]
     try:
         x = np.asarray(x)
-        x = x.astype(float, casting="same_kind", copy=False).reshape(-1)  # a complex value does not cast
+        x = x.astype(float, casting="same_kind", copy=False).ravel()  # a complex value does not cast
     except (ValueError, TypeError):  # ragged, not numbers, or complex
         complex_ = isinstance(x, np.ndarray) and x.dtype.kind == "c"
         what = "is complex; values must be real" if complex_ else "is not a vector of numbers"

@@ -244,15 +244,14 @@ class DiscreteOperator:
         for (a, b), k in zip(rows, steps):
             if k is None:
                 far.setdefault(a, []).append(b)
-
-        def search(a, bs):  # two vertices of a simplex share an edge: two steps per hop
-            if max(a, *bs) >= nv:
-                return complex._search(a, targets=bs)
-            src, *ends = (complex.simplices[sid].vertices[0] for sid in (a, *bs))
-            hops = complex._skeleton_search(src, ends)
-            return {b: 2 * hops[v] for b, v in zip(bs, ends) if v in hops}
-
-        reach = {a: search(a, bs) for a, bs in far.items()}
+        reach = {}
+        for a, bs in far.items():  # two vertices of a simplex share an edge: two steps per hop
+            if max(a, *bs) < nv:
+                src, *ends = (complex.simplices[sid].vertices[0] for sid in (a, *bs))
+                hops = complex._skeleton_search(src, ends)
+                reach[a] = {b: 2 * hops[v] for b, v in zip(bs, ends) if v in hops}
+            else:
+                reach[a] = complex._search(a, targets=bs)
         steps = [reach[a].get(b, -1) if k is None else k for (a, b), k in zip(rows, steps)]
         if lost := [row for row, k in zip(rows, steps) if k < 0]:
             raise DomainError(f"block {lost[0]} joins different components")
@@ -352,9 +351,8 @@ class DiscreteOperator:
 
 
 def cochain_from_vector(vec: np.ndarray, sids, vec_dim: int) -> dict:
-    """sid -> its length-``vec_dim`` slice of the flat ``vec``, in ``sids``
-    order.  The values are the rows of one (n, vec_dim) copy of ``vec``:
-    writing into one changes neither ``vec`` nor any other value."""
+    """sid -> its length-``vec_dim`` slice of ``vec``, as the rows of one (n, vec_dim)
+    copy: writing into one value changes neither ``vec`` nor any other value."""
     return dict(zip(sids, np.array(vec).reshape(-1, vec_dim)))
 
 

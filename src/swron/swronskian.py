@@ -66,8 +66,8 @@ class _PairTable:
     """Stack ``rows`` of the block pairs a < b with their endpoints
     ``ia``/``ib`` (into ``verts``), and one incidence entry (``edge_pos``
     into ``edges``, ``pair``, ``sign``) per step of each canonical path
-    a -> b: :func:`canonical_path`'s descent, after one skeleton search
-    from each b that stops once every a paired with it is labelled.
+    a -> b.  An edge joining a and b is their only minimal path; a farther
+    pair takes :func:`canonical_path`'s descent, after one search per b.
     """
 
     def __init__(self, op: DiscreteOperator):
@@ -76,13 +76,17 @@ class _PairTable:
         verts, ends = np.unique(np.r_[tgt, src], return_inverse=True)
         self.verts, self.ia, self.ib = verts.tolist(), ends[: len(tgt)], ends[len(tgt) :]
         labels = [_vertex_label(op, sid) for sid in self.verts]
-        cx, starts = op.complex, {}
+        cx, starts, steps = op.complex, {}, []
         pairs = [(labels[a], labels[b]) for a, b in zip(self.ia.tolist(), self.ib.tolist())]
-        for a, b in pairs:
+        eids = [cx._edge_sid.get((a, b) if a < b else (b, a)) for a, b in pairs]
+        for a, b in compress(pairs, [eid is None for eid in eids]):
             starts.setdefault(b, []).append(a)
         dist = {b: cx._skeleton_search(b, near) for b, near in starts.items()}
-        # in pair order, which fixes the bits of the chain's sums
-        steps = [(eid, p, sign) for p, (a, b) in enumerate(pairs) for eid, sign in _descent(cx, a, dist[b])]
+        for p, ((a, b), eid) in enumerate(zip(pairs, eids)):  # pair order fixes the sums' bits
+            if eid is not None:
+                steps.append((eid, p, 1 if a < b else -1))
+            else:
+                steps += [(e, p, sign) for e, sign in _descent(cx, a, dist[b])]
         eids, self.pair, self.sign = np.array(steps, dtype=np.intp).reshape(-1, 3).T
         self.edges, self.edge_pos = np.unique(eids, return_inverse=True)
 

@@ -123,8 +123,7 @@ def _pair_chain(op: DiscreteOperator, psi: dict, phi: dict, support: set) -> Cha
     coeff -= np.einsum("pi,pij,pj->p", f[t.ia], blocks, p[t.ib])
     hit = (inside[t.ia] & inside[t.ib] & (coeff != 0))[t.pair]
     pos, steps, n = t.edge_pos[hit], t.sign[hit] * coeff[t.pair[hit]], len(t.edges)
-    sums = (np.bincount(pos, steps.real, n) + 1j * np.bincount(pos, steps.imag, n)
-            if np.iscomplexobj(steps) else np.bincount(pos, steps, n).astype(complex))
+    sums = np.bincount(pos, steps.real, n) + 1j * np.bincount(pos, steps.imag, n)
     touched = np.bincount(pos, minlength=n) > 0
     return Chain1(op.complex, zip(t.edges[touched].tolist(), sums[touched].tolist()))
 

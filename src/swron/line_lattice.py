@@ -83,7 +83,7 @@ class LineOperator:
         self._sites = _close_symmetric(sites, lambda ns: (ns[0] + ns[1], -ns[1]))
         self._forms: dict[int, "SymplecticFormMatrix"] = {}
         self._transfer: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        self._criticals: list | None = None  # scattering._symbol_criticals
+        self._criticals: list | None = None  # _symbol_criticals
 
     def _shift(self, s) -> int:
         s = int(s)
@@ -314,6 +314,7 @@ def transfer_between(op: LineOperator, lam, n: int, m: int):
 UNIMODULAR_TOL = 1e-9
 PAIRING_TOL = 1e-8
 CRITICAL_GAP = 1e-6
+_ENDS = 0.5 - 0.5 * np.cos(np.linspace(0, np.pi, 64))  # symbol curve samples on [0, 1], dense at the ends
 
 
 @dataclass
@@ -368,6 +369,14 @@ def _moduli(mus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return size, np.abs(size - 1.0) <= UNIMODULAR_TOL
 
 
+def _counts(mus: np.ndarray, size, unimod) -> np.ndarray:
+    """(s, p, q) of the eigenvalue rows ``mus`` given their ``_moduli``, as a
+    (3, S) array; the real axis is taken within UNIMODULAR_TOL * max(1, |mu|)."""
+    tol, outer = UNIMODULAR_TOL * np.maximum(1.0, size), (size > 1) & ~unimod
+    upper = mus.imag > tol
+    return np.array([unimod & upper, outer & upper, outer & (np.abs(mus.imag) <= tol)]).sum(axis=2)
+
+
 def _classify(mus: np.ndarray, lams, kl: int, size, unimod, dead=()) -> list[MonodromyClassification]:
     """(s, p, q) counts, critical reasons and margins of the eigenvalue rows
     ``mus`` (S, 2kl), one row per transfer map of a lambda grid, given
@@ -385,10 +394,7 @@ def _classify(mus: np.ndarray, lams, kl: int, size, unimod, dead=()) -> list[Mon
     min_gap, _, unit_gap = np.minimum.reduceat(nearest, [0, n, 3 * n], axis=1).T.tolist()
     # symmetry of each row under conjugation and inversion
     pairing = (nearest[:, n : 3 * n] / np.maximum(1.0, np.abs(targets[:, n : 3 * n]))).max(axis=1).tolist()
-    # above and on the real axis, within UNIMODULAR_TOL * max(1, |mu|)
-    tol, outer = UNIMODULAR_TOL * np.maximum(1.0, size), (size > 1) & ~unimod
-    upper = mus.imag > tol
-    s, p, q = np.array([unimod & upper, outer & upper, outer & (np.abs(mus.imag) <= tol)]).sum(axis=2).tolist()
+    s, p, q = _counts(mus, size, unimod).tolist()
     out = []
     for i, lam in enumerate(lams):
         reason = None
@@ -479,16 +485,19 @@ def find_critical_points(
 ) -> list[CriticalPoint]:
     """Where the channel counts (s, p, q) of a constant real operator change
     in [lo, hi], with the counts on each side and the path type.  The
-    points come from the symbol, once per operator (``_symbol_criticals``),
+    points come from the symbol, a stack of one for ``_symbol_criticals``,
     so they do not depend on ``samples``, which is checked as a grid size."""
     _grid(lo, hi, samples, 2)
-    return [cp for cp in _symbol_criticals(op) if lo <= cp.lam <= hi]
+    return [cp for cp in _symbol_criticals([op])[0] if lo <= cp.lam <= hi]
 
 
-def _symbol_criticals(op: LineOperator) -> list[CriticalPoint]:
-    """Every critical point of a constant real operator.  Counts change where
-    two Bloch multipliers meet on the unit circle or the real axis: at a
-    turn of an eigenvalue branch of the symbol S(mu) = sum_s B_s mu^s along
+def _symbol_criticals(ops: list[LineOperator]) -> list[list[CriticalPoint]]:
+    """Every critical point of each constant real operator of ``ops``, all
+    of one shape (k, l), from one stacked search over those whose set is not
+    cached yet: each sample, fold and turn row carries the index g of its
+    operator.  Counts change where two Bloch multipliers meet on the unit
+    circle or the real axis: at a turn of an eigenvalue branch of the symbol
+    S(mu) = sum_s B_s mu^s along
     * mu = e^(i theta), theta in [0, pi], where S is Hermitian with slopes
       v^H dS/dtheta v (Hellmann-Feynman), both ends included;
     * real mu = +-e^u, u in [log floor, 0] (S(1/mu) = S(mu)^T): the real
@@ -497,90 +506,99 @@ def _symbol_criticals(op: LineOperator) -> list[CriticalPoint]:
     A branch keeps its rank among the real eigenvalues between folds, where
     a pair leaves the real axis; folds are bisected so both sides are
     sampled.  Slope sign changes are refined by ``_branch_turns``, and a
-    candidate is kept where the counts at lambda -+ delta differ.  delta
-    and the merge width are 1e-10 (max|B_s| + |lambda|).  The set is cached
-    on the operator."""
-    if op._criticals is not None:
-        return op._criticals
-    if not op.constant:
-        raise DomainError("critical points need a constant operator")
-    if not op.is_real():
-        raise DomainError("critical points need real blocks: the symbol of a complex "
-                          "operator is not Hermitian")
-    _transfer_parts(op)  # checks the order and the leading block
-    k, shifts = op.k, np.arange(-op.k, op.k + 1)
-    blocks = np.array([op.block(0, s) for s in shifts], dtype=float)
+    candidate is kept where the ``_counts`` at lambda -+ delta differ (one
+    eigvals of the stacked transfer maps).  delta and the merge width are
+    1e-10 (max|B_s| + |lambda|).  The sets are cached on the operators."""
+    todo = [op for op in ops if op._criticals is None]
+    for op in todo:
+        if not op.constant:
+            raise DomainError("critical points need a constant operator")
+        if not op.is_real():
+            raise DomainError("critical points need real blocks: the symbol of a complex "
+                              "operator is not Hermitian")
+        _transfer_parts(op)  # checks the order and the leading block
+    if not todo:
+        return [op._criticals for op in ops]
+    k, shifts = todo[0].k, np.arange(-todo[0].k, todo[0].k + 1)
+    blocks = np.array([[op.block(0, s) for s in shifts] for op in todo], dtype=float)
 
-    def circle(theta, _):
-        phase = np.exp(1j * theta[:, None] * shifts)
-        lam, vec = np.linalg.eigh(np.einsum("ts,sij->tij", phase, blocks))
-        ds = np.einsum("ts,sij->tij", 1j * shifts * phase, blocks)
+    def circle(theta, _, g):
+        phase, at = np.exp(1j * theta[:, None] * shifts), blocks[g]
+        lam, vec = np.linalg.eigh(np.einsum("ts,tsij->tij", phase, at))
+        ds = np.einsum("ts,tsij->tij", 1j * shifts * phase, at)
         return lam, np.einsum("tji,tjk,tki->ti", vec.conj(), ds, vec).real
 
-    def symbol(u, sign):  # mu and mu^k S(mu) at mu = sign e^u
+    def symbol(u, sign, at):  # mu and mu^k S(mu) at mu = sign e^u, ``at`` the rows' blocks
         mu = (sign * np.exp(u))[:, None]
-        return mu, np.einsum("ts,sij->tij", mu ** (shifts + k), blocks)
+        return mu, np.einsum("ts,tsij->tij", mu ** (shifts + k), at)
 
-    def axis(u, sign):
-        mu, mat = symbol(u, sign)
+    def axis(u, sign, g):
+        mu, mat = symbol(u, sign, at := blocks[g])
         nu, vec = np.linalg.eig(mat)
-        ds = np.einsum("ts,sij->tij", shifts * mu ** (shifts + k), blocks)
+        ds = np.einsum("ts,tsij->tij", shifts * mu ** (shifts + k), at)
         slope = np.einsum("tij,tjk,tki->ti", np.linalg.inv(vec), ds, vec).real / mu**k
         lam = np.where(nu.imag == 0, nu.real / mu**k, np.nan)
         order = np.argsort(lam, axis=1)  # real eigenvalues ascending, then NaN
         return np.take_along_axis(lam, order, 1), np.take_along_axis(slope, order, 1)
 
     # a turn needs |mu| above about sigma_min(B_-k) / sum_j (1 + j/k) |B_(j-k)|
-    weight = np.sqrt(np.sum(blocks[1:] ** 2, axis=(1, 2))) * (1 + np.arange(1, 2 * k + 1) / k)
-    floor = np.linalg.svd(blocks[0], compute_uv=False)[-1] / (4 * np.sum(weight))
-    ends = 0.5 - 0.5 * np.cos(np.linspace(0, np.pi, 64))  # samples on [0, 1], dense at the ends
-    found, sides = [], np.repeat([1.0, -1.0], len(ends))
-    for curve, x, sign in ((circle, np.pi * ends, sides[: len(ends)]),
-                           (axis, np.log(floor) * np.r_[ends, ends], sides)):
-        lam, slope = curve(x, sign)
+    weight = np.sqrt(np.sum(blocks[:, 1:] ** 2, axis=(2, 3))) * (1 + np.arange(1, 2 * k + 1) / k)
+    floor = np.linalg.svd(blocks[:, 0], compute_uv=False)[:, -1] / (4 * np.sum(weight, axis=1))
+    rows, n, found = np.arange(len(todo)), len(_ENDS), []  # found: (candidates, their operators)
+    for curve, x, sign, g in ((circle, np.tile(np.pi * _ENDS, len(todo)), np.ones(len(todo) * n), rows.repeat(n)),
+                              (axis, (np.log(floor)[:, None] * np.r_[_ENDS, _ENDS]).ravel(),
+                               np.tile(np.repeat([1.0, -1.0], n), len(todo)), rows.repeat(2 * n))):
+        lam, slope = curve(x, sign, g)
         real = np.sum(~np.isnan(lam), axis=1)
-        p = np.flatnonzero(sign[:-1] == sign[1:])
+        p = np.flatnonzero((sign[:-1] == sign[1:]) & (g[:-1] == g[1:]))
         q, f = p + 1, p[real[p] != real[p + 1]]
         a, b = x[f], x[f + 1]
         while np.any(np.abs(b - a) > 3e-5):  # folds are on the axis: S is Hermitian on the circle
             mid = 0.5 * (a + b)
-            left = np.sum(np.linalg.eigvals(symbol(mid, sign[f])[1]).imag == 0, axis=1) == real[f]
+            left = np.sum(np.linalg.eigvals(symbol(mid, sign[f], blocks[g[f]])[1]).imag == 0, axis=1) == real[f]
             a, b = np.where(left, mid, a), np.where(left, b, mid)
         if len(f):  # each fold step splits in two, at the sides of its fold
-            more, new = curve(np.r_[a, b], sign[np.r_[f, f]]), len(x) + np.arange(len(f))
+            more, new = curve(np.r_[a, b], sign[np.r_[f, f]], g[np.r_[f, f]]), len(x) + np.arange(len(f))
             p, q = np.r_[p, f, new + len(f)], np.r_[q, new, f + 1]
-            x, sign = np.r_[x, a, b], np.r_[sign, sign[f], sign[f]]
+            x, sign, g = np.r_[x, a, b], np.r_[sign, sign[f], sign[f]], np.r_[g, g[f], g[f]]
             lam, slope = np.vstack((lam, more[0])), np.vstack((slope, more[1]))
             real = np.sum(~np.isnan(lam), axis=1)
-        found.append(lam[(x == 0) | (x == np.pi)].ravel() if curve is circle else [])
-        slope[(x == 0) | (x == np.pi)] = 0.0  # theta = 0, pi and mu = +-1: found above
+        end = (x == 0) | (x == np.pi)
+        edge = end & (curve is circle)  # the circle's ends are candidates
+        found.append((lam[edge].ravel(), g[edge].repeat(lam.shape[1])))
+        slope[end] = 0.0  # theta = 0, pi and mu = +-1: found above
         j, i = np.nonzero((real[p] == real[q])[:, None] & (slope[p] * slope[q] < 0))
-        found.append(_branch_turns(curve, x[p[j]], x[q[j]], slope[p[j], i], slope[q[j], i],
-                                   lam[p[j], i], sign[p[j]], i, real[p[j]]))
-    cands = np.sort(np.concatenate(found))
-    delta = 1e-10 * (np.max(np.abs(blocks)) + np.abs(cands))
-    keep = np.r_[True, np.diff(cands) > delta[1:]] & ~np.isnan(cands)  # one per point
-    cands, delta = cands[keep].tolist(), delta[keep]
-    cls = _classify_grid(op, np.r_[cands - delta, cands + delta])
-    counts = [(lam, c.counts(), d.counts()) for lam, c, d in zip(cands, cls, cls[len(cands):])]
-    op._criticals = [CriticalPoint(lam, b, a, *_path_of(b, a)) for lam, b, a in counts if b != a]
-    return op._criticals
+        found.append((_branch_turns(curve, x[p[j]], x[q[j]], slope[p[j], i], slope[q[j], i],
+                                    lam[p[j], i], sign[p[j]], g[p[j]], i, real[p[j]]), g[p[j]]))
+    cands, g = map(np.concatenate, zip(*found))
+    cands, g = cands[order := np.lexsort((cands, g))], g[order]  # by operator, then ascending
+    delta = 1e-10 * (np.abs(blocks).max(axis=(1, 2, 3))[g] + np.abs(cands))
+    keep = np.r_[True, (np.diff(cands) > delta[1:]) | (g[1:] != g[:-1])] & ~np.isnan(cands)  # one per point
+    cands, g, delta = cands[keep], g[keep], delta[keep]
+    t0, e = (np.array(parts)[np.tile(g, 2)] for parts in zip(*(_transfer_parts(op) for op in todo)))
+    mus = np.linalg.eigvals(t0 + np.concatenate((cands - delta, cands + delta))[:, None, None] * e)
+    counts = list(map(tuple, _counts(mus, *_moduli(mus)).T.tolist()))
+    for h, op in enumerate(todo):
+        op._criticals = [CriticalPoint(lam, b, a, *_path_of(b, a)) for gi, lam, b, a
+                         in zip(g.tolist(), cands.tolist(), counts, counts[len(cands):]) if gi == h and b != a]
+    return [op._criticals for op in ops]
 
 
-def _branch_turns(curve, a, b, fa, fb, lam, sign, rank, real, width=1e-6):
-    """The value at the turn inside [a, b] of each branch of ``curve``: the
-    real eigenvalue of rank ``rank`` among ``real``, whose slope changes sign
-    from fa to fb.  Batched Illinois steps on the slope stop where a step
-    lands within ``width`` of the zero of the secant through it and the step
-    before, taking the value there plus the area under the secant (exact to
-    O(width^3)), or where a step finds another number of real eigenvalues."""
+def _branch_turns(curve, a, b, fa, fb, lam, sign, g, rank, real, width=1e-6):
+    """The value at the turn inside [a, b] of each branch of ``curve`` (side
+    ``sign``, operator ``g``): the real eigenvalue of rank ``rank`` among
+    ``real``, whose slope changes sign from fa to fb.  Batched Illinois steps
+    on the slope stop where a step lands within ``width`` of the zero of the
+    secant through it and the step before, taking the value there plus the
+    area under the secant (exact to O(width^3)), or where a step finds
+    another number of real eigenvalues."""
     ga, gb, moved = fa.copy(), fb.copy(), np.zeros(len(a))
     px, pf, live = np.full(len(a), np.nan), np.full(len(a), np.nan), np.ones(len(a), dtype=bool)
     for _ in range(60):
         if not (at := np.flatnonzero(live)).size:
             break
         x = (a[at] * gb[at] - b[at] * ga[at]) / (gb[at] - ga[at])
-        lams, slopes = curve(x, sign[at])
+        lams, slopes = curve(x, sign[at], g[at])
         lx, fx = lams[np.arange(len(at)), rank[at]], slopes[np.arange(len(at)), rank[at]]
         ok = np.sum(~np.isnan(lams), axis=1) == real[at]
         lam[at[ok]], live[at[~ok]] = lx[ok], False

@@ -99,9 +99,10 @@ A_LAMBDA = 1j  # fixed value of the in/out pair form
 
 
 def _tail_critical_points(graph, lo: float, hi: float) -> list[CriticalPoint]:
-    """find_critical_points of every tail in order, one set per distinct operator."""
+    """find_critical_points of every tail in order: one search per tail shape (``_solves``)."""
     solves, where = graph._solves
-    return [cp for a, g, _ in where for cp in _symbol_criticals(solves[a].ops[g]) if lo <= cp.lam <= hi]
+    sets = [_symbol_criticals(solve.ops) for solve in solves]
+    return [cp for a, g, _ in where for cp in sets[a][g] if lo <= cp.lam <= hi]
 
 
 # -- Bloch modes ---------------------------------------------------------------

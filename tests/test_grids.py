@@ -122,20 +122,26 @@ def test_classify_command_rejects_reversed_interval(tmp_path, capsys):
 def test_classify_command_classifies_its_grid_once(tmp_path, monkeypatch):
     import swron.cli as cli
 
-    grids, real = [], ll._classify_grid
+    grids, stacks, real, real_eigvals = [], [], ll._classify_grid, np.linalg.eigvals
 
     def spy(op, lams):
         grids.append(len(lams))
         return real(op, lams)
 
+    def eigvals(a):
+        stacks.append(len(a))
+        return real_eigvals(a)
+
     monkeypatch.setattr(cli, "_classify_grid", spy)
     monkeypatch.setattr(ll, "_classify_grid", spy)
+    monkeypatch.setattr(np.linalg, "eigvals", eigvals)
     opath = tmp_path / "free.json"
     opath.write_text(json.dumps(line_operator_to_json(ex.free_line_operator(1))))
     out = tmp_path / "report.json"
     assert main(["classify", "--operator-file", str(opath), "--lo", "-3", "--hi", "3",
                  "--samples", "25", "--output", str(out)]) == 0
-    assert len(grids) == 2 and grids[0] == 25  # the grid, then one filter of the candidates
+    assert grids == [25]  # the grid
+    assert stacks == [25, 4]  # the grid, then one filter of the two candidates at lambda -+ delta
     assert len(json.loads(out.read_text())["critical_points"]) == 2
 
 
@@ -420,6 +426,56 @@ def test_complex_blocks_have_no_critical_points():
     op = LineOperator(1, 1, {0: [[0.5]], 1: [[1.0 + 0.5j]]})
     with pytest.raises(DomainError, match="real blocks.*not Hermitian"):
         find_critical_points(op, -3, 3, 11)
+
+
+def test_a_stack_with_a_complex_operator_is_rejected_before_any_search():
+    real = ex.random_line_operator(np.random.default_rng(3), 1, 1)
+    bad = LineOperator(1, 1, {0: [[0.5]], 1: [[1.0 + 0.5j]]})
+    with pytest.raises(DomainError, match="critical points need real blocks.*not Hermitian"):
+        ll._symbol_criticals([real, bad])
+    assert real._criticals is None
+
+
+def fresh(op: LineOperator) -> LineOperator:
+    return LineOperator(op.k, op.l, {s: op.block(0, s) for s in range(op.k + 1)})
+
+
+@pytest.mark.parametrize("cached", [False, True])
+def test_a_stacked_tail_search_matches_each_tail_searched_alone(cached):
+    # 2-3 distinct random tails of one shape (k, l) make one stacked search;
+    # with ``cached`` the first tail's set is built before the scan, as in
+    # a benchmark round that asks for that tail's points first
+    for seed in range(48):
+        rng = np.random.default_rng([seed, 33])
+        k, l, count = int(rng.integers(1, 3)), int(rng.integers(1, 4)), int(rng.integers(2, 4))
+        tails = [Tail(ex.random_line_operator(rng, k, l), {(0, 0): rng.standard_normal((l, l))})
+                 for _ in range(count)]
+        graph = TailedGraph({0: l}, {}, tails)
+        assert [len(solve.ops) for solve in graph._solves[0]] == [count]
+        lo, hi = -1e9, 1e9  # every point: those past the bands count too
+        if cached:
+            find_critical_points(graph.tails[0].op, lo, hi, 2)
+        got = band_scan(graph, lo, hi, 2).criticals
+        want = [cp for t in graph.tails for cp in find_critical_points(fresh(t.op), lo, hi, 2)]
+        assert [(cp.before, cp.after, cp.path) for cp in got] == [
+            (cp.before, cp.after, cp.path) for cp in want], seed
+        for g, w in zip(got, want):
+            assert abs(g.lam - w.lam) <= 1e-12 * max(1.0, abs(w.lam)), (seed, g.lam, w.lam)
+
+
+def test_counts_are_the_counts_of_the_classification():
+    rng = np.random.default_rng(5)
+    theta = rng.uniform(0.1, 3.0, (400, 3))
+    radius = rng.choice([1.0, 1.0 + 1e-10, 1.0 - 1e-10, 1.0 + 1e-8, 1.5, 0.3, 4.0], (400, 3))
+    mus = radius * np.exp(1j * rng.choice([0.0, np.pi, 1.0], (400, 3)) * theta)
+    mus[rng.random((400, 3)) < 0.2] = rng.choice([1.0, -1.0, 1.0 + 1e-10j, -1.0 - 1e-11j])
+    mus = np.concatenate([mus, mus.conj()], axis=1)
+    counts = ll._counts(mus, *ll._moduli(mus))
+    clf = ll._classify(mus, np.zeros(len(mus)), 3, *ll._moduli(mus))
+    assert counts.T.tolist() == [list(c.counts()) for c in clf]
+    # one pair on the circle, one real pair, one quadruple
+    known = np.array([[np.exp(1j), np.exp(-1j), 2.0, 0.5, 2j + 1, -2j + 1, 0.2 + 0.4j, 0.2 - 0.4j]])
+    assert ll._counts(known, *ll._moduli(known)).T.tolist() == [[1, 1, 1]]
 
 
 def test_classify_reports_both_changes_inside_one_ladder_step(tmp_path):
